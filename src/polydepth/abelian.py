@@ -15,16 +15,47 @@ FgAbelianGroup(free_rank=0, torsion=(2, 3))
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
-
-from sympy import factorint
 
 from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
 from .intlinalg import IntMatrix, rank, smith_normal_form
 
+MAX_CYCLIC_ORDER = 10**12
+"""Largest cyclic order the trial-division factoriser accepts; a prime just
+below it takes about 0.1 s."""
+
+
+@lru_cache(maxsize=4096)
+def _factor(q: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of q >= 2 as (prime, exponent) pairs, primes
+    ascending.  Memoised because every direct sum re-validates the torsion
+    coefficients of both summands.
+
+    >>> _factor(360)
+    ((2, 3), (3, 2), (5, 1))
+    """
+    if q > MAX_CYCLIC_ORDER:
+        raise ValueError(f"cyclic order {q} exceeds the limit 10^12")
+    factors = []
+    p, step = 2, 1
+    while p * p <= q:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            factors.append((p, e))
+        # candidates 2, 3, then 6k - 1 and 6k + 1
+        p += step
+        step = 2 if p < 6 else 6 - step
+    if q > 1:
+        factors.append((q, 1))
+    return tuple(factors)
+
 
 def _is_prime_power(q: int) -> bool:
-    return q >= 2 and len(factorint(q)) == 1
+    return q >= 2 and len(_factor(q)) == 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +101,7 @@ TRIVIAL_GROUP = FgAbelianGroup(0, ())
 
 def _primary_split(q: int) -> list[int]:
     # 12 -> [4, 3]; prime powers pass through
-    return [p**e for p, e in factorint(q).items()]
+    return [p**e for p, e in _factor(q)]
 
 
 def from_cyclic_factors(free_rank: int, factors: Iterable[int] = ()) -> FgAbelianGroup:
@@ -95,6 +126,9 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
 
     The middle group has rank cols(d_k) = rows(d_k_plus_1); zero maps are
     expressed as matrices with zero rows or columns.
+
+    >>> from_boundary_maps(IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]]))
+    FgAbelianGroup(free_rank=0, torsion=(2,))
     """
     if d_k.cols != d_k_plus_1.rows:
         raise DimensionMismatch(
@@ -102,11 +136,25 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
         )
     if not (d_k @ d_k_plus_1).is_zero():
         raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
-    image = smith_normal_form(d_k_plus_1)
-    cycle_rank = d_k.cols - rank(d_k)
-    free = cycle_rank - len(image.diagonal)
-    assert free >= 0, "image escaped the kernel despite zero composition"
-    return from_cyclic_factors(free, (d for d in image.diagonal if d > 1))
+    return _homology_group(
+        d_k.cols, rank(d_k), smith_normal_form(d_k_plus_1).diagonal
+    )
+
+
+def _homology_group(
+    cells: int, rank_out: int, image_diagonal: tuple[int, ...]
+) -> FgAbelianGroup:
+    """H_k = Z^(c_k - r_k - r_(k+1)) plus Z/d for each d > 1 on the Smith
+    diagonal of d_(k+1), from the number of k-cells c_k, the rank r_k of d_k
+    and the nonzero Smith diagonal of d_(k+1).  The caller must know that
+    d_k d_(k+1) = 0; a rank count that contradicts it still raises."""
+    free = cells - rank_out - len(image_diagonal)
+    if free < 0:
+        raise CompositionNotZero(
+            "image of d_k_plus_1 escaped the kernel of d_k: the maps do not "
+            "compose to zero"
+        )
+    return from_cyclic_factors(free, (d for d in image_diagonal if d > 1))
 
 
 def sl_abelian(g: FgAbelianGroup) -> int:

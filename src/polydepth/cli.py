@@ -169,9 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse):
+    """Read a JSON file and apply the recursive `parse` to it.  Nesting too
+    deep for the decoder or the parser is malformed input."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump(body) -> str:
@@ -204,7 +209,7 @@ def _forced_rule_report(space, rule: str):
 
 
 def _cmd_bound(args) -> int:
-    space = space_from_json(_load_json(args.space))
+    space = _load_json(args.space, space_from_json)
     if args.rule is None:
         report = best_bound(space)
     else:
@@ -217,7 +222,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    space = space_from_json(_load_json(args.space))
+    space = _load_json(args.space, space_from_json)
     if args.universal_cover:
         profile = universal_cover_homology(space)
     else:
@@ -236,7 +241,7 @@ def _cmd_sl(args) -> int:
         with open(args.table, encoding="utf-8") as fh:
             descriptor = Finite(parse_cayley_table(fh.read()))
     else:
-        descriptor = pi1_from_json(_load_json(args.descriptor))
+        descriptor = _load_json(args.descriptor, pi1_from_json)
     value = sl_of(descriptor, cap=args.cap)
     witness = None
     if isinstance(descriptor, Finite):

@@ -31,6 +31,7 @@ from .errors import (
     DimensionNotTwo,
     NotFinitelyGenerated,
     PolydepthError,
+    TorsionNotSupported,
 )
 from .finitegroup import DEFAULT_SEARCH_CAP, n1
 from .pi1 import (
@@ -117,9 +118,15 @@ class DepthBoundReport:
     provenance: "str | None" = None
 
     def __post_init__(self):
-        assert self.bound == self.sl_pi1 + sum(self.per_degree.values())
-        if self.exact_depth is not None:
-            assert self.exact_depth <= self.bound
+        total = self.sl_pi1 + sum(self.per_degree.values())
+        if self.bound != total:
+            raise ValueError(
+                f"bound {self.bound} is not sl(pi1) plus the per-degree terms ({total})"
+            )
+        if self.exact_depth is not None and self.exact_depth > self.bound:
+            raise ValueError(
+                f"exact depth {self.exact_depth} exceeds the bound {self.bound}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,11 @@ def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     descriptor = pi1_of(space)
     sl_pi1 = sl_of(descriptor)
     top = homology(space).group(2)
-    assert not top.torsion, "top homology of a 2-complex must be torsion-free"
+    if top.torsion:
+        raise TorsionNotSupported(
+            "top homology of a 2-complex must be torsion-free; the 2-dim rule "
+            "counts its rank only"
+        )
     rank = top.free_rank
     return DepthBoundReport(
         applied_rule=_TWO_DIM_RULE[type(descriptor)],
@@ -206,7 +217,7 @@ def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
             f"2-dim bound {two_dim.bound}"
         )
     exact = _known_exact_depth(space)
-    # the report asserts exact_depth <= bound, so an unsound bound fails loudly
+    # the report refuses exact_depth > bound, so an unsound bound fails loudly
     exact_depth, provenance = exact if exact is not None else (None, None)
     return DepthBoundReport(
         applied_rule=chosen.applied_rule,

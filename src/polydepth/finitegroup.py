@@ -147,8 +147,16 @@ class SeriesResult:
     complements: tuple[Subgroup, ...]
 
     def __post_init__(self):
-        assert self.length == len(self.witness) - 1
-        assert len(self.complements) == len(self.witness)
+        if self.length != len(self.witness) - 1:
+            raise ValueError(
+                f"series length {self.length} does not match a witness of "
+                f"{len(self.witness)} terms"
+            )
+        if len(self.complements) != len(self.witness):
+            raise ValueError(
+                f"{len(self.complements)} complements for a witness of "
+                f"{len(self.witness)} terms"
+            )
 
 
 def _check_cap(g: FiniteGroup, cap: int):

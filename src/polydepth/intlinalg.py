@@ -9,7 +9,7 @@ functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -251,12 +251,3 @@ def determinant(m: IntMatrix) -> int:
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def matrix_product(ms: Iterable[IntMatrix]) -> IntMatrix:
-    """Left-to-right product of a nonempty sequence of matrices."""
-    result = None
-    for m in ms:
-        result = m if result is None else result @ m
-    if result is None:
-        raise ValueError("empty product")
-    return result

@@ -30,8 +30,8 @@ from typing import Union
 from .abelian import (
     TRIVIAL_GROUP,
     FgAbelianGroup,
+    _homology_group,
     direct_sum,
-    from_boundary_maps,
     render_abelian,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     TorsionNotSupported,
     UnsupportedConstruction,
 )
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, smith_normal_form
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -300,8 +300,20 @@ def profile_to_json(profile: HomologyProfile) -> dict:
 
 
 def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
+    """Homology from one Smith form per boundary map: H_k reads the rank of
+    d_k and the diagonal of d_(k+1).  The constructor has already proved
+    that consecutive maps compose to zero.
+
+    >>> render_profile(homology_of_complex(EXAMPLE_COMPLEXES["projective-plane"]))
+    'H0 = Z\\nH1 = Z/2\\nH2 = 0'
+    """
+    # diagonals[k] is the nonzero Smith diagonal of d_k; d_0 and d_(dim+1)
+    # are zero maps
+    diagonals = [()]
+    diagonals.extend(smith_normal_form(b).diagonal for b in complex_.boundary)
+    diagonals.append(())
     groups = {
-        k: from_boundary_maps(complex_.boundary_map(k), complex_.boundary_map(k + 1))
+        k: _homology_group(complex_.cells[k], len(diagonals[k]), diagonals[k + 1])
         for k in range(complex_.dim + 1)
     }
     return HomologyProfile(complex_.dim, groups)
@@ -576,7 +588,13 @@ def complex_from_json(obj) -> ChainComplex:
     boundary = [
         IntMatrix.from_rows(rows, cols=cells[k + 1]) for k, rows in enumerate(raw)
     ]
-    return ChainComplex(dim=len(cells) - 1, boundary=tuple(boundary), cells=tuple(cells))
+    try:
+        return ChainComplex(
+            dim=len(cells) - 1, boundary=tuple(boundary), cells=tuple(cells)
+        )
+    except (DimensionMismatch, CompositionNotZero) as err:
+        # a file that is not a chain complex is malformed input
+        raise ValueError(f"chain complex JSON: {err}") from None
 
 
 def space_to_json(space: SpaceExpr) -> dict:

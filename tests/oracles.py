@@ -2,8 +2,9 @@
 
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
-from gcd/determinant identities, and the group-series oracles enumerate raw
-power sets and check the series definitions directly.  They are deliberately
+from gcd/determinant identities, factorisation divides by every integer in
+turn, and the group-series oracles enumerate raw power sets and check the
+series definitions directly.  They are deliberately
 slow and simple; they exist to catch bugs in the fast implementations.
 """
 
@@ -76,6 +77,27 @@ def rank_fraction(rows: list[list[int]]) -> int:
         if r == n:
             break
     return r
+
+
+# ---------------------------------------------------------------------------
+# integers
+
+
+def factor_naive(q: int) -> list[tuple[int, int]]:
+    """Prime factorisation of q >= 2 by dividing by every integer from 2 up."""
+    out = []
+    d = 2
+    while d * d <= q:
+        e = 0
+        while q % d == 0:
+            q //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if q > 1:
+        out.append((q, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import factor_naive
 from polydepth.abelian import (
+    MAX_CYCLIC_ORDER,
     TRIVIAL_GROUP,
     FgAbelianGroup,
     direct_sum,
@@ -39,6 +41,21 @@ def test_from_cyclic_factors_splits_primary():
     assert from_cyclic_factors(0, [1, 1]) == TRIVIAL_GROUP
     assert from_cyclic_factors(2, [8, 9]).torsion == (8, 9)
     assert from_cyclic_factors(0, [2, 4]).torsion == (2, 4)
+
+
+def test_primary_split_matches_naive_factorisation():
+    # every order up to 5000, the largest prime below the limit, and the
+    # limit itself (2^12 * 5^12)
+    for q in [*range(2, 5001), 999999999989, MAX_CYCLIC_ORDER]:
+        expected = tuple(sorted(p**e for p, e in factor_naive(q)))
+        assert from_cyclic_factors(0, [q]).torsion == expected, q
+
+
+def test_cyclic_order_above_limit_names_the_limit():
+    with pytest.raises(ValueError, match=r"10\^12"):
+        from_cyclic_factors(0, [MAX_CYCLIC_ORDER + 1])
+    with pytest.raises(ValueError, match=r"10\^12"):
+        FgAbelianGroup(0, (MAX_CYCLIC_ORDER + 1,))
 
 
 def test_sl_examples():

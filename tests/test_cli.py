@@ -211,6 +211,35 @@ class TestExitCodes:
         path = _write_json(tmp_path, "bad.json", {"blob": 3})
         assert run(["bound", str(path)]) == 1
 
+    def test_deeply_nested_wedge_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"wedge": [' * 900 + '{"sphere": 2}' + "]}" * 900)
+        assert run(["homology", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "complex_",
+        [
+            # boundary shape disagrees with the cell counts
+            {"cells": [1, 1], "boundary": [[[0], [0]]]},
+            # maps that do not compose to zero
+            {"cells": [1, 2, 1], "boundary": [[[1, 0]], [[1], [0]]]},
+        ],
+    )
+    def test_inconsistent_complex_is_malformed_input(self, tmp_path, capsys, complex_):
+        space = {"explicit": {"complex": complex_, "pi1": {"trivial": True}}}
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["homology", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_cyclic_order_above_limit_is_malformed_input(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "pi1.json", {"abelian": f"Z/{10**87 + 1}"})
+        assert run(["sl", "--descriptor", path]) == 1
+        err = capsys.readouterr().err
+        assert "10^12" in err and err.count("\n") == 1
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 64
         assert "usage" in capsys.readouterr().err

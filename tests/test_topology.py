@@ -11,7 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydepth.abelian import FgAbelianGroup, from_cyclic_factors
+from oracles import rank_fraction
+from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
 from polydepth.errors import (
     CompositionNotZero,
@@ -150,6 +151,81 @@ class TestExplicitHomology:
             p = homology_of_complex(c)
             ranks = sum((-1) ** k * p.group(k).free_rank for k in range(3))
             assert ranks == euler_characteristic(c)
+
+
+def _matmul(a, b, cols):
+    return [
+        [sum(x * b_row[j] for x, b_row in zip(row, b)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def _unimodular_pair(rng, n):
+    """A random unimodular n x n matrix and its inverse, built from
+    elementary operations: row i += c * row j on P is column j -= c *
+    column i on P^-1."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return p, p_inv
+
+
+def _random_complex_with_known_homology(rng):
+    """A chain complex in Smith form, each d_k pairing some k-cells with
+    distinct (k-1)-cells that d_(k-1) does not touch, disguised by a
+    unimodular change of basis in every degree.  Returns the complex and
+    its homology read off the pairing."""
+    dim = rng.randint(1, 3)
+    cells = [rng.randint(0, 4) for _ in range(dim + 1)]
+    sources = [set() for _ in cells]
+    targets = [set() for _ in cells]
+    pairs = [[] for _ in cells]  # pairs[k]: (k-cell, (k-1)-cell, coefficient)
+    for k in range(1, dim + 1):
+        free_below = [i for i in range(cells[k - 1]) if i not in sources[k - 1]]
+        count = rng.randint(0, min(len(free_below), cells[k]))
+        for src, dst in zip(rng.sample(range(cells[k]), count), rng.sample(free_below, count)):
+            coefficient = rng.choice((1, 1, 2, 3, 4, 6, 12))
+            pairs[k].append((src, dst, coefficient))
+            sources[k].add(src)
+            targets[k - 1].add(dst)
+    bases = [_unimodular_pair(rng, c) for c in cells]
+    boundary = []
+    for k in range(1, dim + 1):
+        d = [[0] * cells[k] for _ in range(cells[k - 1])]
+        for src, dst, coefficient in pairs[k]:
+            d[dst][src] = coefficient
+        # d'_k = P_(k-1) d_k P_k^-1 keeps every composition zero
+        d = _matmul(_matmul(bases[k - 1][0], d, cells[k]), bases[k][1], cells[k])
+        boundary.append(IntMatrix.from_rows(d, cols=cells[k]))
+    expected = {
+        k: from_cyclic_factors(
+            cells[k] - len(sources[k]) - len(targets[k]),
+            [c for _, _, c in (pairs[k + 1] if k < dim else [])],
+        )
+        for k in range(dim + 1)
+    }
+    complex_ = ChainComplex(dim=dim, boundary=tuple(boundary), cells=tuple(cells))
+    return complex_, expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_snf_per_map_agrees_with_two_matrix_path(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        c, expected = _random_complex_with_known_homology(rng)
+        profile = homology_of_complex(c)
+        for k in range(c.dim + 1):
+            d_k, d_k1 = c.boundary_map(k), c.boundary_map(k + 1)
+            group = profile.group(k)
+            assert group == from_boundary_maps(d_k, d_k1) == expected[k]
+            assert group.free_rank == (
+                c.cells[k] - rank_fraction(d_k.to_rows()) - rank_fraction(d_k1.to_rows())
+            )
 
 
 class TestSpaceHomology:
@@ -407,6 +483,10 @@ class TestJson:
             {"cells": []},
             {"cells": [1, 1], "boundary": []},
             {"cells": [1], "boundary": [], "junk": 1},
+            # boundary shape disagrees with the cell counts
+            {"cells": [1, 1], "boundary": [[[0], [0]]]},
+            # maps that do not compose to zero
+            {"cells": [1, 2, 1], "boundary": [[[1, 0]], [[1], [0]]]},
         ],
     )
     def test_malformed_complex_rejected(self, bad):
