@@ -162,9 +162,11 @@ def sl_abelian(g: FgAbelianGroup) -> int:
     return g.free_rank + len(g.torsion)
 
 
-def direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
+def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
+    """Direct sum of any number of groups (the trivial group for none)."""
     return FgAbelianGroup(
-        a.free_rank + b.free_rank, tuple(sorted(a.torsion + b.torsion))
+        sum(g.free_rank for g in groups),
+        tuple(sorted(q for g in groups for q in g.torsion)),
     )
 
 

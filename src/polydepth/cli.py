@@ -239,7 +239,7 @@ def _cmd_sl(args) -> int:
         descriptor = Finite(catalog_group(args.catalog))
     elif args.table is not None:
         with open(args.table, encoding="utf-8") as fh:
-            descriptor = Finite(parse_cayley_table(fh.read()))
+            descriptor = Finite(parse_cayley_table(fh.read(), cap=args.cap))
     else:
         descriptor = _load_json(args.descriptor, pi1_from_json)
     value = sl_of(descriptor, cap=args.cap)

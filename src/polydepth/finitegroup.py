@@ -18,7 +18,13 @@ a fixed deterministic ordering (larger subgroups first, then smaller member
 mask); lengths are the contract, witnesses are evidence.
 
 Subgroups are bitmasks over element indices, so all the searches are integer
-arithmetic on Python ints.
+arithmetic on Python ints.  Each group builds its subgroup lattice once, by
+cyclic extension (Neubüser 1960): every subgroup found is joined with every
+cyclic subgroup it lacks.  All three searches read that one lattice.  The
+``n3`` recursion is unchanged, but it reads the subgroups of each retract
+off the shared lattice, since the subgroups of H are exactly the subgroups
+of G inside H; normality in a retract is read from normalizers that are
+computed once per subgroup.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class FiniteGroup:
     is a group; downstream searches never re-validate.
     """
 
-    __slots__ = ("order", "table", "name", "_inv", "_subgroup_masks")
+    __slots__ = ("order", "table", "name", "_inv", "_subgroup_masks", "_normalizers")
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
         tbl = tuple(tuple(int(x) for x in row) for row in table)
@@ -74,6 +80,7 @@ class FiniteGroup:
         self.name = name
         self._inv = tuple(tbl[a].index(0) for a in range(n))
         self._subgroup_masks: tuple[int, ...] | None = None
+        self._normalizers: dict[int, int] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -181,23 +188,66 @@ def _closure_mask(g: FiniteGroup, seed: int) -> int:
     return mask
 
 
+def _cyclic_generators(g: FiniteGroup) -> list[tuple[int, int]]:
+    """One (generator, mask) pair per nontrivial cyclic subgroup <x>."""
+    table = g.table
+    by_mask: dict[int, int] = {}
+    for x in range(1, g.order):
+        mask, y = 1, x
+        while y:
+            mask |= 1 << y
+            y = table[y][x]
+        by_mask.setdefault(mask, x)
+    return [(x, mask) for mask, x in by_mask.items()]
+
+
+def _join_cyclic(g: FiniteGroup, h: int, h_members: list[int], x: int) -> int:
+    """Mask of <H, x>.  The set grows by whole left cosets of H, so it is
+    closed under right multiplication by H; closing it under right
+    multiplication by x as well makes it the generated subgroup."""
+    table = g.table
+    mask = h
+    members = list(h_members)
+    for a in members:  # grows while it is walked
+        b = table[a][x]
+        if not (mask >> b) & 1:
+            row = table[b]
+            for c in h_members:
+                coset_elem = row[c]
+                mask |= 1 << coset_elem
+                members.append(coset_elem)
+    return mask
+
+
+def _lattice(g: FiniteGroup) -> tuple[int, ...]:
+    """Every subgroup mask of G, sorted by (order, mask), built once per group
+    by cyclic extension (Neubüser): starting from the trivial subgroup, join
+    each subgroup found with each cyclic subgroup it does not contain.  Every
+    subgroup is a join of cyclic subgroups, so nothing is missed."""
+    if g._subgroup_masks is None:
+        cyclics = _cyclic_generators(g)
+        found = {1}
+        frontier = [1]
+        while frontier:
+            fresh = []
+            for h in frontier:
+                h_members = _bits(h)
+                for x, c in cyclics:
+                    if c & h != c:
+                        k = _join_cyclic(g, h, h_members, x)
+                        if k not in found:
+                            found.add(k)
+                            fresh.append(k)
+            frontier = fresh
+        g._subgroup_masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return g._subgroup_masks
+
+
 def _subgroup_masks_within(g: FiniteGroup, ambient: int) -> list[int]:
-    """All subgroup masks contained in the subgroup `ambient`, by growing
-    generated subgroups one generator at a time."""
-    found = {1}
-    frontier = [1]
-    candidates = _bits(ambient)
-    while frontier:
-        fresh = []
-        for mask in frontier:
-            for x in candidates:
-                if not (mask >> x) & 1:
-                    grown = _closure_mask(g, mask | (1 << x))
-                    if grown not in found:
-                        found.add(grown)
-                        fresh.append(grown)
-        frontier = fresh
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    """Subgroup masks contained in the subgroup `ambient`, read off the
+    shared lattice: the subgroups of H are exactly the subgroups of G that
+    lie in H."""
+    return [m for m in _lattice(g) if m & ambient == m]
 
 
 def _is_normal_within(g: FiniteGroup, ambient: int, h: int) -> bool:
@@ -216,10 +266,7 @@ def _is_normal_within(g: FiniteGroup, ambient: int, h: int) -> bool:
 def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgroup]:
     """Complete subgroup list, sorted by (order, member mask)."""
     _check_cap(g, cap)
-    if g._subgroup_masks is None:
-        full = (1 << g.order) - 1
-        g._subgroup_masks = tuple(_subgroup_masks_within(g, full))
-    return [Subgroup(m) for m in g._subgroup_masks]
+    return [Subgroup(m) for m in _lattice(g)]
 
 
 def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
@@ -347,16 +394,35 @@ def n2(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     )
 
 
+def _normalizer(g: FiniteGroup, k: int) -> int:
+    """Mask of N_G(K), cached per group: K is normal in a subgroup H exactly
+    when H lies in N_G(K), so one conjugation pass per K serves every H."""
+    found = g._normalizers.get(k)
+    if found is None:
+        table = g.table
+        members = _bits(k)
+        found = 0
+        for a, ai in enumerate(g._inv):
+            ta = table[a]
+            if all((k >> table[ta[x]][ai]) & 1 for x in members):
+                found |= 1 << a
+        g._normalizers[k] = found
+    return found
+
+
 def _retract_masks_within(g: FiniteGroup, ambient: int) -> list[int]:
     subs = _subgroup_masks_within(g, ambient)
-    normals = [k for k in subs if _is_normal_within(g, ambient, k)]
+    # normal subgroups of the ambient, by order
+    normals: dict[int, list[int]] = {}
+    for k in subs:
+        if _normalizer(g, k) & ambient == ambient:
+            normals.setdefault(k.bit_count(), []).append(k)
     size = ambient.bit_count()
-    out = []
-    for h in subs:
-        h_order = h.bit_count()
-        if any((h & k) == 1 and h_order * k.bit_count() == size for k in normals):
-            out.append(h)
-    return out
+    return [
+        h
+        for h in subs
+        if any(h & k == 1 for k in normals.get(size // h.bit_count(), ()))
+    ]
 
 
 def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -388,7 +454,8 @@ def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
 
 def n3(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Recursive length: 0 for the trivial group, else one plus the maximum
-    over proper retracts, with retracts recomputed inside each subgroup."""
+    over proper retracts, with retracts recomputed inside each subgroup
+    (its subgroups read off G's lattice)."""
     return _n3_chain(g, cap)[0]
 
 
@@ -449,13 +516,21 @@ def render_series(g: FiniteGroup, series: SeriesResult) -> str:
     return ">".join(describe_subgroup(g, s) for s in series.witness)
 
 
-def parse_cayley_table(text: str, name: str | None = None) -> FiniteGroup:
+def parse_cayley_table(
+    text: str, name: str | None = None, cap: int | None = None
+) -> FiniteGroup:
     """Cayley-table text format: the order n on the first line, then n lines
-    of n space-separated element indices; index 0 is the identity."""
+    of n space-separated element indices; index 0 is the identity.
+
+    With a ``cap``, a declared order above it raises ``OrderExceedsCap``
+    before the table is read or its group axioms are checked."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty Cayley table input")
     try:
+        declared = int(tokens[0])
+        if cap is not None and declared > cap:
+            raise OrderExceedsCap(declared, cap)
         values = [int(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"non-integer token in Cayley table: {exc}") from None

@@ -339,13 +339,12 @@ def homology(space: SpaceExpr) -> HomologyProfile:
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
     if isinstance(space, Wedge):
-        dim = dim_of(space)
+        # reduced homology adds up over the parts; each part is computed once
+        profiles = [homology(part) for part in space.parts]
+        dim = max(p.dim for p in profiles)
         groups: dict[int, FgAbelianGroup] = {0: FgAbelianGroup(free_rank=1)}
         for k in range(1, dim + 1):
-            total = TRIVIAL_GROUP
-            for part in space.parts:
-                total = direct_sum(total, homology(part).group(k))
-            groups[k] = total
+            groups[k] = direct_sum(*(p.group(k) for p in profiles))
         return HomologyProfile(dim, groups)
     if isinstance(space, Product):
         coeffs = [1]

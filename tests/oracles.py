@@ -123,6 +123,29 @@ def powerset_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
     return out
 
 
+def generated_subgroups_naive(table: list[list[int]]) -> list[frozenset[int]]:
+    """All subgroups, as the closures of every set of at most floor(log2 n)
+    non-identity elements: walk raw table products from the identity, right
+    multiplying by the chosen elements.  That many generators suffice, since
+    each generator outside the subgroup generated so far at least doubles
+    its order.  Sane up to order 16 or so."""
+    n = len(table)
+    found = set()
+    for k in range(n.bit_length()):  # k <= floor(log2 n)
+        for gens in combinations(range(1, n), k):
+            closed = {0}
+            frontier = [0]
+            while frontier:
+                a = frontier.pop()
+                for x in gens:
+                    b = table[a][x]
+                    if b not in closed:
+                        closed.add(b)
+                        frontier.append(b)
+            found.add(frozenset(closed))
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
+
+
 def _is_normal_naive(table, h: frozenset[int]) -> bool:
     n = len(table)
     for g in range(n):

@@ -107,6 +107,14 @@ def test_from_boundary_maps_errors():
         )
 
 
+def test_direct_sum_of_many_folds_pairwise():
+    parts = [from_cyclic_factors(1, [2]), from_cyclic_factors(0, [9, 4]), FgAbelianGroup(2, ())]
+    assert direct_sum() == TRIVIAL_GROUP
+    assert direct_sum(parts[0]) == parts[0]
+    assert direct_sum(*parts) == direct_sum(direct_sum(parts[0], parts[1]), parts[2])
+    assert direct_sum(*parts) == from_cyclic_factors(3, [2, 4, 9])
+
+
 def test_direct_sum_examples():
     z = FgAbelianGroup(1, ())
     assert direct_sum(z, TRIVIAL_GROUP) == z

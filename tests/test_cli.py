@@ -5,7 +5,9 @@ capsys so the tests check the exact bytes a user would see.
 """
 
 import json
+import math
 import pathlib
+import time
 
 import pytest
 
@@ -111,6 +113,27 @@ class TestHomologyCommand:
         body = json.loads(capsys.readouterr().out)
         assert body["groups"]["1"] == {"free_rank": 2, "torsion": []}
 
+    def test_alternating_wedge_product_nesting(self, tmp_path, capsys):
+        # X_0 = S^2, X_(j+1) = (X_j x S^2) v S^2: sixteen levels, eight of
+        # each.  With q = t^2 the Poincare series obey p_(j+1) + 1 =
+        # (p_j + 1)(1 + q), so p_8 = (2 + q)(1 + q)^8 - 1.
+        space = {"sphere": 2}
+        for _ in range(8):
+            space = {"wedge": [{"product": [space, {"sphere": 2}]}, {"sphere": 2}]}
+        path = _write_json(tmp_path, "nested.json", space)
+        start = time.perf_counter()
+        assert run(["homology", path, "--format", "json"]) == 0
+        elapsed = time.perf_counter() - start
+        body = json.loads(capsys.readouterr().out)
+        ranks = [0] * 19
+        for i in range(10):
+            ranks[2 * i] = 2 * math.comb(8, i) + (math.comb(8, i - 1) if i else -1)
+        assert body["dim"] == 18
+        assert [body["groups"][str(k)] for k in range(19)] == [
+            {"free_rank": r, "torsion": []} for r in ranks
+        ]
+        assert elapsed < 0.5
+
     def test_unsupported_cover_exits_two(self, tmp_path, capsys):
         path = _space_file(tmp_path, wedge(Sphere(1), Sphere(1)))
         assert run(["homology", path, "--universal-cover"]) == 2
@@ -142,6 +165,29 @@ class TestSlCommand:
     def test_cap_exceeded_exits_two(self, capsys):
         assert run(["sl", "--catalog", "Z24", "--cap", "16"]) == 2
         assert "OrderExceedsCap" in capsys.readouterr().err
+
+    def test_over_cap_table_refused_before_validation(self, tmp_path, capsys):
+        # order 400 is far above the default cap 32; the O(n^3)
+        # associativity check would take minutes, so the declared order is
+        # compared with the cap first
+        n = 400
+        path = tmp_path / "z400.table"
+        rows = (" ".join(str((a + b) % n) for b in range(n)) for a in range(n))
+        path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        assert run(["sl", "--table", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: OrderExceedsCap: group order 400 exceeds search cap 32\n"
+        )
+
+    def test_over_cap_table_refused_even_when_malformed(self, tmp_path, capsys):
+        path = tmp_path / "bad.table"
+        path.write_text("40\n0 1\n")
+        assert run(["sl", "--table", str(path)]) == 2
+        assert "OrderExceedsCap" in capsys.readouterr().err
+        assert run(["sl", "--table", str(path), "--cap", "40"]) == 1
+        assert "expected 1600 table entries" in capsys.readouterr().err
 
     def test_unknown_catalog_name_is_malformed_input(self, capsys):
         assert run(["sl", "--catalog", "Nope"]) == 1

@@ -1,0 +1,113 @@
+"""The shared subgroup lattice and the n3 search that filters it.
+
+Each group builds its subgroup lattice once, by cyclic extension, and n3
+reads the subgroups of every retract off that one lattice.  These tests
+check the lattice against an independent generator-subset oracle on the
+whole catalog, and check n3 against a recursion that restricts the table to
+each proper retract and starts over there.  Two full ``Prop32Report``s on
+relabelled tables are pinned to values recorded before the lattice was
+shared.
+"""
+
+import json
+import pathlib
+import random
+
+import pytest
+
+from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral, direct_product
+from polydepth.finitegroup import (
+    FiniteGroup,
+    all_subgroups,
+    is_retract,
+    n3,
+    restrict_to_subgroup,
+    verify_prop32,
+)
+from oracles import generated_subgroups_naive
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def relabelled(group: FiniteGroup, seed: int) -> FiniteGroup:
+    """The same group under a seeded random renaming of its elements; the
+    identity keeps index 0, so subgroup masks are scattered over the bits."""
+    n = group.order
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    pi = [0] + rest
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[pi[a]][pi[b]] = pi[group.table[a][b]]
+    return FiniteGroup(table)
+
+
+def _z2_power(k: int) -> FiniteGroup:
+    return direct_product(*[cyclic(2)] * k)
+
+
+# name -> (group factory, relabelling seed, search cap)
+LARGE = {
+    "D4xZ2xZ2": (lambda: direct_product(dihedral(4), cyclic(2), cyclic(2)), 1, 32),
+    "Z2^5": (lambda: _z2_power(5), 2, 32),
+    "D16": (lambda: dihedral(16), 3, 32),
+    "Z2^4xZ3": (lambda: direct_product(_z2_power(4), cyclic(3)), 4, 48),
+}
+
+
+def large_group(name: str) -> tuple[FiniteGroup, int]:
+    build, seed, cap = LARGE[name]
+    return relabelled(build(), seed), cap
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lattice_matches_generator_subset_oracle(name):
+    g = catalog_group(name)
+    expected = set(generated_subgroups_naive([list(r) for r in g.table]))
+    got = [frozenset(s.members()) for s in all_subgroups(g)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+
+
+def _n3_by_restriction(g: FiniteGroup, cap: int) -> int:
+    """1 + the largest n3 over proper retracts, each retract restricted to a
+    standalone table so that its n3 builds a lattice of its own."""
+    if g.order == 1:
+        return 0
+    full = (1 << g.order) - 1
+    best = 0
+    for sub in all_subgroups(g, cap):
+        if sub.mask != full and is_retract(g, sub, cap):
+            best = max(best, n3(restrict_to_subgroup(g, sub), cap))
+    return 1 + best
+
+
+@pytest.mark.parametrize("name", list(LARGE))
+def test_n3_matches_recursion_through_restricted_tables(name):
+    g, cap = large_group(name)
+    assert n3(g, cap) == _n3_by_restriction(g, cap)
+
+
+def _report_to_json(report) -> dict:
+    def series(s):
+        return {
+            "length": s.length,
+            "witness": [m.mask for m in s.witness],
+            "complements": [m.mask for m in s.complements],
+        }
+
+    return {
+        "order": report.order,
+        "n1": series(report.n1),
+        "n2": series(report.n2),
+        "n3": report.n3,
+        "n3_chain": [m.mask for m in report.n3_chain],
+    }
+
+
+@pytest.mark.parametrize("name", ["D4xZ2xZ2", "Z2^4xZ3"])
+def test_prop32_report_pinned(name):
+    pinned = json.loads((DATA / "prop32_pinned.json").read_text())
+    g, cap = large_group(name)
+    assert _report_to_json(verify_prop32(g, cap)) == pinned[name]
