@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
-from .intlinalg import IntMatrix, rank, smith_normal_form
+from .intlinalg import IntMatrix, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest cyclic order the trial-division factoriser accepts; a prime just
@@ -136,9 +136,7 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
         )
     if not (d_k @ d_k_plus_1).is_zero():
         raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
-    return _homology_group(
-        d_k.cols, rank(d_k), smith_normal_form(d_k_plus_1).diagonal
-    )
+    return _homology_group(d_k.cols, rank(d_k), invariant_factors(d_k_plus_1))
 
 
 def _homology_group(

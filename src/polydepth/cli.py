@@ -241,7 +241,9 @@ def _cmd_sl(args) -> int:
         with open(args.table, encoding="utf-8") as fh:
             descriptor = Finite(parse_cayley_table(fh.read(), cap=args.cap))
     else:
-        descriptor = _load_json(args.descriptor, pi1_from_json)
+        descriptor = _load_json(
+            args.descriptor, lambda obj: pi1_from_json(obj, cap=args.cap)
+        )
     value = sl_of(descriptor, cap=args.cap)
     witness = None
     if isinstance(descriptor, Finite):

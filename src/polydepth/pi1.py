@@ -14,6 +14,7 @@ from typing import Union
 
 from .abelian import FgAbelianGroup, parse_abelian, render_abelian
 from .catalog import CATALOG, catalog_group
+from .errors import OrderExceedsCap
 from .finitegroup import FiniteGroup, parse_cayley_table
 
 
@@ -106,22 +107,28 @@ def pi1_to_json(d: Pi1Descriptor) -> dict:
     raise TypeError(f"not a Pi1Descriptor: {d!r}")
 
 
-def _finite_from_json(obj) -> Finite:
+def _finite_from_json(obj, cap: int | None = None) -> Finite:
     if isinstance(obj, dict) and "catalog" in obj:
         return Finite(catalog_group(obj["catalog"]))
     if isinstance(obj, dict) and "table" in obj:
         rows = obj["table"]
+        # refuse an over-cap order before the O(n^3) group-axiom check
+        if cap is not None and isinstance(rows, list) and len(rows) > cap:
+            raise OrderExceedsCap(len(rows), cap)
         return Finite(FiniteGroup(rows))
     if isinstance(obj, str):
-        return Finite(parse_cayley_table(obj))
+        return Finite(parse_cayley_table(obj, cap=cap))
     raise ValueError(
         'finite descriptor needs {"catalog": name} or {"table": rows}'
     )
 
 
-def pi1_from_json(obj) -> Pi1Descriptor:
+def pi1_from_json(obj, cap: int | None = None) -> Pi1Descriptor:
     """Parse the tagged-union JSON form; raises ValueError on anything that
-    does not match exactly one known tag."""
+    does not match exactly one known tag.
+
+    With a ``cap``, a Cayley table of order above it raises
+    ``OrderExceedsCap`` before its group axioms are checked."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(
             "group descriptor must be an object with exactly one of the keys "
@@ -133,7 +140,7 @@ def pi1_from_json(obj) -> Pi1Descriptor:
             raise ValueError('trivial descriptor must be {"trivial": true}')
         return Trivial()
     if tag == "finite":
-        return _finite_from_json(value)
+        return _finite_from_json(value, cap)
     if tag == "abelian":
         if isinstance(value, str):
             return fg_abelian(parse_abelian(value))

@@ -40,7 +40,7 @@ from .errors import (
     TorsionNotSupported,
     UnsupportedConstruction,
 )
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import IntMatrix, invariant_factors
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -300,9 +300,9 @@ def profile_to_json(profile: HomologyProfile) -> dict:
 
 
 def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
-    """Homology from one Smith form per boundary map: H_k reads the rank of
-    d_k and the diagonal of d_(k+1).  The constructor has already proved
-    that consecutive maps compose to zero.
+    """Homology from the invariant factors of each boundary map: H_k reads
+    the rank of d_k and the Smith diagonal of d_(k+1).  The constructor has
+    already proved that consecutive maps compose to zero.
 
     >>> render_profile(homology_of_complex(EXAMPLE_COMPLEXES["projective-plane"]))
     'H0 = Z\\nH1 = Z/2\\nH2 = 0'
@@ -310,7 +310,7 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     # diagonals[k] is the nonzero Smith diagonal of d_k; d_0 and d_(dim+1)
     # are zero maps
     diagonals = [()]
-    diagonals.extend(smith_normal_form(b).diagonal for b in complex_.boundary)
+    diagonals.extend(invariant_factors(b) for b in complex_.boundary)
     diagonals.append(())
     groups = {
         k: _homology_group(complex_.cells[k], len(diagonals[k]), diagonals[k + 1])

@@ -2,10 +2,12 @@
 
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
-from gcd/determinant identities, factorisation divides by every integer in
-turn, and the group-series oracles enumerate raw power sets and check the
-series definitions directly.  They are deliberately
-slow and simple; they exist to catch bugs in the fast implementations.
+from gcd/determinant identities, products are triple loops, factorisation
+divides by every integer in turn, surface complexes are glued from a square
+grid by their identification maps, and the group-series oracles enumerate
+raw power sets and check the series definitions directly.  They are
+deliberately slow and simple; they exist to catch bugs in the fast
+implementations.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ def snf_diagonal_2x2(a: int, b: int, c: int, d: int) -> list[int]:
     return [g, det // g]
 
 
+def matmul_naive(a: list[list[int]], b: list[list[int]], b_cols: int) -> list[list[int]]:
+    """Product of nested-list matrices by the triple loop.  `b_cols` fixes
+    the width of the product when `b` has no rows."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(b_cols)]
+        for i in range(len(a))
+    ]
+
+
 def rank_fraction(rows: list[list[int]]) -> int:
     """Rational rank via Gaussian elimination."""
     if not rows or not rows[0]:
@@ -77,6 +88,92 @@ def rank_fraction(rows: list[list[int]]) -> int:
         if r == n:
             break
     return r
+
+
+# ---------------------------------------------------------------------------
+# surfaces
+
+
+def surface_grid_naive(kind: str, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Boundary matrices (d1, d2) of the torus or the Klein bottle, glued
+    from the square [0, n] x [0, n] cut into unit squares and each unit
+    square into two triangles.
+
+    Every point of the square's boundary is identified with its image on
+    the sides x = 0 and y = 0: (x, n) ~ (x, 0) for both surfaces, and
+    (n, y) ~ (0, y) for the torus but (n, y) ~ (0, n - y) for the Klein
+    bottle.  A vertex is the canonical image of a grid point.  An edge is
+    the canonical image of a unit segment as an unordered pair of square
+    points, oriented from its smaller to its larger point, so a segment
+    carried onto it backwards enters with sign -1.
+    """
+    if kind not in ("torus", "klein") or n < 3:
+        raise ValueError(f"need kind torus/klein and n >= 3, got {kind} {n}")
+
+    def across_x(point):
+        # the side x = n onto the side x = 0
+        return 0, (point[1] if kind == "torus" else n - point[1])
+
+    def across_y(point):
+        # the side y = n onto the side y = 0
+        return point[0], 0
+
+    def glue(point):
+        if point[0] == n:
+            point = across_x(point)
+        if point[1] == n:
+            point = across_y(point)
+        return point
+
+    def glue_segment(p, q):
+        # a segment on the side x = n or y = n moves as a whole to x = 0
+        # or y = 0, where no segment is identified further
+        if p[0] == q[0] == n:
+            return across_x(p), across_x(q)
+        if p[1] == q[1] == n:
+            return across_y(p), across_y(q)
+        return p, q
+
+    vertices: dict = {}
+    edges: dict = {}
+    d1_entries: dict = {}
+
+    def vertex(point):
+        while glue(point) != point:
+            point = glue(point)
+        return vertices.setdefault(point, len(vertices))
+
+    def edge(p, q):
+        # (index, sign) of the unit segment p -> q
+        p, q = glue_segment(p, q)
+        key = (min(p, q), max(p, q))
+        if key not in edges:
+            edges[key] = len(edges)
+            d1_entries[edges[key]] = (vertex(key[0]), vertex(key[1]))
+        return edges[key], (1 if p < q else -1)
+
+    triangles = []
+    for x in range(n):
+        for y in range(n):
+            for corners in (
+                ((x, y), (x + 1, y), (x + 1, y + 1)),
+                ((x, y), (x, y + 1), (x + 1, y + 1)),
+            ):
+                a, b, c = corners
+                # boundary of [a, b, c] is [b, c] - [a, c] + [a, b]
+                terms: dict = {}
+                for (e, sign), coeff in ((edge(b, c), 1), (edge(a, c), -1), (edge(a, b), 1)):
+                    terms[e] = terms.get(e, 0) + sign * coeff
+                triangles.append(terms)
+    d1 = [[0] * len(edges) for _ in range(len(vertices))]
+    for e, (start, end) in d1_entries.items():
+        d1[end][e] += 1
+        d1[start][e] -= 1
+    d2 = [[0] * len(triangles) for _ in range(len(edges))]
+    for t, terms in enumerate(triangles):
+        for e, coeff in terms.items():
+            d2[e][t] += coeff
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------

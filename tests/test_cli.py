@@ -181,6 +181,23 @@ class TestSlCommand:
             "error: OrderExceedsCap: group order 400 exceeds search cap 32\n"
         )
 
+    def test_over_cap_descriptor_table_refused_before_validation(
+        self, tmp_path, capsys
+    ):
+        # the same order check for a table written inside a descriptor
+        n = 320
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        path = _write_json(tmp_path, "pi1.json", {"finite": {"table": table}})
+        start = time.perf_counter()
+        assert run(["sl", "--descriptor", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: OrderExceedsCap: group order 320 exceeds search cap 32\n"
+        )
+        small = _write_json(tmp_path, "z6.json", {"finite": {"table": table[:6]}})
+        assert run(["sl", "--descriptor", small, "--cap", "5"]) == 2
+        assert "order 6 exceeds search cap 5" in capsys.readouterr().err
+
     def test_over_cap_table_refused_even_when_malformed(self, tmp_path, capsys):
         path = tmp_path / "bad.table"
         path.write_text("40\n0 1\n")

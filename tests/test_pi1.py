@@ -4,7 +4,8 @@ import pytest
 
 from polydepth.abelian import FgAbelianGroup, from_cyclic_factors
 from polydepth.catalog import catalog_group
-from polydepth.finitegroup import FiniteGroup
+from polydepth.errors import OrderExceedsCap
+from polydepth.finitegroup import FiniteGroup, format_cayley_table
 from polydepth.pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -109,3 +110,18 @@ def test_free_json_normalizes():
 def test_malformed_json_rejected(bad):
     with pytest.raises(ValueError):
         pi1_from_json(bad)
+
+
+def test_finite_table_checked_against_cap_first():
+    z8 = catalog_group("Z8")
+    rows = [list(row) for row in z8.table]
+    for body in ({"table": rows}, format_cayley_table(z8)):
+        assert pi1_from_json({"finite": body}, cap=8) == Finite(FiniteGroup(rows))
+        assert pi1_from_json({"finite": body}) == Finite(FiniteGroup(rows))
+        with pytest.raises(OrderExceedsCap):
+            pi1_from_json({"finite": body}, cap=7)
+    # over the cap, a table that is not a group is refused for its order
+    with pytest.raises(OrderExceedsCap):
+        pi1_from_json({"finite": {"table": [[0] * 9] * 9}}, cap=8)
+    with pytest.raises(ValueError):
+        pi1_from_json({"finite": {"table": [[0] * 9] * 9}}, cap=9)
