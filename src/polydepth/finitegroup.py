@@ -171,33 +171,21 @@ def _check_cap(g: FiniteGroup, cap: int):
         raise OrderExceedsCap(g.order, cap)
 
 
-def _closure_mask(g: FiniteGroup, seed: int) -> int:
-    """Smallest subgroup mask containing the seed elements."""
+def _cyclic_mask(g: FiniteGroup, x: int) -> int:
+    """Mask of the cyclic subgroup <x>."""
     table = g.table
-    mask = seed | 1
-    elems = _bits(mask)
-    pos = 0
-    while pos < len(elems):
-        a = elems[pos]
-        pos += 1
-        for b in elems[:pos]:
-            for prod in (table[a][b], table[b][a]):
-                if not (mask >> prod) & 1:
-                    mask |= 1 << prod
-                    elems.append(prod)
+    mask, y = 1, x
+    while y:
+        mask |= 1 << y
+        y = table[y][x]
     return mask
 
 
 def _cyclic_generators(g: FiniteGroup) -> list[tuple[int, int]]:
     """One (generator, mask) pair per nontrivial cyclic subgroup <x>."""
-    table = g.table
     by_mask: dict[int, int] = {}
     for x in range(1, g.order):
-        mask, y = 1, x
-        while y:
-            mask |= 1 << y
-            y = table[y][x]
-        by_mask.setdefault(mask, x)
+        by_mask.setdefault(_cyclic_mask(g, x), x)
     return [(x, mask) for mask, x in by_mask.items()]
 
 
@@ -272,7 +260,11 @@ def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgrou
 def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Validated construction: the member set must already be a subgroup."""
     sub = Subgroup.from_members(members)
-    if _closure_mask(g, sub.mask) != sub.mask:
+    # a finite set that holds the identity and is closed under the operation
+    # is a subgroup
+    elems = sub.members()
+    table = g.table
+    if any(not (sub.mask >> table[a][b]) & 1 for a in elems for b in elems):
         raise ValueError("member set is not closed under the group operation")
     return sub
 
@@ -502,9 +494,7 @@ def describe_subgroup(g: FiniteGroup, sub: Subgroup) -> str:
     the rest.  Used in witness renderings like "Z6>Z3>1"."""
     if sub.order == 1:
         return "1"
-    is_cyclic = any(
-        _closure_mask(g, 1 | (1 << x)) == sub.mask for x in sub.members()
-    )
+    is_cyclic = any(_cyclic_mask(g, x) == sub.mask for x in sub.members())
     if sub.order == g.order:
         if g.name:
             return g.name

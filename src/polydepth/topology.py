@@ -2,24 +2,29 @@
 
 Spaces are expression trees over four constructors: spheres (minimal cell
 structure: one 0-cell, one n-cell), wedges, products, and explicit chain
-complexes with a declared fundamental group.  Homology of explicit complexes
-is exact (Smith normal form); wedges add reduced homology degreewise;
-products convolve Poincare coefficients, which is the torsion-free Kunneth
-rule, and refuse torsion rather than silently dropping Tor terms.
+complexes with a declared fundamental group.  Nested wedges and nested
+products flatten when they are built.  Homology of explicit complexes is
+exact (Smith normal form); wedges add reduced homology degreewise; products
+convolve Poincare coefficients, which is the torsion-free Kunneth rule, and
+refuse torsion rather than silently dropping Tor terms.
 
-Universal-cover homology is rule-based over a closed list of constructions:
+The universal cover is built as another space expression, structurally:
 
-* no circle anywhere (and trivial declared group for explicit complexes):
-  the space is its own cover;
-* a product with circle factors: drop every circle factor and recurse
-  (dropping a contractible factor of the cover); a bare circle counts as the
-  one-factor product, so its cover is a point;
-* a wedge of spheres mixing a circle with at least one higher sphere: the
-  cover exists but its homology is not finitely generated in each degree
-  where a higher sphere sits, and the profile says exactly that;
-* an explicit complex with a user-supplied cover complex.
+* the circle is covered by the line, so its cover is the point;
+* a higher sphere, and an explicit complex with trivial declared group,
+  is its own cover;
+* an explicit complex with nontrivial group is covered by its user-supplied
+  cover complex, which has trivial group;
+* a product is covered by the product of its factors' covers;
+* a simply connected wedge is its own cover.
 
-Anything else raises UnsupportedConstruction; no rule, no answer.
+The one ordinary homology() then computes the cover's homology.  A single
+verdict sits outside that path: a wedge of spheres (the whole space)
+mixing a circle with at least one higher sphere has a cover whose homology
+is not finitely generated in each degree where a higher sphere sits, and
+the profile says exactly that.  Anything else, such as a wedge of circles
+alone or an explicit complex with nontrivial group and no cover, raises
+UnsupportedConstruction; no rule, no answer.
 """
 
 from __future__ import annotations
@@ -132,20 +137,32 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Wedge:
+    """Wedge of its parts; a nested wedge is spliced in, so parts are never
+    wedges."""
+
     parts: tuple["SpaceExpr", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        parts = []
+        for p in self.parts:
+            parts.extend(p.parts if isinstance(p, Wedge) else (p,))
+        object.__setattr__(self, "parts", tuple(parts))
         if not self.parts:
             raise ValueError("wedge needs at least one part")
 
 
 @dataclass(frozen=True)
 class Product:
+    """Product of its factors; a nested product is spliced in, so factors
+    are never products."""
+
     factors: tuple["SpaceExpr", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = []
+        for f in self.factors:
+            factors.extend(f.factors if isinstance(f, Product) else (f,))
+        object.__setattr__(self, "factors", tuple(factors))
         if not self.factors:
             raise ValueError("product needs at least one factor")
 
@@ -161,31 +178,15 @@ SpaceExpr = Union[Sphere, Wedge, Product, Explicit]
 
 
 def wedge(*parts: SpaceExpr) -> SpaceExpr:
-    """Wedge constructor that flattens nested wedges and collapses the
-    one-part case."""
-    flat: list[SpaceExpr] = []
-    for p in parts:
-        if isinstance(p, Wedge):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    return Wedge(tuple(flat))
+    """Wedge constructor that collapses the one-part case."""
+    w = Wedge(parts)
+    return w.parts[0] if len(w.parts) == 1 else w
 
 
 def product(*factors: SpaceExpr) -> SpaceExpr:
-    """Product constructor that flattens nested products and collapses the
-    one-factor case."""
-    flat: list[SpaceExpr] = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    """Product constructor that collapses the one-factor case."""
+    p = Product(factors)
+    return p.factors[0] if len(p.factors) == 1 else p
 
 
 def dim_of(space: SpaceExpr) -> int:
@@ -324,10 +325,6 @@ def _sphere_profile(n: int) -> HomologyProfile:
     return HomologyProfile(n, {0: one, n: one})
 
 
-def _point_profile() -> HomologyProfile:
-    return HomologyProfile(0, {0: FgAbelianGroup(free_rank=1)})
-
-
 def homology(space: SpaceExpr) -> HomologyProfile:
     """Ordinary integral homology.
 
@@ -368,10 +365,14 @@ def homology(space: SpaceExpr) -> HomologyProfile:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of coefficient lists; zero coefficients are skipped, so the
+    cost follows the nonzero Betti numbers rather than the dimensions."""
     out = [0] * (len(a) + len(b) - 1)
+    b_nonzero = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in b_nonzero:
+                out[i + j] += x * y
     return out
 
 
@@ -388,46 +389,14 @@ def poincare_polynomial(space: SpaceExpr) -> list[int]:
     return [profile.group(k).free_rank for k in range(profile.dim + 1)]
 
 
-def _contains_circle(space: SpaceExpr) -> bool:
-    if isinstance(space, Sphere):
-        return space.n == 1
-    if isinstance(space, Wedge):
-        return any(_contains_circle(p) for p in space.parts)
-    if isinstance(space, Product):
-        return any(_contains_circle(f) for f in space.factors)
-    if isinstance(space, Explicit):
-        return not isinstance(space.pi1, Trivial)
-    raise TypeError(f"not a SpaceExpr: {space!r}")
-
-
-def _flat_parts(space: Wedge) -> list[SpaceExpr]:
-    out: list[SpaceExpr] = []
-    for p in space.parts:
-        if isinstance(p, Wedge):
-            out.extend(_flat_parts(p))
-        else:
-            out.append(p)
-    return out
-
-
-def _flat_factors(space: Product) -> list[SpaceExpr]:
-    out: list[SpaceExpr] = []
-    for f in space.factors:
-        if isinstance(f, Product):
-            out.extend(_flat_factors(f))
-        else:
-            out.append(f)
-    return out
-
-
 def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":
-    """If the space is a sphere or a wedge of spheres (after flattening),
-    the number of spheres per degree; otherwise None."""
+    """If the space is a sphere or a wedge of spheres, the number of spheres
+    per degree; otherwise None."""
     if isinstance(space, Sphere):
         return {space.n: 1}
     if isinstance(space, Wedge):
         counts: dict[int, int] = {}
-        for part in _flat_parts(space):
+        for part in space.parts:
             if not isinstance(part, Sphere):
                 return None
             counts[part.n] = counts.get(part.n, 0) + 1
@@ -436,13 +405,13 @@ def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":
 
 
 def sphere_product_dims(space: SpaceExpr) -> "list[int] | None":
-    """If the space is a sphere or a product of spheres (after flattening),
-    the list of factor dimensions in order; otherwise None."""
+    """If the space is a sphere or a product of spheres, the list of factor
+    dimensions in order; otherwise None."""
     if isinstance(space, Sphere):
         return [space.n]
     if isinstance(space, Product):
         dims: list[int] = []
-        for factor in _flat_factors(space):
+        for factor in space.factors:
             if not isinstance(factor, Sphere):
                 return None
             dims.append(factor.n)
@@ -450,50 +419,66 @@ def sphere_product_dims(space: SpaceExpr) -> "list[int] | None":
     return None
 
 
-def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
-    """Homology of the universal cover, for the closed list of supported
-    shapes described in the module docstring."""
-    if not _contains_circle(space):
-        return homology(space)
-    if isinstance(space, Explicit):
-        if space.cover is not None:
-            return homology_of_complex(space.cover)
-        raise UnsupportedConstruction(
-            "explicit complex with nontrivial fundamental group needs a "
-            "user-supplied cover complex"
-        )
+def _cover(space: SpaceExpr) -> SpaceExpr:
+    """The universal cover as a space expression, by the structural rules of
+    the module docstring.  A supported space is its own cover exactly when it
+    is simply connected."""
     if isinstance(space, Sphere):
-        # the circle: covered by the line, which is contractible
-        return _point_profile()
+        if space.n == 1:
+            # covered by the line, which is contractible
+            return Explicit(EXAMPLE_COMPLEXES["point"], Trivial())
+        return space
+    if isinstance(space, Explicit):
+        if isinstance(space.pi1, Trivial):
+            return space
+        if space.cover is None:
+            raise UnsupportedConstruction(
+                "explicit complex with nontrivial fundamental group needs a "
+                "user-supplied cover complex"
+            )
+        return Explicit(space.cover, Trivial())
     if isinstance(space, Product):
-        remaining = [f for f in _flat_factors(space) if f != Sphere(1)]
-        if not remaining:
-            return _point_profile()
-        if any(_contains_circle(f) for f in remaining):
-            raise UnsupportedConstruction(
-                "product has a circle inside a composite factor; only "
-                "top-level circle factors can be dropped"
-            )
-        return universal_cover_homology(product(*remaining))
+        return Product(tuple(_cover(f) for f in space.factors))
     if isinstance(space, Wedge):
-        parts = _flat_parts(space)
-        if not all(isinstance(p, Sphere) for p in parts):
+        if all(_cover(p) == p for p in space.parts):
+            return space
+        if all(isinstance(p, Sphere) for p in space.parts):
             raise UnsupportedConstruction(
-                "wedge with a circle is only supported when every part is a sphere"
+                "wedge of spheres with a circle inside a product: its cover "
+                "rule applies only to the whole space"
             )
-        higher = sorted({p.n for p in parts if p.n >= 2})
+        raise UnsupportedConstruction(
+            "wedge with a part that is not simply connected: no cover rule "
+            "unless every part is a sphere"
+        )
+    raise TypeError(f"not a SpaceExpr: {space!r}")
+
+
+def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
+    """Homology of the universal cover: ordinary homology of the cover built
+    by the structural rules, except for the one verdict on a wedge of
+    spheres with a circle (see the module docstring).
+
+    >>> rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"],
+    ...                fg_abelian(FgAbelianGroup(torsion=(2,))),
+    ...                cover=EXAMPLE_COMPLEXES["sphere2"])
+    >>> print(render_profile(universal_cover_homology(product(Sphere(2), rp2))))
+    H0 = Z
+    H1 = 0
+    H2 = Z^2
+    H3 = 0
+    H4 = Z
+    """
+    counts = sphere_wedge_counts(space)
+    if isinstance(space, Wedge) and counts is not None and 1 in counts:
+        higher = [n for n in counts if n >= 2]
         if not higher:
             raise UnsupportedConstruction(
                 "wedge of circles only: no cover rule in the supported list"
             )
-        dim = max(higher)
-        groups: dict[int, FgAbelianGroup | None] = {0: FgAbelianGroup(free_rank=1)}
-        flags: dict[int, bool | None] = {}
-        for n in higher:
-            groups[n] = None
-            flags[n] = False
-        return HomologyProfile(dim, groups, flags)
-    raise TypeError(f"not a SpaceExpr: {space!r}")
+        groups = {0: FgAbelianGroup(free_rank=1), **{n: None for n in higher}}
+        return HomologyProfile(max(higher), groups, {n: False for n in higher})
+    return homology(_cover(space))
 
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:

@@ -2,9 +2,10 @@
 
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
-from gcd/determinant identities, products are triple loops, factorisation
-divides by every integer in turn, surface complexes are glued from a square
-grid by their identification maps, and the group-series oracles enumerate
+from gcd/determinant identities, products are triple loops, product complexes are
+built cell pair by cell pair, factorisation divides by every integer in
+turn, surface complexes are glued from a square grid by their
+identification maps, and the group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
 deliberately slow and simple; they exist to catch bugs in the fast
 implementations.
@@ -174,6 +175,44 @@ def surface_grid_naive(kind: str, n: int) -> tuple[list[list[int]], list[list[in
         for e, coeff in terms.items():
             d2[e][t] += coeff
     return d1, d2
+
+
+def tensor_complex_naive(c1: dict, c2: dict) -> dict:
+    """Cellular chain complex of the product of two cell complexes, both in
+    chain complex JSON form ({"cells": [...], "boundary": [d_1, ...]}, d_k
+    a nested list with rows indexed by (k-1)-cells).
+
+    The n-cells are the pairs a x b with |a| + |b| = n, ordered by |a| and
+    then row-major in (a, b), and d(a x b) = da x b + (-1)^|a| a x db."""
+    cells1, cells2 = c1["cells"], c2["cells"]
+
+    def entry(c, k, row, col):
+        # d_k of complex c, zero outside 1..dim
+        return c["boundary"][k - 1][row][col] if 1 <= k < len(c["cells"]) else 0
+
+    def pairs(n):
+        # the n-cells as (p, i, q, j): cell i of degree p times cell j of degree q
+        return [
+            (p, i, n - p, j)
+            for p in range(len(cells1))
+            if 0 <= n - p < len(cells2)
+            for i in range(cells1[p])
+            for j in range(cells2[n - p])
+        ]
+
+    top = len(cells1) + len(cells2) - 2
+    basis = [pairs(n) for n in range(top + 1)]
+    boundary = []
+    for n in range(1, top + 1):
+        rows = [[0] * len(basis[n]) for _ in basis[n - 1]]
+        for r, (p2, i2, q2, j2) in enumerate(basis[n - 1]):
+            for c, (p, i, q, j) in enumerate(basis[n]):
+                if (p2, q2, j2) == (p - 1, q, j):
+                    rows[r][c] += entry(c1, p, i2, i)
+                elif (p2, q2, i2) == (p, q - 1, i):
+                    rows[r][c] += (-1) ** p * entry(c2, q, j2, j)
+        boundary.append(rows)
+    return {"cells": [len(b) for b in basis], "boundary": boundary}
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ class TestHomologyCommand:
         ]
         assert elapsed < 0.5
 
+    def test_product_of_high_spheres_costs_its_betti_numbers(self, tmp_path, capsys):
+        n = 10**5
+        path = _write_json(
+            tmp_path, "big.json", {"product": [{"sphere": n}, {"sphere": n}]}
+        )
+        start = time.perf_counter()
+        assert run(["homology", path]) == 0
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * n + 1
+        nonzero = {k: line for k, line in enumerate(lines) if not line.endswith(" = 0")}
+        assert nonzero == {0: "H0 = Z", n: f"H{n} = Z^2", 2 * n: f"H{2 * n} = Z"}
+        assert elapsed < 2.0
+
     def test_unsupported_cover_exits_two(self, tmp_path, capsys):
         path = _space_file(tmp_path, wedge(Sphere(1), Sphere(1)))
         assert run(["homology", path, "--universal-cover"]) == 2

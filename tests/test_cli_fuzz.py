@@ -1,0 +1,91 @@
+"""Property test of the command-line interface on random small spaces.
+
+Space JSON is drawn from spheres of dimension at most 6 and the explicit
+example surfaces (with or without a cover complex), combined into wedges and
+products of at most three parts, nested at most three deep.  Every command
+must end in a documented exit code with at most one stderr line and no
+traceback, and a general bound must read its per-degree terms off the cover
+homology that `homology --universal-cover` prints.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from polydepth.abelian import FgAbelianGroup, sl_abelian
+from polydepth.cli import run
+from polydepth.topology import EXAMPLE_COMPLEXES, complex_to_json
+
+# example surface -> (pi1 descriptor JSON, name of its cover complex)
+SURFACES = {
+    "torus": ({"abelian": "Z^2"}, "point"),
+    "klein-bottle": ({"elementary_amenable": {"hirsch": 2, "cd_finite": True}}, "point"),
+    "projective-plane": ({"finite": {"catalog": "Z2"}}, "sphere2"),
+    "sphere2": ({"trivial": True}, None),
+}
+
+
+def _explicit(name, with_cover):
+    pi1, cover = SURFACES[name]
+    body = {"complex": complex_to_json(EXAMPLE_COMPLEXES[name]), "pi1": pi1}
+    if with_cover and cover is not None:
+        body["cover"] = complex_to_json(EXAMPLE_COMPLEXES[cover])
+    return {"explicit": body}
+
+
+LEAVES = st.integers(1, 6).map(lambda n: {"sphere": n}) | st.builds(
+    _explicit, st.sampled_from(sorted(SURFACES)), st.booleans()
+)
+
+
+def _spaces(depth):
+    if depth == 0:
+        return LEAVES
+    return LEAVES | st.builds(
+        lambda tag, parts: {tag: parts},
+        st.sampled_from(["wedge", "product"]),
+        st.lists(_spaces(depth - 1), min_size=1, max_size=3),
+    )
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spaces(3))
+def test_random_spaces_end_cleanly(space):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        results = {}
+        for command in (
+            ["bound"],
+            ["bound", "--rule", "Thm4.1"],
+            ["homology"],
+            ["homology", "--universal-cover"],
+        ):
+            argv = [command[0], path, *command[1:], "--format", "json"]
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "Traceback" not in err
+            assert err.count("\n") <= 1, err
+            results[" ".join(command)] = (code, out)
+    code, out = results["bound --rule Thm4.1"]
+    if code == 0:
+        cover_code, cover_out = results["homology --universal-cover"]
+        assert cover_code == 0
+        groups = json.loads(cover_out)["groups"]
+        for degree, length in json.loads(out)["per_degree"].items():
+            group = groups.get(degree, {"free_rank": 0, "torsion": []})
+            expected = sl_abelian(
+                FgAbelianGroup(group["free_rank"], tuple(group["torsion"]))
+            )
+            assert length == expected, (degree, group)

@@ -250,6 +250,21 @@ class TestBestBound:
             if report.exact_depth is not None:
                 assert report.exact_depth <= report.bound
 
+    @pytest.mark.parametrize("left_is_rp2,bound", [(False, 4), (True, 5)])
+    def test_product_with_covered_rp2(self, left_is_rp2, bound):
+        # the cover of S^2 x RP^2 and of RP^2 x RP^2 is S^2 x S^2; sl(Z2) = 1
+        # and sl(Z2 x Z2) = 2
+        rp2 = Explicit(
+            EXAMPLE_COMPLEXES["projective-plane"],
+            Finite(catalog_group("Z2")),
+            cover=EXAMPLE_COMPLEXES["sphere2"],
+        )
+        report = best_bound(product(rp2 if left_is_rp2 else S2, rp2))
+        assert isinstance(report, DepthBoundReport)
+        assert report.applied_rule == "Cor-finite"
+        assert report.bound == bound
+        assert report.per_degree == {2: 2, 3: 0, 4: 1}
+
     def test_wedge_of_circles_is_outside_both_rules(self):
         # dim 1 rules out the 2-dim bound and the cover list has no rule for
         # a wedge of circles, so the honest answer is structured failure

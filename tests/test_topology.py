@@ -6,12 +6,13 @@ generated with exact zero composition by drawing the second boundary map
 from the kernel of the first, and checked for Euler consistency.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank_fraction
+from oracles import rank_fraction, surface_grid_naive, tensor_complex_naive
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
 from polydepth.errors import (
@@ -21,7 +22,7 @@ from polydepth.errors import (
     UnsupportedConstruction,
 )
 from polydepth.intlinalg import IntMatrix, smith_normal_form
-from polydepth.pi1 import FgAbelian, Finite, Free, Trivial, free
+from polydepth.pi1 import ElementaryAmenable, FgAbelian, Finite, Free, Trivial, free
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
     ChainComplex,
@@ -297,6 +298,16 @@ class TestConstructors:
         assert wedge(Sphere(2)) == Sphere(2)
         assert product(Sphere(2)) == Sphere(2)
 
+    def test_direct_construction_flattens(self):
+        flat = Wedge((Sphere(1), Sphere(2), Sphere(3)))
+        assert Wedge((Sphere(1), Wedge((Sphere(2), Sphere(3))))) == flat
+        assert Wedge((Wedge((Sphere(1), Sphere(2))), Sphere(3))) == flat
+        nested = Product((Sphere(1), Product((Sphere(2), Sphere(3)))))
+        assert nested == Product((Sphere(1), Sphere(2), Sphere(3)))
+        # a product inside a wedge (and the reverse) stays a part
+        mixed = Wedge((Product((Sphere(1), Sphere(2))), Sphere(3)))
+        assert len(mixed.parts) == 2
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Wedge(())
@@ -398,6 +409,102 @@ class TestUniversalCover:
     def test_outside_closed_list_errors(self, space):
         with pytest.raises(UnsupportedConstruction):
             universal_cover_homology(space)
+
+
+class TestCoverRefusals:
+    """The refusals outside the structural rules, each with its reason."""
+
+    @pytest.mark.parametrize(
+        "space,reason",
+        [
+            (product(Sphere(1), wedge(Sphere(1), Sphere(2))), "inside a product"),
+            (Explicit(EXAMPLE_COMPLEXES["circle"], Free(1)), "user-supplied cover"),
+            (wedge(Sphere(1), Sphere(1)), "wedge of circles only"),
+            (
+                wedge(Sphere(1), product(Sphere(2), Sphere(2))),
+                "not simply connected: no cover rule unless every part is a sphere",
+            ),
+        ],
+    )
+    def test_message_names_the_reason(self, space, reason):
+        with pytest.raises(UnsupportedConstruction, match=reason):
+            universal_cover_homology(space)
+
+
+RP2_COVERED = Explicit(
+    EXAMPLE_COMPLEXES["projective-plane"],
+    Finite(catalog_group("Z2")),
+    cover=EXAMPLE_COMPLEXES["sphere2"],
+)
+KLEIN_COVERED = Explicit(
+    EXAMPLE_COMPLEXES["klein-bottle"],
+    ElementaryAmenable(hirsch=2, cd_finite=True),
+    cover=EXAMPLE_COMPLEXES["point"],
+)
+TORSION_FREE = [
+    "point", "interval", "circle", "sphere2", "sphere3", "torus", "genus2-surface"
+]
+WITH_TORSION = ["projective-plane", "klein-bottle"]
+
+
+def _grid(n):
+    d1, d2 = surface_grid_naive("torus", n)
+    return {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
+
+
+def _tensor_homology(a, b):
+    """Homology of the oracle's product complex of two complexes."""
+    tensor = tensor_complex_naive(complex_to_json(a), complex_to_json(b))
+    return homology_of_complex(complex_from_json(tensor))
+
+
+class TestProductAgainstTensorComplex:
+    """Product homology and cover homology checked against the cellular
+    product complex built by the oracle and reduced by Smith form."""
+
+    @pytest.mark.parametrize(
+        "first,second", list(itertools.combinations_with_replacement(TORSION_FREE, 2))
+    )
+    def test_torsion_free_example_pairs(self, first, second):
+        a, b = EXAMPLE_COMPLEXES[first], EXAMPLE_COMPLEXES[second]
+        got = homology(product(Explicit(a, Trivial()), Explicit(b, Trivial())))
+        assert got == _tensor_homology(a, b)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("name", TORSION_FREE)
+    def test_torus_grid_times_example(self, n, name):
+        grid = complex_from_json(_grid(n))
+        other = EXAMPLE_COMPLEXES[name]
+        got = homology(product(Explicit(grid, Trivial()), Explicit(other, Trivial())))
+        assert got == _tensor_homology(grid, other)
+
+    @pytest.mark.parametrize("second", TORSION_FREE + WITH_TORSION)
+    @pytest.mark.parametrize("first", WITH_TORSION)
+    def test_torsion_pairs_refused(self, first, second):
+        space = product(
+            Explicit(EXAMPLE_COMPLEXES[first], Trivial()),
+            Explicit(EXAMPLE_COMPLEXES[second], Trivial()),
+        )
+        with pytest.raises(TorsionNotSupported):
+            homology(space)
+
+    def test_refusal_is_needed(self):
+        # RP^2 x RP^2 has the Tor term H_3 = Z/2, which the torsion-free
+        # Kunneth rule would drop
+        rp2 = EXAMPLE_COMPLEXES["projective-plane"]
+        assert _tensor_homology(rp2, rp2).group(3) == from_cyclic_factors(0, [2])
+
+    @pytest.mark.parametrize(
+        "space,first,second",
+        [
+            (product(Sphere(2), RP2_COVERED), "sphere2", "sphere2"),
+            (product(RP2_COVERED, RP2_COVERED), "sphere2", "sphere2"),
+            (product(KLEIN_COVERED, Sphere(2)), "point", "sphere2"),
+        ],
+    )
+    def test_cover_of_product_is_product_of_covers(self, space, first, second):
+        expected = _tensor_homology(EXAMPLE_COMPLEXES[first], EXAMPLE_COMPLEXES[second])
+        assert universal_cover_homology(space) == expected
 
 
 class TestProfile:
