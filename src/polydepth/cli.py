@@ -27,6 +27,7 @@ same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,7 +43,7 @@ from .depth import (
     report_to_json,
     sl_of,
 )
-from .errors import PolydepthError
+from .errors import DimensionExceedsCap, PolydepthError
 from .finitegroup import (
     DEFAULT_SEARCH_CAP,
     all_subgroups,
@@ -57,11 +58,13 @@ from .intlinalg import IntMatrix, determinant, smith_normal_form
 from .pi1 import Finite, pi1_from_json, render_pi1
 from .topology import (
     EXAMPLE_COMPLEXES,
+    MAX_DIMENSION,
     ChainComplex,
+    dim_of,
     euler_characteristic,
     homology,
     homology_of_complex,
-    profile_to_json,
+    profile_json_text,
     render_profile,
     space_from_json,
     universal_cover_homology,
@@ -179,6 +182,16 @@ def _load_json(path: str, parse):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _load_space(path: str):
+    """Read a space-expression file; a space above the dimension cap is
+    refused before any homology, since every rendering is dense in degree."""
+    space = _load_json(path, space_from_json)
+    dim = dim_of(space)
+    if dim > MAX_DIMENSION:
+        raise DimensionExceedsCap(dim, MAX_DIMENSION)
+    return space
+
+
 def _dump(body) -> str:
     return json.dumps(body, indent=2)
 
@@ -209,7 +222,7 @@ def _forced_rule_report(space, rule: str):
 
 
 def _cmd_bound(args) -> int:
-    space = _load_json(args.space, space_from_json)
+    space = _load_space(args.space)
     if args.rule is None:
         report = best_bound(space)
     else:
@@ -222,13 +235,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    space = _load_json(args.space, space_from_json)
+    space = _load_space(args.space)
     if args.universal_cover:
         profile = universal_cover_homology(space)
     else:
         profile = homology(space)
     if args.format == "json":
-        print(_dump(profile_to_json(profile)))
+        print(profile_json_text(profile))
     else:
         print(render_profile(profile))
     return 0
@@ -466,11 +479,17 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses, built on first use and then kept: building it
+    costs about as much as a small request."""
+    return build_parser()
+
+
 def run(argv: "list[str] | None" = None) -> int:
     """Parse and execute one invocation; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

@@ -144,11 +144,15 @@ def bound_general(space: SpaceExpr) -> DepthBoundReport:
     sl_pi1 = sl_of(descriptor)
     cover = universal_cover_homology(space)
     dim = dim_of(space)
-    per_degree: dict[int, int] = {}
-    for degree in range(2, dim + 1):
-        if cover.fg(degree) is not True:
-            raise NotFinitelyGenerated(degree)
-        per_degree[degree] = sl_abelian(cover.group(degree))
+    not_fg = [k for k in cover.finitely_generated if 2 <= k <= dim]
+    if not_fg:
+        raise NotFinitelyGenerated(not_fg[0])
+    # one term per degree; only the degrees where the cover has homology
+    # cost a splitting length
+    per_degree = dict.fromkeys(range(2, dim + 1), 0)
+    for degree, group in cover.groups.items():
+        if 2 <= degree <= dim:
+            per_degree[degree] = sl_abelian(group)
     return DepthBoundReport(
         applied_rule=_GENERAL_RULE[type(descriptor)],
         bound=sl_pi1 + sum(per_degree.values()),

@@ -34,6 +34,15 @@ class OrderExceedsCap(PolydepthError):
         self.cap = cap
 
 
+class DimensionExceedsCap(PolydepthError):
+    """Space dimension is beyond the cap on what the command line renders."""
+
+    def __init__(self, dim: int, cap: int):
+        super().__init__(f"space dimension {dim} exceeds the cap {cap}")
+        self.dim = dim
+        self.cap = cap
+
+
 class UnsupportedConstruction(PolydepthError):
     """The space falls outside the closed list of supported shapes."""
 

@@ -8,6 +8,13 @@ exact (Smith normal form); wedges add reduced homology degreewise; products
 convolve Poincare coefficients, which is the torsion-free Kunneth rule, and
 refuse torsion rather than silently dropping Tor terms.
 
+A homology profile stores only the degrees that carry homology (or a
+not-finitely-generated verdict), and the wedge sum and the product
+convolution visit only those, so their cost follows the Betti numbers and
+not the dimension.  The renderers still print every degree 0..dim.  Spaces
+read from JSON are limited to dimension ``MAX_DIMENSION``, because that
+dense output grows with the dimension.
+
 The universal cover is built as another space expression, structurally:
 
 * the circle is covered by the line, so its cover is the point;
@@ -59,6 +66,12 @@ from .pi1 import (
     pi1_to_json,
 )
 from .catalog import direct_product
+
+
+MAX_DIMENSION = 10**6
+"""Largest space dimension the command line accepts.  Every rendering prints
+one entry per degree up to the dimension: at this cap, ``homology --format
+json`` prints about 85 MB."""
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,14 @@ def dim_of(space: SpaceExpr) -> int:
 class HomologyProfile:
     """Homology groups by degree with a finitely-generated verdict per
     degree: True (group present), False (exists but not finitely generated,
-    group withheld), or None (unknown).  Degrees above dim read as trivial.
+    group withheld), or None (unknown).
+
+    Only degrees that carry something are stored: ``groups`` maps each
+    degree with a nontrivial group or a False/None verdict to its group
+    (None when withheld), and ``finitely_generated`` maps the degrees with a
+    False/None verdict to that verdict; both are in ascending degree order.
+    Every other degree, above dim included, reads as the trivial group with
+    verdict True, so cost and memory follow the homology, not the dimension.
     Equality is by content, so profiles of different declared dimensions
     compare equal when the extra degrees are trivial."""
 
@@ -219,27 +239,29 @@ class HomologyProfile:
         self.dim = dim
         self.groups: dict[int, FgAbelianGroup | None] = {}
         self.finitely_generated: dict[int, bool | None] = {}
-        for k in range(dim + 1):
+        verdicts = finitely_generated or {}
+        for k in sorted(groups.keys() | verdicts.keys()):
+            if not 0 <= k <= dim:
+                continue
             group = groups.get(k, TRIVIAL_GROUP)
-            fg = True if finitely_generated is None else finitely_generated.get(k, True)
+            fg = verdicts.get(k, True)
             if fg is not True and group is not None:
                 raise ValueError(
                     f"degree {k}: a group value requires finitely_generated=True"
                 )
             if fg is True and group is None:
                 raise ValueError(f"degree {k}: finitely generated but no group given")
+            if fg is not True:
+                self.finitely_generated[k] = fg
+            elif group.is_trivial:
+                continue
             self.groups[k] = group
-            self.finitely_generated[k] = fg
 
     def group(self, k: int) -> FgAbelianGroup | None:
-        if 0 <= k <= self.dim:
-            return self.groups[k]
-        return TRIVIAL_GROUP
+        return self.groups.get(k, TRIVIAL_GROUP)
 
     def fg(self, k: int) -> "bool | None":
-        if 0 <= k <= self.dim:
-            return self.finitely_generated[k]
-        return True
+        return self.finitely_generated.get(k, True)
 
     def free_rank(self, k: int) -> int:
         group = self.group(k)
@@ -251,23 +273,21 @@ class HomologyProfile:
 
     @property
     def all_finitely_generated(self) -> bool:
-        return all(self.finitely_generated[k] is True for k in range(self.dim + 1))
+        return not self.finitely_generated
 
     def __eq__(self, other):
         if not isinstance(other, HomologyProfile):
             return NotImplemented
-        top = max(self.dim, other.dim)
-        return all(
-            self.group(k) == other.group(k) and self.fg(k) == other.fg(k)
-            for k in range(top + 1)
+        return (
+            self.groups == other.groups
+            and self.finitely_generated == other.finitely_generated
         )
 
     def __repr__(self):
         parts = []
-        for k in range(self.dim + 1):
-            if self.finitely_generated[k] is True:
-                if not self.groups[k].is_trivial:
-                    parts.append(f"H{k}={render_abelian(self.groups[k])}")
+        for k, group in self.groups.items():
+            if group is not None:
+                parts.append(f"H{k}={render_abelian(group)}")
             else:
                 verdict = "not f.g." if self.finitely_generated[k] is False else "unknown"
                 parts.append(f"H{k}={verdict}")
@@ -277,9 +297,9 @@ class HomologyProfile:
 def render_profile(profile: HomologyProfile) -> str:
     lines = []
     for k in range(profile.dim + 1):
-        fg = profile.finitely_generated[k]
+        fg = profile.fg(k)
         if fg is True:
-            text = render_abelian(profile.groups[k])
+            text = render_abelian(profile.group(k))
         elif fg is False:
             text = "not finitely generated"
         else:
@@ -289,15 +309,88 @@ def render_profile(profile: HomologyProfile) -> str:
 
 
 def profile_to_json(profile: HomologyProfile) -> dict:
+    """The profile as a JSON object with one entry per degree 0..dim in
+    ``groups`` and in ``finitely_generated``."""
     groups = {}
     fg = {}
     for k in range(profile.dim + 1):
-        g = profile.groups[k]
+        g = profile.group(k)
         groups[str(k)] = (
             None if g is None else {"free_rank": g.free_rank, "torsion": list(g.torsion)}
         )
-        fg[str(k)] = profile.finitely_generated[k]
+        fg[str(k)] = profile.fg(k)
     return {"dim": profile.dim, "groups": groups, "finitely_generated": fg}
+
+
+_JSON_VERDICT = {True: "true", False: "false", None: "null"}
+
+
+def _group_json_text(group: FgAbelianGroup | None) -> str:
+    """One group's value as json.dumps(indent=2) writes it two levels deep."""
+    if group is None:
+        return "null"
+    torsion = (
+        "[\n        " + ",\n        ".join(map(str, group.torsion)) + "\n      ]"
+        if group.torsion
+        else "[]"
+    )
+    return (
+        f'{{\n      "free_rank": {group.free_rank},\n      "torsion": {torsion}\n    }}'
+    )
+
+
+def _degree_lines(out: list[str], dim: int, stored: dict[int, str], default: str):
+    """Append to `out` the lines '    "k": value,' for k = 0..dim, with no
+    comma on the last one, where value is stored[k] (keys ascending) or else
+    default; each run of default degrees is written by one str.join."""
+    sep = f'": {default},\n    "'
+    start = 0
+    for k, value in stored.items():
+        if k > start:
+            out += ['    "', sep.join(map(str, range(start, k))), f'": {default},\n']
+        out.append(f'    "{k}": {value},\n')
+        start = k + 1
+    if start <= dim:
+        out += ['    "', sep.join(map(str, range(start, dim + 1))), f'": {default},\n']
+    out[-1] = out[-1][:-2] + "\n"
+
+
+_TRIVIAL_GROUP_JSON = _group_json_text(TRIVIAL_GROUP)
+
+
+def profile_json_text(profile: HomologyProfile) -> str:
+    """``json.dumps(profile_to_json(profile), indent=2)``, written straight
+    from the stored degrees: each distinct group is rendered once and every
+    trivial degree gets one constant string.
+
+    >>> print(profile_json_text(homology(Sphere(1))))
+    {
+      "dim": 1,
+      "groups": {
+        "0": {
+          "free_rank": 1,
+          "torsion": []
+        },
+        "1": {
+          "free_rank": 1,
+          "torsion": []
+        }
+      },
+      "finitely_generated": {
+        "0": true,
+        "1": true
+      }
+    }
+    """
+    rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
+    groups = {k: rendered[g] for k, g in profile.groups.items()}
+    verdicts = {k: _JSON_VERDICT[v] for k, v in profile.finitely_generated.items()}
+    out = [f'{{\n  "dim": {profile.dim},\n  "groups": {{\n']
+    _degree_lines(out, profile.dim, groups, _TRIVIAL_GROUP_JSON)
+    out.append('  },\n  "finitely_generated": {\n')
+    _degree_lines(out, profile.dim, verdicts, "true")
+    out.append("  }\n}")
+    return "".join(out)
 
 
 def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
@@ -337,56 +430,58 @@ def homology(space: SpaceExpr) -> HomologyProfile:
         return homology_of_complex(space.complex)
     if isinstance(space, Wedge):
         # reduced homology adds up over the parts; each part is computed once
+        # and only its stored degrees are visited
         profiles = [homology(part) for part in space.parts]
-        dim = max(p.dim for p in profiles)
-        groups: dict[int, FgAbelianGroup] = {0: FgAbelianGroup(free_rank=1)}
-        for k in range(1, dim + 1):
-            groups[k] = direct_sum(*(p.group(k) for p in profiles))
-        return HomologyProfile(dim, groups)
+        summands: dict[int, list[FgAbelianGroup]] = {}
+        for p in profiles:
+            for k, group in p.groups.items():
+                if k:
+                    summands.setdefault(k, []).append(group)
+        groups = {k: direct_sum(*parts) for k, parts in summands.items()}
+        groups[0] = FgAbelianGroup(free_rank=1)
+        return HomologyProfile(max(p.dim for p in profiles), groups)
     if isinstance(space, Product):
-        coeffs = [1]
+        coeffs = {0: 1}
+        dim = 0
         for factor in space.factors:
             profile = homology(factor)
-            factor_coeffs = []
-            for k in range(profile.dim + 1):
-                group = profile.group(k)
+            factor_coeffs = {}
+            for k, group in profile.groups.items():
                 if group.torsion:
                     raise TorsionNotSupported(
                         f"product factor has torsion in degree {k}; the "
                         "torsion-free Kunneth rule does not apply"
                     )
-                factor_coeffs.append(group.free_rank)
+                factor_coeffs[k] = group.free_rank
             coeffs = _convolve(coeffs, factor_coeffs)
-        groups = {
-            k: FgAbelianGroup(free_rank=r) for k, r in enumerate(coeffs) if r
-        }
-        return HomologyProfile(len(coeffs) - 1, groups)
+            dim += profile.dim
+        groups = {k: FgAbelianGroup(free_rank=r) for k, r in coeffs.items()}
+        return HomologyProfile(dim, groups)
     raise TypeError(f"not a SpaceExpr: {space!r}")
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Product of coefficient lists; zero coefficients are skipped, so the
-    cost follows the nonzero Betti numbers rather than the dimensions."""
-    out = [0] * (len(a) + len(b) - 1)
-    b_nonzero = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b_nonzero:
-                out[i + j] += x * y
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of polynomials given as degree -> nonzero coefficient; the
+    coefficients are Betti numbers, so no sum cancels to zero."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
     return out
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:
-    """Coefficient list: coefficient of x^k is the free rank of H_k; torsion
-    anywhere is an error."""
+    """Coefficient list: coefficient of x^k is the free rank of H_k, for
+    every k in 0..dim; torsion anywhere is an error."""
     profile = homology(space)
-    for k in range(profile.dim + 1):
-        group = profile.group(k)
+    coeffs = [0] * (profile.dim + 1)
+    for k, group in profile.groups.items():
         if group.torsion:
             raise TorsionNotSupported(
                 f"homology has torsion in degree {k}; no Poincare polynomial"
             )
-    return [profile.group(k).free_rank for k in range(profile.dim + 1)]
+        coeffs[k] = group.free_rank
+    return coeffs
 
 
 def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":
@@ -607,7 +702,11 @@ def space_from_json(obj) -> SpaceExpr:
         )
     (tag, value), = obj.items()
     if tag == "sphere":
-        return Sphere(int(value))
+        try:
+            return Sphere(int(value))
+        except OverflowError:
+            # int() of an infinite float; NaN already raises ValueError
+            raise ValueError(f"sphere dimension {value!r} is not finite") from None
     if tag == "wedge":
         if not isinstance(value, list) or not value:
             raise ValueError("wedge needs a nonempty list of parts")

@@ -3,8 +3,9 @@
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
-built cell pair by cell pair, factorisation divides by every integer in
-turn, surface complexes are glued from a square grid by their
+built cell pair by cell pair, Betti numbers of sphere expressions are dense
+lists added and multiplied as polynomials, factorisation divides by every
+integer in turn, surface complexes are glued from a square grid by their
 identification maps, and the group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
 deliberately slow and simple; they exist to catch bugs in the fast
@@ -213,6 +214,35 @@ def tensor_complex_naive(c1: dict, c2: dict) -> dict:
                     rows[r][c] += (-1) ** p * entry(c2, q, j2, j)
         boundary.append(rows)
     return {"cells": [len(b) for b in basis], "boundary": boundary}
+
+
+def betti_naive(space: dict) -> list[int]:
+    """Betti numbers b_0 .. b_dim of a sphere/wedge/product expression in
+    its JSON form, as a dense list: a sphere is 1 + t^n, a wedge adds its
+    parts' lists entry by entry and keeps b_0 = 1, a product multiplies the
+    lists as polynomials."""
+    (tag, value), = space.items()
+    if tag == "sphere":
+        betti = [0] * (value + 1)
+        betti[0] += 1
+        betti[value] += 1
+        return betti
+    parts = [betti_naive(part) for part in value]
+    if tag == "wedge":
+        betti = [0] * max(len(b) for b in parts)
+        for b in parts:
+            for k, x in enumerate(b):
+                betti[k] += x
+        betti[0] = 1
+        return betti
+    betti = [1]
+    for b in parts:
+        out = [0] * (len(betti) + len(b) - 1)
+        for i, x in enumerate(betti):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        betti = out
+    return betti
 
 
 # ---------------------------------------------------------------------------

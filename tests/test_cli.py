@@ -6,7 +6,10 @@ capsys so the tests check the exact bytes a user would see.
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,10 +20,13 @@ from polydepth.finitegroup import format_cayley_table
 from polydepth.pi1 import ElementaryAmenable, free, pi1_to_json
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
+    MAX_DIMENSION,
     Explicit,
     Sphere,
     complex_to_json,
+    dim_of,
     product,
+    space_from_json,
     space_to_json,
     wedge,
 )
@@ -311,6 +317,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400", "NaN"])
+    def test_non_finite_sphere_dimension_is_malformed_input(self, tmp_path, capsys, value):
+        path = tmp_path / "space.json"
+        path.write_text('{"sphere": %s}' % value)
+        assert run(["homology", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_cyclic_order_above_limit_is_malformed_input(self, tmp_path, capsys):
         path = _write_json(tmp_path, "pi1.json", {"abelian": f"Z/{10**87 + 1}"})
         assert run(["sl", "--descriptor", path]) == 1
@@ -375,13 +389,87 @@ class TestShippedSpaceFiles:
         )
 
     def test_every_shipped_file_parses(self):
-        from polydepth.topology import space_from_json
-
         files = sorted(SPACES_DIR.glob("*.json"))
         assert len(files) >= 9
         for path in files:
-            space_from_json(json.loads(path.read_text()))
+            space = space_from_json(json.loads(path.read_text()))
+            assert dim_of(space) <= MAX_DIMENSION
 
     def test_cd_infinite_demo_exits_two(self, capsys):
         assert run(["bound", str(SPACES_DIR / "disc_cd_infinite.json")]) == 2
         assert capsys.readouterr().out.splitlines()[0] == "no bound applicable"
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class TestDimensionCap:
+    """Spaces above MAX_DIMENSION are refused right after parsing, before
+    any homology: their dense output alone would be gigabytes."""
+
+    OVER_CAP = [
+        {"sphere": 10**9},
+        {"sphere": MAX_DIMENSION + 1},
+        {"product": [{"sphere": 600000}, {"sphere": MAX_DIMENSION - 599999}]},
+        {"wedge": [{"sphere": 2}, {"product": [{"sphere": MAX_DIMENSION}, {"sphere": 1}]}]},
+    ]
+
+    @pytest.mark.parametrize("space", OVER_CAP)
+    @pytest.mark.parametrize(
+        "command", [["bound"], ["homology"], ["homology", "--universal-cover"]]
+    )
+    def test_over_cap_exits_two(self, tmp_path, capsys, space, command):
+        path = _write_json(tmp_path, "space.json", space)
+        assert run([command[0], path, *command[1:], "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: DimensionExceedsCap: space dimension ")
+        assert err.endswith(f" exceeds the cap {MAX_DIMENSION}\n")
+        assert err.count("\n") == 1
+
+    def test_at_cap_is_accepted(self, tmp_path, capsys):
+        # the 2-dim rule refuses at once, so no dense rendering runs
+        space = {"product": [{"sphere": 600000}, {"sphere": MAX_DIMENSION - 600000}]}
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["bound", path, "--rule", "Thm4.8"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert f"DimensionNotTwo: rule needs a 2-dimensional space, got dim {MAX_DIMENSION}" in out
+
+    @pytest.mark.parametrize(
+        "space",
+        [{"sphere": 10**9}, {"product": [{"sphere": 700000}, {"sphere": 700000}]}],
+    )
+    def test_over_cap_refused_quickly_cold(self, tmp_path, space):
+        path = _write_json(tmp_path, "space.json", space)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "polydepth.cli", "homology", path],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            times.append(time.perf_counter() - start)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: DimensionExceedsCap:")
+        assert min(times) < 0.2
+
+    def test_every_benchmark_expression_is_under_the_cap(self, tmp_path):
+        # the benchmark's own generator writes the inputs of three seeds
+        script = (
+            "import sys; from pathlib import Path; import plan\n"
+            "root = Path(sys.argv[1])\n"
+            "for seed in (1, 2, 3):\n"
+            "    plan.build('expressions', seed, 18.0, root / f'seed{seed}', root)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            cwd=ROOT / "perfbench", env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(tmp_path.glob("seed*/*.json"))
+        assert len(files) > 100
+        dims = [dim_of(space_from_json(json.loads(p.read_text()))) for p in files]
+        assert 90000 < max(dims) <= MAX_DIMENSION

@@ -10,7 +10,12 @@ in ``spaces/`` and each of ``bound``, ``homology`` and
 and stdout.  The subgroup-search files were recorded before the subgroup
 lattice was shared between the searches, the homology-path files
 (``verify-snf.json``, ``verify-euler.json``, ``spaces.json``) before
-homology moved to sparse elimination.
+homology moved to sparse elimination.  ``expressions.json`` maps each of a
+few sphere expressions (a high sphere, a wedge of a circle with 300 higher
+spheres, a 10-factor product and a wedge of 100 spheres) to its space JSON
+and, per invocation, the exit code and stdout; it was recorded before
+homology profiles became sparse and profile JSON stopped going through
+``json.dumps``.
 """
 
 import json
@@ -26,6 +31,13 @@ SL_CATALOG = json.loads((EXPECTED / "sl_catalog.json").read_text(encoding="utf-8
 SPACES_DIR = pathlib.Path(__file__).parent.parent / "spaces"
 SPACES = json.loads((EXPECTED / "spaces.json").read_text(encoding="utf-8"))
 SPACE_COMMANDS = ["bound", "homology", "homology --universal-cover"]
+EXPRESSIONS = json.loads((EXPECTED / "expressions.json").read_text(encoding="utf-8"))
+EXPRESSION_COMMANDS = [
+    "homology",
+    "homology --format json",
+    "homology --universal-cover --format json",
+    "bound --format json",
+]
 
 
 @pytest.mark.parametrize(
@@ -58,4 +70,23 @@ def test_space_stdout_unchanged(name, command, capsys):
     argv = command.split() + [str(SPACES_DIR / name), "--format", "json"]
     expected = SPACES[name][command]
     assert run(argv) == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
+def test_expected_expressions_cover_every_command():
+    assert all(
+        sorted(entry["commands"]) == sorted(EXPRESSION_COMMANDS)
+        for entry in EXPRESSIONS.values()
+    )
+
+
+@pytest.mark.parametrize("command", EXPRESSION_COMMANDS)
+@pytest.mark.parametrize("name", sorted(EXPRESSIONS))
+def test_expression_stdout_unchanged(name, command, tmp_path, capsys):
+    entry = EXPRESSIONS[name]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(entry["space"]), encoding="utf-8")
+    first, *rest = command.split()
+    expected = entry["commands"][command]
+    assert run([first, str(path), *rest]) == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]

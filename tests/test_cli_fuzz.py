@@ -6,6 +6,11 @@ products of at most three parts, nested at most three deep.  Every command
 must end in a documented exit code with at most one stderr line and no
 traceback, and a general bound must read its per-degree terms off the cover
 homology that `homology --universal-cover` prints.
+
+A second property draws spheres and products whose dimension runs from
+just below the dimension cap to far above it: above the cap every command
+must refuse with one `DimensionExceedsCap` line, and below it the cap must
+not fire.
 """
 
 import contextlib
@@ -17,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from polydepth.abelian import FgAbelianGroup, sl_abelian
 from polydepth.cli import run
-from polydepth.topology import EXAMPLE_COMPLEXES, complex_to_json
+from polydepth.topology import EXAMPLE_COMPLEXES, MAX_DIMENSION, complex_to_json
 
 # example surface -> (pi1 descriptor JSON, name of its cover complex)
 SURFACES = {
@@ -89,3 +94,36 @@ def test_random_spaces_end_cleanly(space):
                 FgAbelianGroup(group["free_rank"], tuple(group["torsion"]))
             )
             assert length == expected, (degree, group)
+
+
+AROUND_CAP = st.integers(MAX_DIMENSION - 3, MAX_DIMENSION + 3) | st.integers(
+    MAX_DIMENSION // 2, 10**15
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(lambda n: {"sphere": n}, AROUND_CAP)
+    | st.builds(
+        lambda dims: {"product": [{"sphere": n} for n in dims]},
+        st.lists(AROUND_CAP.map(lambda n: max(1, n // 2)), min_size=2, max_size=3),
+    )
+)
+def test_dimensions_around_the_cap(space):
+    dim = sum(f["sphere"] for f in space.get("product", [space]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        if dim > MAX_DIMENSION:
+            for command in (["bound"], ["homology"], ["homology", "--universal-cover"]):
+                code, out, err = _run([command[0], path, *command[1:], "--format", "json"])
+                assert code == 2 and out == ""
+                assert err.startswith("error: DimensionExceedsCap:"), err
+                assert err.count("\n") == 1
+        else:
+            # the 2-dim rule refuses every dimension but 2 before any
+            # homology, so the dense renderings never run here
+            code, out, err = _run(["bound", path, "--rule", "Thm4.8"])
+            assert code == 2 and err == ""
+            assert f"got dim {dim}" in out

@@ -130,6 +130,10 @@ class TestBoundGeneral:
         with pytest.raises(NotFinitelyGenerated) as err:
             bound_general(wedge(S1, S2))
         assert err.value.degree == 2
+        # the lowest degree without a finitely generated group is named
+        with pytest.raises(NotFinitelyGenerated) as err:
+            bound_general(wedge(S1, S5, S3))
+        assert err.value.degree == 3
 
     def test_finite_pi1_with_supplied_cover(self):
         rp2 = Explicit(

@@ -7,14 +7,17 @@ from the kernel of the first, and checked for Euler consistency.
 """
 
 import itertools
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank_fraction, surface_grid_naive, tensor_complex_naive
+from oracles import betti_naive, rank_fraction, surface_grid_naive, tensor_complex_naive
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
+from polydepth.depth import best_bound
 from polydepth.errors import (
     CompositionNotZero,
     DimensionMismatch,
@@ -40,6 +43,7 @@ from polydepth.topology import (
     pi1_of,
     poincare_polynomial,
     product,
+    profile_json_text,
     profile_to_json,
     render_profile,
     space_from_json,
@@ -544,6 +548,103 @@ class TestProfile:
         assert j["groups"]["0"] == {"free_rank": 1, "torsion": []}
         assert j["groups"]["1"] == {"free_rank": 0, "torsion": []}
         assert j["finitely_generated"]["2"] is True
+
+
+def _random_sphere_expression(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return {"sphere": rng.randint(1, 8)}
+    parts = [_random_sphere_expression(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    return {rng.choice(["wedge", "product"]): parts}
+
+
+class TestSparseProfile:
+    """Profiles store only the degrees that carry homology or a verdict."""
+
+    def test_only_nontrivial_degrees_are_stored(self):
+        p = homology(Sphere(10**5))
+        assert list(p.groups) == [0, 10**5] and p.finitely_generated == {}
+        assert p.group(5) == FgAbelianGroup() and p.fg(5) is True
+        p = universal_cover_homology(wedge(Sphere(1), Sphere(5), Sphere(3)))
+        assert list(p.groups) == [0, 3, 5]
+        assert p.finitely_generated == {3: False, 5: False}
+
+    def test_explicit_trivial_degrees_change_nothing(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            dim = rng.randint(0, 10)
+            groups, verdicts = {}, {}
+            for k in range(dim + 1):
+                if rng.random() < 0.3:
+                    groups[k] = from_cyclic_factors(rng.randint(0, 2), [rng.choice([1, 2, 6])])
+                elif rng.random() < 0.2:
+                    groups[k], verdicts[k] = None, rng.choice([False, None])
+            padded_groups = {k: groups.get(k, FgAbelianGroup()) for k in range(dim + 1)}
+            padded_verdicts = {k: verdicts.get(k, True) for k in range(dim + 1)}
+            sparse = HomologyProfile(dim, groups, verdicts)
+            padded = HomologyProfile(dim, padded_groups, padded_verdicts)
+            assert sparse == padded
+            assert sparse.groups == padded.groups
+            assert sparse.finitely_generated == padded.finitely_generated
+            assert all(g is None or not g.is_trivial for g in padded.groups.values())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_homology_matches_dense_betti_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            expression = _random_sphere_expression(rng, 3)
+            betti = betti_naive(expression)
+            got = homology(space_from_json(expression))
+            assert got.dim == len(betti) - 1
+            for k, b in enumerate(betti):
+                assert got.group(k) == FgAbelianGroup(free_rank=b), (expression, k)
+            assert poincare_polynomial(space_from_json(expression)) == betti
+
+    def test_wedge_of_high_spheres_costs_its_homology(self):
+        space = wedge(*[Sphere(100000)] * 100)
+        for compute in (homology, best_bound):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                compute(space)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.1, compute.__name__
+        assert homology(space).group(100000) == FgAbelianGroup(free_rank=100)
+        assert best_bound(space).bound == 100
+
+
+def _random_profile(rng):
+    dim = rng.choice([0, 1, 2, 5, 12, 40])
+    groups, verdicts = {}, {}
+    for k in rng.sample(range(dim + 1), rng.randint(0, dim + 1)):
+        if rng.random() < 0.25:
+            groups[k], verdicts[k] = None, rng.choice([False, None])
+        else:
+            factors = [rng.choice([1, 2, 3, 4, 6, 9, 12, 25]) for _ in range(rng.randint(0, 4))]
+            groups[k] = from_cyclic_factors(rng.randint(0, 3), factors)
+    return HomologyProfile(dim, groups, verdicts)
+
+
+class TestProfileJsonText:
+    """profile_json_text must print exactly what json.dumps prints."""
+
+    def test_random_profiles(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            p = _random_profile(rng)
+            assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
+
+    @pytest.mark.parametrize(
+        "space",
+        [Sphere(1), Sphere(2), Sphere(7), Sphere(2000)]
+        + [Explicit(c, Trivial()) for c in EXAMPLE_COMPLEXES.values()]
+        + [wedge(Sphere(1), Sphere(3), Sphere(3))],
+    )
+    def test_spaces_and_their_covers(self, space):
+        profiles = [homology(space)]
+        if isinstance(space, Wedge):
+            profiles.append(universal_cover_homology(space))
+        for p in profiles:
+            assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
 
 
 class TestJson:
