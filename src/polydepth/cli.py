@@ -22,6 +22,10 @@ exceeded; ``bound`` still prints a structured report), 64 usage error.
 
 Output is byte-deterministic: the same invocation always prints the
 same bytes.
+
+This module only parses arguments and prints results.  The rule names and
+what each one runs come from ``polydepth.depth`` (``RULES``,
+``forced_bound``); the verify suites are the ``_SUITES`` table below.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ import sys
 from .abelian import from_cyclic_factors, sl_abelian
 from .catalog import catalog_abelian_factors, catalog_group, catalog_names
 from .depth import (
+    RULES,
     NoBoundApplicable,
     best_bound,
-    bound_2dim,
-    bound_general,
+    forced_bound,
     render_report,
     report_to_json,
     sl_of,
@@ -70,20 +74,28 @@ from .topology import (
     universal_cover_homology,
 )
 
-_GENERAL_RULES = frozenset(
-    ("Thm4.1", "Cor-simply", "Cor-finite", "Cor-abelian", "Cor-free", "Cor-amenable")
-)
-_TWO_DIM_RULES = frozenset(
-    ("Thm4.8", "Cor-free-2dim", "Cor-abelian-2dim", "Cor-amenable-2dim")
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage failures exit with code 64 instead of 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+
+
+def _add_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_SEARCH_CAP,
+        help="largest group order the subgroup search accepts "
+        f"(default {DEFAULT_SEARCH_CAP})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,12 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bound", help="depth bound report for a space-expression JSON file"
     )
     p_bound.add_argument("space", help="path to a space-expression JSON file")
-    p_bound.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(p_bound)
     p_bound.add_argument(
         "--rule",
-        choices=sorted(_GENERAL_RULES | _TWO_DIM_RULES),
+        choices=sorted(RULES),
         help="force this rule instead of taking the best applicable bound",
     )
     p_bound.set_defaults(func=_cmd_bound)
@@ -117,9 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="profile of the universal cover instead of the space itself",
     )
-    p_hom.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(p_hom)
     p_hom.set_defaults(func=_cmd_homology)
 
     p_sl = sub.add_parser("sl", help="splitting length of a group")
@@ -131,42 +139,20 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--descriptor", metavar="FILE", help="fundamental-group descriptor JSON file"
     )
-    p_sl.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_SEARCH_CAP,
-        help="largest group order the subgroup search accepts "
-        f"(default {DEFAULT_SEARCH_CAP})",
-    )
-    p_sl.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_cap(p_sl)
+    _add_format(p_sl)
     p_sl.set_defaults(func=_cmd_sl)
 
     p_verify = sub.add_parser(
         "verify", help="run a self-check suite; exits 1 if any check fails"
     )
-    p_verify.add_argument(
-        "suite",
-        choices=("prop32", "lemma34", "prop36-bridge", "euler", "snf"),
-        help="which suite to run",
-    )
-    p_verify.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_SEARCH_CAP,
-        help="largest group order the subgroup search accepts "
-        f"(default {DEFAULT_SEARCH_CAP})",
-    )
-    p_verify.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    p_verify.add_argument("suite", choices=tuple(_SUITES), help="which suite to run")
+    _add_cap(p_verify)
+    _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list the built-in finite groups")
-    p_catalog.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    _add_format(p_catalog)
     p_catalog.set_defaults(func=_cmd_catalog)
 
     return parser
@@ -196,37 +182,9 @@ def _dump(body) -> str:
     return json.dumps(body, indent=2)
 
 
-def _forced_rule_report(space, rule: str):
-    family, runner = (
-        ("Thm4.1", bound_general)
-        if rule in _GENERAL_RULES
-        else ("Thm4.8", bound_2dim)
-    )
-    try:
-        report = runner(space)
-    except PolydepthError as err:
-        return NoBoundApplicable(
-            failures=((family, f"{type(err).__name__}: {err}"),)
-        )
-    if rule != family and report.applied_rule != rule:
-        return NoBoundApplicable(
-            failures=(
-                (
-                    family,
-                    f"requested rule {rule}, but the fundamental group "
-                    f"class selects {report.applied_rule}",
-                ),
-            )
-        )
-    return report
-
-
 def _cmd_bound(args) -> int:
     space = _load_space(args.space)
-    if args.rule is None:
-        report = best_bound(space)
-    else:
-        report = _forced_rule_report(space, args.rule)
+    report = best_bound(space) if args.rule is None else forced_bound(space, args.rule)
     if args.format == "json":
         print(_dump(report_to_json(report)))
     else:
@@ -257,11 +215,11 @@ def _cmd_sl(args) -> int:
         descriptor = _load_json(
             args.descriptor, lambda obj: pi1_from_json(obj, cap=args.cap)
         )
-    value = sl_of(descriptor, cap=args.cap)
-    witness = None
     if isinstance(descriptor, Finite):
         series = n1(descriptor.group, cap=args.cap)
-        witness = render_series(descriptor.group, series)
+        value, witness = series.length, render_series(descriptor.group, series)
+    else:
+        value, witness = sl_of(descriptor, cap=args.cap), None
     if args.format == "json":
         body: dict = {"group": render_pi1(descriptor), "sl": value}
         if witness is not None:

@@ -8,12 +8,16 @@ rank(H_2), and survives covers with infinitely generated homology, which is
 exactly where the general rule dies.
 
 ``best_bound`` tries both, returns the smaller applicable bound, and keeps
-the loser's value in the assumptions list.  Inapplicability is data, not an
+the loser's value in the assumptions list; ``forced_bound`` runs the one
+family a requested rule belongs to.  Inapplicability is data, not an
 exception: when no rule applies the result is a ``NoBoundApplicable`` with
 one recorded reason per attempted family.
 
-Rule names (``Cor-free-2dim``, ``Thm4.8``, ...) are stable identifiers of
-the public interface; downstream tooling matches on them.
+``RULES`` lists the rule names: the two family names ``Thm4.1`` and
+``Thm4.8`` and every corollary they select (``Cor-free-2dim``, ...).  They
+are stable identifiers of the public interface; downstream tooling matches
+on them.  This module is the only place that maps a fundamental-group
+class to its rule.
 
 Exact depth values are attached only when known: wedges of spheres carry the
 closed-form depth (sum of the sphere counts, with capacity the product of
@@ -23,7 +27,7 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
@@ -186,6 +190,47 @@ def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     )
 
 
+# family name -> (its bound, the rule it selects per pi1 class)
+_FAMILIES = {
+    "Thm4.1": (bound_general, _GENERAL_RULE),
+    "Thm4.8": (bound_2dim, _TWO_DIM_RULE),
+}
+RULES = frozenset(_FAMILIES).union(*(rules.values() for _, rules in _FAMILIES.values()))
+
+
+def _attempt(space: SpaceExpr, family: str) -> "DepthBoundReport | NoBoundApplicable":
+    """Run one bound family; a domain error becomes its one recorded failure."""
+    runner, _ = _FAMILIES[family]
+    try:
+        return runner(space)
+    except PolydepthError as err:
+        return NoBoundApplicable(failures=((family, f"{type(err).__name__}: {err}"),))
+
+
+def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundApplicable":
+    """The bound of the one family `rule` belongs to.  A family name accepts
+    whichever rule its family selects; a corollary name must be the one the
+    fundamental group's class selects, or the result is a failure saying so.
+
+    >>> from polydepth import Sphere, wedge
+    >>> forced_bound(wedge(Sphere(1), Sphere(2)), "Thm4.8").applied_rule
+    'Cor-free-2dim'
+    """
+    for family, (_, rules) in _FAMILIES.items():
+        if rule == family or rule in rules.values():
+            break
+    else:
+        raise ValueError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}")
+    report = _attempt(space, family)
+    if isinstance(report, DepthBoundReport) and rule not in (family, report.applied_rule):
+        reason = (
+            f"requested rule {rule}, but the fundamental group "
+            f"class selects {report.applied_rule}"
+        )
+        return NoBoundApplicable(failures=((family, reason),))
+    return report
+
+
 def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
     counts = sphere_wedge_counts(space)
     if counts is not None:
@@ -200,35 +245,24 @@ def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
     the result lists every failed hypothesis."""
-    attempts: list[DepthBoundReport] = []
-    failures: list[tuple[str, str]] = []
-    try:
-        attempts.append(bound_general(space))
-    except PolydepthError as err:
-        failures.append(("Thm4.1", f"{type(err).__name__}: {err}"))
-    try:
-        attempts.append(bound_2dim(space))
-    except PolydepthError as err:
-        failures.append(("Thm4.8", f"{type(err).__name__}: {err}"))
+    results = [_attempt(space, family) for family in _FAMILIES]
+    attempts = [r for r in results if isinstance(r, DepthBoundReport)]
     if not attempts:
-        return NoBoundApplicable(failures=tuple(failures))
+        return NoBoundApplicable(failures=tuple(f for r in results for f in r.failures))
     chosen = min(attempts, key=lambda r: r.bound)
-    assumptions = list(chosen.assumptions_used)
+    assumptions = chosen.assumptions_used
     if len(attempts) == 2:
         general, two_dim = attempts
-        assumptions.append(
+        assumptions += (
             f"both rules apply: general bound {general.bound}, "
-            f"2-dim bound {two_dim.bound}"
+            f"2-dim bound {two_dim.bound}",
         )
-    exact = _known_exact_depth(space)
-    # the report refuses exact_depth > bound, so an unsound bound fails loudly
-    exact_depth, provenance = exact if exact is not None else (None, None)
-    return DepthBoundReport(
-        applied_rule=chosen.applied_rule,
-        bound=chosen.bound,
-        sl_pi1=chosen.sl_pi1,
-        per_degree=chosen.per_degree,
-        assumptions_used=tuple(assumptions),
+    # replace() re-runs the report's checks, so an exact depth above the
+    # bound fails loudly
+    exact_depth, provenance = _known_exact_depth(space) or (None, None)
+    return replace(
+        chosen,
+        assumptions_used=assumptions,
         exact_depth=exact_depth,
         provenance=provenance,
     )

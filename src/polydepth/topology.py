@@ -295,16 +295,17 @@ class HomologyProfile:
 
 
 def render_profile(profile: HomologyProfile) -> str:
-    lines = []
-    for k in range(profile.dim + 1):
-        fg = profile.fg(k)
-        if fg is True:
-            text = render_abelian(profile.group(k))
-        elif fg is False:
+    """One line ``Hk = ...`` per degree 0..dim; only the stored degrees are
+    rendered, every other one reads "0"."""
+    lines = [f"H{k} = 0" for k in range(profile.dim + 1)]
+    for k, group in profile.groups.items():
+        if group is not None:
+            text = render_abelian(group)
+        elif profile.fg(k) is False:
             text = "not finitely generated"
         else:
             text = "unknown"
-        lines.append(f"H{k} = {text}")
+        lines[k] = f"H{k} = {text}"
     return "\n".join(lines)
 
 

@@ -1,0 +1,168 @@
+"""Regenerate every pin file in this directory from the checkout at ROOT.
+
+Usage: ``python tests/data/cli_stdout/record.py ROOT``
+
+ROOT is a clean copy of the commit whose output the pins should hold (for
+example ``git archive COMMIT | tar -x -C ROOT``).  Each invocation is run
+in-process through ROOT's ``polydepth.cli.run`` with stdout and stderr
+captured and ``COLUMNS=80``, so ``--help`` wraps as in an 80-column
+terminal.  The files are written next to this script.
+
+Files
+-----
+``verify-<suite>.json``
+    stdout of ``verify SUITE --format json``.
+``sl_catalog.json``
+    catalog name -> stdout of ``sl --catalog NAME --format json``.
+``spaces.json``
+    ``spaces/*.json`` name -> ``bound``, ``homology``,
+    ``homology --universal-cover`` (each ``--format json``) -> exit, stdout.
+``expressions.json``
+    expression name -> its space and, per command, exit and stdout.  The
+    spaces were drawn once and are kept as data: they are read from ROOT's
+    own copy of this file.
+``bound_rules.json``
+    space name -> rule -> format -> exit, stdout, stderr of
+    ``bound SPACE --rule RULE --format FORMAT``.
+``spaces_text.json``
+    space name -> ``bound``, ``homology``, ``homology --universal-cover``
+    (text format) -> exit, stdout, stderr.
+``sl_catalog_text.json``
+    catalog name -> exit, stdout, stderr of ``sl --catalog NAME``.
+``help.json``
+    ``""`` (top level) or subcommand -> exit, stdout, stderr of ``--help``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+SUITES = ["prop32", "lemma34", "prop36-bridge", "snf", "euler"]
+SPACE_COMMANDS = ["bound", "homology", "homology --universal-cover"]
+EXPRESSION_COMMANDS = [
+    "homology",
+    "homology --format json",
+    "homology --universal-cover --format json",
+    "bound --format json",
+]
+RULES = [
+    "Cor-abelian",
+    "Cor-abelian-2dim",
+    "Cor-amenable",
+    "Cor-amenable-2dim",
+    "Cor-finite",
+    "Cor-free",
+    "Cor-free-2dim",
+    "Cor-simply",
+    "Thm4.1",
+    "Thm4.8",
+]
+FORMATS = ["text", "json"]
+SUBCOMMANDS = ["bound", "homology", "sl", "verify", "catalog"]
+
+
+def _capture(run, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _write(name: str, body, indent: int = 2) -> None:
+    (HERE / name).write_text(json.dumps(body, indent=indent) + "\n", encoding="utf-8")
+
+
+def record(root: pathlib.Path) -> None:
+    sys.path.insert(0, str(root / "src"))
+    os.environ["COLUMNS"] = "80"
+    from polydepth.catalog import catalog_names
+    from polydepth.cli import run
+
+    def stdout_of(argv):
+        return _capture(run, argv)["stdout"]
+
+    def exit_and_stdout(argv):
+        result = _capture(run, argv)
+        return {"exit": result["exit"], "stdout": result["stdout"]}
+
+    for suite in SUITES:
+        text = stdout_of(["verify", suite, "--format", "json"])
+        (HERE / f"verify-{suite}.json").write_text(text, encoding="utf-8")
+
+    names = catalog_names()
+    _write(
+        "sl_catalog.json",
+        {n: stdout_of(["sl", "--catalog", n, "--format", "json"]) for n in names},
+    )
+    _write(
+        "sl_catalog_text.json", {n: _capture(run, ["sl", "--catalog", n]) for n in names}
+    )
+
+    spaces = {p.name: str(p) for p in sorted((root / "spaces").glob("*.json"))}
+    _write(
+        "spaces.json",
+        {
+            name: {
+                c: exit_and_stdout([*c.split(), path, "--format", "json"])
+                for c in SPACE_COMMANDS
+            }
+            for name, path in spaces.items()
+        },
+    )
+    _write(
+        "spaces_text.json",
+        {
+            name: {c: _capture(run, [*c.split(), path]) for c in SPACE_COMMANDS}
+            for name, path in spaces.items()
+        },
+    )
+    _write(
+        "bound_rules.json",
+        {
+            name: {
+                rule: {
+                    fmt: _capture(run, ["bound", path, "--rule", rule, "--format", fmt])
+                    for fmt in FORMATS
+                }
+                for rule in RULES
+            }
+            for name, path in spaces.items()
+        },
+    )
+
+    old = json.loads(
+        (root / "tests" / "data" / "cli_stdout" / "expressions.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    scratch = HERE / ".record-space.json"
+    expressions = {}
+    try:
+        for name, entry in old.items():
+            scratch.write_text(json.dumps(entry["space"]), encoding="utf-8")
+            commands = {}
+            for command in EXPRESSION_COMMANDS:
+                first, *rest = command.split()
+                commands[command] = exit_and_stdout([first, str(scratch), *rest])
+            expressions[name] = {"space": entry["space"], "commands": commands}
+    finally:
+        scratch.unlink(missing_ok=True)
+    _write("expressions.json", expressions, indent=1)
+
+    _write(
+        "help.json",
+        {
+            "": _capture(run, ["--help"]),
+            **{c: _capture(run, [c, "--help"]) for c in SUBCOMMANDS},
+        },
+    )
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: record.py ROOT")
+    record(pathlib.Path(sys.argv[1]).resolve())

@@ -4,7 +4,8 @@ Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
 built cell pair by cell pair, Betti numbers of sphere expressions are dense
-lists added and multiplied as polynomials, factorisation divides by every
+lists added and multiplied as polynomials, profiles are rendered degree by
+degree with their own group text, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps, and the group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
@@ -243,6 +244,27 @@ def betti_naive(space: dict) -> list[int]:
                 out[i + j] += x * y
         betti = out
     return betti
+
+
+def render_profile_naive(profile) -> str:
+    """A homology profile as text, one degree at a time over 0..dim through
+    the profile's group(k)/fg(k) accessors: "Z^r ⊕ Z/q1 ⊕ ..." ("Z" for
+    rank 1, "0" for the trivial group), or the not-f.g./unknown verdict."""
+    lines = []
+    for k in range(profile.dim + 1):
+        fg = profile.fg(k)
+        if fg is True:
+            group = profile.group(k)
+            parts = [f"Z/{q}" for q in group.torsion]
+            if group.free_rank:
+                parts.insert(0, "Z" if group.free_rank == 1 else f"Z^{group.free_rank}")
+            text = " ⊕ ".join(parts) or "0"
+        elif fg is False:
+            text = "not finitely generated"
+        else:
+            text = "unknown"
+        lines.append(f"H{k} = {text}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

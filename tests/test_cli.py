@@ -4,6 +4,7 @@ Commands run in-process through `run(argv)`; stdout is captured with
 capsys so the tests check the exact bytes a user would see.
 """
 
+import argparse
 import json
 import math
 import os
@@ -15,8 +16,11 @@ import time
 import pytest
 
 from polydepth.catalog import catalog_group, catalog_names
-from polydepth.cli import run
-from polydepth.finitegroup import format_cayley_table
+import polydepth.cli
+import polydepth.depth
+from polydepth.cli import build_parser, run
+from polydepth.depth import RULES
+from polydepth.finitegroup import format_cayley_table, n1
 from polydepth.pi1 import ElementaryAmenable, free, pi1_to_json
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
@@ -102,6 +106,14 @@ class TestBoundCommand:
         assert "DimensionNotTwo" in capsys.readouterr().out
 
 
+    def test_rule_choices_are_the_depth_rules(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        rule = next(a for a in subcommands.choices["bound"]._actions if a.dest == "rule")
+        assert list(rule.choices) == sorted(RULES)
+
+
 class TestHomologyCommand:
     def test_text_profile(self, tmp_path, capsys):
         path = _space_file(tmp_path, Sphere(2))
@@ -181,6 +193,19 @@ class TestSlCommand:
         assert run(["sl", "--catalog", "Q8", "--format", "json"]) == 0
         body = json.loads(capsys.readouterr().out)
         assert body == {"group": "Q8", "sl": 1, "witness": "Q8>1"}
+
+    def test_catalog_source_runs_n1_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return n1(*args, **kwargs)
+
+        monkeypatch.setattr(polydepth.depth, "n1", counted)
+        monkeypatch.setattr(polydepth.cli, "n1", counted)
+        assert run(["sl", "--catalog", "D4"]) == 0
+        assert capsys.readouterr().out == "sl=2 witness=D4>Z4>1\n"
+        assert len(calls) == 1
 
     def test_cap_exceeded_exits_two(self, capsys):
         assert run(["sl", "--catalog", "Z24", "--cap", "16"]) == 2

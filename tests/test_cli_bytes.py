@@ -16,6 +16,18 @@ spheres, a 10-factor product and a wedge of 100 spheres) to its space JSON
 and, per invocation, the exit code and stdout; it was recorded before
 homology profiles became sparse and profile JSON stopped going through
 ``json.dumps``.
+
+Four more files hold exit code, stdout and stderr, recorded before rule
+selection moved into ``polydepth.depth``: ``bound_rules.json`` for
+``bound SPACE --rule RULE --format text|json`` (every rule, every space
+file), ``spaces_text.json`` for the three space commands in text format,
+``sl_catalog_text.json`` for ``sl --catalog NAME`` in text format, and
+``help.json`` for ``--help`` at the top level and on each subcommand (at 80
+columns).
+
+Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
+the checkout at ROOT in-process; record new pins the same way, from a clean
+copy of the commit before the change.
 """
 
 import json
@@ -25,6 +37,7 @@ import pytest
 
 from polydepth.catalog import catalog_names
 from polydepth.cli import run
+from polydepth.depth import RULES
 
 EXPECTED = pathlib.Path(__file__).parent / "data" / "cli_stdout"
 SL_CATALOG = json.loads((EXPECTED / "sl_catalog.json").read_text(encoding="utf-8"))
@@ -32,6 +45,12 @@ SPACES_DIR = pathlib.Path(__file__).parent.parent / "spaces"
 SPACES = json.loads((EXPECTED / "spaces.json").read_text(encoding="utf-8"))
 SPACE_COMMANDS = ["bound", "homology", "homology --universal-cover"]
 EXPRESSIONS = json.loads((EXPECTED / "expressions.json").read_text(encoding="utf-8"))
+BOUND_RULES = json.loads((EXPECTED / "bound_rules.json").read_text(encoding="utf-8"))
+SPACES_TEXT = json.loads((EXPECTED / "spaces_text.json").read_text(encoding="utf-8"))
+SL_CATALOG_TEXT = json.loads(
+    (EXPECTED / "sl_catalog_text.json").read_text(encoding="utf-8")
+)
+HELP = json.loads((EXPECTED / "help.json").read_text(encoding="utf-8"))
 EXPRESSION_COMMANDS = [
     "homology",
     "homology --format json",
@@ -90,3 +109,45 @@ def test_expression_stdout_unchanged(name, command, tmp_path, capsys):
     expected = entry["commands"][command]
     assert run([first, str(path), *rest]) == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
+
+
+def _captured(argv, capsys) -> dict:
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return {"exit": code, "stdout": out, "stderr": err}
+
+
+def test_expected_text_pins_cover_every_input():
+    space_files = sorted(p.name for p in SPACES_DIR.glob("*.json"))
+    assert sorted(BOUND_RULES) == sorted(SPACES_TEXT) == space_files
+    assert all(sorted(entry) == sorted(RULES) for entry in BOUND_RULES.values())
+    assert all(sorted(entry) == sorted(SPACE_COMMANDS) for entry in SPACES_TEXT.values())
+    assert list(SL_CATALOG_TEXT) == catalog_names()
+    assert sorted(HELP) == ["", "bound", "catalog", "homology", "sl", "verify"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("name", sorted(BOUND_RULES))
+def test_forced_rule_output_unchanged(name, rule, fmt, capsys):
+    argv = ["bound", str(SPACES_DIR / name), "--rule", rule, "--format", fmt]
+    assert _captured(argv, capsys) == BOUND_RULES[name][rule][fmt]
+
+
+@pytest.mark.parametrize("command", SPACE_COMMANDS)
+@pytest.mark.parametrize("name", sorted(SPACES_TEXT))
+def test_space_text_output_unchanged(name, command, capsys):
+    argv = command.split() + [str(SPACES_DIR / name)]
+    assert _captured(argv, capsys) == SPACES_TEXT[name][command]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_sl_catalog_text_output_unchanged(name, capsys):
+    assert _captured(["sl", "--catalog", name], capsys) == SL_CATALOG_TEXT[name]
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert _captured(argv, capsys) == HELP[command]

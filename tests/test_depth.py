@@ -1,5 +1,8 @@
 """Depth bound tests: sl dispatch, both bound families, best-bound
-selection, the wedge depth formula, and report serialization."""
+selection, forced rules, the wedge depth formula, and report serialization."""
+
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from polydepth.abelian import from_cyclic_factors, sl_abelian
 from polydepth.catalog import catalog_abelian_factors, catalog_group, catalog_names, cyclic
 from polydepth.depth import (
     GENERAL_ASSUMPTIONS,
+    RULES,
     TWO_DIM_ASSUMPTIONS,
     DepthBoundReport,
     NoBoundApplicable,
@@ -15,6 +19,7 @@ from polydepth.depth import (
     best_bound,
     bound_2dim,
     bound_general,
+    forced_bound,
     render_report,
     render_subwedge,
     report_to_json,
@@ -43,6 +48,7 @@ from polydepth.topology import (
     Explicit,
     Sphere,
     product,
+    space_from_json,
     wedge,
 )
 
@@ -277,6 +283,77 @@ class TestBestBound:
         reasons = dict(outcome.failures)
         assert "UnsupportedConstruction" in reasons["Thm4.1"]
         assert "DimensionNotTwo" in reasons["Thm4.8"]
+
+
+SPACE_FILES = sorted((pathlib.Path(__file__).parent.parent / "spaces").glob("*.json"))
+# the rules of each family as the paper names them: Thm 4.1 and its
+# corollaries, Thm 4.8 and its 2-dimensional corollaries
+FAMILY_RULES = {
+    "Thm4.1": {"Thm4.1", "Cor-simply", "Cor-finite", "Cor-abelian", "Cor-free",
+               "Cor-amenable"},
+    "Thm4.8": {"Thm4.8", "Cor-free-2dim", "Cor-abelian-2dim", "Cor-amenable-2dim"},
+}
+
+
+def _load(path):
+    return space_from_json(json.loads(path.read_text(encoding="utf-8")))
+
+
+class TestForcedBound:
+    def test_rules_are_both_families(self):
+        assert RULES == FAMILY_RULES["Thm4.1"] | FAMILY_RULES["Thm4.8"]
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("path", SPACE_FILES, ids=lambda p: p.name)
+    def test_runs_only_the_rules_family(self, path, rule):
+        family = next(f for f, rules in FAMILY_RULES.items() if rule in rules)
+        outcome = forced_bound(_load(path), rule)
+        if isinstance(outcome, NoBoundApplicable):
+            assert len(outcome.failures) == 1
+            assert outcome.failures[0][0] == family
+        elif rule == family:
+            assert outcome.applied_rule in FAMILY_RULES[family]
+        else:
+            assert outcome.applied_rule == rule
+
+    def test_family_name_is_that_family_bound(self):
+        space = product(S1, S1)
+        assert forced_bound(space, "Thm4.1") == bound_general(space)
+        assert forced_bound(space, "Thm4.8") == bound_2dim(space)
+
+    def test_mismatched_corollary_names_the_selected_one(self):
+        outcome = forced_bound(product(S1, S1), "Cor-free")
+        assert outcome == NoBoundApplicable(
+            failures=(
+                (
+                    "Thm4.1",
+                    "requested rule Cor-free, but the fundamental group class "
+                    "selects Cor-abelian",
+                ),
+            )
+        )
+
+    @pytest.mark.parametrize("rule", ["Thm4.2", "", "cor-free", "Thm4.1 ", "best"])
+    def test_unknown_rule_is_a_value_error(self, rule):
+        with pytest.raises(ValueError, match="unknown rule"):
+            forced_bound(S2, rule)
+
+    @pytest.mark.parametrize(
+        "space",
+        [_load(p) for p in SPACE_FILES]
+        + [S2, S5, wedge(S1, S2), wedge(S2, S2, S3), product(S1, S1), product(S1, S3)],
+        ids=[p.name for p in SPACE_FILES] + [f"expr-{i}" for i in range(6)],
+    )
+    def test_best_bound_rule_reproduces_it(self, space):
+        report = best_bound(space)
+        if isinstance(report, NoBoundApplicable):
+            return
+        forced = forced_bound(space, report.applied_rule)
+        assert (forced.bound, forced.sl_pi1, forced.per_degree) == (
+            report.bound,
+            report.sl_pi1,
+            report.per_degree,
+        )
 
 
 class TestWedgeExactDepth:

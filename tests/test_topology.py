@@ -14,7 +14,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import betti_naive, rank_fraction, surface_grid_naive, tensor_complex_naive
+from oracles import (
+    betti_naive,
+    rank_fraction,
+    render_profile_naive,
+    surface_grid_naive,
+    tensor_complex_naive,
+)
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
 from polydepth.depth import best_bound
@@ -645,6 +651,17 @@ class TestProfileJsonText:
             profiles.append(universal_cover_homology(space))
         for p in profiles:
             assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
+
+
+class TestRenderProfile:
+    """render_profile renders only the stored degrees; the dense oracle walks
+    every degree.  Real profiles are pinned in test_cli_bytes."""
+
+    def test_random_profiles(self):
+        rng = random.Random(67)
+        for _ in range(400):
+            p = _random_profile(rng)
+            assert render_profile(p) == render_profile_naive(p)
 
 
 class TestJson:
