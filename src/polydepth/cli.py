@@ -58,7 +58,7 @@ from .finitegroup import (
     restrict_to_subgroup,
     verify_prop32,
 )
-from .intlinalg import IntMatrix, determinant, smith_normal_form
+from .intlinalg import IntMatrix, determinant, invariant_factors, smith_normal_form
 from .pi1 import Finite, pi1_from_json, render_pi1
 from .topology import (
     EXAMPLE_COMPLEXES,
@@ -74,8 +74,17 @@ from .topology import (
     universal_cover_homology,
 )
 
+# what argparse picks for an 80-column terminal
+_HELP_WIDTH = 78
+
+
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage failures exit with code 64 instead of 2."""
+    """Parser whose usage failures exit with code 64 instead of 2, and whose
+    help and usage text is wrapped at a fixed width instead of the terminal's,
+    so that it does not depend on ``COLUMNS``."""
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=_HELP_WIDTH)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -347,8 +356,12 @@ def _suite_euler(cap: int) -> list[tuple[str, bool, str]]:
 
 
 def _snf_invariants_hold(m: IntMatrix) -> bool:
+    """The dense Smith form is a valid factorisation, and the sparse
+    elimination that homology runs finds the same diagonal."""
     snf = smith_normal_form(m)
     if snf.U @ m @ snf.V != snf.S:
+        return False
+    if invariant_factors(m) != snf.diagonal:
         return False
     if abs(determinant(snf.U)) != 1 or abs(determinant(snf.V)) != 1:
         return False

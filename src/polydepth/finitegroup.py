@@ -20,11 +20,21 @@ mask); lengths are the contract, witnesses are evidence.
 Subgroups are bitmasks over element indices, so all the searches are integer
 arithmetic on Python ints.  Each group builds its subgroup lattice once, by
 cyclic extension (Neubüser 1960): every subgroup found is joined with every
-cyclic subgroup it lacks.  All three searches read that one lattice.  The
-``n3`` recursion is unchanged, but it reads the subgroups of each retract
-off the shared lattice, since the subgroups of H are exactly the subgroups
-of G inside H; normality in a retract is read from normalizers that are
-computed once per subgroup.
+cyclic subgroup it lacks.  All three searches read that one lattice, which
+is also indexed by order.  The ``n3`` recursion reads the subgroups of each
+retract off the shared lattice, since the subgroups of H are exactly the
+subgroups of G inside H.
+
+One function, ``_complement``, decides whether H has a complement (or a
+normal complement) in a subgroup A: it looks only among the subgroups of
+order |A|/|H| and takes the least mask, so witnesses do not depend on which
+search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract`` all
+call it.  Normality of a complement in A is read from normalizers computed
+once per subgroup and cached on the group.  Normality of a term in the
+whole group, which ``n1`` and ``is_normal`` test, keeps its own early-exit
+conjugation test: most subgroups fail it after a few conjugates, which is
+cheaper than a full normalizer for the small groups most requests ask
+about.
 """
 
 from __future__ import annotations
@@ -45,7 +55,9 @@ class FiniteGroup:
     is a group; downstream searches never re-validate.
     """
 
-    __slots__ = ("order", "table", "name", "_inv", "_subgroup_masks", "_normalizers")
+    __slots__ = (
+        "order", "table", "name", "_inv", "_subgroup_masks", "_masks_by_order", "_normalizers"
+    )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
         tbl = tuple(tuple(int(x) for x in row) for row in table)
@@ -80,6 +92,7 @@ class FiniteGroup:
         self.name = name
         self._inv = tuple(tbl[a].index(0) for a in range(n))
         self._subgroup_masks: tuple[int, ...] | None = None
+        self._masks_by_order: dict[int, list[int]] = {}
         self._normalizers: dict[int, int] = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -166,9 +179,9 @@ class SeriesResult:
             )
 
 
-def _check_cap(g: FiniteGroup, cap: int):
-    if g.order > cap:
-        raise OrderExceedsCap(g.order, cap)
+def _check_cap(order: int, cap: int):
+    if order > cap:
+        raise OrderExceedsCap(order, cap)
 
 
 def _cyclic_mask(g: FiniteGroup, x: int) -> int:
@@ -211,7 +224,8 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
     """Every subgroup mask of G, sorted by (order, mask), built once per group
     by cyclic extension (Neubüser): starting from the trivial subgroup, join
     each subgroup found with each cyclic subgroup it does not contain.  Every
-    subgroup is a join of cyclic subgroups, so nothing is missed."""
+    subgroup is a join of cyclic subgroups, so nothing is missed.  The same
+    pass groups the masks by order in ``g._masks_by_order``."""
     if g._subgroup_masks is None:
         cyclics = _cyclic_generators(g)
         found = {1}
@@ -228,14 +242,9 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
                             fresh.append(k)
             frontier = fresh
         g._subgroup_masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+        for m in g._subgroup_masks:
+            g._masks_by_order.setdefault(m.bit_count(), []).append(m)
     return g._subgroup_masks
-
-
-def _subgroup_masks_within(g: FiniteGroup, ambient: int) -> list[int]:
-    """Subgroup masks contained in the subgroup `ambient`, read off the
-    shared lattice: the subgroups of H are exactly the subgroups of G that
-    lie in H."""
-    return [m for m in _lattice(g) if m & ambient == m]
 
 
 def _is_normal_within(g: FiniteGroup, ambient: int, h: int) -> bool:
@@ -253,7 +262,7 @@ def _is_normal_within(g: FiniteGroup, ambient: int, h: int) -> bool:
 
 def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgroup]:
     """Complete subgroup list, sorted by (order, member mask)."""
-    _check_cap(g, cap)
+    _check_cap(g.order, cap)
     return [Subgroup(m) for m in _lattice(g)]
 
 
@@ -281,10 +290,8 @@ def is_complement(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
 
 def is_retract(g: FiniteGroup, h: Subgroup, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """A retract is a subgroup with a normal complement."""
-    for k in all_subgroups(g, cap):
-        if is_complement(g, h, k) and is_normal(g, k):
-            return True
-    return False
+    _check_cap(g.order, cap)
+    return _complement(g, (1 << g.order) - 1, h.mask, normal=True) is not None
 
 
 def restrict_to_subgroup(
@@ -298,26 +305,26 @@ def restrict_to_subgroup(
     return FiniteGroup(table, name=name)
 
 
-def _find_complement(
-    g: FiniteGroup,
-    h: int,
-    subs: list[int],
-    normal_masks: frozenset[int] | None = None,
-) -> int | None:
-    # first hit in (order, mask) order keeps witnesses deterministic
-    n = g.order
-    h_order = h.bit_count()
-    for k in subs:
-        if (h & k) == 1 and h_order * k.bit_count() == n:
-            if normal_masks is None or k in normal_masks:
+def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | None:
+    """The least mask of a complement of H in the subgroup A = `ambient`: a
+    subgroup of A of order |A|/|H| that meets H trivially and, when `normal`
+    is set, is normal in A.  None when H has no such complement."""
+    size, h_order = ambient.bit_count(), h.bit_count()
+    # only is_retract's caller can pass a member set that is no subgroup
+    if size % h_order:
+        return None
+    _lattice(g)
+    for k in g._masks_by_order.get(size // h_order, ()):
+        if k & h == 1 and k & ambient == k:
+            if not normal or _normalizer(g, k) & ambient == ambient:
                 return k
     return None
 
 
-def _longest_chain(full: int, cands: dict[int, int]) -> tuple[list[int], list[int]]:
+def _longest_chain(full: int, cands: dict[int, int]) -> SeriesResult:
     """Longest strictly decreasing chain (by inclusion) from `full` to the
-    trivial mask through keys of `cands`; returns the chain and the matching
-    complement witnesses.  Both endpoints are always candidates."""
+    trivial mask through keys of `cands`, with the complement witness that
+    `cands` holds for each term.  Both endpoints are always candidates."""
     ordered = sorted(cands, key=lambda m: (-m.bit_count(), m))
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
@@ -338,8 +345,12 @@ def _longest_chain(full: int, cands: dict[int, int]) -> tuple[list[int], list[in
         memo[mask] = (best_len, best_chain)
         return memo[mask]
 
-    _, chain = down(full)
-    return list(chain), [cands[m] for m in chain]
+    length, chain = down(full)
+    return SeriesResult(
+        length=length,
+        witness=tuple(Subgroup(m) for m in chain),
+        complements=tuple(Subgroup(cands[m]) for m in chain),
+    )
 
 
 def n1(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
@@ -349,41 +360,26 @@ def n1(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     >>> n1(zmod6).length
     2
     """
-    _check_cap(g, cap)
-    subs = [s.mask for s in all_subgroups(g, cap)]
     full = (1 << g.order) - 1
     cands: dict[int, int] = {}
-    for h in subs:
-        if _is_normal_within(g, full, h):
-            k = _find_complement(g, h, subs)
+    for s in all_subgroups(g, cap):
+        if _is_normal_within(g, full, s.mask):
+            k = _complement(g, full, s.mask, normal=False)
             if k is not None:
-                cands[h] = k
-    chain, comps = _longest_chain(full, cands)
-    return SeriesResult(
-        length=len(chain) - 1,
-        witness=tuple(Subgroup(m) for m in chain),
-        complements=tuple(Subgroup(m) for m in comps),
-    )
+                cands[s.mask] = k
+    return _longest_chain(full, cands)
 
 
 def n2(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     """Longest strictly decreasing chain of retracts of G; the stored
     complement witnesses are the normal complements."""
-    _check_cap(g, cap)
-    subs = [s.mask for s in all_subgroups(g, cap)]
     full = (1 << g.order) - 1
-    normal_masks = frozenset(h for h in subs if _is_normal_within(g, full, h))
     cands: dict[int, int] = {}
-    for h in subs:
-        k = _find_complement(g, h, subs, normal_masks)
+    for s in all_subgroups(g, cap):
+        k = _complement(g, full, s.mask, normal=True)
         if k is not None:
-            cands[h] = k
-    chain, comps = _longest_chain(full, cands)
-    return SeriesResult(
-        length=len(chain) - 1,
-        witness=tuple(Subgroup(m) for m in chain),
-        complements=tuple(Subgroup(m) for m in comps),
-    )
+            cands[s.mask] = k
+    return _longest_chain(full, cands)
 
 
 def _normalizer(g: FiniteGroup, k: int) -> int:
@@ -403,22 +399,17 @@ def _normalizer(g: FiniteGroup, k: int) -> int:
 
 
 def _retract_masks_within(g: FiniteGroup, ambient: int) -> list[int]:
-    subs = _subgroup_masks_within(g, ambient)
-    # normal subgroups of the ambient, by order
-    normals: dict[int, list[int]] = {}
-    for k in subs:
-        if _normalizer(g, k) & ambient == ambient:
-            normals.setdefault(k.bit_count(), []).append(k)
-    size = ambient.bit_count()
+    """Retracts of the subgroup `ambient`, read off the shared lattice: the
+    subgroups of H are exactly the subgroups of G that lie in H."""
     return [
         h
-        for h in subs
-        if any(h & k == 1 for k in normals.get(size // h.bit_count(), ()))
+        for h in _lattice(g)
+        if h & ambient == h and _complement(g, ambient, h, normal=True) is not None
     ]
 
 
 def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
-    _check_cap(g, cap)
+    _check_cap(g.order, cap)
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def rec(mask: int) -> tuple[int, tuple[int, ...]]:

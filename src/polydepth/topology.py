@@ -36,6 +36,7 @@ UnsupportedConstruction; no rule, no answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -66,6 +67,7 @@ from .pi1 import (
     pi1_to_json,
 )
 from .catalog import direct_product
+from .finitegroup import DEFAULT_SEARCH_CAP, _check_cap
 
 
 MAX_DIMENSION = 10**6
@@ -579,7 +581,9 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
     """Fundamental group over the supported constructions; combinations that
-    leave the five descriptor shapes raise UnsupportedConstruction."""
+    leave the five descriptor shapes raise UnsupportedConstruction.  A product
+    of finite groups whose order exceeds ``DEFAULT_SEARCH_CAP`` raises
+    OrderExceedsCap before its table is built."""
     if isinstance(space, Sphere):
         return free(1) if space.n == 1 else Trivial()
     if isinstance(space, Explicit):
@@ -638,6 +642,9 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
         if finite_groups:
             if len(finite_groups) == 1:
                 return Finite(finite_groups[0])
+            # the product table is checked in O(order^3): refuse an order no
+            # subgroup search would accept before building it
+            _check_cap(math.prod(g.order for g in finite_groups), DEFAULT_SEARCH_CAP)
             return Finite(direct_product(*finite_groups))
         return fg_abelian(abelian)
     raise TypeError(f"not a SpaceExpr: {space!r}")

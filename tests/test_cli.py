@@ -280,6 +280,14 @@ class TestVerifyCommand:
         assert lines
         assert all(" PASS" in line for line in lines)
 
+    def test_snf_suite_checks_the_sparse_elimination(self, monkeypatch, capsys):
+        sparse = polydepth.cli.invariant_factors
+        monkeypatch.setattr(
+            polydepth.cli, "invariant_factors", lambda m: sparse(m)[:-1]
+        )
+        assert run(["verify", "snf"]) == 1
+        assert ": FAIL" in capsys.readouterr().out
+
     def test_json_format_reports_all_pass(self, capsys):
         assert run(["verify", "snf", "--format", "json"]) == 0
         body = json.loads(capsys.readouterr().out)
@@ -423,6 +431,22 @@ class TestShippedSpaceFiles:
     def test_cd_infinite_demo_exits_two(self, capsys):
         assert run(["bound", str(SPACES_DIR / "disc_cd_infinite.json")]) == 2
         assert capsys.readouterr().out.splitlines()[0] == "no bound applicable"
+
+    def test_finite_product_over_cap_refused_before_building(self, tmp_path, capsys):
+        # pi1 is Z2^9: its 512-element table would take seconds to validate,
+        # and no subgroup search accepts that order anyway
+        factor = json.loads((SPACES_DIR / "rp2_with_cover.json").read_text())
+        path = _write_json(tmp_path, "rp2x9.json", {"product": [factor] * 9})
+        start = time.perf_counter()
+        assert run(["bound", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "no bound applicable\n"
+            "  Thm4.1 failed: OrderExceedsCap: group order 512 exceeds search cap 32\n"
+            "  Thm4.8 failed: DimensionNotTwo: rule needs a 2-dimensional space, "
+            "got dim 18\n",
+            "",
+        )
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

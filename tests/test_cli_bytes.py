@@ -23,7 +23,7 @@ selection moved into ``polydepth.depth``: ``bound_rules.json`` for
 file), ``spaces_text.json`` for the three space commands in text format,
 ``sl_catalog_text.json`` for ``sl --catalog NAME`` in text format, and
 ``help.json`` for ``--help`` at the top level and on each subcommand (at 80
-columns).
+columns; the test checks that 40 and 200 columns print the same).
 
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
@@ -148,6 +148,8 @@ def test_sl_catalog_text_output_unchanged(name, capsys):
 
 @pytest.mark.parametrize("command", sorted(HELP))
 def test_help_unchanged(command, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
+    # the pins were recorded at 80 columns; help must not follow the terminal
     argv = [command, "--help"] if command else ["--help"]
-    assert _captured(argv, capsys) == HELP[command]
+    for columns in ["80", "40", "200"]:
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _captured(argv, capsys) == HELP[command], columns

@@ -146,7 +146,11 @@ class TestSubgroupEnumeration:
         with pytest.raises(OrderExceedsCap):
             n1(g, cap=8)
         with pytest.raises(OrderExceedsCap):
+            n2(g, cap=8)
+        with pytest.raises(OrderExceedsCap):
             n3(g, cap=8)
+        with pytest.raises(OrderExceedsCap):
+            is_retract(g, Subgroup(1), cap=8)
         assert n1(g, cap=24).length == 2
 
 
@@ -184,6 +188,11 @@ class TestPredicates:
         assert is_complement(g, rot, refl)
         assert not is_retract(g, rot)
         assert is_retract(g, refl)
+
+    def test_set_whose_size_does_not_divide_the_order_is_no_retract(self):
+        # {0, 1, 2} in Z4 is no subgroup; the trivial subgroup meets it in
+        # the identity, but 3 * 1 != 4, so it is no complement
+        assert not is_retract(catalog_group("Z4"), Subgroup(0b111))
 
     @pytest.mark.parametrize("name", SMALL)
     def test_retracts_match_oracle(self, name):

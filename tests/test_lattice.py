@@ -1,12 +1,15 @@
-"""The shared subgroup lattice and the n3 search that filters it.
+"""The shared subgroup lattice, the complement search and the n3 search
+that filters it.
 
 Each group builds its subgroup lattice once, by cyclic extension, and n3
 reads the subgroups of every retract off that one lattice.  These tests
 check the lattice against an independent generator-subset oracle on the
 whole catalog, and check n3 against a recursion that restricts the table to
-each proper retract and starts over there.  Two full ``Prop32Report``s on
-relabelled tables are pinned to values recorded before the lattice was
-shared.
+each proper retract and starts over there.  The complements that n1, n2 and
+``is_retract`` find are checked against naive complement and normality
+tests on raw tables, also on groups too large for the power-set oracles.
+Two full ``Prop32Report``s on relabelled tables are pinned to values
+recorded before the lattice was shared.
 """
 
 import json
@@ -20,11 +23,13 @@ from polydepth.finitegroup import (
     FiniteGroup,
     all_subgroups,
     is_retract,
+    n1,
+    n2,
     n3,
     restrict_to_subgroup,
     verify_prop32,
 )
-from oracles import generated_subgroups_naive
+from oracles import _is_complement_naive, _is_normal_naive, generated_subgroups_naive
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -111,3 +116,43 @@ def test_prop32_report_pinned(name):
     pinned = json.loads((DATA / "prop32_pinned.json").read_text())
     g, cap = large_group(name)
     assert _report_to_json(verify_prop32(g, cap)) == pinned[name]
+
+
+def _naive_view(g: FiniteGroup, cap: int):
+    """The table as lists, every subgroup of the lattice as a member set
+    keyed by its mask, and the masks of those the naive test finds normal."""
+    table = [list(r) for r in g.table]
+    subs = {s.mask: frozenset(s.members()) for s in all_subgroups(g, cap)}
+    normal = {m for m, members in subs.items() if _is_normal_naive(table, members)}
+    return table, subs, normal
+
+
+def _group_and_cap(name: str) -> tuple[FiniteGroup, int]:
+    return large_group(name) if name in LARGE else (catalog_group(name), 32)
+
+
+@pytest.mark.parametrize("name", list(LARGE))
+def test_is_retract_matches_naive_normal_complement(name):
+    g, cap = large_group(name)
+    table, subs, normal = _naive_view(g, cap)
+    for sub in all_subgroups(g, cap):
+        h = subs[sub.mask]
+        expected = any(
+            _is_complement_naive(table, h, k) for m, k in subs.items() if m in normal
+        )
+        assert is_retract(g, sub, cap) == expected, sub
+
+
+@pytest.mark.parametrize("name", list(LARGE) + catalog_names())
+def test_series_complements_are_least_naive_complements(name):
+    g, cap = _group_and_cap(name)
+    table, subs, normal = _naive_view(g, cap)
+    for series, need_normal in ((n1(g, cap), False), (n2(g, cap), True)):
+        for term, comp in zip(series.witness, series.complements):
+            h = subs[term.mask]
+            least = min(
+                m
+                for m, k in subs.items()
+                if (m in normal or not need_normal) and _is_complement_naive(table, h, k)
+            )
+            assert comp.mask == least, (term, need_normal)
