@@ -68,7 +68,7 @@ from .topology import (
     euler_characteristic,
     homology,
     homology_of_complex,
-    profile_json_text,
+    profile_json_chunks,
     render_profile,
     space_from_json,
     universal_cover_homology,
@@ -208,7 +208,10 @@ def _cmd_homology(args) -> int:
     else:
         profile = homology(space)
     if args.format == "json":
-        print(profile_json_text(profile))
+        # written piece by piece: the text of a high-dimensional profile is
+        # never held whole
+        sys.stdout.writelines(profile_json_chunks(profile))
+        sys.stdout.write("\n")
     else:
         print(render_profile(profile))
     return 0

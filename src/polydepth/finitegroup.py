@@ -52,7 +52,9 @@ class FiniteGroup:
 
     Element 0 is the identity.  The constructor checks the full group axioms
     (Latin square, identity, associativity), so a ``FiniteGroup`` that exists
-    is a group; downstream searches never re-validate.
+    is a group; downstream searches never re-validate.  Tables that are
+    groups by construction (a subgroup's restriction, a direct product) come
+    in through the private ``_trusted``, which skips the O(n^3) check.
     """
 
     __slots__ = (
@@ -87,6 +89,19 @@ class FiniteGroup:
                 for c in range(n):
                     if ab_row[c] != ta[tb[c]]:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
+        self._store(tbl, name)
+
+    @classmethod
+    def _trusted(cls, table: tuple[tuple[int, ...], ...], name: str | None = None) -> FiniteGroup:
+        """A group from a table of ints that is a group by construction, such
+        as a subgroup's restricted table or a direct product of groups: the
+        axiom check is skipped."""
+        g = cls.__new__(cls)
+        g._store(table, name)
+        return g
+
+    def _store(self, tbl: tuple[tuple[int, ...], ...], name: str | None) -> None:
+        n = len(tbl)
         self.order = n
         self.table = tbl
         self.name = name
@@ -298,11 +313,13 @@ def restrict_to_subgroup(
     g: FiniteGroup, sub: Subgroup, name: str | None = None
 ) -> FiniteGroup:
     """The subgroup as a standalone group; element order follows member order,
-    so the identity stays at index 0."""
+    so the identity stays at index 0.  A product that leaves the member set
+    raises KeyError, so a table that gets built is that of a subgroup and is
+    not checked again."""
     members = sub.members()
     index = {glob: loc for loc, glob in enumerate(members)}
-    table = [[index[g.table[a][b]] for b in members] for a in members]
-    return FiniteGroup(table, name=name)
+    table = tuple(tuple(index[g.table[a][b]] for b in members) for a in members)
+    return FiniteGroup._trusted(table, name=name)
 
 
 def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | None:

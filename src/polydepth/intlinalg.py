@@ -5,12 +5,24 @@ intermediate entries well past 64 bits even for small homology computations,
 so fixed-width arithmetic is not an option.  Matrices are immutable; all
 functions are pure and safe to call concurrently.
 
+An `IntMatrix` stores only its nonzero entries, one dict {column: entry}
+per row.  Building one checks every entry, zeros included, to be an int.
+The product `@`, `is_zero` and `product_is_zero` (the zero-composition
+test of a chain complex) visit only those entries, so a boundary matrix
+costs what its nonzero entries cost.  Only `smith_normal_form`,
+`determinant` and the dense `entries` view expand a matrix to all its
+cells.
+
 There are two ways to diagonalize:
 
-* `invariant_factors` returns only the nonzero Smith diagonal.  It eliminates
-  on sparse rows (dicts of nonzero entries) and keeps no transforms, so its
-  cost follows the fill-in rather than the matrix size.  Homology and `rank`
-  read it.
+* `invariant_factors` returns only the nonzero Smith diagonal.  It
+  eliminates on copies of the sparse rows and keeps no transforms, so its
+  cost follows the fill-in rather than the matrix size.  Each pivot comes
+  from the live column with the fewest nonzero entries, the count kept
+  current as fill-in and cancellation change it (Markowitz's rule for low
+  fill-in, restricted to the column count); within that column the least
+  |entry| wins, ties going to the shortest row.  Homology and `rank` read
+  it.
 * `smith_normal_form` runs dense elimination and also returns the unimodular
   transforms U and V with S = U @ M @ V, for callers that need a basis, such
   as a kernel basis of a boundary map.  It is the tests' reference for the
@@ -20,34 +32,72 @@ There are two ways to diagonalize:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd
 from typing import Sequence
 
+# entry types accepted without a per-entry isinstance call; bool is an int
+# subclass and has always been accepted as an entry
+_INT_TYPES = frozenset((int, bool))
 
-@dataclass(frozen=True)
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
+def _check_ints(values: Sequence) -> None:
+    # every entry, zero-valued or falsy ones included, must be an int
+    if not _INT_TYPES.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int):
+                raise ValueError(f"matrix entries must be int, got {type(x).__name__}")
+
+
+def _nonzero(values: Sequence[int]) -> dict[int, int]:
+    return dict(compress(enumerate(values), values))
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
-    """Dense integer matrix, row-major, possibly with zero rows or columns."""
+    """Integer matrix of shape rows x cols, possibly with zero rows or
+    columns, that stores one dict {column: nonzero entry} per row.
+
+    ``IntMatrix(rows, cols, entries)`` takes the entries dense and row-major,
+    `from_rows` takes nested rows; both check that every entry is an int.
+    Two matrices are equal when their shapes and entries are.  `entries`,
+    `row` and `to_rows` are dense views built on request.
+    """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    _rows: tuple[dict[int, int], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise ValueError(f"matrix entries must be int, got {type(e).__name__}")
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        _check_shape(rows, cols)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        _check_ints(entries)
+        data = tuple(_nonzero(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        self._store(rows, cols, data)
+
+    def _store(self, rows: int, cols: int, data: tuple[dict[int, int], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_rows", data)
+
+    @classmethod
+    def _sparse(cls, rows: int, cols: int, data: tuple[dict[int, int], ...]) -> IntMatrix:
+        # `data` holds one dict of nonzero int entries per row, already checked
+        m = object.__new__(cls)
+        m._store(rows, cols, data)
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from nested rows.  `cols` disambiguates the empty matrix shapes
         (0 rows of width n versus n rows of width 0)."""
-        data = [list(row) for row in data]
+        data = list(data)
         if not data:
             return cls(0, 0 if cols is None else cols, ())
         width = len(data[0])
@@ -55,63 +105,99 @@ class IntMatrix:
             raise ValueError(f"declared {cols} columns but rows have {width}")
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        flat = tuple(x for row in data for x in row)
-        return cls(len(data), width, flat)
+        sparse = []
+        for row in data:
+            _check_ints(row)
+            sparse.append(_nonzero(row))
+        return cls._sparse(len(data), width, tuple(sparse))
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        _check_shape(n, n)
+        return cls._sparse(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._sparse(rows, cols, tuple({} for _ in range(rows)))
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """All rows * cols entries, row-major."""
+        return tuple(chain.from_iterable(map(self._dense_row, range(self.rows))))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self._rows[i].get(j, 0)
+
+    def _dense_row(self, i: int) -> list[int]:
+        out = [0] * self.cols
+        for j, x in self._rows[i].items():
+            out[j] = x
+        return out
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self._dense_row(i))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [self._dense_row(i) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns: tuple[dict[int, int], ...] = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                columns[j][i] = x
+        return IntMatrix._sparse(self.cols, self.rows, columns)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self._rows)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(k, k) for k in range(min(self.rows, self.cols)))
+        return tuple(self._rows[k].get(k, 0) for k in range(min(self.rows, self.cols)))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        # row i of the product sums a_ik * (row k of other) over the nonzero
-        # a_ik, and each row of other contributes only its nonzero entries
-        sparse_rows = [
-            [(j, x) for j, x in enumerate(other.row(k)) if x] for k in range(other.rows)
-        ]
-        out: list[int] = []
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for a, row_k in zip(self.row(i), sparse_rows):
-                if a:
-                    for j, x in row_k:
-                        acc[j] += a * x
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        _check_product_shape(self, other)
+        right = other._rows
+        product = tuple(_product_row(row, right) for row in self._rows)
+        return IntMatrix._sparse(self.rows, other.cols, product)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
+
+
+def _check_product_shape(a: IntMatrix, b: IntMatrix) -> None:
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+
+
+def _product_row(row: dict[int, int], right: tuple[dict[int, int], ...]) -> dict[int, int]:
+    # row i of a product sums a_ik * (row k of the right factor) over the
+    # nonzero a_ik, and each right row contributes only its nonzero entries
+    acc: dict[int, int] = {}
+    for k, a in row.items():
+        for j, x in right[k].items():
+            acc[j] = acc.get(j, 0) + a * x
+    return {j: x for j, x in acc.items() if x}
+
+
+def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether ``a @ b`` is the zero matrix.  The product's rows are formed
+    one at a time from the nonzero entries and the first nonzero row ends the
+    test, so a chain complex proves d_k d_(k+1) = 0 without building the
+    product.
+
+    >>> product_is_zero(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [-1]]))
+    True
+    """
+    _check_product_shape(a, b)
+    right = b._rows
+    return not any(_product_row(row, right) for row in a._rows)
 
 
 @dataclass(frozen=True)
@@ -250,33 +336,46 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     the same tuple as ``smith_normal_form(m).diagonal``, found by sparse
     elimination that builds neither U, V nor S.
 
-    Each step takes a nonzero entry of least absolute value as the pivot and
-    clears its column by row operations.  The pivot row is then the only row
-    with an entry in that column, so the column operations that clear the
-    row touch that row alone and cost one pass over it.  A nonzero
-    remainder in the column or the row becomes the next pivot, which
-    strictly lowers |pivot|.  The pivots found this way form a diagonal
-    form of `m`; pairwise gcd/lcm turns it into the divisibility chain.
+    Each step takes its pivot in the live column with the fewest nonzero
+    entries, at the entry of least absolute value there (ties to the
+    shortest row), and clears that column by row operations.  The pivot row
+    is then the only row with an entry in that column, so the column
+    operations that clear the row touch that row alone and cost one pass
+    over it.  A nonzero remainder in the column or the row becomes the next
+    pivot, which strictly lowers |pivot|.  The pivots found this way form a
+    diagonal form of `m`; pairwise gcd/lcm turns it into the divisibility
+    chain.  The pivot position changes only the cost, never the result.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
     """
+    # imported on first use: importing polydepth does not load heapq
+    from heapq import heapify, heappop, heappush
+
     # rows[i] holds the nonzero entries of row i; column j has a nonzero
     # entry exactly in the rows of in_col[j]
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
     in_col: dict[int, set[int]] = {}
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.row(i)) if x}
-        if row:
-            rows[i] = row
-            for j in row:
-                in_col.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    # (count, j) items: every live column j has one holding its current
+    # count len(in_col[j]); outdated items are dropped when popped
+    heap = [(len(s), j) for j, s in in_col.items()]
+    heapify(heap)
 
     pivots: list[int] = []
     while rows:
-        pi, pj = _least_entry(rows, in_col)
+        # a live column of fewest nonzero entries, ties to the least index
+        count, pj = heappop(heap)
+        if len(in_col[pj]) != count:
+            continue
+        pi = min(in_col[pj], key=lambda i: (abs(rows[i][pj]), len(rows[i])))
+        # a step changes counts only in columns of the pivot rows it uses
+        touched: set[int] = set()
         while True:
             prow = rows[pi]
+            touched.update(prow)
             p = prow[pj]
             for i in [i for i in in_col[pj] if i != pi]:
                 # row i -= q * pivot row
@@ -316,27 +415,10 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
             del rows[pi]
             pivots.append(abs(p))
             break
+        for j in touched:
+            if in_col[j]:
+                heappush(heap, (len(in_col[j]), j))
     return _divisibility_chain(pivots)
-
-
-def _least_entry(
-    rows: dict[int, dict[int, int]], in_col: dict[int, set[int]]
-) -> tuple[int, int]:
-    # position of a nonzero entry of least absolute value.  A unit is as
-    # small as an entry gets, so the scan ends with the first row that holds
-    # one.  Among the entries scanned, ties go to the least Markowitz count
-    # (r - 1)(c - 1), which bounds the fill-in of the step.
-    best = (0, 0)
-    best_key = None
-    for i, row in rows.items():
-        others = len(row) - 1
-        for j, x in row.items():
-            key = (abs(x), others * (len(in_col[j]) - 1))
-            if best_key is None or key < best_key:
-                best, best_key = (i, j), key
-        if best_key[0] == 1:
-            break
-    return best
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .abelian import (
     TRIVIAL_GROUP,
@@ -53,7 +53,7 @@ from .errors import (
     TorsionNotSupported,
     UnsupportedConstruction,
 )
-from .intlinalg import IntMatrix, invariant_factors
+from .intlinalg import IntMatrix, invariant_factors, product_is_zero
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -117,7 +117,7 @@ class ChainComplex:
                     f"{self.cells[k - 1]}x{self.cells[k]}"
                 )
         for k in range(1, self.dim):
-            if not (self.boundary[k - 1] @ self.boundary[k]).is_zero():
+            if not product_is_zero(self.boundary[k - 1], self.boundary[k]):
                 raise CompositionNotZero(
                     f"boundary maps {k} and {k + 1} do not compose to zero"
                 )
@@ -342,29 +342,53 @@ def _group_json_text(group: FgAbelianGroup | None) -> str:
     )
 
 
-def _degree_lines(out: list[str], dim: int, stored: dict[int, str], default: str):
-    """Append to `out` the lines '    "k": value,' for k = 0..dim, with no
-    comma on the last one, where value is stored[k] (keys ascending) or else
-    default; each run of default degrees is written by one str.join."""
+# degrees per chunk in a run of default lines: at most 133 KB of group JSON
+# text for six-digit degrees
+_RUN_DEGREES = 2048
+
+
+def _degree_chunks(dim: int, stored: dict[int, str], default: str) -> Iterator[str]:
+    """The lines '    "k": value,' for k = 0..dim, with no comma on the
+    last one, where value is stored[k] (keys ascending) or else default.
+    Each stored degree is one chunk; runs of default degrees are written by
+    str.join, at most _RUN_DEGREES lines to a chunk."""
     sep = f'": {default},\n    "'
+
+    def defaults(start: int, stop: int) -> Iterator[str]:
+        for lo in range(start, stop, _RUN_DEGREES):
+            hi = min(lo + _RUN_DEGREES, stop)
+            keys = sep.join(map(str, range(lo, hi)))
+            yield f'    "{keys}": {default}{"," if hi <= dim else ""}\n'
+
     start = 0
     for k, value in stored.items():
-        if k > start:
-            out += ['    "', sep.join(map(str, range(start, k))), f'": {default},\n']
-        out.append(f'    "{k}": {value},\n')
+        yield from defaults(start, k)
+        yield f'    "{k}": {value}{"," if k < dim else ""}\n'
         start = k + 1
-    if start <= dim:
-        out += ['    "', sep.join(map(str, range(start, dim + 1))), f'": {default},\n']
-    out[-1] = out[-1][:-2] + "\n"
+    yield from defaults(start, dim + 1)
 
 
 _TRIVIAL_GROUP_JSON = _group_json_text(TRIVIAL_GROUP)
 
 
+def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
+    """The text of `profile_json_text` in pieces of bounded size, so that a
+    caller can write a profile of any dimension without holding its whole
+    text: each distinct group is rendered once and every trivial degree
+    gets one constant string."""
+    rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
+    groups = {k: rendered[g] for k, g in profile.groups.items()}
+    verdicts = {k: _JSON_VERDICT[v] for k, v in profile.finitely_generated.items()}
+    yield f'{{\n  "dim": {profile.dim},\n  "groups": {{\n'
+    yield from _degree_chunks(profile.dim, groups, _TRIVIAL_GROUP_JSON)
+    yield '  },\n  "finitely_generated": {\n'
+    yield from _degree_chunks(profile.dim, verdicts, "true")
+    yield "  }\n}"
+
+
 def profile_json_text(profile: HomologyProfile) -> str:
-    """``json.dumps(profile_to_json(profile), indent=2)``, written straight
-    from the stored degrees: each distinct group is rendered once and every
-    trivial degree gets one constant string.
+    """``json.dumps(profile_to_json(profile), indent=2)``: the join of
+    `profile_json_chunks`.
 
     >>> print(profile_json_text(homology(Sphere(1))))
     {
@@ -385,15 +409,7 @@ def profile_json_text(profile: HomologyProfile) -> str:
       }
     }
     """
-    rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
-    groups = {k: rendered[g] for k, g in profile.groups.items()}
-    verdicts = {k: _JSON_VERDICT[v] for k, v in profile.finitely_generated.items()}
-    out = [f'{{\n  "dim": {profile.dim},\n  "groups": {{\n']
-    _degree_lines(out, profile.dim, groups, _TRIVIAL_GROUP_JSON)
-    out.append('  },\n  "finitely_generated": {\n')
-    _degree_lines(out, profile.dim, verdicts, "true")
-    out.append("  }\n}")
-    return "".join(out)
+    return "".join(profile_json_chunks(profile))
 
 
 def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:

@@ -31,6 +31,11 @@ Files
     catalog name -> exit, stdout, stderr of ``sl --catalog NAME``.
 ``help.json``
     ``""`` (top level) or subcommand -> exit, stdout, stderr of ``--help``.
+``scrambled.json``
+    ``KIND-N`` (torus and klein, N = 3..8) -> ``homology`` and ``bound``,
+    each in text and ``--format json`` -> exit, stdout, stderr, on the
+    space ``oracles.disguised_surface_space(KIND, N)`` from this checkout's
+    tests: dense boundary matrices with multi-bit entries.
 """
 
 import contextlib
@@ -63,6 +68,8 @@ RULES = [
 ]
 FORMATS = ["text", "json"]
 SUBCOMMANDS = ["bound", "homology", "sl", "verify", "catalog"]
+SCRAMBLED = [f"{kind}-{n}" for kind in ("torus", "klein") for n in range(3, 9)]
+SCRAMBLED_COMMANDS = ["homology", "homology --format json", "bound", "bound --format json"]
 
 
 def _capture(run, argv: list[str]) -> dict:
@@ -160,6 +167,23 @@ def record(root: pathlib.Path) -> None:
             **{c: _capture(run, [c, "--help"]) for c in SUBCOMMANDS},
         },
     )
+
+    sys.path.insert(0, str(HERE.parent.parent))
+    from oracles import disguised_surface_space
+
+    scrambled = {}
+    try:
+        for name in SCRAMBLED:
+            kind, n = name.split("-")
+            space = disguised_surface_space(kind, int(n))
+            scratch.write_text(json.dumps(space), encoding="utf-8")
+            scrambled[name] = {}
+            for command in SCRAMBLED_COMMANDS:
+                first, *rest = command.split()
+                scrambled[name][command] = _capture(run, [first, str(scratch), *rest])
+    finally:
+        scratch.unlink(missing_ok=True)
+    _write("scrambled.json", scrambled)
 
 
 if __name__ == "__main__":

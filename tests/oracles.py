@@ -7,7 +7,8 @@ built cell pair by cell pair, Betti numbers of sphere expressions are dense
 lists added and multiplied as polynomials, profiles are rendered degree by
 degree with their own group text, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
-identification maps, and the group-series oracles enumerate
+identification maps (and disguised by seeded cell shuffles and basis
+changes), and the group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
 deliberately slow and simple; they exist to catch bugs in the fast
 implementations.
@@ -15,6 +16,7 @@ implementations.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -177,6 +179,63 @@ def surface_grid_naive(kind: str, n: int) -> tuple[list[list[int]], list[list[in
         for e, coeff in terms.items():
             d2[e][t] += coeff
     return d1, d2
+
+
+def _shuffled_cells(maps: list, rng) -> list:
+    """Permute the cells of every degree and flip some orientations."""
+    counts = [len(maps[0])] + [len(m[0]) for m in maps]
+    out = [[row[:] for row in m] for m in maps]
+    for k, count in enumerate(counts):
+        order = rng.sample(range(count), count)
+        signs = [rng.choice((1, -1)) for _ in range(count)]
+        if k > 0:  # columns of d_k
+            out[k - 1] = [[signs[c] * row[c] for c in order] for row in out[k - 1]]
+        if k < len(out):  # rows of d_(k+1)
+            out[k] = [[signs[r] * x for x in out[k][r]] for r in order]
+    return out
+
+
+def _scrambled_basis(maps: list, ops: int, rng) -> list:
+    """`ops` elementary changes of basis: the new k-cell j is e_j + q e_i,
+    so d_k gains q times column i in column j and d_(k+1) loses q times
+    row j from row i.  Every composition stays zero."""
+    counts = [len(maps[0])] + [len(m[0]) for m in maps]
+    out = [[row[:] for row in m] for m in maps]
+    for _ in range(ops):
+        k = rng.randrange(len(counts))
+        if counts[k] < 2:
+            continue
+        i, j = rng.sample(range(counts[k]), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        if k > 0:
+            for row in out[k - 1]:
+                row[j] += q * row[i]
+        if k < len(out):
+            out[k][i] = [a - q * b for a, b in zip(out[k][i], out[k][j])]
+    return out
+
+
+def disguised_surface(kind: str, n: int) -> list:
+    """The boundary maps [d1, d2] of `surface_grid_naive(kind, n)` with
+    shuffled cells and 4 n^2 basis changes, seeded by kind and n: dense
+    matrices with multi-bit entries and the surface's homology."""
+    rng = random.Random(f"{kind}-{n}")
+    return _scrambled_basis(_shuffled_cells(surface_grid_naive(kind, n), rng), 4 * n * n, rng)
+
+
+def disguised_surface_space(kind: str, n: int) -> dict:
+    """`disguised_surface(kind, n)` as an explicit space JSON with its
+    fundamental group (Z^2 for the torus, elementary amenable of Hirsch
+    length 2 for the Klein bottle) and the point as its universal cover."""
+    d1, d2 = disguised_surface(kind, n)
+    pi1 = (
+        {"abelian": "Z^2"}
+        if kind == "torus"
+        else {"elementary_amenable": {"hirsch": 2, "cd_finite": True}}
+    )
+    complex_ = {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
+    cover = {"cells": [1], "boundary": []}
+    return {"explicit": {"complex": complex_, "pi1": pi1, "cover": cover}}
 
 
 def tensor_complex_naive(c1: dict, c2: dict) -> dict:

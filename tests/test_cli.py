@@ -350,6 +350,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "value, exit_code, stdout, stderr",
+        [
+            # zero-valued and falsy entries are type-checked like any other
+            (0.0, 1, "", "input error: matrix entries must be int, got float\n"),
+            (None, 1, "", "input error: matrix entries must be int, got NoneType\n"),
+            ("", 1, "", "input error: matrix entries must be int, got str\n"),
+            (1.5, 1, "", "input error: matrix entries must be int, got float\n"),
+            # bool is an int subclass and is taken as 1 or 0
+            (True, 0, "H0 = 0\nH1 = 0\n", ""),
+            (False, 0, "H0 = Z\nH1 = Z\n", ""),
+        ],
+    )
+    def test_boundary_entry_type(self, tmp_path, capsys, value, exit_code, stdout, stderr):
+        complex_ = {"cells": [2, 2], "boundary": [[[0, 1], [value, 0]]]}
+        space = {"explicit": {"complex": complex_, "pi1": {"trivial": True}}}
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["homology", path]) == exit_code
+        assert capsys.readouterr() == (stdout, stderr)
+
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400", "NaN"])
     def test_non_finite_sphere_dimension_is_malformed_input(self, tmp_path, capsys, value):
         path = tmp_path / "space.json"

@@ -25,6 +25,11 @@ file), ``spaces_text.json`` for the three space commands in text format,
 ``help.json`` for ``--help`` at the top level and on each subcommand (at 80
 columns; the test checks that 40 and 200 columns print the same).
 
+``scrambled.json`` holds exit code, stdout and stderr of ``homology`` and
+``bound``, in text and JSON, on tori and Klein bottles N = 3..8 with dense,
+multi-bit boundary matrices (``oracles.disguised_surface_space``); it was
+recorded before the elimination took its pivots from the sparsest column.
+
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
 copy of the commit before the change.
@@ -37,6 +42,7 @@ import pytest
 
 from polydepth.catalog import catalog_names
 from polydepth.cli import run
+from oracles import disguised_surface_space
 from polydepth.depth import RULES
 
 EXPECTED = pathlib.Path(__file__).parent / "data" / "cli_stdout"
@@ -51,6 +57,7 @@ SL_CATALOG_TEXT = json.loads(
     (EXPECTED / "sl_catalog_text.json").read_text(encoding="utf-8")
 )
 HELP = json.loads((EXPECTED / "help.json").read_text(encoding="utf-8"))
+SCRAMBLED = json.loads((EXPECTED / "scrambled.json").read_text(encoding="utf-8"))
 EXPRESSION_COMMANDS = [
     "homology",
     "homology --format json",
@@ -153,3 +160,21 @@ def test_help_unchanged(command, monkeypatch, capsys):
     for columns in ["80", "40", "200"]:
         monkeypatch.setenv("COLUMNS", columns)
         assert _captured(argv, capsys) == HELP[command], columns
+
+
+def test_expected_scrambled_pins_cover_both_surfaces():
+    assert sorted(SCRAMBLED) == sorted(
+        f"{kind}-{n}" for kind in ("torus", "klein") for n in range(3, 9)
+    )
+    commands = ["bound", "bound --format json", "homology", "homology --format json"]
+    assert all(sorted(entry) == commands for entry in SCRAMBLED.values())
+
+
+@pytest.mark.parametrize("name", sorted(SCRAMBLED))
+def test_scrambled_complex_output_unchanged(name, tmp_path, capsys):
+    kind, n = name.split("-")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(disguised_surface_space(kind, int(n))), encoding="utf-8")
+    for command, expected in SCRAMBLED[name].items():
+        first, *rest = command.split()
+        assert _captured([first, str(path), *rest], capsys) == expected, command

@@ -9,9 +9,10 @@ monotonicity) run across the catalog.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral
+from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral, direct_product
 from polydepth.errors import OrderExceedsCap
 from polydepth.finitegroup import (
+    DEFAULT_SEARCH_CAP,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -110,6 +111,31 @@ class TestBasicOps:
         h = restrict_to_subgroup(g, rot)
         assert h.order == 3
         assert sorted(h.element_order(a) for a in range(3)) == [1, 3, 3]
+
+
+class TestTrustedTables:
+    """Subgroup restrictions and direct products skip the axiom check: the
+    validating constructor must accept each such table and build an equal
+    group."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_group_and_its_restrictions_validate(self, name):
+        g = catalog_group(name)
+        assert FiniteGroup(g.table) == g
+        for sub in all_subgroups(g):
+            h = restrict_to_subgroup(g, sub)
+            assert FiniteGroup(h.table) == h
+
+    def test_direct_products_up_to_the_cap_validate(self):
+        groups = [catalog_group(name) for name in catalog_names()]
+        checked = 0
+        for i, a in enumerate(groups):
+            for b in groups[i:]:
+                if a.order * b.order <= DEFAULT_SEARCH_CAP:
+                    p = direct_product(a, b)
+                    assert FiniteGroup(p.table) == p, (a, b)
+                    checked += 1
+        assert checked > 100
 
 
 class TestSubgroupEnumeration:

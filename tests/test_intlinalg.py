@@ -84,6 +84,17 @@ def test_from_rows_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match="declared 3 columns"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    # zero-valued and falsy entries are checked like the others
+    for bad in (0.0, None, "", 1.5, [0]):
+        name = type(bad).__name__
+        with pytest.raises(ValueError, match=f"must be int, got {name}"):
+            IntMatrix.from_rows([[0, 1], [bad, 0]])
+        with pytest.raises(ValueError, match=f"must be int, got {name}"):
+            IntMatrix(2, 2, (0, 1, bad, 0))
 
 
 @st.composite
@@ -104,6 +115,26 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_snf_invariants_property(m):
     check_snf_invariants(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_dense_views_round_trip(m):
+    # the dense constructor, from_rows and the dense views agree, and
+    # matrices built different ways compare and hash alike
+    rows = m.to_rows()
+    assert len(m.entries) == m.rows * m.cols
+    assert IntMatrix(m.rows, m.cols, m.entries) == m
+    assert IntMatrix.from_rows(rows, cols=m.cols) == m
+    assert [list(m.row(i)) for i in range(m.rows)] == rows
+    assert all(m.entry(i, j) == rows[i][j] for i in range(m.rows) for j in range(m.cols))
+    assert m.transpose().transpose() == m
+    same = m @ IntMatrix.identity(m.cols)
+    assert same == m and hash(same) == hash(m)
+    assert m.is_zero() == (not any(m.entries))
+    if m.rows and m.cols and not m.is_zero():
+        assert m != IntMatrix.zeros(m.rows, m.cols)
+    assert m != IntMatrix.zeros(m.rows + 1, m.cols)
 
 
 @settings(max_examples=200, deadline=None)

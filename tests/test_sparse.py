@@ -13,9 +13,16 @@ import time
 
 import pytest
 
-from oracles import matmul_naive, rank_fraction, surface_grid_naive
+from oracles import disguised_surface, matmul_naive, rank_fraction, surface_grid_naive
 from polydepth.abelian import from_cyclic_factors
-from polydepth.intlinalg import IntMatrix, invariant_factors, rank, smith_normal_form
+from polydepth.errors import CompositionNotZero
+from polydepth.intlinalg import (
+    IntMatrix,
+    invariant_factors,
+    product_is_zero,
+    rank,
+    smith_normal_form,
+)
 from polydepth.topology import ChainComplex, homology_of_complex
 
 
@@ -55,7 +62,9 @@ def test_matmul_matches_naive_on_random_matrices():
         bound = rng.choice((1, 9, 2**40))
         a = _random_matrix(rng, n, k, density, bound)
         b = _random_matrix(rng, k, m, density, bound)
-        assert (a @ b).to_rows() == matmul_naive(a.to_rows(), b.to_rows(), m)
+        naive = matmul_naive(a.to_rows(), b.to_rows(), m)
+        assert (a @ b).to_rows() == naive
+        assert product_is_zero(a, b) == (a @ b).is_zero() == (not any(map(any, naive)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +98,26 @@ def test_invariant_factors_match_smith_normal_form(seed):
         assert rank(m) == len(expected) == rank_fraction(m.to_rows())
 
 
+@pytest.mark.parametrize("bound", [1, 9, 2**40])
+@pytest.mark.parametrize("density", [0, 0.05, 0.3, 1])
+def test_invariant_factors_match_smith_normal_form_on_every_shape(density, bound):
+    # the pivot comes from the sparsest column, so every shape and fill level
+    # takes a different path through the elimination
+    rng = random.Random(f"{density}-{bound}")
+    for rows in range(13):
+        for cols in range(13):
+            m = _random_matrix(rng, rows, cols, density, bound)
+            assert invariant_factors(m) == smith_normal_form(m).diagonal, m
+
+
+@pytest.mark.parametrize("kind", ["torus", "klein"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_invariant_factors_of_disguised_surfaces(kind, n):
+    for rows in disguised_surface(kind, n):
+        m = IntMatrix.from_rows(rows)
+        assert invariant_factors(m) == smith_normal_form(m).diagonal
+
+
 def test_invariant_factors_of_disguised_diagonals():
     # P diag(d) Q with unimodular P, Q has the Smith form of diag(d): the
     # product and the count of its invariant factors are known exactly
@@ -114,40 +143,6 @@ def test_invariant_factors_of_disguised_diagonals():
 # surfaces
 
 
-def _shuffled(maps, rng):
-    """Permute the cells of every degree and flip some orientations."""
-    counts = [len(maps[0])] + [len(m[0]) for m in maps]
-    out = [[row[:] for row in m] for m in maps]
-    for k, count in enumerate(counts):
-        order = rng.sample(range(count), count)
-        signs = [rng.choice((1, -1)) for _ in range(count)]
-        if k > 0:  # columns of d_k
-            out[k - 1] = [[signs[c] * row[c] for c in order] for row in out[k - 1]]
-        if k < len(out):  # rows of d_(k+1)
-            out[k] = [[signs[r] * x for x in out[k][r]] for r in order]
-    return out
-
-
-def _scrambled(maps, ops, rng):
-    """`ops` elementary changes of basis: the new k-cell j is e_j + q e_i,
-    so d_k gains q times column i in column j and d_(k+1) loses q times
-    row j from row i.  Every composition stays zero."""
-    counts = [len(maps[0])] + [len(m[0]) for m in maps]
-    out = [[row[:] for row in m] for m in maps]
-    for _ in range(ops):
-        k = rng.randrange(len(counts))
-        if counts[k] < 2:
-            continue
-        i, j = rng.sample(range(counts[k]), 2)
-        q = rng.choice((-2, -1, 1, 2))
-        if k > 0:
-            for row in out[k - 1]:
-                row[j] += q * row[i]
-        if k < len(out):
-            out[k][i] = [a - q * b for a, b in zip(out[k][i], out[k][j])]
-    return out
-
-
 def _complex(maps):
     d1, d2 = maps
     cells = (len(d1), len(d2), len(d2[0]))
@@ -167,13 +162,28 @@ SURFACE_HOMOLOGY = {
 @pytest.mark.parametrize("kind", ["torus", "klein"])
 @pytest.mark.parametrize("n", range(3, 11))
 def test_scrambled_surface_grids(kind, n):
-    rng = random.Random(f"{kind}-{n}")
     maps = surface_grid_naive(kind, n)
     assert [len(maps[0]), len(maps[1]), len(maps[1][0])] == [n * n, 3 * n * n, 2 * n * n]
-    disguised = _scrambled(_shuffled(maps, rng), 4 * n * n, rng)
+    disguised = disguised_surface(kind, n)
     for candidate in (maps, disguised):
         profile = homology_of_complex(_complex(candidate))
         assert [profile.group(k) for k in range(3)] == SURFACE_HOMOLOGY[kind]
+
+
+@pytest.mark.parametrize("kind", ["torus", "klein"])
+def test_composition_nonzero_in_the_last_entry_only_is_refused(kind):
+    # one extra edge whose boundary is the last vertex and which lies only
+    # in the boundary of the last triangle: d1 d2 gains exactly one nonzero
+    # entry, at the last row and column, after rows that compose to zero
+    d1, d2 = disguised_surface(kind, 5)
+    d1 = [row + [1 if i == len(d1) - 1 else 0] for i, row in enumerate(d1)]
+    d2 = d2 + [[0] * (len(d2[0]) - 1) + [1]]
+    product = matmul_naive(d1, d2, len(d2[0]))
+    nonzero = [(i, j) for i, row in enumerate(product) for j, x in enumerate(row) if x]
+    assert nonzero == [(len(d1) - 1, len(d2[0]) - 1)]
+    assert not product_is_zero(IntMatrix.from_rows(d1), IntMatrix.from_rows(d2))
+    with pytest.raises(CompositionNotZero):
+        _complex((d1, d2))
 
 
 def test_torus_20_homology_under_two_seconds():

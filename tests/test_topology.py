@@ -49,6 +49,7 @@ from polydepth.topology import (
     pi1_of,
     poincare_polynomial,
     product,
+    profile_json_chunks,
     profile_json_text,
     profile_to_json,
     render_profile,
@@ -651,6 +652,20 @@ class TestProfileJsonText:
             profiles.append(universal_cover_homology(space))
         for p in profiles:
             assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
+
+
+    @pytest.mark.parametrize("dim", [2047, 2048, 2049, 6145])
+    def test_runs_longer_than_a_chunk(self, dim):
+        # runs of trivial degrees are cut every 2048 degrees: a stored degree
+        # or a verdict next to a cut or at either end must not move a comma
+        for stored in ([], [0], [dim], [2047], [2048], [0, 2047, 2048, dim]):
+            keys = [k for k in stored if k <= dim]
+            groups = {k: Z if i % 2 == 0 else None for i, k in enumerate(keys)}
+            verdicts = {k: False for k, g in groups.items() if g is None}
+            p = HomologyProfile(dim, groups, verdicts)
+            chunks = list(profile_json_chunks(p))
+            assert "".join(chunks) == json.dumps(profile_to_json(p), indent=2)
+            assert max(map(len, chunks)) < 2048 * 80
 
 
 class TestRenderProfile:
