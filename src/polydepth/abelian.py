@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
-from .intlinalg import IntMatrix, invariant_factors, product_is_zero, rank
+from .intlinalg import IntMatrix, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest cyclic order the trial-division factoriser accepts; a prime just
@@ -134,7 +134,7 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
         raise DimensionMismatch(
             f"cols(d_k) = {d_k.cols} but rows(d_k_plus_1) = {d_k_plus_1.rows}"
         )
-    if not product_is_zero(d_k, d_k_plus_1):
+    if not (d_k @ d_k_plus_1).is_zero():
         raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
     return _homology_group(d_k.cols, rank(d_k), invariant_factors(d_k_plus_1))
 

@@ -7,9 +7,9 @@ functions are pure and safe to call concurrently.
 
 An `IntMatrix` stores only its nonzero entries, one dict {column: entry}
 per row.  Building one checks every entry, zeros included, to be an int.
-The product `@`, `is_zero` and `product_is_zero` (the zero-composition
-test of a chain complex) visit only those entries, so a boundary matrix
-costs what its nonzero entries cost.  Only `smith_normal_form`,
+The product `@` and `is_zero`, and so the zero-composition test of a
+chain complex, visit only those entries, so a boundary matrix costs what
+its nonzero entries cost.  Only `smith_normal_form`,
 `determinant` and the dense `entries` view expand a matrix to all its
 cells.
 
@@ -97,7 +97,7 @@ class IntMatrix:
     def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from nested rows.  `cols` disambiguates the empty matrix shapes
         (0 rows of width n versus n rows of width 0)."""
-        data = list(data)
+        data = [row if isinstance(row, (list, tuple)) else list(row) for row in data]
         if not data:
             return cls(0, 0 if cols is None else cols, ())
         width = len(data[0])
@@ -159,45 +159,27 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        _check_product_shape(self, other)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        # row i of the product sums a_ik * (row k of other) over the nonzero
+        # a_ik, and each row of other contributes only its nonzero entries
         right = other._rows
-        product = tuple(_product_row(row, right) for row in self._rows)
-        return IntMatrix._sparse(self.rows, other.cols, product)
+        product = []
+        for row in self._rows:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, x in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * x
+            product.append({j: x for j, x in acc.items() if x})
+        return IntMatrix._sparse(self.rows, other.cols, tuple(product))
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
-
-
-def _check_product_shape(a: IntMatrix, b: IntMatrix) -> None:
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-
-
-def _product_row(row: dict[int, int], right: tuple[dict[int, int], ...]) -> dict[int, int]:
-    # row i of a product sums a_ik * (row k of the right factor) over the
-    # nonzero a_ik, and each right row contributes only its nonzero entries
-    acc: dict[int, int] = {}
-    for k, a in row.items():
-        for j, x in right[k].items():
-            acc[j] = acc.get(j, 0) + a * x
-    return {j: x for j, x in acc.items() if x}
-
-
-def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether ``a @ b`` is the zero matrix.  The product's rows are formed
-    one at a time from the nonzero entries and the first nonzero row ends the
-    test, so a chain complex proves d_k d_(k+1) = 0 without building the
-    product.
-
-    >>> product_is_zero(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [-1]]))
-    True
-    """
-    _check_product_shape(a, b)
-    right = b._rows
-    return not any(_product_row(row, right) for row in a._rows)
 
 
 @dataclass(frozen=True)

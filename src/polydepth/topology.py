@@ -53,7 +53,7 @@ from .errors import (
     TorsionNotSupported,
     UnsupportedConstruction,
 )
-from .intlinalg import IntMatrix, invariant_factors, product_is_zero
+from .intlinalg import IntMatrix, invariant_factors
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -117,7 +117,7 @@ class ChainComplex:
                     f"{self.cells[k - 1]}x{self.cells[k]}"
                 )
         for k in range(1, self.dim):
-            if not product_is_zero(self.boundary[k - 1], self.boundary[k]):
+            if not (self.boundary[k - 1] @ self.boundary[k]).is_zero():
                 raise CompositionNotZero(
                     f"boundary maps {k} and {k + 1} do not compose to zero"
                 )

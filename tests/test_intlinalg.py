@@ -97,6 +97,17 @@ def test_from_rows_validation():
             IntMatrix(2, 2, (0, 1, bad, 0))
 
 
+def test_from_rows_accepts_iterable_rows():
+    # rows that are not sequences, such as generators and map objects, are
+    # read once and kept entry for entry
+    expected = IntMatrix.from_rows([[0, 1, 2], [3, 0, 5]])
+    assert IntMatrix.from_rows(iter(row) for row in expected.to_rows()) == expected
+    text_rows = (["0", "1", "2"], ["3", "0", "5"])
+    assert IntMatrix.from_rows(map(int, row) for row in text_rows) == expected
+    with pytest.raises(ValueError, match="must be int, got float"):
+        IntMatrix.from_rows([iter([0, 1]), (x for x in (0.0, 2))])
+
+
 @st.composite
 def small_matrices(draw):
     rows = draw(st.integers(min_value=0, max_value=6))
