@@ -81,20 +81,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def is_torsion_free(self) -> bool:
-        return not self.torsion
-
-    @property
-    def order(self) -> int | None:
-        """Order when finite, None otherwise."""
-        if self.free_rank:
-            return None
-        n = 1
-        for q in self.torsion:
-            n *= q
-        return n
-
 
 TRIVIAL_GROUP = FgAbelianGroup(0, ())
 

@@ -267,7 +267,7 @@ def catalog_names() -> list[str]:
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    if name not in CATALOG:
+    if not isinstance(name, str) or name not in CATALOG:
         raise ValueError(f"unknown catalog group {name!r}; see catalog_names()")
     if name not in _instances:
         _instances[name] = CATALOG[name][0]()

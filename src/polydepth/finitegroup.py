@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import OrderExceedsCap
+from .intlinalg import _as_list, _check_int
 
 DEFAULT_SEARCH_CAP = 32
 
@@ -62,7 +63,8 @@ class FiniteGroup:
     )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        rows = (_as_list(row, "Cayley table rows") for row in table)
+        tbl = tuple(tuple(_check_int(x, "Cayley table entries") for x in row) for row in rows)
         n = len(tbl)
         if n == 0:
             raise ValueError("empty Cayley table")

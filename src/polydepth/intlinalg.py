@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # entry types accepted without a per-entry isinstance call; bool is an int
 # subclass and has always been accepted as an entry
@@ -50,8 +50,26 @@ def _check_ints(values: Sequence) -> None:
     # every entry, zero-valued or falsy ones included, must be an int
     if not _INT_TYPES.issuperset(map(type, values)):
         for x in values:
-            if not isinstance(x, int):
-                raise ValueError(f"matrix entries must be int, got {type(x).__name__}")
+            _check_int(x, "matrix entries")
+
+
+def _check_int(x, what: str) -> int:
+    """The integer rule of `_check_ints` for one value read from outside: an
+    int, with a bool read as 0 or 1; anything else is refused by its type."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, int):
+        raise ValueError(f"{what} must be int, got {type(x).__name__}")
+    return int(x)
+
+
+def _as_list(items, what: str) -> list | tuple:
+    # a list or tuple as it is, any other iterable read into a list
+    if isinstance(items, (list, tuple)):
+        return items
+    if not isinstance(items, Iterable):
+        raise ValueError(f"{what} must be iterable, got {type(items).__name__}")
+    return list(items)
 
 
 def _nonzero(values: Sequence[int]) -> dict[int, int]:
@@ -97,7 +115,7 @@ class IntMatrix:
     def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from nested rows.  `cols` disambiguates the empty matrix shapes
         (0 rows of width n versus n rows of width 0)."""
-        data = [row if isinstance(row, (list, tuple)) else list(row) for row in data]
+        data = [_as_list(row, "matrix rows") for row in _as_list(data, "matrix")]
         if not data:
             return cls(0, 0 if cols is None else cols, ())
         width = len(data[0])

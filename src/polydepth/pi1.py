@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .abelian import FgAbelianGroup, parse_abelian, render_abelian
+from .abelian import FgAbelianGroup, from_cyclic_factors, parse_abelian, render_abelian
 from .catalog import CATALOG, catalog_group
 from .errors import OrderExceedsCap
 from .finitegroup import FiniteGroup, parse_cayley_table
+from .intlinalg import _check_int
 
 
 @dataclass(frozen=True)
@@ -107,34 +108,61 @@ def pi1_to_json(d: Pi1Descriptor) -> dict:
     raise TypeError(f"not a Pi1Descriptor: {d!r}")
 
 
+def _fields(obj, what: str, required=(), allowed=(), lists=()) -> dict:
+    """`obj` when it is an object with every key of `required`, no key
+    outside `required` and `allowed`, and a list under each key of `lists`
+    that it has; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if not obj.keys() >= set(required):
+        raise ValueError(f"{what} needs the fields {'/'.join(required)}")
+    unknown = obj.keys() - {*required, *allowed}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in lists:
+        if key in obj and not isinstance(obj[key], list):
+            raise ValueError(f"{what} {key} must be a list, got {type(obj[key]).__name__}")
+    return obj
+
+
+def _one_of(obj, what: str, tags: tuple[str, ...], lists=()) -> tuple[str, object]:
+    """The (tag, value) of an object whose one key is one of `tags`; a tag in
+    `lists` must hold a list."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(
+            f"{what} must be an object with exactly one of the keys {'/'.join(tags)}"
+        )
+    (tag, value), = obj.items()
+    if tag not in tags:
+        raise ValueError(f"unknown {what} tag {tag!r}")
+    if tag in lists and not isinstance(value, list):
+        raise ValueError(f"{what} {tag} must be a list, got {type(value).__name__}")
+    return tag, value
+
+
 def _finite_from_json(obj, cap: int | None = None) -> Finite:
-    if isinstance(obj, dict) and "catalog" in obj:
-        return Finite(catalog_group(obj["catalog"]))
-    if isinstance(obj, dict) and "table" in obj:
-        rows = obj["table"]
-        # refuse an over-cap order before the O(n^3) group-axiom check
-        if cap is not None and isinstance(rows, list) and len(rows) > cap:
-            raise OrderExceedsCap(len(rows), cap)
-        return Finite(FiniteGroup(rows))
     if isinstance(obj, str):
         return Finite(parse_cayley_table(obj, cap=cap))
-    raise ValueError(
-        'finite descriptor needs {"catalog": name} or {"table": rows}'
-    )
+    tag, value = _one_of(obj, "finite descriptor", ("catalog", "table"), lists=("table",))
+    if tag == "catalog":
+        return Finite(catalog_group(value))
+    # refuse an over-cap order before the O(n^3) group-axiom check
+    if cap is not None and len(value) > cap:
+        raise OrderExceedsCap(len(value), cap)
+    return Finite(FiniteGroup(value))
 
 
 def pi1_from_json(obj, cap: int | None = None) -> Pi1Descriptor:
     """Parse the tagged-union JSON form; raises ValueError on anything that
-    does not match exactly one known tag.
+    does not match exactly one known tag with a well-formed value.  Every
+    number is a JSON integer (a bool reads as 0 or 1) and ``cd_finite`` is a
+    JSON boolean.
 
     With a ``cap``, a Cayley table of order above it raises
     ``OrderExceedsCap`` before its group axioms are checked."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(
-            "group descriptor must be an object with exactly one of the keys "
-            "trivial/finite/abelian/free/elementary_amenable"
-        )
-    (tag, value), = obj.items()
+    tag, value = _one_of(
+        obj, "group descriptor", ("trivial", "finite", "abelian", "free", "elementary_amenable")
+    )
     if tag == "trivial":
         if value is not True:
             raise ValueError('trivial descriptor must be {"trivial": true}')
@@ -144,29 +172,19 @@ def pi1_from_json(obj, cap: int | None = None) -> Pi1Descriptor:
     if tag == "abelian":
         if isinstance(value, str):
             return fg_abelian(parse_abelian(value))
-        if isinstance(value, dict):
-            unknown = set(value) - {"free_rank", "torsion"}
-            if unknown:
-                raise ValueError(f"unknown abelian fields: {sorted(unknown)}")
-            from .abelian import from_cyclic_factors
-
-            return fg_abelian(
-                from_cyclic_factors(
-                    int(value.get("free_rank", 0)),
-                    [int(t) for t in value.get("torsion", [])],
-                )
-            )
-        raise ValueError("abelian descriptor must be a string or an object")
-    if tag == "free":
-        return free(int(value))
-    if tag == "elementary_amenable":
-        if not isinstance(value, dict) or "hirsch" not in value:
-            raise ValueError("elementary_amenable needs a hirsch field")
-        unknown = set(value) - {"hirsch", "cd_finite"}
-        if unknown:
-            raise ValueError(f"unknown elementary_amenable fields: {sorted(unknown)}")
-        return ElementaryAmenable(
-            hirsch=int(value["hirsch"]),
-            cd_finite=bool(value.get("cd_finite", False)),
+        body = _fields(
+            value, "abelian descriptor", (), ("free_rank", "torsion"), lists=("torsion",)
         )
-    raise ValueError(f"unknown group descriptor tag {tag!r}")
+        return fg_abelian(
+            from_cyclic_factors(
+                _check_int(body.get("free_rank", 0), "free rank"),
+                [_check_int(t, "torsion orders") for t in body.get("torsion", [])],
+            )
+        )
+    if tag == "free":
+        return free(_check_int(value, "free rank"))
+    body = _fields(value, "elementary_amenable descriptor", ("hirsch",), ("cd_finite",))
+    cd_finite = body.get("cd_finite", False)
+    if not isinstance(cd_finite, bool):
+        raise ValueError(f"cd_finite must be true or false, got {type(cd_finite).__name__}")
+    return ElementaryAmenable(_check_int(body["hirsch"], "Hirsch length"), cd_finite)

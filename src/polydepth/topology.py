@@ -53,7 +53,7 @@ from .errors import (
     TorsionNotSupported,
     UnsupportedConstruction,
 )
-from .intlinalg import IntMatrix, invariant_factors
+from .intlinalg import IntMatrix, _check_int, invariant_factors
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -61,6 +61,8 @@ from .pi1 import (
     Free,
     Pi1Descriptor,
     Trivial,
+    _fields,
+    _one_of,
     fg_abelian,
     free,
     pi1_from_json,
@@ -80,22 +82,14 @@ json`` prints about 85 MB."""
 class ChainComplex:
     """Finite chain complex of free abelian groups, given by cell counts per
     dimension and boundary matrices d_1 .. d_dim (d_k: k-chains to
-    (k-1)-chains, rows indexed by (k-1)-cells)."""
+    (k-1)-chains, rows indexed by (k-1)-cells), taken as given: a tuple of
+    ints and a tuple of `IntMatrix`."""
 
     dim: int
     boundary: tuple[IntMatrix, ...]
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        object.__setattr__(
-            self,
-            "boundary",
-            tuple(
-                b if isinstance(b, IntMatrix) else IntMatrix.from_rows(b)
-                for b in self.boundary
-            ),
-        )
         if self.dim < 0:
             raise ValueError(f"dimension must be >= 0, got {self.dim}")
         if len(self.cells) != self.dim + 1:
@@ -674,12 +668,12 @@ def complex_to_json(complex_: ChainComplex) -> dict:
 
 
 def complex_from_json(obj) -> ChainComplex:
-    if not isinstance(obj, dict) or "cells" not in obj:
-        raise ValueError('chain complex JSON needs a "cells" list')
-    unknown = set(obj) - {"cells", "boundary"}
-    if unknown:
-        raise ValueError(f"unknown chain complex fields: {sorted(unknown)}")
-    cells = [int(c) for c in obj["cells"]]
+    """Read ``{"cells": [...], "boundary": [...]}``: cell counts are JSON
+    integers and each boundary map is a list of rows.  Anything malformed,
+    maps that do not fit the cell counts or do not compose to zero included,
+    raises ValueError."""
+    _fields(obj, "chain complex", ("cells",), ("boundary",), lists=("cells", "boundary"))
+    cells = [_check_int(c, "cell counts") for c in obj["cells"]]
     if not cells:
         raise ValueError("cells list must be nonempty")
     raw = obj.get("boundary", [])
@@ -719,41 +713,21 @@ def space_to_json(space: SpaceExpr) -> dict:
 
 
 def space_from_json(obj) -> SpaceExpr:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(
-            "space must be an object with exactly one of the keys "
-            "sphere/wedge/product/explicit"
-        )
-    (tag, value), = obj.items()
+    """Read a space expression: an object with one tag, ``sphere`` (a JSON
+    integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
+    Anything malformed raises ValueError."""
+    tag, value = _one_of(
+        obj, "space", ("sphere", "wedge", "product", "explicit"), lists=("wedge", "product")
+    )
     if tag == "sphere":
-        try:
-            return Sphere(int(value))
-        except OverflowError:
-            # int() of an infinite float; NaN already raises ValueError
-            raise ValueError(f"sphere dimension {value!r} is not finite") from None
+        return Sphere(_check_int(value, "sphere dimension"))
     if tag == "wedge":
-        if not isinstance(value, list) or not value:
-            raise ValueError("wedge needs a nonempty list of parts")
-        return wedge(*(space_from_json(p) for p in value))
+        return wedge(*map(space_from_json, value))
     if tag == "product":
-        if not isinstance(value, list) or not value:
-            raise ValueError("product needs a nonempty list of factors")
-        return product(*(space_from_json(f) for f in value))
-    if tag == "explicit":
-        if not isinstance(value, dict) or "complex" not in value or "pi1" not in value:
-            raise ValueError('explicit space needs "complex" and "pi1" fields')
-        unknown = set(value) - {"complex", "pi1", "cover"}
-        if unknown:
-            raise ValueError(f"unknown explicit fields: {sorted(unknown)}")
-        cover = (
-            complex_from_json(value["cover"]) if "cover" in value else None
-        )
-        return Explicit(
-            complex=complex_from_json(value["complex"]),
-            pi1=pi1_from_json(value["pi1"]),
-            cover=cover,
-        )
-    raise ValueError(f"unknown space tag {tag!r}")
+        return product(*map(space_from_json, value))
+    body = _fields(value, "explicit space", ("complex", "pi1"), ("cover",))
+    cover = complex_from_json(body["cover"]) if "cover" in body else None
+    return Explicit(complex_from_json(body["complex"]), pi1_from_json(body["pi1"]), cover)
 
 
 def _cc(cells: tuple[int, ...], *boundary) -> ChainComplex:

@@ -384,6 +384,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "10^12" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            # shapes that ended in a traceback
+            {"sphere": None},
+            {"sphere": [1]},
+            {"complex": {"cells": 5}},
+            {"complex": {"cells": [1, None], "boundary": [[[0]]]}},
+            {"complex": {"cells": [1, 1], "boundary": 7}},
+            {"complex": {"cells": [1, 1], "boundary": [[5]]}},
+            {"complex": {"cells": [1, 1], "boundary": [None]}},
+            {"pi1": {"free": None}},
+            {"pi1": {"free": [2]}},
+            {"pi1": {"abelian": {"torsion": 3}}},
+            {"pi1": {"abelian": {"torsion": [None]}}},
+            {"pi1": {"elementary_amenable": {"hirsch": None}}},
+            {"pi1": {"finite": {"table": 5}}},
+            {"pi1": {"finite": {"table": [[0, 1], 5]}}},
+            {"pi1": {"finite": {"catalog": ["Z2"]}}},
+            # values that were coerced and read as something else
+            {"sphere": 2.5},
+            {"sphere": "3"},
+            {"pi1": {"free": 2.7}},
+            {"pi1": {"finite": {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1.9]]}}},
+            {"pi1": {"elementary_amenable": {"hirsch": 1, "cd_finite": "no"}}},
+        ],
+    )
+    def test_malformed_value_is_one_input_error_line(self, tmp_path, capsys, space):
+        # "complex" and "pi1" cases are the parts of an explicit space; a
+        # "pi1" case is also read as a descriptor file
+        pi1 = space.get("pi1")
+        if "sphere" not in space:
+            complex_ = space.get("complex", {"cells": [1]})
+            space = {"explicit": {"complex": complex_, "pi1": pi1 or {"trivial": True}}}
+        path = _write_json(tmp_path, "space.json", space)
+        argvs = [["bound", path], ["homology", path]]
+        if pi1 is not None:
+            argvs.append(["sl", "--descriptor", _write_json(tmp_path, "pi1.json", pi1)])
+        for argv in argvs:
+            assert run(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("input error:"), (argv, out, err)
+            assert err.count("\n") == 1, (argv, err)
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 64
         assert "usage" in capsys.readouterr().err

@@ -11,11 +11,18 @@ A second property draws spheres and products whose dimension runs from
 just below the dimension cap to far above it: above the cap every command
 must refuse with one `DimensionExceedsCap` line, and below it the cap must
 not fire.
+
+A third property takes a shipped space file or a drawn space and replaces
+one value, at any depth, with an arbitrary JSON value: null, a bool, any
+float (infinities and NaN included), a string, a list, an object or an int
+above 10^12.  Every command must still end in a documented exit code with at
+most one stderr line and no traceback.
 """
 
 import contextlib
 import io
 import json
+import pathlib
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -127,3 +134,64 @@ def test_dimensions_around_the_cap(space):
             code, out, err = _run(["bound", path, "--rule", "Thm4.8"])
             assert code == 2 and err == ""
             assert f"got dim {dim}" in out
+
+
+SHIPPED = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((pathlib.Path(__file__).parent.parent / "spaces").glob("*.json"))
+]
+
+# keys the readers know, so that drawn objects also reach past the first check
+KEYS = st.sampled_from(
+    ["sphere", "wedge", "product", "explicit", "complex", "pi1", "cover", "cells",
+     "boundary", "trivial", "finite", "abelian", "free", "elementary_amenable",
+     "catalog", "table", "free_rank", "torsion", "hirsch", "cd_finite"]
+) | st.text(max_size=4)
+
+HOSTILE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.just(1e400)
+    | st.text(max_size=8)
+    | st.integers(10**12 + 1, 10**40),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _positions(obj, at=()):
+    """Every position in a JSON value, the root included, as a key path."""
+    yield at
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _positions(value, (*at, key))
+
+
+def _replaced(obj, at, new):
+    if not at:
+        return new
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[at[0]] = _replaced(obj[at[0]], at[1:], new)
+    return copy
+
+
+@st.composite
+def _hostile_spaces(draw):
+    space = draw(st.sampled_from(SHIPPED) | _spaces(2))
+    at = draw(st.sampled_from(list(_positions(space))))
+    return _replaced(space, at, draw(HOSTILE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hostile_spaces())
+def test_hostile_values_end_cleanly(space):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/space.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(space, fh)
+        for command in ("bound", "homology"):
+            code, out, err = _run([command, path])
+            assert code in (0, 1, 2), (command, code, err)
+            assert "Traceback" not in err
+            assert err.count("\n") <= 1, err

@@ -95,6 +95,13 @@ def test_from_rows_validation():
             IntMatrix.from_rows([[0, 1], [bad, 0]])
         with pytest.raises(ValueError, match=f"must be int, got {name}"):
             IntMatrix(2, 2, (0, 1, bad, 0))
+    # a row, or the rows, that cannot be iterated is named by its type
+    for bad in (5, None):
+        name = type(bad).__name__
+        with pytest.raises(ValueError, match=f"matrix rows must be iterable, got {name}"):
+            IntMatrix.from_rows([[0, 1], bad])
+        with pytest.raises(ValueError, match=f"matrix must be iterable, got {name}"):
+            IntMatrix.from_rows(bad)
 
 
 def test_from_rows_accepts_iterable_rows():

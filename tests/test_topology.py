@@ -357,6 +357,12 @@ class TestPi1:
         got = pi1_of(product(t, Sphere(1)))
         assert got == FgAbelian(from_cyclic_factors(2, [4]))
 
+    def test_free_parts(self):
+        # a part whose group is declared as the abelian Z counts as a circle
+        circle = Explicit(EXAMPLE_COMPLEXES["circle"], FgAbelian(FgAbelianGroup(free_rank=1)))
+        assert pi1_of(wedge(circle, Sphere(2))) == Free(1)
+        assert pi1_of(product(wedge(Sphere(1), Sphere(1)), Sphere(2))) == Free(2)
+
     def test_unsupported_combinations(self):
         two_circles = wedge(Sphere(1), Sphere(1))
         with pytest.raises(UnsupportedConstruction):
@@ -547,6 +553,11 @@ class TestProfile:
             "H1 = 0",
             "H2 = not finitely generated",
         ]
+
+    def test_repr(self):
+        assert repr(homology(Sphere(2))) == "HomologyProfile(H0=Z, H2=Z)"
+        cover = universal_cover_homology(wedge(Sphere(1), Sphere(2)))
+        assert repr(cover) == "HomologyProfile(H0=Z, H2=not f.g.)"
 
     def test_json(self):
         p = homology(Sphere(2))
