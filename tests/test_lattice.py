@@ -9,7 +9,8 @@ each proper retract and starts over there.  The complements that n1, n2 and
 ``is_retract`` find are checked against naive complement and normality
 tests on raw tables, also on groups too large for the power-set oracles.
 Two full ``Prop32Report``s on relabelled tables are pinned to values
-recorded before the lattice was shared.
+recorded before the lattice was shared, and six of order 64 to values
+recorded before the searches stopped early.
 """
 
 import json
@@ -18,7 +19,14 @@ import random
 
 import pytest
 
-from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral, direct_product
+from polydepth.catalog import (
+    catalog_group,
+    catalog_names,
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product,
+)
 from polydepth.finitegroup import (
     FiniteGroup,
     all_subgroups,
@@ -58,6 +66,18 @@ LARGE = {
     "Z2^5": (lambda: _z2_power(5), 2, 32),
     "D16": (lambda: dihedral(16), 3, 32),
     "Z2^4xZ3": (lambda: direct_product(_z2_power(4), cyclic(3)), 4, 48),
+}
+
+
+# name -> (group factory, relabelling seed) for the order-64 groups whose
+# reports are pinned in prop32_pinned_64.json (see record_prop32_pinned_64.py)
+ORDER_64 = {
+    "Z2^6": (lambda: _z2_power(6), 5),
+    "D32": (lambda: dihedral(32), 6),
+    "D4xD4": (lambda: direct_product(dihedral(4), dihedral(4)), 7),
+    "Z4^3": (lambda: direct_product(cyclic(4), cyclic(4), cyclic(4)), 8),
+    "Q8xZ2^3": (lambda: direct_product(dicyclic(2), _z2_power(3)), 9),
+    "D4xZ2^3": (lambda: direct_product(dihedral(4), _z2_power(3)), 10),
 }
 
 
@@ -116,6 +136,13 @@ def test_prop32_report_pinned(name):
     pinned = json.loads((DATA / "prop32_pinned.json").read_text())
     g, cap = large_group(name)
     assert _report_to_json(verify_prop32(g, cap)) == pinned[name]
+
+
+@pytest.mark.parametrize("name", list(ORDER_64))
+def test_prop32_report_pinned_order_64(name):
+    pinned = json.loads((DATA / "prop32_pinned_64.json").read_text())
+    build, seed = ORDER_64[name]
+    assert _report_to_json(verify_prop32(relabelled(build(), seed), 64)) == pinned[name]
 
 
 def _naive_view(g: FiniteGroup, cap: int):
