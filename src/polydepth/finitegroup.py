@@ -19,11 +19,21 @@ mask); lengths are the contract, witnesses are evidence.
 
 Subgroups are bitmasks over element indices, so all the searches are integer
 arithmetic on Python ints.  Each group builds its subgroup lattice once, by
-cyclic extension (Neubüser 1960): every subgroup found is joined with every
-cyclic subgroup it lacks.  All three searches read that one lattice, which
-is also indexed by order.  The ``n3`` recursion reads the subgroups of each
-retract off the shared lattice, since the subgroups of H are exactly the
-subgroups of G inside H.
+cyclic extension (Neubüser 1960): every subgroup H found is joined with the
+cyclic subgroups it lacks.  Since <H, x> = <H, xh> for every h in H, one
+join per left coset xH is enough, and a generator in a coset already tried
+is skipped; the set of subgroups found is the same.  All three searches
+read that one lattice, which is also indexed by order.  The ``n3``
+recursion reads the subgroups of each retract off the shared lattice, since
+the subgroups of H are exactly the subgroups of G inside H.
+
+The chain searches of ``n1``/``n2`` and the ``n3`` recursion stop early on
+a bound: a strictly decreasing chain of subgroups from H down to 1 has at
+most Omega(|H|) steps, where Omega counts prime factors with multiplicity
+(each index is at least a prime, by Lagrange).  A candidate whose bound
+cannot strictly beat the best chain so far is skipped, and a scan stops
+once its best chain meets the bound.  The scan order and the strict
+comparison are those of a full scan, so the witnesses are the same.
 
 One function, ``_complement``, decides whether H has a complement (or a
 normal complement) in a subgroup A: it looks only among the subgroups of
@@ -31,10 +41,10 @@ order |A|/|H| and takes the least mask, so witnesses do not depend on which
 search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract`` all
 call it.  Normality of a complement in A is read from normalizers computed
 once per subgroup and cached on the group.  Normality of a term in the
-whole group, which ``n1`` and ``is_normal`` test, keeps its own early-exit
-conjugation test: most subgroups fail it after a few conjugates, which is
-cheaper than a full normalizer for the small groups most requests ask
-about.
+whole group, which ``n1`` and ``is_normal`` test, conjugates only by a
+generating set of G, built once per group: H is normal exactly when every
+generator conjugates H into H, and the test stops at the first conjugate
+that leaves H.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .abelian import _factor
 from .errors import OrderExceedsCap
 from .intlinalg import _as_list, _check_int
 
@@ -59,7 +70,14 @@ class FiniteGroup:
     """
 
     __slots__ = (
-        "order", "table", "name", "_inv", "_subgroup_masks", "_masks_by_order", "_normalizers"
+        "order",
+        "table",
+        "name",
+        "_inv",
+        "_generators",
+        "_subgroup_masks",
+        "_masks_by_order",
+        "_normalizers",
     )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
@@ -108,6 +126,7 @@ class FiniteGroup:
         self.table = tbl
         self.name = name
         self._inv = tuple(tbl[a].index(0) for a in range(n))
+        self._generators: tuple[int, ...] | None = None
         self._subgroup_masks: tuple[int, ...] | None = None
         self._masks_by_order: dict[int, list[int]] = {}
         self._normalizers: dict[int, int] = {}
@@ -211,12 +230,12 @@ def _cyclic_mask(g: FiniteGroup, x: int) -> int:
     return mask
 
 
-def _cyclic_generators(g: FiniteGroup) -> list[tuple[int, int]]:
-    """One (generator, mask) pair per nontrivial cyclic subgroup <x>."""
+def _cyclic_generators(g: FiniteGroup) -> list[int]:
+    """One generator x per nontrivial cyclic subgroup <x>, the least one."""
     by_mask: dict[int, int] = {}
     for x in range(1, g.order):
         by_mask.setdefault(_cyclic_mask(g, x), x)
-    return [(x, mask) for mask, x in by_mask.items()]
+    return list(by_mask.values())
 
 
 def _join_cyclic(g: FiniteGroup, h: int, h_members: list[int], x: int) -> int:
@@ -241,9 +260,12 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
     """Every subgroup mask of G, sorted by (order, mask), built once per group
     by cyclic extension (Neubüser): starting from the trivial subgroup, join
     each subgroup found with each cyclic subgroup it does not contain.  Every
-    subgroup is a join of cyclic subgroups, so nothing is missed.  The same
-    pass groups the masks by order in ``g._masks_by_order``."""
+    subgroup is a join of cyclic subgroups, so nothing is missed.  Since
+    <H, x> = <H, xh> for every h in H, one join per left coset xH is enough:
+    a generator in a coset already tried (H itself included) is skipped.  The
+    same pass groups the masks by order in ``g._masks_by_order``."""
     if g._subgroup_masks is None:
+        table = g.table
         cyclics = _cyclic_generators(g)
         found = {1}
         frontier = [1]
@@ -251,8 +273,12 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
             fresh = []
             for h in frontier:
                 h_members = _bits(h)
-                for x, c in cyclics:
-                    if c & h != c:
+                tried = h
+                for x in cyclics:
+                    if not (tried >> x) & 1:
+                        row = table[x]
+                        for c in h_members:
+                            tried |= 1 << row[c]
                         k = _join_cyclic(g, h, h_members, x)
                         if k not in found:
                             found.add(k)
@@ -264,11 +290,27 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
     return g._subgroup_masks
 
 
-def _is_normal_within(g: FiniteGroup, ambient: int, h: int) -> bool:
+def _generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """A generating set of G, cached per group: the elements, in index
+    order, that lie outside the span of those kept before them."""
+    if g._generators is None:
+        gens = []
+        span = 1
+        for x in range(1, g.order):
+            if not (span >> x) & 1:
+                span = _join_cyclic(g, span, _bits(span), x)
+                gens.append(x)
+        g._generators = tuple(gens)
+    return g._generators
+
+
+def _is_normal(g: FiniteGroup, h: int) -> bool:
+    """H is normal in G exactly when aHa^-1 lies in H for every a in a
+    generating set of G; stops at the first conjugate outside H."""
     table = g.table
     inv = g._inv
     members = _bits(h)
-    for a in _bits(ambient):
+    for a in _generating_set(g):
         ai = inv[a]
         ta = table[a]
         for x in members:
@@ -296,7 +338,7 @@ def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    return _is_normal_within(g, (1 << g.order) - 1, h.mask)
+    return _is_normal(g, h.mask)
 
 
 def is_complement(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
@@ -340,11 +382,25 @@ def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | Non
     return None
 
 
+def _omega(n: int) -> int:
+    """The number of prime factors of n, counted with multiplicity.  A
+    strictly decreasing chain of subgroups from H down to 1 has at most
+    Omega(|H|) steps: by Lagrange each index is at least a prime, and the
+    indices multiply to |H|."""
+    return sum(e for _, e in _factor(n))
+
+
 def _longest_chain(full: int, cands: dict[int, int]) -> SeriesResult:
     """Longest strictly decreasing chain (by inclusion) from `full` to the
     trivial mask through keys of `cands`, with the complement witness that
-    `cands` holds for each term.  Both endpoints are always candidates."""
-    ordered = sorted(cands, key=lambda m: (-m.bit_count(), m))
+    `cands` holds for each term.  Both endpoints are always candidates.
+    The scan skips a candidate whose Omega bound cannot beat the best chain
+    so far and stops once the best reaches the bound of `mask`; the first
+    longest chain in scan order wins, as in a full scan."""
+    omega = {k: _omega(k) for k in {m.bit_count() for m in cands}}
+    ordered = [
+        (c, omega[c.bit_count()]) for c in sorted(cands, key=lambda m: (-m.bit_count(), m))
+    ]
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def down(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -353,14 +409,17 @@ def _longest_chain(full: int, cands: dict[int, int]) -> SeriesResult:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        most = omega[mask.bit_count()]
         best_len = -1
         best_chain: tuple[int, ...] = ()
-        for c in ordered:
-            if c != mask and c & mask == c:
+        for c, bound in ordered:
+            if bound >= best_len and c != mask and c & mask == c:
                 length, chain = down(c)
                 if length + 1 > best_len:
                     best_len = length + 1
                     best_chain = (mask,) + chain
+                    if best_len == most:
+                        break
         memo[mask] = (best_len, best_chain)
         return memo[mask]
 
@@ -382,7 +441,7 @@ def n1(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     full = (1 << g.order) - 1
     cands: dict[int, int] = {}
     for s in all_subgroups(g, cap):
-        if _is_normal_within(g, full, s.mask):
+        if _is_normal(g, s.mask):
             k = _complement(g, full, s.mask, normal=False)
             if k is not None:
                 cands[s.mask] = k
@@ -417,18 +476,17 @@ def _normalizer(g: FiniteGroup, k: int) -> int:
     return found
 
 
-def _retract_masks_within(g: FiniteGroup, ambient: int) -> list[int]:
-    """Retracts of the subgroup `ambient`, read off the shared lattice: the
-    subgroups of H are exactly the subgroups of G that lie in H."""
-    return [
-        h
-        for h in _lattice(g)
-        if h & ambient == h and _complement(g, ambient, h, normal=True) is not None
-    ]
-
-
 def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
+    """n3 with its chain.  The proper retracts of each subgroup H are read
+    off the shared lattice (the subgroups of H are the subgroups of G inside
+    H), larger first and then by mask, with the Omega bound of
+    ``_longest_chain``: a subgroup whose bound cannot beat the best so far
+    is not tested for a normal complement."""
     _check_cap(g.order, cap)
+    _lattice(g)
+    by_order = g._masks_by_order
+    omega = {k: _omega(k) for k in by_order}
+    orders = sorted(by_order, reverse=True)
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def rec(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -437,16 +495,23 @@ def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        size = mask.bit_count()
+        most = omega[size] - 1
         best_len = -1
         best_chain: tuple[int, ...] = ()
-        rets = sorted(_retract_masks_within(g, mask), key=lambda m: (-m.bit_count(), m))
-        for r in rets:
-            if r == mask:
+        for k in orders:
+            if best_len == most:
+                break
+            if k >= size or size % k or omega[k] <= best_len:
                 continue
-            length, chain = rec(r)
-            if length > best_len:
-                best_len = length
-                best_chain = chain
+            for r in by_order[k]:
+                if r & mask == r and _complement(g, mask, r, normal=True) is not None:
+                    length, chain = rec(r)
+                    if length > best_len:
+                        best_len = length
+                        best_chain = chain
+                        if best_len == most:
+                            break
         result = (1 + best_len, (mask,) + best_chain)
         memo[mask] = result
         return result
