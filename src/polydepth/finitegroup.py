@@ -56,7 +56,7 @@ from .abelian import _factor
 from .errors import OrderExceedsCap
 from .intlinalg import _as_list, _check_int
 
-DEFAULT_SEARCH_CAP = 32
+DEFAULT_SEARCH_CAP = 64
 
 
 class FiniteGroup:

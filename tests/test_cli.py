@@ -212,7 +212,7 @@ class TestSlCommand:
         assert "OrderExceedsCap" in capsys.readouterr().err
 
     def test_over_cap_table_refused_before_validation(self, tmp_path, capsys):
-        # order 400 is far above the default cap 32; the O(n^3)
+        # order 400 is far above the default cap 64; the O(n^3)
         # associativity check would take minutes, so the declared order is
         # compared with the cap first
         n = 400
@@ -223,7 +223,7 @@ class TestSlCommand:
         assert run(["sl", "--table", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: OrderExceedsCap: group order 400 exceeds search cap 32\n"
+            "error: OrderExceedsCap: group order 400 exceeds search cap 64\n"
         )
 
     def test_over_cap_descriptor_table_refused_before_validation(
@@ -237,7 +237,7 @@ class TestSlCommand:
         assert run(["sl", "--descriptor", path]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: OrderExceedsCap: group order 320 exceeds search cap 32\n"
+            "error: OrderExceedsCap: group order 320 exceeds search cap 64\n"
         )
         small = _write_json(tmp_path, "z6.json", {"finite": {"table": table[:6]}})
         assert run(["sl", "--descriptor", small, "--cap", "5"]) == 2
@@ -245,11 +245,11 @@ class TestSlCommand:
 
     def test_over_cap_table_refused_even_when_malformed(self, tmp_path, capsys):
         path = tmp_path / "bad.table"
-        path.write_text("40\n0 1\n")
+        path.write_text("80\n0 1\n")
         assert run(["sl", "--table", str(path)]) == 2
         assert "OrderExceedsCap" in capsys.readouterr().err
-        assert run(["sl", "--table", str(path), "--cap", "40"]) == 1
-        assert "expected 1600 table entries" in capsys.readouterr().err
+        assert run(["sl", "--table", str(path), "--cap", "80"]) == 1
+        assert "expected 6400 table entries" in capsys.readouterr().err
 
     def test_unknown_catalog_name_is_malformed_input(self, capsys):
         assert run(["sl", "--catalog", "Nope"]) == 1
@@ -506,7 +506,7 @@ class TestShippedSpaceFiles:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr() == (
             "no bound applicable\n"
-            "  Thm4.1 failed: OrderExceedsCap: group order 512 exceeds search cap 32\n"
+            "  Thm4.1 failed: OrderExceedsCap: group order 512 exceeds search cap 64\n"
             "  Thm4.8 failed: DimensionNotTwo: rule needs a 2-dimensional space, "
             "got dim 18\n",
             "",

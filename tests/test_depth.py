@@ -81,7 +81,7 @@ class TestSlOf:
 
     def test_finite_respects_cap(self):
         with pytest.raises(OrderExceedsCap):
-            sl_of(Finite(cyclic(33)))
+            sl_of(Finite(cyclic(65)))
 
     def test_abelian_counts_primary_summands(self):
         assert sl_of(FgAbelian(from_cyclic_factors(2, [6]))) == 4
