@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
-from .intlinalg import IntMatrix, invariant_factors, rank
+from .intlinalg import IntMatrix, _check_token, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest cyclic order the trial-division factoriser accepts; a prime just
@@ -195,12 +195,12 @@ def parse_abelian(text: str) -> FgAbelianGroup:
         if part == "Z":
             free += 1
         elif part.startswith("Z^"):
-            r = int(part[2:])
+            r = _check_token(part[2:], "free rank")
             if r < 0:
                 raise ValueError(f"negative free rank in {part!r}")
             free += r
         elif part.startswith("Z/"):
-            q = int(part[2:])
+            q = _check_token(part[2:], "cyclic order")
             if q < 2:
                 raise ValueError(f"cyclic order must be >= 2 in {part!r}")
             factors.append(q)

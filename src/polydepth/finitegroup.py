@@ -49,12 +49,13 @@ that leaves H.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .abelian import _factor
 from .errors import OrderExceedsCap
-from .intlinalg import _as_list, _check_int
+from .intlinalg import _INT_TOKEN, _as_list, _check_int, _check_token
 
 DEFAULT_SEARCH_CAP = 64
 
@@ -581,24 +582,32 @@ def render_series(g: FiniteGroup, series: SeriesResult) -> str:
     return ">".join(describe_subgroup(g, s) for s in series.witness)
 
 
+# a whole Cayley text: integer tokens separated by ASCII whitespace, matched
+# in one pass rather than token by token
+_CAYLEY_TEXT = re.compile(rf"\s*{_INT_TOKEN}(?:\s+{_INT_TOKEN})*\s*", re.ASCII)
+
+
 def parse_cayley_table(
     text: str, name: str | None = None, cap: int | None = None
 ) -> FiniteGroup:
     """Cayley-table text format: the order n on the first line, then n lines
-    of n space-separated element indices; index 0 is the identity.
+    of n element indices separated by ASCII whitespace; index 0 is the
+    identity.  Each index follows the token rule of ``intlinalg``: an
+    optional '-' and ASCII digits.
 
     With a ``cap``, a declared order above it raises ``OrderExceedsCap``
     before the table is read or its group axioms are checked."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty Cayley table input")
-    try:
-        declared = int(tokens[0])
-        if cap is not None and declared > cap:
-            raise OrderExceedsCap(declared, cap)
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"non-integer token in Cayley table: {exc}") from None
+    declared = _check_token(tokens[0], "Cayley table")
+    if cap is not None and declared > cap:
+        raise OrderExceedsCap(declared, cap)
+    if _CAYLEY_TEXT.fullmatch(text) is None:
+        for t in tokens:  # name the first bad token
+            _check_token(t, "Cayley table")
+        raise ValueError("Cayley table tokens must be separated by ASCII whitespace")
+    values = list(map(int, tokens))
     n = values[0]
     if n < 1:
         raise ValueError(f"declared order must be >= 1, got {n}")

@@ -31,6 +31,7 @@ There are two ways to diagonalize:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
@@ -61,6 +62,22 @@ def _check_int(x, what: str) -> int:
     if not isinstance(x, int):
         raise ValueError(f"{what} must be int, got {type(x).__name__}")
     return int(x)
+
+
+# The integer rule for a token of a text grammar: an optional '-' and ASCII
+# digits.  Python's int() also takes a '+', '_' between digits, surrounding
+# spaces and non-ASCII digits, so tokens are matched before int() reads them.
+_INT_TOKEN = "-?[0-9]+"
+
+
+def _check_token(token: str, what: str) -> int:
+    """The token rule for one integer token of a text grammar."""
+    if re.fullmatch(_INT_TOKEN, token) is None:
+        raise ValueError(
+            f"non-integer token in {what}: {token!r} "
+            "(an integer token is an optional '-' and ASCII digits)"
+        )
+    return int(token)
 
 
 def _as_list(items, what: str) -> list | tuple:

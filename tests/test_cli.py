@@ -409,6 +409,14 @@ class TestExitCodes:
             {"pi1": {"free": 2.7}},
             {"pi1": {"finite": {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1.9]]}}},
             {"pi1": {"elementary_amenable": {"hirsch": 1, "cd_finite": "no"}}},
+            # text tokens that int() reads but the token rule refuses
+            {"pi1": {"abelian": "Z/1_2"}},
+            {"pi1": {"abelian": "Z^ 2"}},
+            {"pi1": {"abelian": "Z/\u0661\u0662"}},
+            {"pi1": {"finite": "2\n0 +1\n+1 0\n"}},
+            {"pi1": {"finite": "2\n0 0_1\n1 0\n"}},
+            {"pi1": {"finite": "2\n0 \u0661\n\u0661 0\n"}},
+            {"pi1": {"finite": "\u0662\n0 1\n1 0\n"}},
         ],
     )
     def test_malformed_value_is_one_input_error_line(self, tmp_path, capsys, space):
