@@ -8,7 +8,8 @@ lists added and multiplied as polynomials, profiles are rendered degree by
 degree with their own group text, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
-changes), and the group-series oracles enumerate
+changes), subspaces of F_p^k are counted by Gaussian binomials, and the
+group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
 deliberately slow and simple; they exist to catch bugs in the fast
 implementations.
@@ -347,8 +348,37 @@ def factor_naive(q: int) -> list[tuple[int, int]]:
     return out
 
 
+def subspace_count_naive(p: int, k: int) -> int:
+    """Number of subspaces of F_p^k, i.e. of subgroups of (Z/p)^k: the sum
+    over dimensions j of the Gaussian binomial
+    [k, j]_p = prod_{i<j} (p^(k-i) - 1) / (p^(i+1) - 1)."""
+    total = 0
+    for j in range(k + 1):
+        num = den = 1
+        for i in range(j):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
 # ---------------------------------------------------------------------------
 # finite groups on raw Cayley tables (list of lists, identity = 0)
+
+
+def longest_chain_naive(sets: list[frozenset[int]], top: frozenset[int], bottom: frozenset[int]) -> int:
+    """Length of the longest strictly decreasing chain (by inclusion) from
+    `top` to `bottom` through `sets`, by trying every set below each term."""
+    memo: dict[frozenset[int], int] = {}
+
+    def down(s: frozenset[int]) -> int:
+        if s == bottom:
+            return 0
+        if s not in memo:
+            memo[s] = max(1 + down(t) for t in sets if bottom <= t < s)
+        return memo[s]
+
+    return down(top)
 
 
 def table_inverse(table: list[list[int]], a: int) -> int:

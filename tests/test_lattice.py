@@ -1,14 +1,18 @@
 """The shared subgroup lattice, the complement search and the n3 search
 that filters it.
 
-Each group builds its subgroup lattice once, by cyclic extension, and n3
-reads the subgroups of every retract off that one lattice.  These tests
-check the lattice against an independent generator-subset oracle on the
-whole catalog, and check n3 against a recursion that restricts the table to
-each proper retract and starts over there.  The complements that n1, n2 and
-``is_retract`` find are checked against naive complement and normality
-tests on raw tables, also on groups too large for the power-set oracles.
-Two full ``Prop32Report``s on relabelled tables are pinned to values
+Each group builds its subgroup lattice once, by cyclic extension with one
+join per coset, and n3 reads the subgroups of every retract off that one
+lattice.  These tests check the lattice against an independent
+generator-subset oracle on the whole catalog and against Gaussian-binomial
+subspace counts on elementary abelian groups up to order 64, and check n3
+against a recursion that restricts the table to each proper retract and
+starts over there.  The chain search, which stops early on an Omega bound,
+is checked against an exhaustive longest-chain search on random candidate
+families, and every length against the bound itself.  The complements that
+n1, n2 and ``is_retract`` find, and ``is_normal``, which conjugates by
+generators only, are checked against naive complement and normality tests
+on raw tables, also on groups too large for the power-set oracles.  Two full ``Prop32Report``s on relabelled tables are pinned to values
 recorded before the lattice was shared, and six of order 64 to values
 recorded before the searches stopped early.
 """
@@ -29,7 +33,10 @@ from polydepth.catalog import (
 )
 from polydepth.finitegroup import (
     FiniteGroup,
+    Subgroup,
+    _longest_chain,
     all_subgroups,
+    is_normal,
     is_retract,
     n1,
     n2,
@@ -37,7 +44,14 @@ from polydepth.finitegroup import (
     restrict_to_subgroup,
     verify_prop32,
 )
-from oracles import _is_complement_naive, _is_normal_naive, generated_subgroups_naive
+from oracles import (
+    _is_complement_naive,
+    _is_normal_naive,
+    factor_naive,
+    generated_subgroups_naive,
+    longest_chain_naive,
+    subspace_count_naive,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -95,6 +109,15 @@ def test_lattice_matches_generator_subset_oracle(name):
     assert set(got) == expected
 
 
+@pytest.mark.parametrize("p, k, seed, count", [(2, 5, 11, 374), (2, 6, 12, 2825), (3, 3, 13, 28)])
+def test_elementary_abelian_lattice_matches_subspace_count(p, k, seed, count):
+    # the subgroups of (Z/p)^k are the subspaces of F_p^k
+    assert subspace_count_naive(p, k) == count
+    g = relabelled(direct_product(*[cyclic(p)] * k), seed)
+    subs = all_subgroups(g, p**k)
+    assert len(subs) == len({s.mask for s in subs}) == count
+
+
 def _n3_by_restriction(g: FiniteGroup, cap: int) -> int:
     """1 + the largest n3 over proper retracts, each retract restricted to a
     standalone table so that its n3 builds a lattice of its own."""
@@ -145,6 +168,41 @@ def test_prop32_report_pinned_order_64(name):
     assert _report_to_json(verify_prop32(relabelled(build(), seed), 64)) == pinned[name]
 
 
+@pytest.mark.parametrize("name", list(LARGE) + list(ORDER_64) + catalog_names())
+def test_lengths_within_omega_bound(name):
+    # a strictly decreasing chain of subgroups has at most Omega(|G|) steps
+    if name in ORDER_64:
+        build, seed = ORDER_64[name]
+        g, cap = relabelled(build(), seed), 64
+    else:
+        g, cap = _group_and_cap(name)
+    omega = sum(e for _, e in factor_naive(g.order))
+    report = verify_prop32(g, cap)
+    assert max(report.n1.length, report.n2.length, report.n3) <= omega
+
+
+@pytest.mark.parametrize("name", list(LARGE) + ["D4xD4"])
+def test_longest_chain_matches_naive_on_random_candidate_sets(name):
+    # the Omega bound prunes the chain search; on random families of
+    # subgroups its length must still be the longest chain through them
+    if name in ORDER_64:
+        build, seed = ORDER_64[name]
+        g, cap = relabelled(build(), seed), 64
+    else:
+        g, cap = large_group(name)
+    full = (1 << g.order) - 1
+    masks = [s.mask for s in all_subgroups(g, cap)]
+    rng = random.Random(name)
+    for _ in range(20):
+        chosen = [m for m in masks if m in (1, full) or rng.random() < 0.3]
+        series = _longest_chain(full, dict.fromkeys(chosen, 1))
+        sets = [frozenset(Subgroup(m).members()) for m in chosen]
+        assert series.length == longest_chain_naive(sets, sets[-1], sets[0])
+        terms = [s.mask for s in series.witness]
+        assert terms[0] == full and terms[-1] == 1 and set(terms) <= set(chosen)
+        assert all(b != a and b & a == b for a, b in zip(terms, terms[1:]))
+
+
 def _naive_view(g: FiniteGroup, cap: int):
     """The table as lists, every subgroup of the lattice as a member set
     keyed by its mask, and the masks of those the naive test finds normal."""
@@ -156,6 +214,14 @@ def _naive_view(g: FiniteGroup, cap: int):
 
 def _group_and_cap(name: str) -> tuple[FiniteGroup, int]:
     return large_group(name) if name in LARGE else (catalog_group(name), 32)
+
+
+@pytest.mark.parametrize("name", list(LARGE) + catalog_names())
+def test_is_normal_matches_naive_on_every_subgroup(name):
+    g, cap = _group_and_cap(name)
+    table, subs, normal = _naive_view(g, cap)
+    for sub in all_subgroups(g, cap):
+        assert is_normal(g, sub) == (sub.mask in normal), sub
 
 
 @pytest.mark.parametrize("name", list(LARGE))
