@@ -67,12 +67,12 @@ def _check_int(x, what: str) -> int:
 # The integer rule for a token of a text grammar: an optional '-' and ASCII
 # digits.  Python's int() also takes a '+', '_' between digits, surrounding
 # spaces and non-ASCII digits, so tokens are matched before int() reads them.
-_INT_TOKEN = "-?[0-9]+"
+_INT_TOKEN = re.compile("-?[0-9]+")
 
 
 def _check_token(token: str, what: str) -> int:
     """The token rule for one integer token of a text grammar."""
-    if re.fullmatch(_INT_TOKEN, token) is None:
+    if _INT_TOKEN.fullmatch(token) is None:
         raise ValueError(
             f"non-integer token in {what}: {token!r} "
             "(an integer token is an optional '-' and ASCII digits)"
