@@ -501,8 +501,7 @@ def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
         best_len = -1
         best_chain: tuple[int, ...] = ()
         for k in orders:
-            if best_len == most:
-                break
+            # once best_len is `most`, every proper order fails the bound
             if k >= size or size % k or omega[k] <= best_len:
                 continue
             for r in by_order[k]:
