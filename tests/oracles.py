@@ -8,8 +8,8 @@ lists added and multiplied as polynomials, profiles are rendered degree by
 degree with their own group text, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
-changes), subspaces of F_p^k are counted by Gaussian binomials, and the
-group-series oracles enumerate
+changes), subspaces of F_p^k are counted by Gaussian binomials, longest
+chains try every set below each term, and the group-series oracles enumerate
 raw power sets and check the series definitions directly.  They are
 deliberately slow and simple; they exist to catch bugs in the fast
 implementations.
@@ -366,7 +366,9 @@ def subspace_count_naive(p: int, k: int) -> int:
 # finite groups on raw Cayley tables (list of lists, identity = 0)
 
 
-def longest_chain_naive(sets: list[frozenset[int]], top: frozenset[int], bottom: frozenset[int]) -> int:
+def longest_chain_naive(
+    sets: list[frozenset[int]], top: frozenset[int], bottom: frozenset[int]
+) -> int:
     """Length of the longest strictly decreasing chain (by inclusion) from
     `top` to `bottom` through `sets`, by trying every set below each term."""
     memo: dict[frozenset[int], int] = {}

@@ -12,9 +12,10 @@ is checked against an exhaustive longest-chain search on random candidate
 families, and every length against the bound itself.  The complements that
 n1, n2 and ``is_retract`` find, and ``is_normal``, which conjugates by
 generators only, are checked against naive complement and normality tests
-on raw tables, also on groups too large for the power-set oracles.  Two full ``Prop32Report``s on relabelled tables are pinned to values
-recorded before the lattice was shared, and six of order 64 to values
-recorded before the searches stopped early.
+on raw tables, also on groups too large for the power-set oracles.  Two
+full ``Prop32Report``s on relabelled tables are pinned to values recorded
+before the lattice was shared, and six of order 64 to values recorded
+before the searches stopped early.
 """
 
 import json
@@ -164,18 +165,14 @@ def test_prop32_report_pinned(name):
 @pytest.mark.parametrize("name", list(ORDER_64))
 def test_prop32_report_pinned_order_64(name):
     pinned = json.loads((DATA / "prop32_pinned_64.json").read_text())
-    build, seed = ORDER_64[name]
-    assert _report_to_json(verify_prop32(relabelled(build(), seed), 64)) == pinned[name]
+    g, cap = _group_and_cap(name)
+    assert _report_to_json(verify_prop32(g, cap)) == pinned[name]
 
 
 @pytest.mark.parametrize("name", list(LARGE) + list(ORDER_64) + catalog_names())
 def test_lengths_within_omega_bound(name):
     # a strictly decreasing chain of subgroups has at most Omega(|G|) steps
-    if name in ORDER_64:
-        build, seed = ORDER_64[name]
-        g, cap = relabelled(build(), seed), 64
-    else:
-        g, cap = _group_and_cap(name)
+    g, cap = _group_and_cap(name)
     omega = sum(e for _, e in factor_naive(g.order))
     report = verify_prop32(g, cap)
     assert max(report.n1.length, report.n2.length, report.n3) <= omega
@@ -185,11 +182,7 @@ def test_lengths_within_omega_bound(name):
 def test_longest_chain_matches_naive_on_random_candidate_sets(name):
     # the Omega bound prunes the chain search; on random families of
     # subgroups its length must still be the longest chain through them
-    if name in ORDER_64:
-        build, seed = ORDER_64[name]
-        g, cap = relabelled(build(), seed), 64
-    else:
-        g, cap = large_group(name)
+    g, cap = _group_and_cap(name)
     full = (1 << g.order) - 1
     masks = [s.mask for s in all_subgroups(g, cap)]
     rng = random.Random(name)
@@ -213,6 +206,9 @@ def _naive_view(g: FiniteGroup, cap: int):
 
 
 def _group_and_cap(name: str) -> tuple[FiniteGroup, int]:
+    if name in ORDER_64:
+        build, seed = ORDER_64[name]
+        return relabelled(build(), seed), 64
     return large_group(name) if name in LARGE else (catalog_group(name), 32)
 
 
