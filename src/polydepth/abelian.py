@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
 from .intlinalg import IntMatrix, _check_token, invariant_factors, rank
@@ -152,6 +153,12 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
         sum(g.free_rank for g in groups),
         tuple(sorted(q for g in groups for q in g.torsion)),
     )
+
+
+def _tor_torsion(s: Sequence[int], t: Sequence[int]) -> list[int]:
+    """Summands of Z/q (x) Z/r, and so of Tor(Z/q, Z/r), for q in s and r in
+    t: Z/p^min(a, b) for q = p^a and r = p^b, none across primes."""
+    return [min(q, r) for q in s for r in t if gcd(q, r) > 1]
 
 
 def tensor_free(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:

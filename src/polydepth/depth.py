@@ -35,7 +35,6 @@ from .errors import (
     DimensionNotTwo,
     NotFinitelyGenerated,
     PolydepthError,
-    TorsionNotSupported,
 )
 from .finitegroup import DEFAULT_SEARCH_CAP, n1
 from .pi1 import (
@@ -174,13 +173,7 @@ def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
     descriptor = pi1_of(space)
     sl_pi1 = sl_of(descriptor)
-    top = homology(space).group(2)
-    if top.torsion:
-        raise TorsionNotSupported(
-            "top homology of a 2-complex must be torsion-free; the 2-dim rule "
-            "counts its rank only"
-        )
-    rank = top.free_rank
+    rank = homology(space).group(2).free_rank
     return DepthBoundReport(
         applied_rule=_TWO_DIM_RULE[type(descriptor)],
         bound=sl_pi1 + rank,

@@ -5,13 +5,14 @@ structure: one 0-cell, one n-cell), wedges, products, and explicit chain
 complexes with a declared fundamental group.  Nested wedges and nested
 products flatten when they are built.  Homology of explicit complexes is
 exact (Smith normal form); wedges add reduced homology degreewise; products
-convolve Poincare coefficients, which is the torsion-free Kunneth rule, and
-refuse torsion rather than silently dropping Tor terms.
+follow the Kunneth formula with its Tor term (Hatcher, Algebraic Topology,
+Thm 3B.6), where in primary form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) =
+Z/p^min(a, b) and distinct primes give 0.
 
 A homology profile stores only the degrees that carry homology (or a
-not-finitely-generated verdict), and the wedge sum and the product
-convolution visit only those, so their cost follows the Betti numbers and
-not the dimension.  The renderers still print every degree 0..dim.  Spaces
+not-finitely-generated verdict), and the wedge sum and the Kunneth fold
+visit only those, so their cost follows the homology and not the
+dimension.  The renderers still print every degree 0..dim.  Spaces
 read from JSON are limited to dimension ``MAX_DIMENSION``, because that
 dense output grows with the dimension.
 
@@ -44,12 +45,14 @@ from .abelian import (
     TRIVIAL_GROUP,
     FgAbelianGroup,
     _homology_group,
+    _tor_torsion,
     direct_sum,
     render_abelian,
 )
 from .errors import (
     CompositionNotZero,
     DimensionMismatch,
+    NotFinitelyGenerated,
     TorsionNotSupported,
     UnsupportedConstruction,
 )
@@ -75,8 +78,8 @@ from .finitegroup import DEFAULT_SEARCH_CAP, _check_cap
 MAX_DIMENSION = 10**6
 """Largest space dimension the command line accepts.  Every rendering prints
 one entry per degree up to the dimension: at this cap, ``homology --format
-json`` prints about 85 MB."""
-
+json`` prints about 85 MB.  A product's homology may hold at most this many
+torsion summands, over all degrees, for the same reason."""
 
 @dataclass(frozen=True)
 class ChainComplex:
@@ -212,13 +215,13 @@ def dim_of(space: SpaceExpr) -> int:
 
 class HomologyProfile:
     """Homology groups by degree with a finitely-generated verdict per
-    degree: True (group present), False (exists but not finitely generated,
-    group withheld), or None (unknown).
+    degree: True (group present) or False (exists but not finitely
+    generated, group withheld).
 
     Only degrees that carry something are stored: ``groups`` maps each
-    degree with a nontrivial group or a False/None verdict to its group
-    (None when withheld), and ``finitely_generated`` maps the degrees with a
-    False/None verdict to that verdict; both are in ascending degree order.
+    degree with a nontrivial group or a False verdict to its group (None
+    when withheld), and ``finitely_generated`` maps the degrees with a False
+    verdict to False; both are in ascending degree order.
     Every other degree, above dim included, reads as the trivial group with
     verdict True, so cost and memory follow the homology, not the dimension.
     Equality is by content, so profiles of different declared dimensions
@@ -228,26 +231,28 @@ class HomologyProfile:
         self,
         dim: int,
         groups: dict[int, FgAbelianGroup | None],
-        finitely_generated: dict[int, "bool | None"] | None = None,
+        finitely_generated: dict[int, bool] | None = None,
     ):
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         self.dim = dim
         self.groups: dict[int, FgAbelianGroup | None] = {}
-        self.finitely_generated: dict[int, bool | None] = {}
+        self.finitely_generated: dict[int, bool] = {}
         verdicts = finitely_generated or {}
         for k in sorted(groups.keys() | verdicts.keys()):
+            fg = verdicts.get(k, True)
+            if not isinstance(fg, bool):
+                raise ValueError(f"degree {k}: verdict must be True or False, got {fg!r}")
             if not 0 <= k <= dim:
                 continue
             group = groups.get(k, TRIVIAL_GROUP)
-            fg = verdicts.get(k, True)
-            if fg is not True and group is not None:
+            if not fg and group is not None:
                 raise ValueError(
                     f"degree {k}: a group value requires finitely_generated=True"
                 )
-            if fg is True and group is None:
+            if fg and group is None:
                 raise ValueError(f"degree {k}: finitely generated but no group given")
-            if fg is not True:
+            if not fg:
                 self.finitely_generated[k] = fg
             elif group.is_trivial:
                 continue
@@ -256,14 +261,14 @@ class HomologyProfile:
     def group(self, k: int) -> FgAbelianGroup | None:
         return self.groups.get(k, TRIVIAL_GROUP)
 
-    def fg(self, k: int) -> "bool | None":
+    def fg(self, k: int) -> bool:
         return self.finitely_generated.get(k, True)
 
     def free_rank(self, k: int) -> int:
         group = self.group(k)
         if group is None:
-            raise TorsionNotSupported(
-                f"degree {k} is not finitely generated; no rank available"
+            raise NotFinitelyGenerated(
+                k, f"degree {k} is not finitely generated; no rank available"
             )
         return group.free_rank
 
@@ -282,11 +287,8 @@ class HomologyProfile:
     def __repr__(self):
         parts = []
         for k, group in self.groups.items():
-            if group is not None:
-                parts.append(f"H{k}={render_abelian(group)}")
-            else:
-                verdict = "not f.g." if self.finitely_generated[k] is False else "unknown"
-                parts.append(f"H{k}={verdict}")
+            text = "not f.g." if group is None else render_abelian(group)
+            parts.append(f"H{k}={text}")
         return f"HomologyProfile({', '.join(parts) or 'trivial'})"
 
 
@@ -295,12 +297,7 @@ def render_profile(profile: HomologyProfile) -> str:
     rendered, every other one reads "0"."""
     lines = [f"H{k} = 0" for k in range(profile.dim + 1)]
     for k, group in profile.groups.items():
-        if group is not None:
-            text = render_abelian(group)
-        elif profile.fg(k) is False:
-            text = "not finitely generated"
-        else:
-            text = "unknown"
+        text = "not finitely generated" if group is None else render_abelian(group)
         lines[k] = f"H{k} = {text}"
     return "\n".join(lines)
 
@@ -317,9 +314,6 @@ def profile_to_json(profile: HomologyProfile) -> dict:
         )
         fg[str(k)] = profile.fg(k)
     return {"dim": profile.dim, "groups": groups, "finitely_generated": fg}
-
-
-_JSON_VERDICT = {True: "true", False: "false", None: "null"}
 
 
 def _group_json_text(group: FgAbelianGroup | None) -> str:
@@ -372,7 +366,7 @@ def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
     gets one constant string."""
     rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
     groups = {k: rendered[g] for k, g in profile.groups.items()}
-    verdicts = {k: _JSON_VERDICT[v] for k, v in profile.finitely_generated.items()}
+    verdicts = dict.fromkeys(profile.finitely_generated, "false")
     yield f'{{\n  "dim": {profile.dim},\n  "groups": {{\n'
     yield from _degree_chunks(profile.dim, groups, _TRIVIAL_GROUP_JSON)
     yield '  },\n  "finitely_generated": {\n'
@@ -426,11 +420,6 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     return HomologyProfile(complex_.dim, groups)
 
 
-def _sphere_profile(n: int) -> HomologyProfile:
-    one = FgAbelianGroup(free_rank=1)
-    return HomologyProfile(n, {0: one, n: one})
-
-
 def homology(space: SpaceExpr) -> HomologyProfile:
     """Ordinary integral homology.
 
@@ -438,7 +427,8 @@ def homology(space: SpaceExpr) -> HomologyProfile:
     'H0 = Z\\nH1 = 0\\nH2 = Z'
     """
     if isinstance(space, Sphere):
-        return _sphere_profile(space.n)
+        one = FgAbelianGroup(free_rank=1)
+        return HomologyProfile(space.n, {0: one, space.n: one})
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
     if isinstance(space, Wedge):
@@ -454,33 +444,41 @@ def homology(space: SpaceExpr) -> HomologyProfile:
         groups[0] = FgAbelianGroup(free_rank=1)
         return HomologyProfile(max(p.dim for p in profiles), groups)
     if isinstance(space, Product):
-        coeffs = {0: 1}
-        dim = 0
+        # Kunneth over the stored degrees: H_n(X x Y) sums H_i(X) (x) H_j(Y)
+        # over i + j = n and Tor(H_i(X), H_j(Y)) over i + j = n - 1.  Free
+        # ranks fold as integers, torsion only where a degree has some.
+        ranks, torsion = {0: 1}, {}
         for factor in space.factors:
             profile = homology(factor)
-            factor_coeffs = {}
-            for k, group in profile.groups.items():
-                if group.torsion:
-                    raise TorsionNotSupported(
-                        f"product factor has torsion in degree {k}; the "
-                        "torsion-free Kunneth rule does not apply"
-                    )
-                factor_coeffs[k] = group.free_rank
-            coeffs = _convolve(coeffs, factor_coeffs)
-            dim += profile.dim
-        groups = {k: FgAbelianGroup(free_rank=r) for k, r in coeffs.items()}
-        return HomologyProfile(dim, groups)
+            # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
+            held = sum(map(len, torsion.values()))
+            met = sum(len(g.torsion) for g in profile.groups.values())
+            free = sum(g.free_rank for g in profile.groups.values())
+            if held * (free + 2 * met) + met * sum(ranks.values()) > MAX_DIMENSION:
+                raise UnsupportedConstruction(
+                    f"product homology may need more than {MAX_DIMENSION} torsion summands"
+                )
+            out_ranks, out_torsion = {}, {}
+            for i in ranks.keys() | torsion.keys():
+                r, s = ranks.get(i, 0), torsion.get(i, ())
+                for j, group in profile.groups.items():
+                    q, t = group.free_rank, group.torsion
+                    if r and q:
+                        out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
+                    if s or t:
+                        # Z^q (x) T = T^q; each torsion pair that shares a
+                        # prime gives one summand here and its Tor in i + j + 1
+                        tor = _tor_torsion(s, t)
+                        out_torsion.setdefault(i + j, []).extend([*s * q, *t * r, *tor])
+                        if tor:
+                            out_torsion.setdefault(i + j + 1, []).extend(tor)
+            ranks, torsion = out_ranks, out_torsion
+        groups = {
+            k: FgAbelianGroup(ranks.get(k, 0), tuple(sorted(torsion.get(k, ()))))
+            for k in ranks.keys() | torsion.keys()
+        }
+        return HomologyProfile(dim_of(space), groups)
     raise TypeError(f"not a SpaceExpr: {space!r}")
-
-
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of polynomials given as degree -> nonzero coefficient; the
-    coefficients are Betti numbers, so no sum cancels to zero."""
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:

@@ -309,7 +309,7 @@ def betti_naive(space: dict) -> list[int]:
 def render_profile_naive(profile) -> str:
     """A homology profile as text, one degree at a time over 0..dim through
     the profile's group(k)/fg(k) accessors: "Z^r ⊕ Z/q1 ⊕ ..." ("Z" for
-    rank 1, "0" for the trivial group), or the not-f.g./unknown verdict."""
+    rank 1, "0" for the trivial group), or the not-f.g. verdict."""
     lines = []
     for k in range(profile.dim + 1):
         fg = profile.fg(k)
@@ -319,10 +319,8 @@ def render_profile_naive(profile) -> str:
             if group.free_rank:
                 parts.insert(0, "Z" if group.free_rank == 1 else f"Z^{group.free_rank}")
             text = " ⊕ ".join(parts) or "0"
-        elif fg is False:
-            text = "not finitely generated"
         else:
-            text = "unknown"
+            text = "not finitely generated"
         lines.append(f"H{k} = {text}")
     return "\n".join(lines)
 

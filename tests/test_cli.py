@@ -46,6 +46,13 @@ def _space_file(tmp_path, space):
     return _write_json(tmp_path, "space.json", space_to_json(space))
 
 
+# the shipped RP^2 with its cover S^2, as a space JSON object
+RP2 = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "spaces" / "rp2_with_cover.json")
+    .read_text(encoding="utf-8")
+)
+
+
 class TestBoundCommand:
     def test_wedge_s1_s2_text_report(self, tmp_path, capsys):
         path = _space_file(tmp_path, wedge(Sphere(1), Sphere(2)))
@@ -165,6 +172,31 @@ class TestHomologyCommand:
         nonzero = {k: line for k, line in enumerate(lines) if not line.endswith(" = 0")}
         assert nonzero == {0: "H0 = Z", n: f"H{n} = Z^2", 2 * n: f"H{2 * n} = Z"}
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "second,expected",
+        [
+            ({"sphere": 1}, "H0 = Z\nH1 = Z ⊕ Z/2\nH2 = Z/2\nH3 = 0\n"),
+            (RP2, "H0 = Z\nH1 = Z/2 ⊕ Z/2\nH2 = Z/2\nH3 = Z/2\nH4 = 0\n"),
+        ],
+    )
+    def test_product_with_torsion(self, tmp_path, capsys, second, expected):
+        path = _write_json(tmp_path, "space.json", {"product": [RP2, second]})
+        assert run(["homology", path]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_product_with_too_much_torsion_exits_two(self, tmp_path, capsys):
+        # RP^2 to the 13th has 797161 torsion summands; the 14th would have
+        # about three times as many, and is refused before they are built
+        path = _write_json(tmp_path, "space.json", {"product": [RP2] * 14})
+        start = time.perf_counter()
+        assert run(["homology", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "",
+            "error: UnsupportedConstruction: product homology may need more than "
+            "1000000 torsion summands\n",
+        )
 
     def test_unsupported_cover_exits_two(self, tmp_path, capsys):
         path = _space_file(tmp_path, wedge(Sphere(1), Sphere(1)))

@@ -17,6 +17,12 @@ one value, at any depth, with an arbitrary JSON value: null, a bool, any
 float (infinities and NaN included), a string, a list, an object or an int
 above 10^12.  Every command must still end in a documented exit code with at
 most one stderr line and no traceback.
+
+A fourth property does the same for the text grammars: it changes one
+character of an abelian group text or of a Cayley table given as a string
+``finite`` descriptor (insert, delete or replace it with one of ``+ _ - . e``,
+a space, an Arabic-Indic digit or an ASCII digit) and runs ``bound``,
+``homology`` and ``sl --descriptor`` on the result.
 """
 
 import contextlib
@@ -28,7 +34,9 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from polydepth.abelian import FgAbelianGroup, sl_abelian
+from polydepth.catalog import catalog_group
 from polydepth.cli import run
+from polydepth.finitegroup import format_cayley_table
 from polydepth.topology import EXAMPLE_COMPLEXES, MAX_DIMENSION, complex_to_json
 
 # example surface -> (pi1 descriptor JSON, name of its cover complex)
@@ -193,5 +201,46 @@ def test_hostile_values_end_cleanly(space):
         for command in ("bound", "homology"):
             code, out, err = _run([command, path])
             assert code in (0, 1, 2), (command, code, err)
+            assert "Traceback" not in err
+            assert err.count("\n") <= 1, err
+
+
+# descriptors whose value is text, and the characters an edit may bring in
+TEXT_DESCRIPTORS = [
+    {"abelian": "Z^2 + Z/4"},
+    {"abelian": "Z ⊕ Z/6"},
+    {"finite": format_cayley_table(catalog_group("Z4"))},
+    {"finite": format_cayley_table(catalog_group("S3"))},
+]
+EDIT_CHARS = st.sampled_from([*"+_-.e ", "\u0661"]) | st.integers(0, 9).map(str)
+
+
+@st.composite
+def _edited_descriptors(draw):
+    (tag, text), = draw(st.sampled_from(TEXT_DESCRIPTORS)).items()
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    at = draw(st.integers(0, len(text) - (edit != "insert")))
+    new = "" if edit == "delete" else draw(EDIT_CHARS)
+    return {tag: text[:at] + new + text[at + (edit != "insert"):]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited_descriptors())
+def test_edited_text_fields_end_cleanly(descriptor):
+    space = _explicit("projective-plane", True)
+    space["explicit"]["pi1"] = descriptor
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, body in (("space", space), ("descriptor", descriptor)):
+            paths[name] = f"{tmp}/{name}.json"
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(body, fh)
+        for argv in (
+            ["bound", paths["space"]],
+            ["homology", paths["space"]],
+            ["sl", "--descriptor", paths["descriptor"]],
+        ):
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, code, err)
             assert "Traceback" not in err
             assert err.count("\n") <= 1, err

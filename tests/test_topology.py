@@ -23,10 +23,12 @@ from oracles import (
 )
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
+from polydepth.cli import _random_zero_composition_complex
 from polydepth.depth import best_bound
 from polydepth.errors import (
     CompositionNotZero,
     DimensionMismatch,
+    NotFinitelyGenerated,
     TorsionNotSupported,
     UnsupportedConstruction,
 )
@@ -268,8 +270,8 @@ class TestSpaceHomology:
 
     def test_product_torsion_rejected(self):
         rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"], Finite(catalog_group("Z2")))
-        with pytest.raises(TorsionNotSupported):
-            homology(product(rp2, Sphere(2)))
+        expected = _tensor_homology(rp2.complex, EXAMPLE_COMPLEXES["sphere2"])
+        assert homology(product(rp2, Sphere(2))) == expected
 
     def test_poincare_pins(self):
         assert poincare_polynomial(Sphere(4)) == [1, 0, 0, 0, 1]
@@ -469,9 +471,12 @@ def _grid(n):
     return {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
 
 
-def _tensor_homology(a, b):
-    """Homology of the oracle's product complex of two complexes."""
-    tensor = tensor_complex_naive(complex_to_json(a), complex_to_json(b))
+def _tensor_homology(*complexes):
+    """Homology of the oracle's product complex of two or more complexes,
+    nested from the left."""
+    tensor = complex_to_json(complexes[0])
+    for c in complexes[1:]:
+        tensor = tensor_complex_naive(tensor, complex_to_json(c))
     return homology_of_complex(complex_from_json(tensor))
 
 
@@ -488,7 +493,7 @@ class TestProductAgainstTensorComplex:
         assert got == _tensor_homology(a, b)
 
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("name", TORSION_FREE)
+    @pytest.mark.parametrize("name", TORSION_FREE + WITH_TORSION)
     def test_torus_grid_times_example(self, n, name):
         grid = complex_from_json(_grid(n))
         other = EXAMPLE_COMPLEXES[name]
@@ -498,18 +503,44 @@ class TestProductAgainstTensorComplex:
     @pytest.mark.parametrize("second", TORSION_FREE + WITH_TORSION)
     @pytest.mark.parametrize("first", WITH_TORSION)
     def test_torsion_pairs_refused(self, first, second):
-        space = product(
-            Explicit(EXAMPLE_COMPLEXES[first], Trivial()),
-            Explicit(EXAMPLE_COMPLEXES[second], Trivial()),
-        )
-        with pytest.raises(TorsionNotSupported):
-            homology(space)
+        a, b = EXAMPLE_COMPLEXES[first], EXAMPLE_COMPLEXES[second]
+        got = homology(product(Explicit(a, Trivial()), Explicit(b, Trivial())))
+        assert got == _tensor_homology(a, b)
 
     def test_refusal_is_needed(self):
-        # RP^2 x RP^2 has the Tor term H_3 = Z/2, which the torsion-free
-        # Kunneth rule would drop
+        # RP^2 x RP^2 has the Tor term H_3 = Z/2, which the Betti numbers alone
+        # would drop
         rp2 = EXAMPLE_COMPLEXES["projective-plane"]
-        assert _tensor_homology(rp2, rp2).group(3) == from_cyclic_factors(0, [2])
+        got = homology(product(Explicit(rp2, Trivial()), Explicit(rp2, Trivial())))
+        assert got == _tensor_homology(rp2, rp2)
+        assert got.group(3) == from_cyclic_factors(0, [2])
+
+    def test_example_triples(self):
+        # every ordered triple, so that a degree holding only a Tor term
+        # (H_4 and H_5 of RP^2 x RP^2 x RP^2) is folded with the next factor
+        names = ["projective-plane", "klein-bottle", "circle", "torus", "point"]
+        for triple in itertools.product(names, repeat=3):
+            complexes = [EXAMPLE_COMPLEXES[name] for name in triple]
+            got = homology(product(*(Explicit(c, Trivial()) for c in complexes)))
+            assert got == _tensor_homology(*complexes), triple
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_torsion_products(self, seed):
+        # complexes drawn by the euler self-check's generator, kept when they
+        # carry torsion: seeds 0-3 give Z/2, Z/3, Z/5, Z/7, Z/8 and Z/16
+        rng = random.Random(seed)
+        drawn = []
+        while len(drawn) < 5:
+            c = _random_zero_composition_complex(rng)
+            if any(g.torsion for g in homology_of_complex(c).groups.values()):
+                drawn.append(c)
+        rp2 = EXAMPLE_COMPLEXES["projective-plane"]
+        cases = [(rp2, rp2, rp2)] + [
+            tuple(rng.sample(drawn + [rp2], rng.randint(2, 3))) for _ in range(8)
+        ]
+        for complexes in cases:
+            got = homology(product(*(Explicit(c, Trivial()) for c in complexes)))
+            assert got == _tensor_homology(*complexes), [complex_to_json(c) for c in complexes]
 
     @pytest.mark.parametrize(
         "space,first,second",
@@ -536,6 +567,8 @@ class TestProfile:
             HomologyProfile(1, {1: Z}, {1: False})
         with pytest.raises(ValueError, match="no group given"):
             HomologyProfile(1, {1: None}, {1: True})
+        with pytest.raises(ValueError, match="verdict must be True or False"):
+            HomologyProfile(1, {1: None}, {1: None})
 
     def test_accessors_beyond_dim(self):
         p = profile(1, {0: Z, 1: Z})
@@ -543,7 +576,7 @@ class TestProfile:
 
     def test_free_rank_errors_on_not_fg(self):
         p = universal_cover_homology(wedge(Sphere(1), Sphere(2)))
-        with pytest.raises(TorsionNotSupported):
+        with pytest.raises(NotFinitelyGenerated):
             p.free_rank(2)
 
     def test_render(self):
@@ -595,7 +628,7 @@ class TestSparseProfile:
                 if rng.random() < 0.3:
                     groups[k] = from_cyclic_factors(rng.randint(0, 2), [rng.choice([1, 2, 6])])
                 elif rng.random() < 0.2:
-                    groups[k], verdicts[k] = None, rng.choice([False, None])
+                    groups[k], verdicts[k] = None, False
             padded_groups = {k: groups.get(k, FgAbelianGroup()) for k in range(dim + 1)}
             padded_verdicts = {k: verdicts.get(k, True) for k in range(dim + 1)}
             sparse = HomologyProfile(dim, groups, verdicts)
@@ -635,7 +668,7 @@ def _random_profile(rng):
     groups, verdicts = {}, {}
     for k in rng.sample(range(dim + 1), rng.randint(0, dim + 1)):
         if rng.random() < 0.25:
-            groups[k], verdicts[k] = None, rng.choice([False, None])
+            groups[k], verdicts[k] = None, False
         else:
             factors = [rng.choice([1, 2, 3, 4, 6, 9, 12, 25]) for _ in range(rng.randint(0, 4))]
             groups[k] = from_cyclic_factors(rng.randint(0, 3), factors)
