@@ -81,6 +81,7 @@ one entry per degree up to the dimension: at this cap, ``homology --format
 json`` prints about 85 MB.  A product's homology may hold at most this many
 torsion summands, over all degrees, for the same reason."""
 
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Finite chain complex of free abelian groups, given by cell counts per
@@ -444,39 +445,40 @@ def homology(space: SpaceExpr) -> HomologyProfile:
         groups[0] = FgAbelianGroup(free_rank=1)
         return HomologyProfile(max(p.dim for p in profiles), groups)
     if isinstance(space, Product):
-        # Kunneth over the stored degrees: H_n(X x Y) sums H_i(X) (x) H_j(Y)
-        # over i + j = n and Tor(H_i(X), H_j(Y)) over i + j = n - 1.  Free
-        # ranks fold as integers, torsion only where a degree has some.
+        # Kunneth over the stored degrees: H_n(X x Y) sums H_i(X) (x) H_j(Y) over
+        # i + j = n and Tor(H_i(X), H_j(Y)) over i + j = n - 1.  Free ranks fold
+        # as integers; torsion lists are touched only where a degree has some.
         ranks, torsion = {0: 1}, {}
         for factor in space.factors:
-            profile = homology(factor)
+            groups = homology(factor).groups
+            f_ranks = {j: g.free_rank for j, g in groups.items() if g.free_rank}
+            f_torsion = {j: g.torsion for j, g in groups.items() if g.torsion}
             # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
-            held = sum(map(len, torsion.values()))
-            met = sum(len(g.torsion) for g in profile.groups.values())
-            free = sum(g.free_rank for g in profile.groups.values())
-            if held * (free + 2 * met) + met * sum(ranks.values()) > MAX_DIMENSION:
+            held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
+            most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
+            if most > MAX_DIMENSION:
                 raise UnsupportedConstruction(
                     f"product homology may need more than {MAX_DIMENSION} torsion summands"
                 )
             out_ranks, out_torsion = {}, {}
-            for i in ranks.keys() | torsion.keys():
-                r, s = ranks.get(i, 0), torsion.get(i, ())
-                for j, group in profile.groups.items():
-                    q, t = group.free_rank, group.torsion
-                    if r and q:
-                        out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
-                    if s or t:
-                        # Z^q (x) T = T^q; each torsion pair that shares a
-                        # prime gives one summand here and its Tor in i + j + 1
-                        tor = _tor_torsion(s, t)
-                        out_torsion.setdefault(i + j, []).extend([*s * q, *t * r, *tor])
-                        if tor:
-                            out_torsion.setdefault(i + j + 1, []).extend(tor)
-            ranks, torsion = out_ranks, out_torsion
-        groups = {
-            k: FgAbelianGroup(ranks.get(k, 0), tuple(sorted(torsion.get(k, ()))))
-            for k in ranks.keys() | torsion.keys()
-        }
+            for i, r in ranks.items():
+                for j, q in f_ranks.items():
+                    out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
+            for j, t in f_torsion.items():
+                for i, r in ranks.items():
+                    out_torsion.setdefault(i + j, []).extend(t * r)
+            for i, s in torsion.items():
+                for j, q in f_ranks.items():
+                    out_torsion.setdefault(i + j, []).extend(s * q)
+                for j, t in f_torsion.items():
+                    # Z/p^a (x) Z/p^b in degree i + j, and its Tor twin in i + j + 1
+                    tor = _tor_torsion(s, t)
+                    out_torsion.setdefault(i + j, []).extend(tor)
+                    out_torsion.setdefault(i + j + 1, []).extend(tor)
+            ranks, torsion = out_ranks, {k: t for k, t in out_torsion.items() if t}
+        groups = {k: FgAbelianGroup(r) for k, r in ranks.items()}
+        for k, t in torsion.items():
+            groups[k] = FgAbelianGroup(ranks.get(k, 0), tuple(sorted(t)))
         return HomologyProfile(dim_of(space), groups)
     raise TypeError(f"not a SpaceExpr: {space!r}")
 
