@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
+from .errors import CompositionNotZero, DimensionMismatch
 from .intlinalg import IntMatrix, _check_token, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
@@ -30,8 +30,9 @@ below it takes about 0.1 s."""
 @lru_cache(maxsize=4096)
 def _factor(q: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of q >= 2 as (prime, exponent) pairs, primes
-    ascending.  Memoised because every direct sum re-validates the torsion
-    coefficients of both summands.
+    ascending.  Memoised because every group built checks each distinct
+    torsion coefficient here, and the same few orders recur from group to
+    group (a direct sum, a Kunneth fold, a parsed descriptor).
 
     >>> _factor(360)
     ((2, 3), (3, 2), (5, 1))
@@ -71,7 +72,8 @@ class FgAbelianGroup:
             raise ValueError("free rank must be nonnegative")
         if tuple(sorted(self.torsion)) != self.torsion:
             raise ValueError("torsion coefficients must be sorted ascending")
-        for q in self.torsion:
+        # sorted, so dict.fromkeys keeps each distinct order once, ascending
+        for q in dict.fromkeys(self.torsion):
             if not _is_prime_power(q):
                 raise ValueError(
                     f"torsion coefficient {q} is not a prime power >= 2; "
@@ -159,13 +161,6 @@ def _tor_torsion(s: Sequence[int], t: Sequence[int]) -> list[int]:
     """Summands of Z/q (x) Z/r, and so of Tor(Z/q, Z/r), for q in s and r in
     t: Z/p^min(a, b) for q = p^a and r = p^b, none across primes."""
     return [min(q, r) for q in s for r in t if gcd(q, r) > 1]
-
-
-def tensor_free(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Tensor product of torsion-free groups: ranks multiply."""
-    if a.torsion or b.torsion:
-        raise TorsionNotSupported("tensor product implemented for torsion-free groups only")
-    return FgAbelianGroup(a.free_rank * b.free_rank, ())
 
 
 def render_abelian(g: FgAbelianGroup) -> str:

@@ -147,7 +147,7 @@ def bound_general(space: SpaceExpr) -> DepthBoundReport:
     sl_pi1 = sl_of(descriptor)
     cover = universal_cover_homology(space)
     dim = dim_of(space)
-    not_fg = [k for k in cover.finitely_generated if 2 <= k <= dim]
+    not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
     if not_fg:
         raise NotFinitelyGenerated(not_fg[0])
     # one term per degree; only the degrees where the cover has homology

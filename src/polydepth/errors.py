@@ -21,10 +21,6 @@ class DimensionMismatch(PolydepthError):
     """Boundary-map shapes are incompatible with each other."""
 
 
-class TorsionNotSupported(PolydepthError):
-    """An operation restricted to torsion-free groups met torsion."""
-
-
 class OrderExceedsCap(PolydepthError):
     """Group order is beyond the configured subgroup-search cap."""
 

@@ -53,7 +53,6 @@ from .errors import (
     CompositionNotZero,
     DimensionMismatch,
     NotFinitelyGenerated,
-    TorsionNotSupported,
     UnsupportedConstruction,
 )
 from .intlinalg import IntMatrix, _check_int, invariant_factors
@@ -215,55 +214,34 @@ def dim_of(space: SpaceExpr) -> int:
 
 
 class HomologyProfile:
-    """Homology groups by degree with a finitely-generated verdict per
-    degree: True (group present) or False (exists but not finitely
-    generated, group withheld).
+    """Homology groups by degree: ``groups`` maps a degree to its group, or
+    to None when the group exists but is not finitely generated (and is
+    withheld).
 
-    Only degrees that carry something are stored: ``groups`` maps each
-    degree with a nontrivial group or a False verdict to its group (None
-    when withheld), and ``finitely_generated`` maps the degrees with a False
-    verdict to False; both are in ascending degree order.
-    Every other degree, above dim included, reads as the trivial group with
-    verdict True, so cost and memory follow the homology, not the dimension.
-    Equality is by content, so profiles of different declared dimensions
-    compare equal when the extra degrees are trivial."""
+    Only degrees that carry something are stored, in ascending order: a
+    nontrivial group or None.  Every other degree, above dim included, reads
+    as the trivial group, so cost and memory follow the homology, not the
+    dimension; a degree outside 0..dim is refused.  Equality is by content,
+    so profiles of different declared dimensions compare equal when the
+    extra degrees are trivial."""
 
-    def __init__(
-        self,
-        dim: int,
-        groups: dict[int, FgAbelianGroup | None],
-        finitely_generated: dict[int, bool] | None = None,
-    ):
+    def __init__(self, dim: int, groups: dict[int, FgAbelianGroup | None]):
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         self.dim = dim
         self.groups: dict[int, FgAbelianGroup | None] = {}
-        self.finitely_generated: dict[int, bool] = {}
-        verdicts = finitely_generated or {}
-        for k in sorted(groups.keys() | verdicts.keys()):
-            fg = verdicts.get(k, True)
-            if not isinstance(fg, bool):
-                raise ValueError(f"degree {k}: verdict must be True or False, got {fg!r}")
+        for k in sorted(groups):
             if not 0 <= k <= dim:
-                continue
-            group = groups.get(k, TRIVIAL_GROUP)
-            if not fg and group is not None:
-                raise ValueError(
-                    f"degree {k}: a group value requires finitely_generated=True"
-                )
-            if fg and group is None:
-                raise ValueError(f"degree {k}: finitely generated but no group given")
-            if not fg:
-                self.finitely_generated[k] = fg
-            elif group.is_trivial:
-                continue
-            self.groups[k] = group
+                raise ValueError(f"degree {k} is outside 0..{dim}")
+            group = groups[k]
+            if group is None or not group.is_trivial:
+                self.groups[k] = group
 
     def group(self, k: int) -> FgAbelianGroup | None:
         return self.groups.get(k, TRIVIAL_GROUP)
 
     def fg(self, k: int) -> bool:
-        return self.finitely_generated.get(k, True)
+        return self.group(k) is not None
 
     def free_rank(self, k: int) -> int:
         group = self.group(k)
@@ -273,17 +251,10 @@ class HomologyProfile:
             )
         return group.free_rank
 
-    @property
-    def all_finitely_generated(self) -> bool:
-        return not self.finitely_generated
-
     def __eq__(self, other):
         if not isinstance(other, HomologyProfile):
             return NotImplemented
-        return (
-            self.groups == other.groups
-            and self.finitely_generated == other.finitely_generated
-        )
+        return self.groups == other.groups
 
     def __repr__(self):
         parts = []
@@ -367,7 +338,7 @@ def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
     gets one constant string."""
     rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
     groups = {k: rendered[g] for k, g in profile.groups.items()}
-    verdicts = dict.fromkeys(profile.finitely_generated, "false")
+    verdicts = {k: "false" for k, g in profile.groups.items() if g is None}
     yield f'{{\n  "dim": {profile.dim},\n  "groups": {{\n'
     yield from _degree_chunks(profile.dim, groups, _TRIVIAL_GROUP_JSON)
     yield '  },\n  "finitely_generated": {\n'
@@ -484,15 +455,12 @@ def homology(space: SpaceExpr) -> HomologyProfile:
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:
-    """Coefficient list: coefficient of x^k is the free rank of H_k, for
-    every k in 0..dim; torsion anywhere is an error."""
+    """Coefficient list: coefficient of x^k is the free rank of H_k (the
+    Betti number b_k), for every k in 0..dim; torsion does not count, so
+    RP^2 gives [1, 0, 0]."""
     profile = homology(space)
     coeffs = [0] * (profile.dim + 1)
     for k, group in profile.groups.items():
-        if group.torsion:
-            raise TorsionNotSupported(
-                f"homology has torsion in degree {k}; no Poincare polynomial"
-            )
         coeffs[k] = group.free_rank
     return coeffs
 
@@ -585,7 +553,7 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
                 "wedge of circles only: no cover rule in the supported list"
             )
         groups = {0: FgAbelianGroup(free_rank=1), **{n: None for n in higher}}
-        return HomologyProfile(max(higher), groups, {n: False for n in higher})
+        return HomologyProfile(max(higher), groups)
     return homology(_cover(space))
 
 
@@ -715,7 +683,9 @@ def space_to_json(space: SpaceExpr) -> dict:
 def space_from_json(obj) -> SpaceExpr:
     """Read a space expression: an object with one tag, ``sphere`` (a JSON
     integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
-    Anything malformed raises ValueError."""
+    Anything malformed raises ValueError; a Cayley table above
+    ``DEFAULT_SEARCH_CAP``, which no search takes, raises OrderExceedsCap
+    before its O(order^3) axiom check."""
     tag, value = _one_of(
         obj, "space", ("sphere", "wedge", "product", "explicit"), lists=("wedge", "product")
     )
@@ -727,7 +697,8 @@ def space_from_json(obj) -> SpaceExpr:
         return product(*map(space_from_json, value))
     body = _fields(value, "explicit space", ("complex", "pi1"), ("cover",))
     cover = complex_from_json(body["cover"]) if "cover" in body else None
-    return Explicit(complex_from_json(body["complex"]), pi1_from_json(body["pi1"]), cover)
+    complex_ = complex_from_json(body["complex"])
+    return Explicit(complex_, pi1_from_json(body["pi1"], cap=DEFAULT_SEARCH_CAP), cover)
 
 
 def _cc(cells: tuple[int, ...], *boundary) -> ChainComplex:

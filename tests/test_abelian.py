@@ -15,9 +15,8 @@ from polydepth.abelian import (
     parse_abelian,
     render_abelian,
     sl_abelian,
-    tensor_free,
 )
-from polydepth.errors import CompositionNotZero, DimensionMismatch, TorsionNotSupported
+from polydepth.errors import CompositionNotZero, DimensionMismatch
 from polydepth.intlinalg import IntMatrix
 
 
@@ -33,6 +32,17 @@ def test_construction_validates_primary_form():
     with pytest.raises(ValueError):
         FgAbelianGroup(-1, ())
     assert FgAbelianGroup(0, (2, 2, 3)).torsion == (2, 2, 3)
+
+
+def test_repeated_torsion_is_checked_like_any_other():
+    # each distinct order is checked once; a repeat must still be refused
+    with pytest.raises(ValueError, match="coefficient 6 "):
+        FgAbelianGroup(0, (6, 6))
+    with pytest.raises(ValueError, match="coefficient 6 "):
+        FgAbelianGroup(1, (2, 2, 6, 6, 10, 10))
+    with pytest.raises(ValueError, match="coefficient 12 "):
+        FgAbelianGroup(0, (2,) * 1000 + (3, 3, 12))
+    assert FgAbelianGroup(0, (2,) * 1000 + (9, 9)).torsion[-2:] == (9, 9)
 
 
 def test_from_cyclic_factors_splits_primary():
@@ -120,14 +130,6 @@ def test_direct_sum_examples():
     assert direct_sum(z, TRIVIAL_GROUP) == z
     assert direct_sum(FgAbelianGroup(2, ()), from_cyclic_factors(1, [2])) == from_cyclic_factors(3, [2])
     assert direct_sum(from_cyclic_factors(0, [2]), from_cyclic_factors(0, [2])).torsion == (2, 2)
-
-
-def test_tensor_free():
-    assert tensor_free(FgAbelianGroup(2, ()), FgAbelianGroup(3, ())) == FgAbelianGroup(6, ())
-    assert tensor_free(FgAbelianGroup(1, ()), FgAbelianGroup(7, ())) == FgAbelianGroup(7, ())
-    assert tensor_free(TRIVIAL_GROUP, FgAbelianGroup(5, ())) == TRIVIAL_GROUP
-    with pytest.raises(TorsionNotSupported):
-        tensor_free(from_cyclic_factors(0, [2]), FgAbelianGroup(1, ()))
 
 
 def test_render_and_parse():

@@ -552,6 +552,29 @@ class TestShippedSpaceFiles:
             "",
         )
 
+    @pytest.mark.parametrize("command", ["bound", "homology"])
+    def test_over_cap_table_in_space_file_refused_before_validation(
+        self, tmp_path, capsys, command
+    ):
+        # a point with a cyclic table of order 1000 (a 4 MB file): the
+        # O(n^3) axiom check would run for about a minute, so the order is
+        # compared with the search cap first, also by `homology`, which
+        # never reads the group
+        n = 1000
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        point = {"cells": [1], "boundary": []}
+        path = _write_json(
+            tmp_path, "point.json",
+            {"explicit": {"complex": point, "pi1": {"finite": {"table": table}}}},
+        )
+        start = time.perf_counter()
+        assert run([command, path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "", "error: OrderExceedsCap: group order 1000 exceeds search cap 64\n"
+        )
+
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -29,7 +29,6 @@ from polydepth.errors import (
     CompositionNotZero,
     DimensionMismatch,
     NotFinitelyGenerated,
-    TorsionNotSupported,
     UnsupportedConstruction,
 )
 from polydepth.intlinalg import IntMatrix, smith_normal_form
@@ -277,9 +276,11 @@ class TestSpaceHomology:
         assert poincare_polynomial(Sphere(4)) == [1, 0, 0, 0, 1]
         assert poincare_polynomial(product(Sphere(2), Sphere(2))) == [1, 0, 2, 0, 1]
         assert poincare_polynomial(wedge(Sphere(2), Sphere(2), Sphere(3))) == [1, 0, 2, 1]
+        # torsion does not count: only the Betti numbers are read
         rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"], Finite(catalog_group("Z2")))
-        with pytest.raises(TorsionNotSupported):
-            poincare_polynomial(rp2)
+        assert poincare_polynomial(rp2) == [1, 0, 0]
+        klein = Explicit(EXAMPLE_COMPLEXES["klein-bottle"], free(1))
+        assert poincare_polynomial(product(rp2, klein)) == [1, 1, 0, 0, 0]
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -402,7 +403,7 @@ class TestUniversalCover:
         got = universal_cover_homology(wedge(Sphere(1), Sphere(2), Sphere(2), Sphere(5)))
         assert got.fg(2) is False and got.fg(5) is False
         assert got.fg(3) is True and got.fg(4) is True
-        assert not got.all_finitely_generated
+        assert [k for k, g in got.groups.items() if g is None] == [2, 5]
 
     def test_explicit_with_supplied_cover(self):
         rp2 = Explicit(
@@ -563,12 +564,15 @@ class TestProfile:
         assert profile(2, {0: Z, 2: Z}) != b
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="finitely_generated=True"):
-            HomologyProfile(1, {1: Z}, {1: False})
-        with pytest.raises(ValueError, match="no group given"):
-            HomologyProfile(1, {1: None}, {1: True})
-        with pytest.raises(ValueError, match="verdict must be True or False"):
-            HomologyProfile(1, {1: None}, {1: None})
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            HomologyProfile(-1, {})
+        # a degree outside 0..dim is refused, not dropped
+        with pytest.raises(ValueError, match=r"degree 2 is outside 0\.\.1"):
+            HomologyProfile(1, {2: Z})
+        with pytest.raises(ValueError, match="degree -1 is outside"):
+            HomologyProfile(1, {-1: None})
+        with pytest.raises(ValueError, match="degree 3 is outside"):
+            HomologyProfile(2, {0: Z, 3: FgAbelianGroup()})
 
     def test_accessors_beyond_dim(self):
         p = profile(1, {0: Z, 1: Z})
@@ -613,29 +617,27 @@ class TestSparseProfile:
 
     def test_only_nontrivial_degrees_are_stored(self):
         p = homology(Sphere(10**5))
-        assert list(p.groups) == [0, 10**5] and p.finitely_generated == {}
+        assert list(p.groups) == [0, 10**5] and None not in p.groups.values()
         assert p.group(5) == FgAbelianGroup() and p.fg(5) is True
         p = universal_cover_homology(wedge(Sphere(1), Sphere(5), Sphere(3)))
-        assert list(p.groups) == [0, 3, 5]
-        assert p.finitely_generated == {3: False, 5: False}
+        assert p.groups == {0: Z, 3: None, 5: None}
+        assert [p.fg(k) for k in range(6)] == [True, True, True, False, True, False]
 
     def test_explicit_trivial_degrees_change_nothing(self):
         rng = random.Random(20261018)
         for _ in range(200):
             dim = rng.randint(0, 10)
-            groups, verdicts = {}, {}
+            groups = {}
             for k in range(dim + 1):
                 if rng.random() < 0.3:
                     groups[k] = from_cyclic_factors(rng.randint(0, 2), [rng.choice([1, 2, 6])])
                 elif rng.random() < 0.2:
-                    groups[k], verdicts[k] = None, False
+                    groups[k] = None
             padded_groups = {k: groups.get(k, FgAbelianGroup()) for k in range(dim + 1)}
-            padded_verdicts = {k: verdicts.get(k, True) for k in range(dim + 1)}
-            sparse = HomologyProfile(dim, groups, verdicts)
-            padded = HomologyProfile(dim, padded_groups, padded_verdicts)
+            sparse = HomologyProfile(dim, groups)
+            padded = HomologyProfile(dim, padded_groups)
             assert sparse == padded
             assert sparse.groups == padded.groups
-            assert sparse.finitely_generated == padded.finitely_generated
             assert all(g is None or not g.is_trivial for g in padded.groups.values())
 
     @pytest.mark.parametrize("seed", range(8))
@@ -665,14 +667,14 @@ class TestSparseProfile:
 
 def _random_profile(rng):
     dim = rng.choice([0, 1, 2, 5, 12, 40])
-    groups, verdicts = {}, {}
+    groups = {}
     for k in rng.sample(range(dim + 1), rng.randint(0, dim + 1)):
         if rng.random() < 0.25:
-            groups[k], verdicts[k] = None, False
+            groups[k] = None
         else:
             factors = [rng.choice([1, 2, 3, 4, 6, 9, 12, 25]) for _ in range(rng.randint(0, 4))]
             groups[k] = from_cyclic_factors(rng.randint(0, 3), factors)
-    return HomologyProfile(dim, groups, verdicts)
+    return HomologyProfile(dim, groups)
 
 
 class TestProfileJsonText:
@@ -705,8 +707,7 @@ class TestProfileJsonText:
         for stored in ([], [0], [dim], [2047], [2048], [0, 2047, 2048, dim]):
             keys = [k for k in stored if k <= dim]
             groups = {k: Z if i % 2 == 0 else None for i, k in enumerate(keys)}
-            verdicts = {k: False for k, g in groups.items() if g is None}
-            p = HomologyProfile(dim, groups, verdicts)
+            p = HomologyProfile(dim, groups)
             chunks = list(profile_json_chunks(p))
             assert "".join(chunks) == json.dumps(profile_to_json(p), indent=2)
             assert max(map(len, chunks)) < 2048 * 80
