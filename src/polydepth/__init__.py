@@ -10,244 +10,163 @@ assumptions recorded.
 >>> from polydepth import Sphere, best_bound, wedge
 >>> best_bound(wedge(Sphere(1), Sphere(2))).bound
 2
+
+The package is a lazy namespace (PEP 562): ``import polydepth`` loads no
+submodule, and each public name is read from the submodule that owns it
+(``_EXPORTS``) on every access, which imports that submodule the first
+time.  Nothing is cached here, so ``polydepth.X`` is always
+``polydepth.<owner>.X``, also while a test or a tracer has replaced it
+there.
 """
 
-from .abelian import (
-    TRIVIAL_GROUP,
-    FgAbelianGroup,
-    direct_sum,
-    from_boundary_maps,
-    from_cyclic_factors,
-    parse_abelian,
-    render_abelian,
-    sl_abelian,
-)
-from .catalog import (
-    alternating4,
-    catalog_abelian_factors,
-    catalog_group,
-    catalog_names,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    pauli16,
-    semidirect,
-    symmetric3,
-)
-from .depth import (
-    CIRCLE_CROSS_SPHERE_PROVENANCE,
-    GENERAL_ASSUMPTIONS,
-    RULES,
-    TWO_DIM_ASSUMPTIONS,
-    WEDGE_PROVENANCE,
-    DepthBoundReport,
-    NoBoundApplicable,
-    WedgeDepthResult,
-    best_bound,
-    bound_2dim,
-    bound_general,
-    forced_bound,
-    render_report,
-    render_subwedge,
-    report_to_json,
-    sl_of,
-    wedge_exact_depth,
-)
-from .errors import (
-    CdNotFinite,
-    CompositionNotZero,
-    DimensionExceedsCap,
-    DimensionMismatch,
-    DimensionNotTwo,
-    NotFinitelyGenerated,
-    OrderExceedsCap,
-    PolydepthError,
-    UnsupportedConstruction,
-)
-from .finitegroup import (
-    DEFAULT_SEARCH_CAP,
-    FiniteGroup,
-    Prop32Report,
-    SeriesResult,
-    Subgroup,
-    all_subgroups,
-    describe_subgroup,
-    format_cayley_table,
-    is_complement,
-    is_normal,
-    is_retract,
-    n1,
-    n2,
-    n3,
-    parse_cayley_table,
-    render_series,
-    restrict_to_subgroup,
-    subgroup_from_members,
-    verify_prop32,
-)
-from .intlinalg import (
-    IntMatrix,
-    SnfResult,
-    determinant,
-    invariant_factors,
-    rank,
-    smith_normal_form,
-)
-from .pi1 import (
-    ElementaryAmenable,
-    FgAbelian,
-    Finite,
-    Free,
-    Pi1Descriptor,
-    Trivial,
-    fg_abelian,
-    free,
-    pi1_from_json,
-    pi1_to_json,
-    render_pi1,
-)
-from .topology import (
-    EXAMPLE_COMPLEXES,
-    MAX_DIMENSION,
-    ChainComplex,
-    Explicit,
-    HomologyProfile,
-    Product,
-    Sphere,
-    Wedge,
-    complex_from_json,
-    complex_to_json,
-    dim_of,
-    euler_characteristic,
-    homology,
-    homology_of_complex,
-    pi1_of,
-    poincare_polynomial,
-    product,
-    profile_json_text,
-    profile_to_json,
-    render_profile,
-    space_from_json,
-    space_to_json,
-    universal_cover_homology,
-    wedge,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
+# owning submodule -> the public names it exports, in the order of __all__
+_EXPORTS = {
     # integer linear algebra
-    "IntMatrix",
-    "SnfResult",
-    "smith_normal_form",
-    "invariant_factors",
-    "rank",
-    "determinant",
+    "intlinalg": (
+        "IntMatrix",
+        "SnfResult",
+        "smith_normal_form",
+        "invariant_factors",
+        "rank",
+        "determinant",
+    ),
     # finitely generated abelian groups
-    "FgAbelianGroup",
-    "TRIVIAL_GROUP",
-    "from_cyclic_factors",
-    "from_boundary_maps",
-    "sl_abelian",
-    "direct_sum",
-    "render_abelian",
-    "parse_abelian",
+    "abelian": (
+        "FgAbelianGroup",
+        "TRIVIAL_GROUP",
+        "from_cyclic_factors",
+        "from_boundary_maps",
+        "sl_abelian",
+        "direct_sum",
+        "render_abelian",
+        "parse_abelian",
+    ),
     # finite groups and splitting lengths
-    "FiniteGroup",
-    "Subgroup",
-    "SeriesResult",
-    "Prop32Report",
-    "DEFAULT_SEARCH_CAP",
-    "all_subgroups",
-    "subgroup_from_members",
-    "is_normal",
-    "is_complement",
-    "is_retract",
-    "restrict_to_subgroup",
-    "n1",
-    "n2",
-    "n3",
-    "verify_prop32",
-    "describe_subgroup",
-    "render_series",
-    "parse_cayley_table",
-    "format_cayley_table",
+    "finitegroup": (
+        "FiniteGroup",
+        "Subgroup",
+        "SeriesResult",
+        "Prop32Report",
+        "DEFAULT_SEARCH_CAP",
+        "all_subgroups",
+        "subgroup_from_members",
+        "is_normal",
+        "is_complement",
+        "is_retract",
+        "restrict_to_subgroup",
+        "n1",
+        "n2",
+        "n3",
+        "verify_prop32",
+        "describe_subgroup",
+        "render_series",
+        "parse_cayley_table",
+        "format_cayley_table",
+    ),
     # group catalog
-    "catalog_names",
-    "catalog_group",
-    "catalog_abelian_factors",
-    "cyclic",
-    "dihedral",
-    "dicyclic",
-    "direct_product",
-    "semidirect",
-    "symmetric3",
-    "alternating4",
-    "pauli16",
+    "catalog": (
+        "catalog_names",
+        "catalog_group",
+        "catalog_abelian_factors",
+        "cyclic",
+        "dihedral",
+        "dicyclic",
+        "direct_product",
+        "semidirect",
+        "symmetric3",
+        "alternating4",
+        "pauli16",
+    ),
     # fundamental-group descriptors
-    "Pi1Descriptor",
-    "Trivial",
-    "Finite",
-    "FgAbelian",
-    "Free",
-    "ElementaryAmenable",
-    "free",
-    "fg_abelian",
-    "render_pi1",
-    "pi1_to_json",
-    "pi1_from_json",
+    "pi1": (
+        "Pi1Descriptor",
+        "Trivial",
+        "Finite",
+        "FgAbelian",
+        "Free",
+        "ElementaryAmenable",
+        "free",
+        "fg_abelian",
+        "render_pi1",
+        "pi1_to_json",
+        "pi1_from_json",
+    ),
     # spaces and homology
-    "ChainComplex",
-    "Sphere",
-    "Wedge",
-    "Product",
-    "Explicit",
-    "wedge",
-    "product",
-    "dim_of",
-    "HomologyProfile",
-    "homology",
-    "homology_of_complex",
-    "universal_cover_homology",
-    "pi1_of",
-    "euler_characteristic",
-    "poincare_polynomial",
-    "render_profile",
-    "profile_to_json",
-    "profile_json_text",
-    "space_to_json",
-    "space_from_json",
-    "complex_to_json",
-    "complex_from_json",
-    "EXAMPLE_COMPLEXES",
-    "MAX_DIMENSION",
+    "topology": (
+        "ChainComplex",
+        "Sphere",
+        "Wedge",
+        "Product",
+        "Explicit",
+        "wedge",
+        "product",
+        "dim_of",
+        "HomologyProfile",
+        "homology",
+        "homology_of_complex",
+        "universal_cover_homology",
+        "pi1_of",
+        "euler_characteristic",
+        "poincare_polynomial",
+        "render_profile",
+        "profile_to_json",
+        "profile_json_text",
+        "space_to_json",
+        "space_from_json",
+        "complex_to_json",
+        "complex_from_json",
+        "EXAMPLE_COMPLEXES",
+        "MAX_DIMENSION",
+    ),
     # depth bounds
-    "sl_of",
-    "DepthBoundReport",
-    "NoBoundApplicable",
-    "bound_general",
-    "bound_2dim",
-    "best_bound",
-    "forced_bound",
-    "RULES",
-    "wedge_exact_depth",
-    "WedgeDepthResult",
-    "render_subwedge",
-    "report_to_json",
-    "render_report",
-    "GENERAL_ASSUMPTIONS",
-    "TWO_DIM_ASSUMPTIONS",
-    "WEDGE_PROVENANCE",
-    "CIRCLE_CROSS_SPHERE_PROVENANCE",
+    "depth": (
+        "sl_of",
+        "DepthBoundReport",
+        "NoBoundApplicable",
+        "bound_general",
+        "bound_2dim",
+        "best_bound",
+        "forced_bound",
+        "RULES",
+        "wedge_exact_depth",
+        "WedgeDepthResult",
+        "render_subwedge",
+        "report_to_json",
+        "render_report",
+        "GENERAL_ASSUMPTIONS",
+        "TWO_DIM_ASSUMPTIONS",
+        "WEDGE_PROVENANCE",
+        "CIRCLE_CROSS_SPHERE_PROVENANCE",
+    ),
     # errors
-    "PolydepthError",
-    "CompositionNotZero",
-    "DimensionMismatch",
-    "OrderExceedsCap",
-    "DimensionExceedsCap",
-    "UnsupportedConstruction",
-    "NotFinitelyGenerated",
-    "DimensionNotTwo",
-    "CdNotFinite",
-]
+    "errors": (
+        "PolydepthError",
+        "CompositionNotZero",
+        "DimensionMismatch",
+        "OrderExceedsCap",
+        "DimensionExceedsCap",
+        "UnsupportedConstruction",
+        "NotFinitelyGenerated",
+        "DimensionNotTwo",
+        "CdNotFinite",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

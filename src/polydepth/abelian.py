@@ -14,6 +14,7 @@ FgAbelianGroup(free_rank=0, torsion=(2, 3))
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -159,8 +160,17 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
 
 def _tor_torsion(s: Sequence[int], t: Sequence[int]) -> list[int]:
     """Summands of Z/q (x) Z/r, and so of Tor(Z/q, Z/r), for q in s and r in
-    t: Z/p^min(a, b) for q = p^a and r = p^b, none across primes."""
-    return [min(q, r) for q in s for r in t if gcd(q, r) > 1]
+    t: Z/p^min(a, b) for q = p^a and r = p^b, none across primes.  The
+    result is a multiset in no particular order.  Each pair of distinct
+    orders is compared once, and its summand repeats as often as the pair
+    does: the lists of a Kunneth fold are a few orders, each many times."""
+    out: list[int] = []
+    t_counts = Counter(t).items()
+    for q, m in Counter(s).items():
+        for r, n in t_counts:
+            if gcd(q, r) > 1:
+                out += [min(q, r)] * (m * n)
+    return out
 
 
 def render_abelian(g: FgAbelianGroup) -> str:

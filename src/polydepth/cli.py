@@ -23,56 +23,24 @@ exceeded; ``bound`` still prints a structured report), 64 usage error.
 Output is byte-deterministic: the same invocation always prints the
 same bytes.
 
-This module only parses arguments and prints results.  The rule names and
-what each one runs come from ``polydepth.depth`` (``RULES``,
-``forced_bound``); the verify suites are the ``_SUITES`` table below.
+This module only parses arguments and prints results.  At start-up it
+loads no polydepth module but ``errors``: each command imports what it
+runs, so that a cold ``sl --catalog`` never loads ``topology`` or
+``depth``, and ``homology`` on a space without a finite group never loads
+``depth``, ``catalog`` or ``finitegroup``.  The rule names and what each one
+runs come from ``polydepth.depth`` (``RULES``, ``forced_bound``), and the
+verify suites from ``polydepth.suites`` (``SUITES``); ``--rule`` and the
+suite argument, whose choices those modules own, are added when their
+subcommand first parses.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import random
 import sys
 
-from .abelian import from_cyclic_factors, sl_abelian
-from .catalog import catalog_abelian_factors, catalog_group, catalog_names
-from .depth import (
-    RULES,
-    NoBoundApplicable,
-    best_bound,
-    forced_bound,
-    render_report,
-    report_to_json,
-    sl_of,
-)
-from .errors import DimensionExceedsCap, PolydepthError
-from .finitegroup import (
-    DEFAULT_SEARCH_CAP,
-    all_subgroups,
-    is_retract,
-    n1,
-    parse_cayley_table,
-    render_series,
-    restrict_to_subgroup,
-    verify_prop32,
-)
-from .intlinalg import IntMatrix, determinant, invariant_factors, smith_normal_form
-from .pi1 import Finite, pi1_from_json, render_pi1
-from .topology import (
-    EXAMPLE_COMPLEXES,
-    MAX_DIMENSION,
-    ChainComplex,
-    dim_of,
-    euler_characteristic,
-    homology,
-    homology_of_complex,
-    profile_json_chunks,
-    render_profile,
-    space_from_json,
-    universal_cover_homology,
-)
+from .errors import DEFAULT_SEARCH_CAP, DimensionExceedsCap, PolydepthError
 
 # what argparse picks for an 80-column terminal
 _HELP_WIDTH = 78
@@ -81,7 +49,21 @@ _HELP_WIDTH = 78
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage failures exit with code 64 instead of 2, and whose
     help and usage text is wrapped at a fixed width instead of the terminal's,
-    so that it does not depend on ``COLUMNS``."""
+    so that it does not depend on ``COLUMNS``.
+
+    ``late(parser)``, when given, runs once, just before the parser first
+    parses: it adds the arguments whose choices come from a module that
+    only this subcommand loads."""
+
+    def __init__(self, *args, late=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._late = late
+
+    def parse_known_args(self, args=None, namespace=None):
+        late, self._late = self._late, None
+        if late is not None:
+            late(self)
+        return super().parse_known_args(args, namespace)
 
     def _get_formatter(self):
         return self.formatter_class(prog=self.prog, width=_HELP_WIDTH)
@@ -107,6 +89,22 @@ def _add_cap(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_rule(parser: argparse.ArgumentParser) -> None:
+    from .depth import RULES
+
+    parser.add_argument(
+        "--rule",
+        choices=sorted(RULES),
+        help="force this rule instead of taking the best applicable bound",
+    )
+
+
+def _add_suite(parser: argparse.ArgumentParser) -> None:
+    from .suites import SUITES
+
+    parser.add_argument("suite", choices=tuple(SUITES), help="which suite to run")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="polydepth",
@@ -116,15 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p_bound = sub.add_parser(
-        "bound", help="depth bound report for a space-expression JSON file"
+        "bound",
+        help="depth bound report for a space-expression JSON file",
+        late=_add_rule,
     )
     p_bound.add_argument("space", help="path to a space-expression JSON file")
     _add_format(p_bound)
-    p_bound.add_argument(
-        "--rule",
-        choices=sorted(RULES),
-        help="force this rule instead of taking the best applicable bound",
-    )
     p_bound.set_defaults(func=_cmd_bound)
 
     p_hom = sub.add_parser(
@@ -153,9 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.set_defaults(func=_cmd_sl)
 
     p_verify = sub.add_parser(
-        "verify", help="run a self-check suite; exits 1 if any check fails"
+        "verify",
+        help="run a self-check suite; exits 1 if any check fails",
+        late=_add_suite,
     )
-    p_verify.add_argument("suite", choices=tuple(_SUITES), help="which suite to run")
     _add_cap(p_verify)
     _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
@@ -180,6 +176,8 @@ def _load_json(path: str, parse):
 def _load_space(path: str):
     """Read a space-expression file; a space above the dimension cap is
     refused before any homology, since every rendering is dense in degree."""
+    from .topology import MAX_DIMENSION, dim_of, space_from_json
+
     space = _load_json(path, space_from_json)
     dim = dim_of(space)
     if dim > MAX_DIMENSION:
@@ -192,6 +190,14 @@ def _dump(body) -> str:
 
 
 def _cmd_bound(args) -> int:
+    from .depth import (
+        NoBoundApplicable,
+        best_bound,
+        forced_bound,
+        render_report,
+        report_to_json,
+    )
+
     space = _load_space(args.space)
     report = best_bound(space) if args.rule is None else forced_bound(space, args.rule)
     if args.format == "json":
@@ -202,6 +208,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .topology import (
+        homology,
+        profile_json_chunks,
+        render_profile,
+        universal_cover_homology,
+    )
+
     space = _load_space(args.space)
     if args.universal_cover:
         profile = universal_cover_homology(space)
@@ -218,9 +231,15 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_sl(args) -> int:
+    from .pi1 import Finite, pi1_from_json, render_pi1
+
     if args.catalog is not None:
+        from .catalog import catalog_group
+
         descriptor = Finite(catalog_group(args.catalog))
     elif args.table is not None:
+        from .finitegroup import parse_cayley_table
+
         with open(args.table, encoding="utf-8") as fh:
             descriptor = Finite(parse_cayley_table(fh.read(), cap=args.cap))
     else:
@@ -228,9 +247,13 @@ def _cmd_sl(args) -> int:
             args.descriptor, lambda obj: pi1_from_json(obj, cap=args.cap)
         )
     if isinstance(descriptor, Finite):
+        from .finitegroup import n1, render_series
+
         series = n1(descriptor.group, cap=args.cap)
         value, witness = series.length, render_series(descriptor.group, series)
     else:
+        from .depth import sl_of
+
         value, witness = sl_of(descriptor, cap=args.cap), None
     if args.format == "json":
         body: dict = {"group": render_pi1(descriptor), "sl": value}
@@ -245,164 +268,10 @@ def _cmd_sl(args) -> int:
     return 0
 
 
-# --- verify suites ---------------------------------------------------------
-# Each suite returns (item, passed, detail) triples; the command renders one
-# line per item.  Random data is seeded, so reruns print identical bytes.
-
-_SUITE_SEED = 20260814
-
-
-def _suite_prop32(cap: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for name in catalog_names():
-        report = verify_prop32(catalog_group(name), cap=cap)
-        if report.equal:
-            detail = f"n1=n2=n3={report.value}"
-        else:
-            detail = (
-                f"n1={report.n1.length} n2={report.n2.length} n3={report.n3}"
-            )
-        results.append((name, report.equal, detail))
-    return results
-
-
-def _suite_lemma34(cap: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for name in catalog_names():
-        group = catalog_group(name)
-        whole = n1(group, cap=cap).length
-        checked = 0
-        ok = True
-        for sub in all_subgroups(group, cap=cap):
-            if not is_retract(group, sub, cap=cap):
-                continue
-            part = n1(restrict_to_subgroup(group, sub), cap=cap).length
-            checked += 1
-            if sub.order == group.order:
-                ok = ok and part == whole
-            else:
-                ok = ok and part < whole
-        results.append((name, ok, f"retracts={checked} sl={whole}"))
-    return results
-
-
-def _suite_prop36_bridge(cap: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for name in catalog_names():
-        factors = catalog_abelian_factors(name)
-        if factors is None:
-            continue
-        closed_form = sl_abelian(from_cyclic_factors(0, factors))
-        table_search = n1(catalog_group(name), cap=cap).length
-        results.append(
-            (
-                name,
-                closed_form == table_search,
-                f"sl_abelian={closed_form} n1={table_search}",
-            )
-        )
-    return results
-
-
-def _random_zero_composition_complex(rng: random.Random) -> ChainComplex:
-    """A random 2-complex whose boundary maps compose to zero: d2's columns
-    are integer combinations of a kernel basis of d1 (columns of V past the
-    rank in the Smith normal form)."""
-    rows0 = rng.randint(1, 4)
-    cols1 = rng.randint(1, 4)
-    d1 = IntMatrix.from_rows(
-        [[rng.randint(-2, 2) for _ in range(cols1)] for _ in range(rows0)],
-        cols=cols1,
-    )
-    snf = smith_normal_form(d1)
-    r = len(snf.diagonal)
-    k = cols1 - r
-    cols2 = rng.randint(1, 3)
-    columns = []
-    for _ in range(cols2):
-        coeffs = [rng.randint(-2, 2) for _ in range(k)]
-        columns.append(
-            [
-                sum(coeffs[t] * snf.V.entry(i, r + t) for t in range(k))
-                for i in range(cols1)
-            ]
-        )
-    d2 = IntMatrix.from_rows(
-        [[columns[j][i] for j in range(cols2)] for i in range(cols1)],
-        cols=cols2,
-    )
-    return ChainComplex(dim=2, boundary=(d1, d2), cells=(rows0, cols1, cols2))
-
-
-def _euler_consistent(complex_: ChainComplex) -> tuple[bool, int]:
-    chi_cells = euler_characteristic(complex_)
-    profile = homology_of_complex(complex_)
-    chi_ranks = sum(
-        (-1) ** k * profile.group(k).free_rank for k in range(complex_.dim + 1)
-    )
-    return chi_cells == chi_ranks, chi_cells
-
-
-def _suite_euler(cap: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for name, complex_ in EXAMPLE_COMPLEXES.items():
-        ok, chi = _euler_consistent(complex_)
-        results.append((name, ok, f"chi={chi}"))
-    rng = random.Random(_SUITE_SEED)
-    for index in range(20):
-        complex_ = _random_zero_composition_complex(rng)
-        ok, chi = _euler_consistent(complex_)
-        results.append(
-            (f"random-{index:02d}", ok, f"chi={chi} cells={complex_.cells}")
-        )
-    return results
-
-
-def _snf_invariants_hold(m: IntMatrix) -> bool:
-    """The dense Smith form is a valid factorisation, and the sparse
-    elimination that homology runs finds the same diagonal."""
-    snf = smith_normal_form(m)
-    if snf.U @ m @ snf.V != snf.S:
-        return False
-    if invariant_factors(m) != snf.diagonal:
-        return False
-    if abs(determinant(snf.U)) != 1 or abs(determinant(snf.V)) != 1:
-        return False
-    if any(d <= 0 for d in snf.diagonal):
-        return False
-    return all(b % a == 0 for a, b in zip(snf.diagonal, snf.diagonal[1:]))
-
-
-def _suite_snf(cap: int) -> list[tuple[str, bool, str]]:
-    rng = random.Random(_SUITE_SEED)
-    results = []
-    per_batch = 100
-    for batch in range(10):
-        ok = True
-        for _ in range(per_batch):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 5)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
-                cols=cols,
-            )
-            ok = ok and _snf_invariants_hold(m)
-        lo, hi = batch * per_batch, (batch + 1) * per_batch - 1
-        results.append((f"random-matrices[{lo}..{hi}]", ok, ""))
-    return results
-
-
-_SUITES = {
-    "prop32": _suite_prop32,
-    "lemma34": _suite_lemma34,
-    "prop36-bridge": _suite_prop36_bridge,
-    "euler": _suite_euler,
-    "snf": _suite_snf,
-}
-
-
 def _cmd_verify(args) -> int:
-    results = _SUITES[args.suite](args.cap)
+    from .suites import SUITES
+
+    results = SUITES[args.suite](args.cap)
     all_pass = all(ok for _, ok, _ in results)
     if args.format == "json":
         print(
@@ -428,6 +297,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import catalog_abelian_factors, catalog_group, catalog_names
+
     if args.format == "json":
         body = []
         for name in catalog_names():
@@ -453,17 +324,18 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser run() uses, built on first use and then kept: building it
-    costs about as much as a small request."""
-    return build_parser()
+_PARSER: "argparse.ArgumentParser | None" = None
 
 
 def run(argv: "list[str] | None" = None) -> int:
-    """Parse and execute one invocation; returns the exit code."""
+    """Parse and execute one invocation; returns the exit code.  The parser
+    is built on the first call and then kept: building it costs about as
+    much as a small request."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

@@ -31,12 +31,12 @@ from dataclasses import dataclass, replace
 
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
+    DEFAULT_SEARCH_CAP,
     CdNotFinite,
     DimensionNotTwo,
     NotFinitelyGenerated,
     PolydepthError,
 )
-from .finitegroup import DEFAULT_SEARCH_CAP, n1
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -95,6 +95,8 @@ def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
     if isinstance(descriptor, Trivial):
         return 0
     if isinstance(descriptor, Finite):
+        from .finitegroup import n1
+
         return n1(descriptor.group, cap=cap).length
     if isinstance(descriptor, FgAbelian):
         return sl_abelian(descriptor.group)

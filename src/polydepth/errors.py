@@ -8,6 +8,11 @@ that are well formed but fall outside a rule's hypotheses; callers such as
 
 from __future__ import annotations
 
+DEFAULT_SEARCH_CAP = 64
+"""Largest group order a subgroup search accepts unless told otherwise.  It
+lives here, beside ``OrderExceedsCap``, so that code which only compares an
+order with it need not load ``finitegroup``, which re-exports it."""
+
 
 class PolydepthError(Exception):
     """Base class for hypothesis failures of the bound machinery."""

@@ -54,10 +54,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .abelian import _factor
-from .errors import OrderExceedsCap
+from .errors import DEFAULT_SEARCH_CAP, OrderExceedsCap
 from .intlinalg import _as_list, _check_int, _check_token
-
-DEFAULT_SEARCH_CAP = 64
 
 
 class FiniteGroup:

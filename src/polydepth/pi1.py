@@ -5,18 +5,23 @@ they consume one of five declared shapes: trivial, finite (a Cayley table),
 finitely generated abelian, free of known rank, or elementary amenable with a
 known Hirsch length and a flag saying whether the cohomological dimension is
 finite.  The descriptor records exactly what the bound formulas need.
+
+Only the finite shape needs ``finitegroup`` and ``catalog``.  They are
+imported where a finite descriptor is read or written, so a command that
+never meets one does not load them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .abelian import FgAbelianGroup, from_cyclic_factors, parse_abelian, render_abelian
-from .catalog import CATALOG, catalog_group
 from .errors import OrderExceedsCap
-from .finitegroup import FiniteGroup, parse_cayley_table
 from .intlinalg import _check_int
+
+if TYPE_CHECKING:
+    from .finitegroup import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ def pi1_to_json(d: Pi1Descriptor) -> dict:
     if isinstance(d, Trivial):
         return {"trivial": True}
     if isinstance(d, Finite):
+        from .catalog import CATALOG, catalog_group
+
         name = d.group.name
         if name in CATALOG and catalog_group(name) == d.group:
             return {"finite": {"catalog": name}}
@@ -141,6 +148,9 @@ def _one_of(obj, what: str, tags: tuple[str, ...], lists=()) -> tuple[str, objec
 
 
 def _finite_from_json(obj, cap: int | None = None) -> Finite:
+    from .catalog import catalog_group
+    from .finitegroup import FiniteGroup, parse_cayley_table
+
     if isinstance(obj, str):
         return Finite(parse_cayley_table(obj, cap=cap))
     tag, value = _one_of(obj, "finite descriptor", ("catalog", "table"), lists=("table",))

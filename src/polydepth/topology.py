@@ -50,6 +50,7 @@ from .abelian import (
     render_abelian,
 )
 from .errors import (
+    DEFAULT_SEARCH_CAP,
     CompositionNotZero,
     DimensionMismatch,
     NotFinitelyGenerated,
@@ -70,9 +71,6 @@ from .pi1 import (
     pi1_from_json,
     pi1_to_json,
 )
-from .catalog import direct_product
-from .finitegroup import DEFAULT_SEARCH_CAP, _check_cap
-
 
 MAX_DIMENSION = 10**6
 """Largest space dimension the command line accepts.  Every rendering prints
@@ -620,6 +618,9 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
         if finite_groups:
             if len(finite_groups) == 1:
                 return Finite(finite_groups[0])
+            from .catalog import direct_product
+            from .finitegroup import _check_cap
+
             # the product table is checked in O(order^3): refuse an order no
             # subgroup search would accept before building it
             _check_cap(math.prod(g.order for g in finite_groups), DEFAULT_SEARCH_CAP)

@@ -346,6 +346,13 @@ def factor_naive(q: int) -> list[tuple[int, int]]:
     return out
 
 
+def tor_torsion_pairwise(s: list[int], t: list[int]) -> list[int]:
+    """Z/q (x) Z/r for every pair of prime-power orders q in s and r in t,
+    repeats included: Z/gcd(q, r), which is Z/min(q, r) for powers of one
+    prime and nothing across primes."""
+    return [gcd(q, r) for q in s for r in t if gcd(q, r) > 1]
+
+
 def subspace_count_naive(p: int, k: int) -> int:
     """Number of subspaces of F_p^k, i.e. of subgroups of (Z/p)^k: the sum
     over dimensions j of the Gaussian binomial

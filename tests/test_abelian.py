@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import factor_naive
+from oracles import factor_naive, tor_torsion_pairwise
 from polydepth.abelian import (
     MAX_CYCLIC_ORDER,
     TRIVIAL_GROUP,
     FgAbelianGroup,
+    _tor_torsion,
     direct_sum,
     from_boundary_maps,
     from_cyclic_factors,
@@ -59,6 +60,20 @@ def test_primary_split_matches_naive_factorisation():
     for q in [*range(2, 5001), 999999999989, MAX_CYCLIC_ORDER]:
         expected = tuple(sorted(p**e for p, e in factor_naive(q)))
         assert from_cyclic_factors(0, [q]).torsion == expected, q
+
+
+def test_tor_torsion_matches_every_pair():
+    # the fold's lists repeat a few prime powers many times; the summands
+    # are compared as multisets, since their order is not part of the result
+    assert _tor_torsion([], [2, 4]) == []
+    assert sorted(_tor_torsion([2, 3, 4], [4, 9, 5])) == [2, 3, 4]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        s, t = (
+            [rng.choice((2, 3, 5)) ** rng.randint(1, 4) for _ in range(rng.randint(0, 40))]
+            for _ in range(2)
+        )
+        assert sorted(_tor_torsion(s, t)) == sorted(tor_torsion_pairwise(s, t)), (s, t)
 
 
 def test_cyclic_order_above_limit_names_the_limit():

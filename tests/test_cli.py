@@ -16,8 +16,8 @@ import time
 import pytest
 
 from polydepth.catalog import catalog_group, catalog_names
-import polydepth.cli
-import polydepth.depth
+import polydepth.finitegroup
+import polydepth.suites
 from polydepth.cli import build_parser, run
 from polydepth.depth import RULES
 from polydepth.finitegroup import format_cayley_table, n1
@@ -114,8 +114,12 @@ class TestBoundCommand:
 
 
     def test_rule_choices_are_the_depth_rules(self):
+        # --rule joins the bound subparser when it first parses, so that
+        # building the parser does not load polydepth.depth
+        parser = build_parser()
+        parser.parse_args(["bound", "space.json"])
         subcommands = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
         rule = next(a for a in subcommands.choices["bound"]._actions if a.dest == "rule")
         assert list(rule.choices) == sorted(RULES)
@@ -233,8 +237,9 @@ class TestSlCommand:
             calls.append(args)
             return n1(*args, **kwargs)
 
-        monkeypatch.setattr(polydepth.depth, "n1", counted)
-        monkeypatch.setattr(polydepth.cli, "n1", counted)
+        # the sl command and depth.sl_of both read n1 from finitegroup when
+        # they run
+        monkeypatch.setattr(polydepth.finitegroup, "n1", counted)
         assert run(["sl", "--catalog", "D4"]) == 0
         assert capsys.readouterr().out == "sl=2 witness=D4>Z4>1\n"
         assert len(calls) == 1
@@ -313,9 +318,9 @@ class TestVerifyCommand:
         assert all(" PASS" in line for line in lines)
 
     def test_snf_suite_checks_the_sparse_elimination(self, monkeypatch, capsys):
-        sparse = polydepth.cli.invariant_factors
+        sparse = polydepth.suites.invariant_factors
         monkeypatch.setattr(
-            polydepth.cli, "invariant_factors", lambda m: sparse(m)[:-1]
+            polydepth.suites, "invariant_factors", lambda m: sparse(m)[:-1]
         )
         assert run(["verify", "snf"]) == 1
         assert ": FAIL" in capsys.readouterr().out

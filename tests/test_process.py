@@ -1,5 +1,5 @@
-"""Checks that need a fresh interpreter: what `import polydepth` loads, and
-the soundness checks that must survive `python -O`."""
+"""Checks that need a fresh interpreter: what `import polydepth` and each
+cold command load, and the soundness checks that must survive `python -O`."""
 
 import json
 import os
@@ -7,7 +7,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+SPACES = SRC.parent / "spaces"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -27,6 +30,66 @@ def test_import_loads_no_third_party_module():
     loaded = json.loads(proc.stdout)
     assert "polydepth" in loaded
     assert not [m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")]
+
+
+def _loaded_submodules(*args: str) -> set[str]:
+    """The polydepth submodules a fresh interpreter imports while it runs
+    `args`, read from its ``-X importtime`` report; a module run with ``-m``
+    is not imported and is not listed."""
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    names = (
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    )
+    return {name.split(".", 1)[1] for name in names if name.startswith("polydepth.")}
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_submodules("-c", "import polydepth") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["sl", "--catalog", "Z6"], {"topology", "depth"}),
+        (["homology", str(SPACES / "torus.json")], {"depth", "catalog", "finitegroup"}),
+        (["bound", str(SPACES / "torus.json")], {"catalog", "finitegroup"}),
+    ],
+    ids=["sl-catalog", "homology", "bound"],
+)
+def test_cold_command_loads_only_what_it_runs(argv, unused):
+    loaded = _loaded_submodules("-m", "polydepth.cli", *argv)
+    assert "errors" in loaded
+    assert not loaded & unused
+
+
+NAMESPACE_SCRIPT = """
+import importlib, json, polydepth
+
+wrong = []
+for name in polydepth.__all__:
+    owner = importlib.import_module("polydepth." + polydepth._OWNER[name])
+    original, stand_in = getattr(owner, name), object()
+    seen = [getattr(polydepth, name) is original]
+    setattr(owner, name, stand_in)
+    seen.append(getattr(polydepth, name) is stand_in)
+    setattr(owner, name, original)
+    seen.append(getattr(polydepth, name) is original)
+    seen.append(name not in vars(polydepth) and name in dir(polydepth))
+    if not all(seen):
+        wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def test_every_public_name_is_read_from_its_owner():
+    # polydepth.X is polydepth.<owner>.X, also while the owner's attribute is
+    # replaced and after it is put back: the namespace keeps no copy
+    proc = _python("-c", NAMESPACE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 SOUNDNESS_SCRIPT = """

@@ -23,7 +23,7 @@ from oracles import (
 )
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
-from polydepth.cli import _random_zero_composition_complex
+from polydepth.suites import _random_zero_composition_complex
 from polydepth.depth import best_bound
 from polydepth.errors import (
     CompositionNotZero,
