@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the default search cap
+that ``OrderExceedsCap`` reports.
 
 Plain ``ValueError`` is reserved for malformed input (bad tables, bad JSON,
 bad matrix shapes at construction time).  The classes below mark computations
