@@ -20,6 +20,7 @@ there.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -156,16 +157,19 @@ _EXPORTS = {
     ),
 }
 
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+# public name -> the full name of the submodule that owns it
+_OWNER = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_OWNER)
 
 
 def __getattr__(name: str):
-    module = _OWNER.get(name)
-    if module is None:
+    owner = _OWNER.get(name)
+    if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # sys.modules first: import_module costs ten times as much once loaded
+    module = sys.modules.get(owner) or importlib.import_module(owner)
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:

@@ -23,20 +23,37 @@ exceeded; ``bound`` still prints a structured report), 64 usage error.
 Output is byte-deterministic: the same invocation always prints the
 same bytes.
 
-This module only parses arguments and prints results.  At start-up it
-loads no polydepth module but ``errors``: each command imports what it
-runs, so that a cold ``sl --catalog`` never loads ``topology`` or
-``depth``, and ``homology`` on a space without a finite group never loads
-``depth``, ``catalog`` or ``finitegroup``.  The rule names and what each one
-runs come from ``polydepth.depth`` (``RULES``, ``forced_bound``), and the
-verify suites from ``polydepth.suites`` (``SUITES``); ``--rule`` and the
-suite argument, whose choices those modules own, are added when their
-subcommand first parses.
+This module only parses arguments and prints results, and each command
+imports the modules it runs.  Run as a program (``python -m
+polydepth.cli``, or the installed ``polydepth``, which runs it the same
+way), it loads no polydepth module at start-up but ``errors``, so that a
+cold ``sl --catalog`` never loads ``topology`` or ``depth``, and
+``homology`` on a space without a finite group never loads ``depth``,
+``catalog`` or ``finitegroup``.  Imported as ``polydepth.cli`` by a
+program that calls ``run`` in-process, it loads every command module at
+import instead: a long-lived caller loads them once, while it sets up,
+and no call loads a module.  A command imports a module, not names
+(``from . import depth``, then ``depth.best_bound``): on Python 3.11
+``from .depth import best_bound`` in a function costs twice as much a
+call, since it first looks for ``depth.__path__``.
+
+The rule names and what each one runs come from ``polydepth.depth``
+(``RULES``, ``forced_bound``), and the verify suites from
+``polydepth.suites`` (``SUITES``); ``--rule`` and the suite argument,
+whose choices those modules own, are added when their subcommand first
+parses.
 """
 
 from __future__ import annotations
 
+# Imported rather than run: load every command module now (see above).
+# Before argparse, whose objects would otherwise sit in the heap while these
+# modules compile: with no bytecode cache that costs about 0.5 MB of peak RSS.
+if __name__ != "__main__":
+    from . import catalog, depth, finitegroup, pi1, suites, topology  # noqa: F401
+
 import argparse
+import functools
 import json
 import sys
 
@@ -90,19 +107,19 @@ def _add_cap(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_rule(parser: argparse.ArgumentParser) -> None:
-    from .depth import RULES
+    from . import depth
 
     parser.add_argument(
         "--rule",
-        choices=sorted(RULES),
+        choices=sorted(depth.RULES),
         help="force this rule instead of taking the best applicable bound",
     )
 
 
 def _add_suite(parser: argparse.ArgumentParser) -> None:
-    from .suites import SUITES
+    from . import suites
 
-    parser.add_argument("suite", choices=tuple(SUITES), help="which suite to run")
+    parser.add_argument("suite", choices=tuple(suites.SUITES), help="which suite to run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,12 +193,12 @@ def _load_json(path: str, parse):
 def _load_space(path: str):
     """Read a space-expression file; a space above the dimension cap is
     refused before any homology, since every rendering is dense in degree."""
-    from .topology import MAX_DIMENSION, dim_of, space_from_json
+    from . import topology
 
-    space = _load_json(path, space_from_json)
-    dim = dim_of(space)
-    if dim > MAX_DIMENSION:
-        raise DimensionExceedsCap(dim, MAX_DIMENSION)
+    space = _load_json(path, topology.space_from_json)
+    dim = topology.dim_of(space)
+    if dim > topology.MAX_DIMENSION:
+        raise DimensionExceedsCap(dim, topology.MAX_DIMENSION)
     return space
 
 
@@ -190,73 +207,67 @@ def _dump(body) -> str:
 
 
 def _cmd_bound(args) -> int:
-    from .depth import (
-        NoBoundApplicable,
-        best_bound,
-        forced_bound,
-        render_report,
-        report_to_json,
-    )
+    from . import depth
 
     space = _load_space(args.space)
-    report = best_bound(space) if args.rule is None else forced_bound(space, args.rule)
-    if args.format == "json":
-        print(_dump(report_to_json(report)))
+    if args.rule is None:
+        report = depth.best_bound(space)
     else:
-        print(render_report(report))
-    return 2 if isinstance(report, NoBoundApplicable) else 0
+        report = depth.forced_bound(space, args.rule)
+    if args.format == "json":
+        print(_dump(depth.report_to_json(report)))
+    else:
+        print(depth.render_report(report))
+    return 2 if isinstance(report, depth.NoBoundApplicable) else 0
 
 
 def _cmd_homology(args) -> int:
-    from .topology import (
-        homology,
-        profile_json_chunks,
-        render_profile,
-        universal_cover_homology,
-    )
+    from . import topology
 
     space = _load_space(args.space)
     if args.universal_cover:
-        profile = universal_cover_homology(space)
+        profile = topology.universal_cover_homology(space)
     else:
-        profile = homology(space)
+        profile = topology.homology(space)
     if args.format == "json":
         # written piece by piece: the text of a high-dimensional profile is
         # never held whole
-        sys.stdout.writelines(profile_json_chunks(profile))
+        sys.stdout.writelines(topology.profile_json_chunks(profile))
         sys.stdout.write("\n")
     else:
-        print(render_profile(profile))
+        print(topology.render_profile(profile))
     return 0
 
 
 def _cmd_sl(args) -> int:
-    from .pi1 import Finite, pi1_from_json, render_pi1
+    from . import pi1
 
     if args.catalog is not None:
-        from .catalog import catalog_group
+        from . import catalog
 
-        descriptor = Finite(catalog_group(args.catalog))
+        descriptor = pi1.Finite(catalog.catalog_group(args.catalog))
     elif args.table is not None:
-        from .finitegroup import parse_cayley_table
+        from . import finitegroup
 
         with open(args.table, encoding="utf-8") as fh:
-            descriptor = Finite(parse_cayley_table(fh.read(), cap=args.cap))
+            table = finitegroup.parse_cayley_table(fh.read(), cap=args.cap)
+        descriptor = pi1.Finite(table)
     else:
         descriptor = _load_json(
-            args.descriptor, lambda obj: pi1_from_json(obj, cap=args.cap)
+            args.descriptor, lambda obj: pi1.pi1_from_json(obj, cap=args.cap)
         )
-    if isinstance(descriptor, Finite):
-        from .finitegroup import n1, render_series
+    if isinstance(descriptor, pi1.Finite):
+        from . import finitegroup
 
-        series = n1(descriptor.group, cap=args.cap)
-        value, witness = series.length, render_series(descriptor.group, series)
+        series = finitegroup.n1(descriptor.group, cap=args.cap)
+        value = series.length
+        witness = finitegroup.render_series(descriptor.group, series)
     else:
-        from .depth import sl_of
+        from . import depth
 
-        value, witness = sl_of(descriptor, cap=args.cap), None
+        value, witness = depth.sl_of(descriptor, cap=args.cap), None
     if args.format == "json":
-        body: dict = {"group": render_pi1(descriptor), "sl": value}
+        body: dict = {"group": pi1.render_pi1(descriptor), "sl": value}
         if witness is not None:
             body["witness"] = witness
         print(_dump(body))
@@ -269,9 +280,9 @@ def _cmd_sl(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .suites import SUITES
+    from . import suites
 
-    results = SUITES[args.suite](args.cap)
+    results = suites.SUITES[args.suite](args.cap)
     all_pass = all(ok for _, ok, _ in results)
     if args.format == "json":
         print(
@@ -297,45 +308,44 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from .catalog import catalog_abelian_factors, catalog_group, catalog_names
+    from . import catalog
 
     if args.format == "json":
         body = []
-        for name in catalog_names():
-            factors = catalog_abelian_factors(name)
+        for name in catalog.catalog_names():
+            factors = catalog.catalog_abelian_factors(name)
             body.append(
                 {
                     "name": name,
-                    "order": catalog_group(name).order,
+                    "order": catalog.catalog_group(name).order,
                     "abelian_factors": list(factors) if factors is not None else None,
                 }
             )
         print(_dump(body))
     else:
-        for name in catalog_names():
-            factors = catalog_abelian_factors(name)
+        for name in catalog.catalog_names():
+            factors = catalog.catalog_abelian_factors(name)
             if factors is None:
                 shape = "nonabelian"
             elif factors == ():
                 shape = "1"
             else:
                 shape = "x".join(f"Z{f}" for f in factors)
-            print(f"{name} order={catalog_group(name).order} {shape}")
+            print(f"{name} order={catalog.catalog_group(name).order} {shape}")
     return 0
 
 
-_PARSER: "argparse.ArgumentParser | None" = None
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses, built on first use and then kept: building it
+    costs about as much as a small request."""
+    return build_parser()
 
 
 def run(argv: "list[str] | None" = None) -> int:
-    """Parse and execute one invocation; returns the exit code.  The parser
-    is built on the first call and then kept: building it costs about as
-    much as a small request."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    """Parse and execute one invocation; returns the exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

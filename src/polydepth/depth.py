@@ -95,9 +95,9 @@ def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
     if isinstance(descriptor, Trivial):
         return 0
     if isinstance(descriptor, Finite):
-        from .finitegroup import n1
+        from . import finitegroup
 
-        return n1(descriptor.group, cap=cap).length
+        return finitegroup.n1(descriptor.group, cap=cap).length
     if isinstance(descriptor, FgAbelian):
         return sl_abelian(descriptor.group)
     if isinstance(descriptor, Free):

@@ -3,7 +3,7 @@
 Each suite takes the subgroup-search cap and returns (item, passed, detail)
 triples; ``cli`` prints one line per item.  ``SUITES`` maps each suite name
 to its function.  Random data is seeded, so reruns print identical bytes.
-This module is loaded only by the ``verify`` command.
+A cold start loads this module only for the ``verify`` command.
 """
 
 from __future__ import annotations

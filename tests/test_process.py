@@ -50,7 +50,7 @@ def test_import_loads_no_submodule():
     assert _loaded_submodules("-c", "import polydepth") == set()
 
 
-@pytest.mark.parametrize(
+COLD_COMMANDS = pytest.mark.parametrize(
     "argv, unused",
     [
         (["sl", "--catalog", "Z6"], {"topology", "depth"}),
@@ -59,10 +59,33 @@ def test_import_loads_no_submodule():
     ],
     ids=["sl-catalog", "homology", "bound"],
 )
+
+# what the installed `polydepth` script runs
+SCRIPT = "from polydepth._script import main; main()"
+
+
+@COLD_COMMANDS
 def test_cold_command_loads_only_what_it_runs(argv, unused):
     loaded = _loaded_submodules("-m", "polydepth.cli", *argv)
     assert "errors" in loaded
     assert not loaded & unused
+
+
+@COLD_COMMANDS
+def test_installed_command_loads_only_what_it_runs(argv, unused):
+    loaded = _loaded_submodules("-c", SCRIPT, *argv)
+    assert "errors" in loaded
+    assert not loaded & unused
+    script, module = _python("-c", SCRIPT, *argv), _python("-m", "polydepth.cli", *argv)
+    assert (script.returncode, script.stdout) == (module.returncode, module.stdout)
+
+
+def test_imported_cli_loads_every_command_module():
+    # a program that imports polydepth.cli to call run() in-process loads
+    # every module while it sets up, not inside a call
+    modules = {path.stem for path in (SRC / "polydepth").glob("*.py")}
+    expected = modules - {"__init__", "_script"}
+    assert _loaded_submodules("-c", "import polydepth.cli") == expected
 
 
 NAMESPACE_SCRIPT = """
@@ -70,7 +93,7 @@ import importlib, json, polydepth
 
 wrong = []
 for name in polydepth.__all__:
-    owner = importlib.import_module("polydepth." + polydepth._OWNER[name])
+    owner = importlib.import_module(polydepth._OWNER[name])
     original, stand_in = getattr(owner, name), object()
     seen = [getattr(polydepth, name) is original]
     setattr(owner, name, stand_in)
