@@ -37,6 +37,7 @@ from .errors import (
     NotFinitelyGenerated,
     PolydepthError,
 )
+from .intlinalg import _check_int
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -283,7 +284,8 @@ def wedge_exact_depth(r: dict[int, int]) -> WedgeDepthResult:
     """
     counts: dict[int, int] = {}
     for degree, count in r.items():
-        degree, count = int(degree), int(count)
+        degree = _check_int(degree, "sphere degree")
+        count = _check_int(count, "sphere count")
         if degree < 1:
             raise ValueError(f"sphere degree must be >= 1, got {degree}")
         if count < 1:

@@ -23,9 +23,9 @@ cyclic extension (Neubüser 1960): every subgroup H found is joined with the
 cyclic subgroups it lacks.  Since <H, x> = <H, xh> for every h in H, one
 join per left coset xH is enough, and a generator in a coset already tried
 is skipped; the set of subgroups found is the same.  All three searches
-read that one lattice, which is also indexed by order.  The ``n3``
-recursion reads the subgroups of each retract off the shared lattice, since
-the subgroups of H are exactly the subgroups of G inside H.
+read that one lattice, which is indexed by order.  The ``n3`` recursion
+reads the subgroups of each retract off the shared lattice, since the
+subgroups of H are exactly the subgroups of G inside H.
 
 The chain searches of ``n1``/``n2`` and the ``n3`` recursion stop early on
 a bound: a strictly decreasing chain of subgroups from H down to 1 has at
@@ -39,12 +39,12 @@ One function, ``_complement``, decides whether H has a complement (or a
 normal complement) in a subgroup A: it looks only among the subgroups of
 order |A|/|H| and takes the least mask, so witnesses do not depend on which
 search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract`` all
-call it.  Normality of a complement in A is read from normalizers computed
-once per subgroup and cached on the group.  Normality of a term in the
-whole group, which ``n1`` and ``is_normal`` test, conjugates only by a
-generating set of G, built once per group: H is normal exactly when every
-generator conjugates H into H, and the test stops at the first conjugate
-that leaves H.
+call it.  One predicate, ``_normal_in``, decides whether K is normal in a
+subgroup A: K is normal in A = <S> exactly when sKs^-1 lies in K for every
+s in S, so it conjugates K by a generating set of A only and stops at the
+first conjugate that leaves K.  ``n1`` and ``is_normal`` ask it with A = G,
+and ``_complement`` with A its ambient subgroup.  Each group caches its
+lattice, indexed by order, and one generating set per subgroup asked about.
 """
 
 from __future__ import annotations
@@ -74,9 +74,7 @@ class FiniteGroup:
         "name",
         "_inv",
         "_generators",
-        "_subgroup_masks",
         "_masks_by_order",
-        "_normalizers",
     )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
@@ -125,10 +123,8 @@ class FiniteGroup:
         self.table = tbl
         self.name = name
         self._inv = tuple(tbl[a].index(0) for a in range(n))
-        self._generators: tuple[int, ...] | None = None
-        self._subgroup_masks: tuple[int, ...] | None = None
-        self._masks_by_order: dict[int, list[int]] = {}
-        self._normalizers: dict[int, int] = {}
+        self._generators: dict[int, tuple[int, ...]] = {}
+        self._masks_by_order: dict[int, list[int]] | None = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -255,15 +251,15 @@ def _join_cyclic(g: FiniteGroup, h: int, h_members: list[int], x: int) -> int:
     return mask
 
 
-def _lattice(g: FiniteGroup) -> tuple[int, ...]:
-    """Every subgroup mask of G, sorted by (order, mask), built once per group
-    by cyclic extension (Neubüser): starting from the trivial subgroup, join
-    each subgroup found with each cyclic subgroup it does not contain.  Every
-    subgroup is a join of cyclic subgroups, so nothing is missed.  Since
-    <H, x> = <H, xh> for every h in H, one join per left coset xH is enough:
-    a generator in a coset already tried (H itself included) is skipped.  The
-    same pass groups the masks by order in ``g._masks_by_order``."""
-    if g._subgroup_masks is None:
+def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
+    """Every subgroup mask of G by order, orders ascending and each list by
+    mask, built once per group by cyclic extension (Neubüser): starting from
+    the trivial subgroup, join each subgroup found with each cyclic subgroup
+    it does not contain.  Every subgroup is a join of cyclic subgroups, so
+    nothing is missed.  Since <H, x> = <H, xh> for every h in H, one join per
+    left coset xH is enough: a generator in a coset already tried (H itself
+    included) is skipped."""
+    if g._masks_by_order is None:
         table = g.table
         cyclics = _cyclic_generators(g)
         found = {1}
@@ -283,37 +279,41 @@ def _lattice(g: FiniteGroup) -> tuple[int, ...]:
                             found.add(k)
                             fresh.append(k)
             frontier = fresh
-        g._subgroup_masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-        for m in g._subgroup_masks:
-            g._masks_by_order.setdefault(m.bit_count(), []).append(m)
-    return g._subgroup_masks
+        by_order: dict[int, list[int]] = {}
+        for m in sorted(found, key=lambda m: (m.bit_count(), m)):
+            by_order.setdefault(m.bit_count(), []).append(m)
+        g._masks_by_order = by_order
+    return g._masks_by_order
 
 
-def _generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """A generating set of G, cached per group: the elements, in index
-    order, that lie outside the span of those kept before them."""
-    if g._generators is None:
-        gens = []
+def _generating_set(g: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """A generating set of the subgroup `mask`, cached per group and
+    subgroup: the members, in index order, that lie outside the span of
+    those kept before them."""
+    gens = g._generators.get(mask)
+    if gens is None:
+        kept = []
         span = 1
-        for x in range(1, g.order):
+        for x in _bits(mask):
             if not (span >> x) & 1:
                 span = _join_cyclic(g, span, _bits(span), x)
-                gens.append(x)
-        g._generators = tuple(gens)
-    return g._generators
+                kept.append(x)
+        gens = g._generators[mask] = tuple(kept)
+    return gens
 
 
-def _is_normal(g: FiniteGroup, h: int) -> bool:
-    """H is normal in G exactly when aHa^-1 lies in H for every a in a
-    generating set of G; stops at the first conjugate outside H."""
+def _normal_in(g: FiniteGroup, k: int, ambient: int) -> bool:
+    """K is normal in the subgroup A = `ambient` exactly when aKa^-1 lies in
+    K for every a in a generating set of A; stops at the first conjugate
+    outside K."""
     table = g.table
     inv = g._inv
-    members = _bits(h)
-    for a in _generating_set(g):
+    members = _bits(k)
+    for a in _generating_set(g, ambient):
         ai = inv[a]
         ta = table[a]
         for x in members:
-            if not (h >> table[ta[x]][ai]) & 1:
+            if not (k >> table[ta[x]][ai]) & 1:
                 return False
     return True
 
@@ -321,7 +321,7 @@ def _is_normal(g: FiniteGroup, h: int) -> bool:
 def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgroup]:
     """Complete subgroup list, sorted by (order, member mask)."""
     _check_cap(g.order, cap)
-    return [Subgroup(m) for m in _lattice(g)]
+    return [Subgroup(m) for masks in _lattice(g).values() for m in masks]
 
 
 def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
@@ -337,7 +337,7 @@ def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    return _is_normal(g, h.mask)
+    return _normal_in(g, h.mask, (1 << g.order) - 1)
 
 
 def is_complement(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
@@ -373,10 +373,9 @@ def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | Non
     # only is_retract's caller can pass a member set that is no subgroup
     if size % h_order:
         return None
-    _lattice(g)
-    for k in g._masks_by_order.get(size // h_order, ()):
+    for k in _lattice(g).get(size // h_order, ()):
         if k & h == 1 and k & ambient == k:
-            if not normal or _normalizer(g, k) & ambient == ambient:
+            if not normal or _normal_in(g, k, ambient):
                 return k
     return None
 
@@ -440,7 +439,7 @@ def n1(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     full = (1 << g.order) - 1
     cands: dict[int, int] = {}
     for s in all_subgroups(g, cap):
-        if _is_normal(g, s.mask):
+        if _normal_in(g, s.mask, full):
             k = _complement(g, full, s.mask, normal=False)
             if k is not None:
                 cands[s.mask] = k
@@ -459,22 +458,6 @@ def n2(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     return _longest_chain(full, cands)
 
 
-def _normalizer(g: FiniteGroup, k: int) -> int:
-    """Mask of N_G(K), cached per group: K is normal in a subgroup H exactly
-    when H lies in N_G(K), so one conjugation pass per K serves every H."""
-    found = g._normalizers.get(k)
-    if found is None:
-        table = g.table
-        members = _bits(k)
-        found = 0
-        for a, ai in enumerate(g._inv):
-            ta = table[a]
-            if all((k >> table[ta[x]][ai]) & 1 for x in members):
-                found |= 1 << a
-        g._normalizers[k] = found
-    return found
-
-
 def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
     """n3 with its chain.  The proper retracts of each subgroup H are read
     off the shared lattice (the subgroups of H are the subgroups of G inside
@@ -482,8 +465,7 @@ def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
     ``_longest_chain``: a subgroup whose bound cannot beat the best so far
     is not tested for a normal complement."""
     _check_cap(g.order, cap)
-    _lattice(g)
-    by_order = g._masks_by_order
+    by_order = _lattice(g)
     omega = {k: _omega(k) for k in by_order}
     orders = sorted(by_order, reverse=True)
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}

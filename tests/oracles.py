@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Iterable
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +431,19 @@ def generated_subgroups_naive(table: list[list[int]]) -> list[frozenset[int]]:
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
-def _is_normal_naive(table, h: frozenset[int]) -> bool:
-    n = len(table)
-    for g in range(n):
-        gi = table_inverse(table, g)
-        for x in h:
-            if table[table[g][x]][gi] not in h:
+def _normal_in_naive(table, k: frozenset[int], a: Iterable[int]) -> bool:
+    """K is normal in A: x y x^-1 lies in K for every x in A and every y in
+    K, each product read off the raw table."""
+    for x in a:
+        xi = table_inverse(table, x)
+        for y in k:
+            if table[table[x][y]][xi] not in k:
                 return False
     return True
+
+
+def _is_normal_naive(table, h: frozenset[int]) -> bool:
+    return _normal_in_naive(table, h, range(len(table)))
 
 
 def _is_complement_naive(table, h: frozenset[int], k: frozenset[int]) -> bool:

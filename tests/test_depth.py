@@ -389,6 +389,11 @@ class TestWedgeExactDepth:
             wedge_exact_depth({0: 1})
         with pytest.raises(ValueError):
             wedge_exact_depth({2: 0})
+        # a degree or a count that is no int is refused, not truncated, and
+        # a key like "2" cannot merge with the sphere degree 2
+        for bad in ({2.5: 1}, {2: 1.9}, {"2": 1, 2: 1}):
+            with pytest.raises(ValueError, match="must be int"):
+                wedge_exact_depth(bad)
 
     @settings(max_examples=80, deadline=None)
     @given(

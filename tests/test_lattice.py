@@ -12,7 +12,8 @@ is checked against an exhaustive longest-chain search on random candidate
 families, and every length against the bound itself.  The complements that
 n1, n2 and ``is_retract`` find, and ``is_normal``, which conjugates by
 generators only, are checked against naive complement and normality tests
-on raw tables, also on groups too large for the power-set oracles.  Two
+on raw tables, also on groups too large for the power-set oracles; so is
+normality inside every subgroup, which n3's retract filter asks.  Two
 full ``Prop32Report``s on relabelled tables are pinned to values recorded
 before the lattice was shared, and six of order 64 to values recorded
 before the searches stopped early.
@@ -36,6 +37,7 @@ from polydepth.finitegroup import (
     FiniteGroup,
     Subgroup,
     _longest_chain,
+    _normal_in,
     all_subgroups,
     is_normal,
     is_retract,
@@ -48,6 +50,7 @@ from polydepth.finitegroup import (
 from oracles import (
     _is_complement_naive,
     _is_normal_naive,
+    _normal_in_naive,
     factor_naive,
     generated_subgroups_naive,
     longest_chain_naive,
@@ -218,6 +221,28 @@ def test_is_normal_matches_naive_on_every_subgroup(name):
     table, subs, normal = _naive_view(g, cap)
     for sub in all_subgroups(g, cap):
         assert is_normal(g, sub) == (sub.mask in normal), sub
+
+
+# the catalog groups up to order 16, and D4xZ2 relabelled so that its
+# subgroup masks are scattered over the bits
+UP_TO_16 = [name for name in catalog_names() if catalog_group(name).order <= 16]
+
+
+@pytest.mark.parametrize("name", UP_TO_16 + ["D4xZ2 relabelled"])
+def test_normal_in_matches_naive_on_every_pair_of_subgroups(name):
+    # n3's retract filter asks whether a complement K is normal in a proper
+    # subgroup A, which the predicate decides from a generating set of A
+    if name in UP_TO_16:
+        g = catalog_group(name)
+    else:
+        g = relabelled(direct_product(dihedral(4), cyclic(2)), 14)
+    table = [list(r) for r in g.table]
+    subs = {s.mask: frozenset(s.members()) for s in all_subgroups(g)}
+    for a, a_members in subs.items():
+        for k, k_members in subs.items():
+            if k & a == k:
+                expected = _normal_in_naive(table, k_members, a_members)
+                assert _normal_in(g, k, a) == expected, (k, a)
 
 
 @pytest.mark.parametrize("name", list(LARGE))
