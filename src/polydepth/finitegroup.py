@@ -40,17 +40,20 @@ normal complement) in a subgroup A: it looks only among the subgroups of
 order |A|/|H| and takes the least mask, so witnesses do not depend on which
 search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract`` all
 call it.  One predicate, ``_normal_in``, decides whether K is normal in a
-subgroup A: K is normal in A = <S> exactly when sKs^-1 lies in K for every
-s in S, so it conjugates K by a generating set of A only and stops at the
-first conjugate that leaves K.  ``n1`` and ``is_normal`` ask it with A = G,
-and ``_complement`` with A its ambient subgroup.  Each group caches its
-lattice, indexed by order, and one generating set per subgroup asked about.
+subgroup A: K = <T> is normal in A = <S> exactly when sts^-1 lies in K for
+every s in S and t in T, so it conjugates a generating set of K by one of A
+only and stops at the first conjugate that leaves K.  ``n1`` and
+``is_normal`` ask it with A = G, and ``_complement`` with A its ambient
+subgroup.  Each group caches its lattice, indexed by order, and one
+generating set per subgroup in it: the lattice finds each new subgroup K as
+<H, x> and records the generators of H followed by x.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .abelian import _factor
@@ -63,9 +66,11 @@ class FiniteGroup:
 
     Element 0 is the identity.  The constructor checks the full group axioms
     (Latin square, identity, associativity), so a ``FiniteGroup`` that exists
-    is a group; downstream searches never re-validate.  Tables that are
-    groups by construction (a subgroup's restriction, a direct product) come
-    in through the private ``_trusted``, which skips the O(n^3) check.
+    is a group; downstream searches never re-validate.  Associativity is
+    checked by Light's test on a set that generates the table, O(n^2 log n)
+    for a group.  Tables that are groups by construction (a subgroup's
+    restriction, a direct product) come in through the private ``_trusted``,
+    which skips the axiom check.
     """
 
     __slots__ = (
@@ -98,14 +103,34 @@ class FiniteGroup:
         for b in range(n):
             if len({tbl[a][b] for a in range(n)}) != n:
                 raise ValueError(f"column {b} is not a permutation")
-        for a in range(n):
-            ta = tbl[a]
-            for b in range(n):
-                ab_row = tbl[ta[b]]
-                tb = tbl[b]
-                for c in range(n):
-                    if ab_row[c] != ta[tb[c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        # Light's test: the b with (ab)c = a(bc) for all a, c are closed
+        # under the operation, so it is enough to test a set that generates
+        # the table.  `span` is what the identity reaches by right
+        # multiplication with the b tested so far: products of them, and
+        # for a group all they generate, so at most log2(n) b are tested.
+        tested: list[int] = []
+        span = 1
+        for b in range(n):
+            if (span >> b) & 1:
+                continue
+            tb = tbl[b]
+            # row a of each side: a(bc) and (ab)c over all c
+            if list(map(itemgetter(*tb), tbl)) != [tbl[ta[b]] for ta in tbl]:
+                a, c = next(
+                    (a, c)
+                    for a, ta in enumerate(tbl)
+                    for c in range(n)
+                    if tbl[ta[b]][c] != ta[tb[c]]
+                )
+                raise ValueError(f"associativity fails at ({a},{b},{c})")
+            tested.append(b)
+            span, spanned = 1, [0]
+            for x in spanned:  # grows while it is walked
+                row = tbl[x]
+                for y in tested:
+                    if not (span >> row[y]) & 1:
+                        span |= 1 << row[y]
+                        spanned.append(row[y])
         self._store(tbl, name)
 
     @classmethod
@@ -258,9 +283,11 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
     it does not contain.  Every subgroup is a join of cyclic subgroups, so
     nothing is missed.  Since <H, x> = <H, xh> for every h in H, one join per
     left coset xH is enough: a generator in a coset already tried (H itself
-    included) is skipped."""
+    included) is skipped.  Each new <H, x> is recorded in `g._generators`
+    with the generators of H followed by x."""
     if g._masks_by_order is None:
         table = g.table
+        gens = g._generators
         cyclics = _cyclic_generators(g)
         found = {1}
         frontier = [1]
@@ -278,6 +305,7 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
                         if k not in found:
                             found.add(k)
                             fresh.append(k)
+                            gens[k] = gens.get(h, ()) + (x,)
             frontier = fresh
         by_order: dict[int, list[int]] = {}
         for m in sorted(found, key=lambda m: (m.bit_count(), m)):
@@ -287,9 +315,10 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
 
 
 def _generating_set(g: FiniteGroup, mask: int) -> tuple[int, ...]:
-    """A generating set of the subgroup `mask`, cached per group and
-    subgroup: the members, in index order, that lie outside the span of
-    those kept before them."""
+    """A generating set of the subgroup `mask`: the one the lattice recorded,
+    or, for a mask outside the lattice (the trivial subgroup, or a subgroup
+    of a group whose lattice was never built), the members in index order
+    that lie outside the span of those kept before them, cached per group."""
     gens = g._generators.get(mask)
     if gens is None:
         kept = []
@@ -303,16 +332,16 @@ def _generating_set(g: FiniteGroup, mask: int) -> tuple[int, ...]:
 
 
 def _normal_in(g: FiniteGroup, k: int, ambient: int) -> bool:
-    """K is normal in the subgroup A = `ambient` exactly when aKa^-1 lies in
-    K for every a in a generating set of A; stops at the first conjugate
-    outside K."""
+    """K is normal in the subgroup A = `ambient` exactly when aka^-1 lies in
+    K for every a in a generating set of A and k in one of K; stops at the
+    first conjugate outside K."""
     table = g.table
     inv = g._inv
-    members = _bits(k)
+    k_gens = _generating_set(g, k)
     for a in _generating_set(g, ambient):
         ai = inv[a]
         ta = table[a]
-        for x in members:
+        for x in k_gens:
             if not (k >> table[ta[x]][ai]) & 1:
                 return False
     return True

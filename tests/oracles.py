@@ -10,9 +10,9 @@ integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
 chains try every set below each term, and the group-series oracles enumerate
-raw power sets and check the series definitions directly.  They are
-deliberately slow and simple; they exist to catch bugs in the fast
-implementations.
+raw power sets and check the series definitions directly, and associativity
+is checked on every triple.  They are deliberately slow and simple; they
+exist to catch bugs in the fast implementations.
 """
 
 from __future__ import annotations
@@ -370,6 +370,67 @@ def subspace_count_naive(p: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # finite groups on raw Cayley tables (list of lists, identity = 0)
+
+
+def fails_associativity(table: list[list[int]], a: int, b: int, c: int) -> bool:
+    """(ab)c differs from a(bc), both read off the raw table."""
+    return table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def associative_naive(table: list[list[int]]) -> bool:
+    """Associativity by trying every triple (a, b, c)."""
+    n = len(table)
+    return not any(
+        fails_associativity(table, a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def intercalate_swaps(table: list[list[int]]) -> list[list[list[int]]]:
+    """Every Latin square one intercalate swap away from `table` that keeps
+    row and column 0: for rows r < s and columns c < d, none of them 0, with
+    table[r][c] = table[s][d] = u and table[r][d] = table[s][c] = v, swap u
+    and v in those four cells."""
+    n = len(table)
+    out = []
+    for r, s in combinations(range(1, n), 2):
+        for c, d in combinations(range(1, n), 2):
+            u, v = table[r][c], table[r][d]
+            if table[s][d] == u and table[s][c] == v:
+                swapped = [list(row) for row in table]
+                swapped[r][c] = swapped[s][d] = v
+                swapped[r][d] = swapped[s][c] = u
+                out.append(swapped)
+    return out
+
+
+def random_loop(n: int, rng: random.Random) -> list[list[int]]:
+    """A random Latin square of order n whose row and column 0 are the
+    identity, filled cell by cell in random value order with backtracking.
+    Sane up to order 8 or so."""
+    table = [[0] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for a in range(n):
+        table[a][0] = a
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i: int) -> bool:
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(table[a][:b]) | {table[x][b] for x in range(a)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            table[a][b] = v
+            if fill(i + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return table
 
 
 def longest_chain_naive(

@@ -6,6 +6,9 @@ the test body; structural properties (witness validity, determinism,
 monotonicity) run across the catalog.
 """
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,10 +34,14 @@ from polydepth.finitegroup import (
     verify_prop32,
 )
 from oracles import (
+    associative_naive,
+    fails_associativity,
+    intercalate_swaps,
     n1_naive,
     n2_naive,
     n3_naive,
     powerset_subgroups,
+    random_loop,
     retracts_naive,
     _is_normal_naive,
 )
@@ -44,6 +51,7 @@ SMALL = [
     for name in catalog_names()
     if catalog_group(name).order <= 8
 ]
+UP_TO_16 = [name for name in catalog_names() if catalog_group(name).order <= 16]
 
 
 # A Latin square with two-sided identity 0 that is not associative.
@@ -90,6 +98,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="not closed"):
             subgroup_from_members(g, [0, 1])
         assert subgroup_from_members(g, [0, 2, 4]).order == 3
+
+
+def _agrees_with_associativity_oracle(table) -> bool:
+    """The constructor accepts `table` exactly when the n^3 oracle finds it
+    associative, and a refusal names a triple where associativity fails."""
+    try:
+        FiniteGroup(table)
+    except ValueError as e:
+        m = re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(e))
+        assert m, e
+        assert fails_associativity(table, *map(int, m.groups())), e
+        return not associative_naive(table)
+    return associative_naive(table)
+
+
+class TestAssociativityOracle:
+    """Light's test in the constructor against the check of every triple."""
+
+    @pytest.mark.parametrize("name", UP_TO_16)
+    def test_intercalate_swaps_of_catalog_tables(self, name):
+        squares = intercalate_swaps([list(r) for r in catalog_group(name).table])
+        for table in squares:
+            assert _agrees_with_associativity_oracle(table), table
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_loops(self, n):
+        rng = random.Random(16000 + n)
+        for _ in range(40):
+            table = random_loop(n, rng)
+            assert _agrees_with_associativity_oracle(table), table
 
 
 class TestBasicOps:

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from test_finitegroup import NONASSOC_LOOP
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SPACES = SRC.parent / "spaces"
 
@@ -116,7 +118,7 @@ def test_every_public_name_is_read_from_its_owner():
 
 
 SOUNDNESS_SCRIPT = """
-from polydepth import DepthBoundReport, FgAbelianGroup, HomologyProfile, SeriesResult, Subgroup
+from polydepth import DepthBoundReport, FgAbelianGroup, FiniteGroup, HomologyProfile, SeriesResult, Subgroup
 
 def raises(build):
     try:
@@ -130,13 +132,17 @@ print(raises(lambda: DepthBoundReport("Cor-simply", 2, 1, {2: 1}, (), exact_dept
 print(raises(lambda: SeriesResult(2, (Subgroup(1),), (Subgroup(1),))))
 print(raises(lambda: SeriesResult(0, (Subgroup(1),), ())))
 print(raises(lambda: HomologyProfile(1, {0: FgAbelianGroup(1), 2: FgAbelianGroup(1)})))
-"""
+try:
+    FiniteGroup(%r)
+except ValueError as e:
+    print(str(e).startswith("associativity fails at"))
+""" % (NONASSOC_LOOP,)
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 5
+    assert proc.stdout.split() == ["True"] * 6
 
 
 def test_star_import_exports_every_public_name_once():
