@@ -15,12 +15,11 @@ FgAbelianGroup(free_rank=0, torsion=(2, 3))
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import CompositionNotZero, DimensionMismatch
+from .errors import CompositionNotZero, DimensionMismatch, Record, _set
 from .intlinalg import IntMatrix, _check_token, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
@@ -61,25 +60,25 @@ def _is_prime_power(q: int) -> bool:
     return q >= 2 and len(_factor(q)) == 1
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Z^free_rank plus cyclic prime-power summands, sorted ascending."""
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        if tuple(sorted(self.torsion)) != self.torsion:
+        if tuple(sorted(torsion)) != torsion:
             raise ValueError("torsion coefficients must be sorted ascending")
         # sorted, so dict.fromkeys keeps each distinct order once, ascending
-        for q in dict.fromkeys(self.torsion):
+        for q in dict.fromkeys(torsion):
             if not _is_prime_power(q):
                 raise ValueError(
                     f"torsion coefficient {q} is not a prime power >= 2; "
                     "build through from_cyclic_factors for automatic splitting"
                 )
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
 
     @property
     def is_trivial(self) -> bool:

@@ -27,8 +27,6 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
     DEFAULT_SEARCH_CAP,
@@ -36,6 +34,8 @@ from .errors import (
     DimensionNotTwo,
     NotFinitelyGenerated,
     PolydepthError,
+    Record,
+    _set,
 )
 from .intlinalg import _check_int
 from .pi1 import (
@@ -113,34 +113,39 @@ def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
     raise TypeError(f"not a Pi1Descriptor: {descriptor!r}")
 
 
-@dataclass(frozen=True)
-class DepthBoundReport:
-    applied_rule: str
-    bound: int
-    sl_pi1: int
-    per_degree: dict[int, int]
-    assumptions_used: tuple[str, ...]
-    exact_depth: "int | None" = None
-    provenance: "str | None" = None
+class DepthBoundReport(Record):
+    __slots__ = (
+        "applied_rule", "bound", "sl_pi1", "per_degree", "assumptions_used", "exact_depth",
+        "provenance",
+    )
 
-    def __post_init__(self):
-        total = self.sl_pi1 + sum(self.per_degree.values())
-        if self.bound != total:
-            raise ValueError(
-                f"bound {self.bound} is not sl(pi1) plus the per-degree terms ({total})"
-            )
-        if self.exact_depth is not None and self.exact_depth > self.bound:
-            raise ValueError(
-                f"exact depth {self.exact_depth} exceeds the bound {self.bound}"
-            )
+    def __init__(
+        self, applied_rule: str, bound: int, sl_pi1: int, per_degree: dict[int, int],
+        assumptions_used: tuple[str, ...], exact_depth: int | None = None,
+        provenance: str | None = None,
+    ):
+        total = sl_pi1 + sum(per_degree.values())
+        if bound != total:
+            raise ValueError(f"bound {bound} is not sl(pi1) plus the per-degree terms ({total})")
+        if exact_depth is not None and exact_depth > bound:
+            raise ValueError(f"exact depth {exact_depth} exceeds the bound {bound}")
+        _set(self, "applied_rule", applied_rule)
+        _set(self, "bound", bound)
+        _set(self, "sl_pi1", sl_pi1)
+        _set(self, "per_degree", per_degree)
+        _set(self, "assumptions_used", assumptions_used)
+        _set(self, "exact_depth", exact_depth)
+        _set(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class NoBoundApplicable:
+class NoBoundApplicable(Record):
     """Structured inapplicability: one (rule family, reason) pair per
     attempted bound."""
 
-    failures: tuple[tuple[str, str], ...]
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: tuple[tuple[str, str], ...]):
+        _set(self, "failures", failures)
 
 
 def bound_general(space: SpaceExpr) -> DepthBoundReport:
@@ -256,22 +261,23 @@ def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     # replace() re-runs the report's checks, so an exact depth above the
     # bound fails loudly
     exact_depth, provenance = _known_exact_depth(space) or (None, None)
-    return replace(
-        chosen,
+    return chosen.replace(
         assumptions_used=assumptions,
         exact_depth=exact_depth,
         provenance=provenance,
     )
 
 
-@dataclass(frozen=True)
-class WedgeDepthResult:
+class WedgeDepthResult(Record):
     """Exact depth and capacity of a wedge of spheres, with a witness chain
     of sub-wedges growing one sphere at a time."""
 
-    depth: int
-    capacity: int
-    chain: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("depth", "capacity", "chain")
+
+    def __init__(self, depth: int, capacity: int, chain: tuple[tuple[tuple[int, int], ...], ...]):
+        _set(self, "depth", depth)
+        _set(self, "capacity", capacity)
+        _set(self, "chain", chain)
 
 
 def wedge_exact_depth(r: dict[int, int]) -> WedgeDepthResult:

@@ -52,12 +52,12 @@ generating set per subgroup in it: the lattice finds each new subgroup K as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable
 
 from .abelian import _factor
-from .errors import DEFAULT_SEARCH_CAP, OrderExceedsCap
+from .errors import DEFAULT_SEARCH_CAP, OrderExceedsCap, Record, _set
 from .intlinalg import _as_list, _check_int, _check_token
 
 
@@ -184,15 +184,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class Subgroup:
+@total_ordering
+class Subgroup(Record):
     """Subgroup of some fixed ambient group, stored as a member bitmask."""
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __post_init__(self):
-        if self.mask < 1 or not self.mask & 1:
+    def __init__(self, mask: int):
+        if mask < 1 or not mask & 1:
             raise ValueError("a subgroup must contain the identity (bit 0)")
+        _set(self, "mask", mask)
+
+    def __lt__(self, other):
+        return self.mask < other.mask if other.__class__ is Subgroup else NotImplemented
 
     @property
     def order(self) -> int:
@@ -212,27 +216,27 @@ class Subgroup:
         return cls(mask)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """A maximal series: its length, the chain of subgroups from the whole
     group down to the trivial one, and one witness complement per term
     (complements taken in the ambient group)."""
 
-    length: int
-    witness: tuple[Subgroup, ...]
-    complements: tuple[Subgroup, ...]
+    __slots__ = ("length", "witness", "complements")
 
-    def __post_init__(self):
-        if self.length != len(self.witness) - 1:
+    def __init__(
+        self, length: int, witness: tuple[Subgroup, ...], complements: tuple[Subgroup, ...]
+    ):
+        if length != len(witness) - 1:
             raise ValueError(
-                f"series length {self.length} does not match a witness of "
-                f"{len(self.witness)} terms"
+                f"series length {length} does not match a witness of {len(witness)} terms"
             )
-        if len(self.complements) != len(self.witness):
+        if len(complements) != len(witness):
             raise ValueError(
-                f"{len(self.complements)} complements for a witness of "
-                f"{len(self.witness)} terms"
+                f"{len(complements)} complements for a witness of {len(witness)} terms"
             )
+        _set(self, "length", length)
+        _set(self, "witness", witness)
+        _set(self, "complements", complements)
 
 
 def _check_cap(order: int, cap: int):
@@ -535,16 +539,21 @@ def n3(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> int:
     return _n3_chain(g, cap)[0]
 
 
-@dataclass(frozen=True)
-class Prop32Report:
+class Prop32Report(Record):
     """The three lengths computed independently, with witnesses."""
 
-    order: int
-    name: str | None
-    n1: SeriesResult
-    n2: SeriesResult
-    n3: int
-    n3_chain: tuple[Subgroup, ...]
+    __slots__ = ("order", "name", "n1", "n2", "n3", "n3_chain")
+
+    def __init__(
+        self, order: int, name: str | None, n1: SeriesResult, n2: SeriesResult, n3: int,
+        n3_chain: tuple[Subgroup, ...],
+    ):
+        _set(self, "order", order)
+        _set(self, "name", name)
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
+        _set(self, "n3", n3)
+        _set(self, "n3_chain", n3_chain)
 
     @property
     def equal(self) -> bool:

@@ -32,10 +32,11 @@ There are two ways to diagonalize:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
 from typing import Iterable, Sequence
+
+from .errors import Record, _set
 
 # entry types accepted without a per-entry isinstance call; bool is an int
 # subclass and has always been accepted as an entry
@@ -93,8 +94,7 @@ def _nonzero(values: Sequence[int]) -> dict[int, int]:
     return dict(compress(enumerate(values), values))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class IntMatrix:
+class IntMatrix(Record):
     """Integer matrix of shape rows x cols, possibly with zero rows or
     columns, that stores one dict {column: nonzero entry} per row.
 
@@ -104,9 +104,7 @@ class IntMatrix:
     `row` and `to_rows` are dense views built on request.
     """
 
-    rows: int
-    cols: int
-    _rows: tuple[dict[int, int], ...]
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         _check_shape(rows, cols)
@@ -117,9 +115,9 @@ class IntMatrix:
         self._store(rows, cols, data)
 
     def _store(self, rows: int, cols: int, data: tuple[dict[int, int], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_rows", data)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_rows", data)
 
     @classmethod
     def _sparse(cls, rows: int, cols: int, data: tuple[dict[int, int], ...]) -> IntMatrix:
@@ -213,22 +211,27 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.entries)
+
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith normal form S = U @ M @ V with unimodular U, V.
 
     `diagonal` lists only the nonzero diagonal entries d1 | d2 | ... | dr,
     each positive.
     """
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    diagonal: tuple[int, ...]
+    __slots__ = ("U", "S", "V", "diagonal")
+
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix, diagonal: tuple[int, ...]):
+        _set(self, "U", U)
+        _set(self, "S", S)
+        _set(self, "V", V)
+        _set(self, "diagonal", diagonal)
 
 
 def _smallest_pivot(s: list[list[int]], t: int, rows: int, cols: int):

@@ -13,49 +13,54 @@ never meets one does not load them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .abelian import FgAbelianGroup, from_cyclic_factors, parse_abelian, render_abelian
-from .errors import OrderExceedsCap
+from .errors import OrderExceedsCap, Record, _set
 from .intlinalg import _check_int
 
 if TYPE_CHECKING:
     from .finitegroup import FiniteGroup
 
 
-@dataclass(frozen=True)
-class Trivial:
-    pass
+class Trivial(Record):
+    __slots__ = ()
+
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True)
-class Finite:
-    group: FiniteGroup
+class Finite(Record):
+    __slots__ = ("group",)
+
+    def __init__(self, group: FiniteGroup):
+        _set(self, "group", group)
 
 
-@dataclass(frozen=True)
-class FgAbelian:
-    group: FgAbelianGroup
+class FgAbelian(Record):
+    __slots__ = ("group",)
+
+    def __init__(self, group: FgAbelianGroup):
+        _set(self, "group", group)
 
 
-@dataclass(frozen=True)
-class Free:
-    rank: int
+class Free(Record):
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise ValueError("Free requires rank >= 1; use free() to normalize rank 0")
+        _set(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class ElementaryAmenable:
-    hirsch: int
-    cd_finite: bool
+class ElementaryAmenable(Record):
+    __slots__ = ("hirsch", "cd_finite")
 
-    def __post_init__(self):
-        if self.hirsch < 0:
-            raise ValueError(f"Hirsch length must be >= 0, got {self.hirsch}")
+    def __init__(self, hirsch: int, cd_finite: bool):
+        if hirsch < 0:
+            raise ValueError(f"Hirsch length must be >= 0, got {hirsch}")
+        _set(self, "hirsch", hirsch)
+        _set(self, "cd_finite", cd_finite)
 
 
 Pi1Descriptor = Union[Trivial, Finite, FgAbelian, Free, ElementaryAmenable]

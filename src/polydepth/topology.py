@@ -38,7 +38,6 @@ UnsupportedConstruction; no rule, no answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .abelian import (
@@ -54,7 +53,9 @@ from .errors import (
     CompositionNotZero,
     DimensionMismatch,
     NotFinitelyGenerated,
+    Record,
     UnsupportedConstruction,
+    _set,
 )
 from .intlinalg import IntMatrix, _check_int, invariant_factors
 from .pi1 import (
@@ -79,43 +80,41 @@ json`` prints about 85 MB.  A product's homology may hold at most this many
 torsion summands, over all degrees, for the same reason."""
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Finite chain complex of free abelian groups, given by cell counts per
     dimension and boundary matrices d_1 .. d_dim (d_k: k-chains to
     (k-1)-chains, rows indexed by (k-1)-cells), taken as given: a tuple of
     ints and a tuple of `IntMatrix`."""
 
-    dim: int
-    boundary: tuple[IntMatrix, ...]
-    cells: tuple[int, ...]
+    __slots__ = ("dim", "boundary", "cells")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.dim}")
-        if len(self.cells) != self.dim + 1:
+    def __init__(self, dim: int, boundary: tuple[IntMatrix, ...], cells: tuple[int, ...]):
+        if dim < 0:
+            raise ValueError(f"dimension must be >= 0, got {dim}")
+        if len(cells) != dim + 1:
             raise ValueError(
-                f"need {self.dim + 1} cell counts for dimension {self.dim}, "
-                f"got {len(self.cells)}"
+                f"need {dim + 1} cell counts for dimension {dim}, got {len(cells)}"
             )
-        if any(c < 0 for c in self.cells):
+        if any(c < 0 for c in cells):
             raise ValueError("cell counts must be >= 0")
-        if len(self.boundary) != self.dim:
+        if len(boundary) != dim:
             raise ValueError(
-                f"need {self.dim} boundary maps for dimension {self.dim}, "
-                f"got {len(self.boundary)}"
+                f"need {dim} boundary maps for dimension {dim}, got {len(boundary)}"
             )
-        for k, b in enumerate(self.boundary, start=1):
-            if (b.rows, b.cols) != (self.cells[k - 1], self.cells[k]):
+        for k, b in enumerate(boundary, start=1):
+            if (b.rows, b.cols) != (cells[k - 1], cells[k]):
                 raise DimensionMismatch(
                     f"boundary map {k} has shape {b.rows}x{b.cols}, expected "
-                    f"{self.cells[k - 1]}x{self.cells[k]}"
+                    f"{cells[k - 1]}x{cells[k]}"
                 )
-        for k in range(1, self.dim):
-            if not (self.boundary[k - 1] @ self.boundary[k]).is_zero():
+        for k in range(1, dim):
+            if not (boundary[k - 1] @ boundary[k]).is_zero():
                 raise CompositionNotZero(
                     f"boundary maps {k} and {k + 1} do not compose to zero"
                 )
+        _set(self, "dim", dim)
+        _set(self, "boundary", boundary)
+        _set(self, "cells", cells)
 
     def boundary_map(self, k: int) -> IntMatrix:
         """d_k with the convention that maps outside 1..dim are zero maps of
@@ -136,52 +135,54 @@ def euler_characteristic(complex_: ChainComplex) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Sphere:
-    n: int
+class Sphere(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"sphere dimension must be >= 1, got {n}")
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Wedge:
+class Wedge(Record):
     """Wedge of its parts; a nested wedge is spliced in, so parts are never
     wedges."""
 
-    parts: tuple["SpaceExpr", ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = []
-        for p in self.parts:
-            parts.extend(p.parts if isinstance(p, Wedge) else (p,))
-        object.__setattr__(self, "parts", tuple(parts))
-        if not self.parts:
+    def __init__(self, parts: tuple[SpaceExpr, ...]):
+        spliced = []
+        for p in parts:
+            spliced.extend(p.parts if isinstance(p, Wedge) else (p,))
+        if not spliced:
             raise ValueError("wedge needs at least one part")
+        _set(self, "parts", tuple(spliced))
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """Product of its factors; a nested product is spliced in, so factors
     are never products."""
 
-    factors: tuple["SpaceExpr", ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = []
-        for f in self.factors:
-            factors.extend(f.factors if isinstance(f, Product) else (f,))
-        object.__setattr__(self, "factors", tuple(factors))
-        if not self.factors:
+    def __init__(self, factors: tuple[SpaceExpr, ...]):
+        spliced = []
+        for f in factors:
+            spliced.extend(f.factors if isinstance(f, Product) else (f,))
+        if not spliced:
             raise ValueError("product needs at least one factor")
+        _set(self, "factors", tuple(spliced))
 
 
-@dataclass(frozen=True)
-class Explicit:
-    complex: ChainComplex
-    pi1: Pi1Descriptor
-    cover: ChainComplex | None = None
+class Explicit(Record):
+    __slots__ = ("complex", "pi1", "cover")
+
+    def __init__(
+        self, complex: ChainComplex, pi1: Pi1Descriptor, cover: ChainComplex | None = None
+    ):
+        _set(self, "complex", complex)
+        _set(self, "pi1", pi1)
+        _set(self, "cover", cover)
 
 
 SpaceExpr = Union[Sphere, Wedge, Product, Explicit]

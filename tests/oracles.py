@@ -10,13 +10,16 @@ integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
 chains try every set below each term, and the group-series oracles enumerate
-raw power sets and check the series definitions directly, and associativity
-is checked on every triple.  They are deliberately slow and simple; they
-exist to catch bugs in the fast implementations.
+raw power sets and check the series definitions directly, associativity
+is checked on every triple, and each value record has a standard-library
+dataclass twin.  They are deliberately slow and simple; they exist to catch
+bugs in the fast implementations.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -583,3 +586,27 @@ def n3_naive(table: list[list[int]]) -> int:
         if h != full:
             best = max(best, n3_naive(restrict_table(table, h)))
     return 1 + best
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+
+def dataclass_twin(cls: type) -> type:
+    """A frozen dataclass of the same name with the fields of record class
+    `cls`: its ``__slots__`` in order, each with the default its
+    ``__init__`` gives the parameter of that name.  It is ordered when `cls`
+    defines ``<``, and keeps a ``__hash__`` that `cls` defines itself, as a
+    dataclass declared with that method would."""
+    params = inspect.signature(cls.__init__).parameters
+    fields = []
+    for name in cls.__slots__:
+        default = params[name].default if name in params else inspect.Parameter.empty
+        if default is inspect.Parameter.empty:
+            fields.append(name)
+        else:
+            fields.append((name, object, dataclasses.field(default=default)))
+    namespace = {"__hash__": cls.__dict__["__hash__"]} if "__hash__" in cls.__dict__ else {}
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, namespace=namespace, frozen=True, order="__lt__" in cls.__dict__
+    )

@@ -34,17 +34,22 @@ def test_import_loads_no_third_party_module():
     assert not [m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")]
 
 
-def _loaded_submodules(*args: str) -> set[str]:
-    """The polydepth submodules a fresh interpreter imports while it runs
-    `args`, read from its ``-X importtime`` report; a module run with ``-m``
-    is not imported and is not listed."""
+def _loaded_modules(*args: str) -> set[str]:
+    """The modules a fresh interpreter imports while it runs `args`, read
+    from its ``-X importtime`` report; a module run with ``-m`` is not
+    imported and is not listed."""
     proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr
-    names = (
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
-    )
+    }
+
+
+def _loaded_submodules(*args: str) -> set[str]:
+    """The polydepth submodules among `_loaded_modules(*args)`."""
+    names = _loaded_modules(*args)
     return {name.split(".", 1)[1] for name in names if name.startswith("polydepth.")}
 
 
@@ -71,6 +76,16 @@ def test_cold_command_loads_only_what_it_runs(argv, unused):
     loaded = _loaded_submodules("-m", "polydepth.cli", *argv)
     assert "errors" in loaded
     assert not loaded & unused
+
+
+# what `import dataclasses` pulls in; the value records do without it
+DATACLASS_CHAIN = {"dataclasses", "inspect", "ast", "dis"}
+
+
+@COLD_COMMANDS
+@pytest.mark.parametrize("how", [["-m", "polydepth.cli"], ["-c", SCRIPT]], ids=["module", "script"])
+def test_cold_command_loads_no_dataclass_chain(argv, unused, how):
+    assert not _loaded_modules(*how, *argv) & DATACLASS_CHAIN
 
 
 @COLD_COMMANDS
@@ -118,7 +133,10 @@ def test_every_public_name_is_read_from_its_owner():
 
 
 SOUNDNESS_SCRIPT = """
-from polydepth import DepthBoundReport, FgAbelianGroup, FiniteGroup, HomologyProfile, SeriesResult, Subgroup
+from polydepth import (
+    DepthBoundReport, ElementaryAmenable, FgAbelianGroup, FiniteGroup, Free, HomologyProfile,
+    SeriesResult, Sphere, Subgroup,
+)
 
 def raises(build):
     try:
@@ -132,6 +150,12 @@ print(raises(lambda: DepthBoundReport("Cor-simply", 2, 1, {2: 1}, (), exact_dept
 print(raises(lambda: SeriesResult(2, (Subgroup(1),), (Subgroup(1),))))
 print(raises(lambda: SeriesResult(0, (Subgroup(1),), ())))
 print(raises(lambda: HomologyProfile(1, {0: FgAbelianGroup(1), 2: FgAbelianGroup(1)})))
+print(raises(lambda: Sphere(0)))
+print(raises(lambda: Free(0)))
+print(raises(lambda: Subgroup(2)))
+print(raises(lambda: ElementaryAmenable(-1, True)))
+report = DepthBoundReport("Cor-simply", 2, 1, {2: 1}, ())
+print(raises(lambda: report.replace(exact_depth=3)))
 try:
     FiniteGroup(%r)
 except ValueError as e:
@@ -142,7 +166,7 @@ except ValueError as e:
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 6
+    assert proc.stdout.split() == ["True"] * 11
 
 
 def test_star_import_exports_every_public_name_once():
