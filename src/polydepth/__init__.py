@@ -59,6 +59,7 @@ _EXPORTS = {
         "is_complement",
         "is_retract",
         "restrict_to_subgroup",
+        "direct_product",
         "n1",
         "n2",
         "n3",
@@ -76,7 +77,6 @@ _EXPORTS = {
         "cyclic",
         "dihedral",
         "dicyclic",
-        "direct_product",
         "semidirect",
         "symmetric3",
         "alternating4",

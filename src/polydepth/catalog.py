@@ -5,8 +5,7 @@ test wants the same class built two different ways.
 
 Builders only arrange the indices; the FiniteGroup constructor proves the
 result is a group, so a typo in a formula fails fast instead of producing a
-quietly broken table.  The one exception is `direct_product`, whose table
-is a group because its factors are.  Index 0 is always the identity.
+quietly broken table.  Index 0 is always the identity.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Callable
 
-from .finitegroup import FiniteGroup
+from .finitegroup import FiniteGroup, direct_product
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -22,40 +21,6 @@ def cyclic(n: int, name: str | None = None) -> FiniteGroup:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, name=name or f"Z{n}")
-
-
-def direct_product(*groups: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    if not groups:
-        raise ValueError("direct product needs at least one factor")
-    sizes = [g.order for g in groups]
-    total = 1
-    for s in sizes:
-        total *= s
-
-    def decode(idx: int) -> list[int]:
-        parts = []
-        for s in reversed(sizes):
-            parts.append(idx % s)
-            idx //= s
-        return parts[::-1]
-
-    def encode(parts: list[int]) -> int:
-        idx = 0
-        for s, p in zip(sizes, parts):
-            idx = idx * s + p
-        return idx
-
-    table = []
-    for a in range(total):
-        pa = decode(a)
-        row = []
-        for b in range(total):
-            pb = decode(b)
-            row.append(encode([g.table[x][y] for g, x, y in zip(groups, pa, pb)]))
-        table.append(tuple(row))
-    auto = "x".join(g.name or f"G{g.order}" for g in groups)
-    # a product of groups is a group: its table needs no axiom check
-    return FiniteGroup._trusted(tuple(table), name=name or auto)
 
 
 def dihedral(n: int, name: str | None = None) -> FiniteGroup:

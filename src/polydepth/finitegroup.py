@@ -53,12 +53,13 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from itertools import product
 from operator import itemgetter
 from typing import Iterable
 
 from .abelian import _factor
 from .errors import DEFAULT_SEARCH_CAP, OrderExceedsCap, Record, _set
-from .intlinalg import _as_list, _check_int, _check_token
+from .intlinalg import _as_list, _check_token, _int_row
 
 
 class FiniteGroup:
@@ -83,25 +84,28 @@ class FiniteGroup:
     )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
-        rows = (_as_list(row, "Cayley table rows") for row in table)
-        tbl = tuple(tuple(_check_int(x, "Cayley table entries") for x in row) for row in rows)
+        tbl = tuple(
+            _int_row(_as_list(row, "Cayley table rows"), "Cayley table entries")
+            for row in table
+        )
         n = len(tbl)
         if n == 0:
             raise ValueError("empty Cayley table")
+        identity = tuple(range(n))
+        elements = frozenset(identity)
         for i, row in enumerate(tbl):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"entry {x} out of range in row {i}")
-        for a in range(n):
-            if tbl[0][a] != a or tbl[a][0] != a:
-                raise ValueError("element 0 does not act as a two-sided identity")
-        for a in range(n):
-            if len(set(tbl[a])) != n:
+            if not elements.issuperset(row):
+                x = next(x for x in row if x not in elements)
+                raise ValueError(f"entry {x} out of range in row {i}")
+        if tbl[0] != identity or tuple(row[0] for row in tbl) != identity:
+            raise ValueError("element 0 does not act as a two-sided identity")
+        for a, row in enumerate(tbl):
+            if len(set(row)) != n:
                 raise ValueError(f"row {a} is not a permutation")
-        for b in range(n):
-            if len({tbl[a][b] for a in range(n)}) != n:
+        for b, column in enumerate(zip(*tbl)):
+            if len(set(column)) != n:
                 raise ValueError(f"column {b} is not a permutation")
         # Light's test: the b with (ab)c = a(bc) for all a, c are closed
         # under the operation, so it is enough to test a set that generates
@@ -239,8 +243,10 @@ class SeriesResult(Record):
         _set(self, "complements", complements)
 
 
-def _check_cap(order: int, cap: int):
-    if order > cap:
+def _check_cap(order: int, cap: int | None) -> None:
+    """The one rule for the search cap: an order above `cap` raises
+    OrderExceedsCap, whatever else is wrong with the input; None is no cap."""
+    if cap is not None and order > cap:
         raise OrderExceedsCap(order, cap)
 
 
@@ -396,6 +402,24 @@ def restrict_to_subgroup(
     index = {glob: loc for loc, glob in enumerate(members)}
     table = tuple(tuple(index[g.table[a][b]] for b in members) for a in members)
     return FiniteGroup._trusted(table, name=name)
+
+
+def direct_product(*groups: FiniteGroup, name: str | None = None) -> FiniteGroup:
+    """The direct product; element (x1, ..., xk) has the mixed-radix index
+    of its coordinates, the first factor most significant, which is the
+    lexicographic order in which itertools.product lists the pairs of rows
+    and of entries.  A product of groups is a group, so its table is not
+    checked again."""
+    if not groups:
+        raise ValueError("direct product needs at least one factor")
+    table = groups[0].table
+    for g in groups[1:]:
+        k = g.order
+        table = tuple(
+            tuple(x * k + y for x, y in product(ra, rb)) for ra, rb in product(table, g.table)
+        )
+    auto = "x".join(g.name or f"G{g.order}" for g in groups)
+    return FiniteGroup._trusted(table, name=name or auto)
 
 
 def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | None:
@@ -618,9 +642,7 @@ def parse_cayley_table(
     tokens = text.split()
     if not tokens:
         raise ValueError("empty Cayley table input")
-    declared = _check_token(tokens[0], "Cayley table")
-    if cap is not None and declared > cap:
-        raise OrderExceedsCap(declared, cap)
+    _check_cap(_check_token(tokens[0], "Cayley table"), cap)
     if _DIGITS_AND_SPACE.fullmatch(text) is None:
         for t in tokens:
             _check_token(t, "Cayley table")

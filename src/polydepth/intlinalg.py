@@ -48,11 +48,21 @@ def _check_shape(rows: int, cols: int) -> None:
         raise ValueError("matrix dimensions must be nonnegative")
 
 
-def _check_ints(values: Sequence) -> None:
+def _check_ints(values: Sequence, what: str) -> None:
     # every entry, zero-valued or falsy ones included, must be an int
     if not _INT_TYPES.issuperset(map(type, values)):
         for x in values:
-            _check_int(x, "matrix entries")
+            _check_int(x, what)
+
+
+def _int_row(values: Sequence, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints by the rule of `_check_ints`, a bool read
+    as 0 or 1.  A row of plain ints, the usual case, is copied as it is:
+    int() on each value would cost more than the type check."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    _check_ints(values, what)
+    return tuple(map(int, values))
 
 
 def _check_int(x, what: str) -> int:
@@ -110,7 +120,7 @@ class IntMatrix(Record):
         _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        _check_ints(entries)
+        _check_ints(entries, "matrix entries")
         data = tuple(_nonzero(entries[i * cols : (i + 1) * cols]) for i in range(rows))
         self._store(rows, cols, data)
 
@@ -140,7 +150,7 @@ class IntMatrix(Record):
             raise ValueError("ragged rows")
         sparse = []
         for row in data:
-            _check_ints(row)
+            _check_ints(row, "matrix entries")
             sparse.append(_nonzero(row))
         return cls._sparse(len(data), width, tuple(sparse))
 

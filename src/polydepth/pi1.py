@@ -6,9 +6,9 @@ finitely generated abelian, free of known rank, or elementary amenable with a
 known Hirsch length and a flag saying whether the cohomological dimension is
 finite.  The descriptor records exactly what the bound formulas need.
 
-Only the finite shape needs ``finitegroup`` and ``catalog``.  They are
-imported where a finite descriptor is read or written, so a command that
-never meets one does not load them.
+Only the finite shape needs ``finitegroup``, and only a catalog name needs
+``catalog``.  They are imported where a finite descriptor is read or
+written, so a command that never meets one does not load them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Union
 
 from .abelian import FgAbelianGroup, from_cyclic_factors, parse_abelian, render_abelian
-from .errors import OrderExceedsCap, Record, _set
+from .errors import Record, _set
 from .intlinalg import _check_int
 
 if TYPE_CHECKING:
@@ -153,17 +153,18 @@ def _one_of(obj, what: str, tags: tuple[str, ...], lists=()) -> tuple[str, objec
 
 
 def _finite_from_json(obj, cap: int | None = None) -> Finite:
-    from .catalog import catalog_group
-    from .finitegroup import FiniteGroup, parse_cayley_table
+    from .finitegroup import FiniteGroup, _check_cap, parse_cayley_table
 
     if isinstance(obj, str):
         return Finite(parse_cayley_table(obj, cap=cap))
     tag, value = _one_of(obj, "finite descriptor", ("catalog", "table"), lists=("table",))
     if tag == "catalog":
+        from .catalog import catalog_group
+
         return Finite(catalog_group(value))
-    # refuse an over-cap order before the O(n^3) group-axiom check
-    if cap is not None and len(value) > cap:
-        raise OrderExceedsCap(len(value), cap)
+    # the cap is the contract: an over-cap table is refused before any row is
+    # read, so it exits 2 even when it is malformed as well
+    _check_cap(len(value), cap)
     return Finite(FiniteGroup(value))
 
 

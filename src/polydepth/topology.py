@@ -619,11 +619,10 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
         if finite_groups:
             if len(finite_groups) == 1:
                 return Finite(finite_groups[0])
-            from .catalog import direct_product
-            from .finitegroup import _check_cap
+            from .finitegroup import _check_cap, direct_product
 
-            # the product table is checked in O(order^3): refuse an order no
-            # subgroup search would accept before building it
+            # the cap is the contract: no search takes an order above it, so
+            # the product table (order^2 entries) is not built for one
             _check_cap(math.prod(g.order for g in finite_groups), DEFAULT_SEARCH_CAP)
             return Finite(direct_product(*finite_groups))
         return fg_abelian(abelian)
@@ -687,7 +686,7 @@ def space_from_json(obj) -> SpaceExpr:
     integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
     Anything malformed raises ValueError; a Cayley table above
     ``DEFAULT_SEARCH_CAP``, which no search takes, raises OrderExceedsCap
-    before its O(order^3) axiom check."""
+    before its rows are read, so it exits 2 even when it is malformed."""
     tag, value = _one_of(
         obj, "space", ("sphere", "wedge", "product", "explicit"), lists=("wedge", "product")
     )

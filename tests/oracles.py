@@ -11,9 +11,10 @@ identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
 chains try every set below each term, and the group-series oracles enumerate
 raw power sets and check the series definitions directly, associativity
-is checked on every triple, and each value record has a standard-library
-dataclass twin.  They are deliberately slow and simple; they exist to catch
-bugs in the fast implementations.
+is checked on every triple, a table's refusal is found one value at a
+time, direct products decode and encode every index, and each value
+record has a standard-library dataclass twin.  They are deliberately slow
+and simple; they exist to catch bugs in the fast implementations.
 """
 
 from __future__ import annotations
@@ -389,6 +390,80 @@ def associative_naive(table: list[list[int]]) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def table_fault_naive(table) -> str | None:
+    """The refusal a Cayley table read from outside earns, checked one value
+    at a time in the order the constructor checks it: each row is a list or
+    tuple (any other iterable is read into a list) of ints (a bool reads as
+    0 or 1), then the table is nonempty, each row has length n and entries
+    in 0..n-1, element 0 is a two-sided identity, and every row, then every
+    column, is a permutation.  A table that passes all that and is not
+    associative gets "associativity fails", with no triple; None when the
+    table is a group."""
+    rows = []
+    for row in table:
+        if not isinstance(row, (list, tuple)):
+            if not isinstance(row, Iterable):
+                return f"Cayley table rows must be iterable, got {type(row).__name__}"
+            row = list(row)
+        for x in row:
+            if not isinstance(x, int):
+                return f"Cayley table entries must be int, got {type(x).__name__}"
+        rows.append([int(x) for x in row])
+    n = len(rows)
+    if n == 0:
+        return "empty Cayley table"
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        for x in row:
+            if not 0 <= x < n:
+                return f"entry {x} out of range in row {i}"
+    for a in range(n):
+        if rows[0][a] != a or rows[a][0] != a:
+            return "element 0 does not act as a two-sided identity"
+    for a in range(n):
+        if len(set(rows[a])) != n:
+            return f"row {a} is not a permutation"
+    for b in range(n):
+        if len({rows[a][b] for a in range(n)}) != n:
+            return f"column {b} is not a permutation"
+    return None if associative_naive(rows) else "associativity fails"
+
+
+def direct_product_naive(*groups) -> tuple[tuple[tuple[int, ...], ...], str]:
+    """The table and default name of the direct product of groups given by
+    their `table`, `order` and `name`: each index is decoded into one
+    coordinate per factor (mixed radix, the first factor most significant),
+    the coordinates are multiplied factor by factor, and the result is
+    encoded again."""
+    sizes = [g.order for g in groups]
+    total = 1
+    for s in sizes:
+        total *= s
+
+    def decode(idx: int) -> list[int]:
+        parts = []
+        for s in reversed(sizes):
+            parts.append(idx % s)
+            idx //= s
+        return parts[::-1]
+
+    def encode(parts: list[int]) -> int:
+        idx = 0
+        for s, p in zip(sizes, parts):
+            idx = idx * s + p
+        return idx
+
+    table = tuple(
+        tuple(
+            encode([g.table[x][y] for g, x, y in zip(groups, decode(a), decode(b))])
+            for b in range(total)
+        )
+        for a in range(total)
+    )
+    return table, "x".join(g.name or f"G{g.order}" for g in groups)
 
 
 def intercalate_swaps(table: list[list[int]]) -> list[list[list[int]]]:

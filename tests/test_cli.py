@@ -249,9 +249,9 @@ class TestSlCommand:
         assert "OrderExceedsCap" in capsys.readouterr().err
 
     def test_over_cap_table_refused_before_validation(self, tmp_path, capsys):
-        # order 400 is far above the default cap 64; the O(n^3)
-        # associativity check would take minutes, so the declared order is
-        # compared with the cap first
+        # order 400 is far above the default cap 64, and the cap is the
+        # contract: the declared order is compared with it before any entry
+        # is read, so an over-cap table exits 2 even when malformed
         n = 400
         path = tmp_path / "z400.table"
         rows = (" ".join(str((a + b) % n) for b in range(n)) for a in range(n))
@@ -542,8 +542,8 @@ class TestShippedSpaceFiles:
         assert capsys.readouterr().out.splitlines()[0] == "no bound applicable"
 
     def test_finite_product_over_cap_refused_before_building(self, tmp_path, capsys):
-        # pi1 is Z2^9: its 512-element table would take seconds to validate,
-        # and no subgroup search accepts that order anyway
+        # pi1 is Z2^9: no subgroup search accepts that order, so the cap
+        # refuses it before the 512-element product table is built
         factor = json.loads((SPACES_DIR / "rp2_with_cover.json").read_text())
         path = _write_json(tmp_path, "rp2x9.json", {"product": [factor] * 9})
         start = time.perf_counter()
@@ -562,9 +562,9 @@ class TestShippedSpaceFiles:
         self, tmp_path, capsys, command
     ):
         # a point with a cyclic table of order 1000 (a 4 MB file): the
-        # O(n^3) axiom check would run for about a minute, so the order is
-        # compared with the search cap first, also by `homology`, which
-        # never reads the group
+        # search cap is the contract, so the order is compared with it
+        # before any row is read, also by `homology`, which never reads the
+        # group, and an over-cap table exits 2 even when malformed
         n = 1000
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         point = {"cells": [1], "boundary": []}

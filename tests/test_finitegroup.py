@@ -6,13 +6,15 @@ the test body; structural properties (witness validity, determinism,
 monotonicity) run across the catalog.
 """
 
+import ast
+import pathlib
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral, direct_product
+from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral
 from polydepth.errors import OrderExceedsCap
 from polydepth.finitegroup import (
     DEFAULT_SEARCH_CAP,
@@ -20,6 +22,7 @@ from polydepth.finitegroup import (
     Subgroup,
     all_subgroups,
     describe_subgroup,
+    direct_product,
     format_cayley_table,
     is_complement,
     is_normal,
@@ -35,6 +38,7 @@ from polydepth.finitegroup import (
 )
 from oracles import (
     associative_naive,
+    direct_product_naive,
     fails_associativity,
     intercalate_swaps,
     n1_naive,
@@ -43,6 +47,7 @@ from oracles import (
     powerset_subgroups,
     random_loop,
     retracts_naive,
+    table_fault_naive,
     _is_normal_naive,
 )
 
@@ -130,6 +135,95 @@ class TestAssociativityOracle:
             assert _agrees_with_associativity_oracle(table), table
 
 
+def _corrupted_tables(table, rng: random.Random, count: int):
+    """`count` copies of `table`, each with one to three faults: the last
+    row dropped, an entry added to or dropped from a row, two entries of a
+    row swapped, or an entry set to -1, n, an element, True, False or 1.0.
+    Half the faults fall in the first two rows, so that faults often meet
+    in one row."""
+    n = len(table)
+    for _ in range(count):
+        rows = [list(r) for r in table]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(6)
+            pool = rows[:2] if rng.random() < 0.5 else rows
+            row = rng.choice(pool) if pool else []
+            at = rng.randrange(len(row) + 1)
+            if kind == 0 and rows:
+                del rows[-1]
+            elif kind == 1:
+                row.insert(at, rng.randrange(n))
+            elif at == len(row):
+                continue
+            elif kind == 2:
+                del row[at]
+            elif kind == 3:
+                other = rng.randrange(len(row))
+                row[at], row[other] = row[other], row[at]
+            else:
+                row[at] = rng.choice((-1, n, rng.randrange(n), True, False, 1.0))
+        yield rows
+
+
+class TestRefusalOrder:
+    """The constructor refuses a corrupted table with the message of the
+    first fault that a check of one value at a time finds."""
+
+    @pytest.mark.parametrize("name", UP_TO_16)
+    def test_seeded_corruptions_of_catalog_tables(self, name):
+        g = catalog_group(name)
+        rng = random.Random(18000 + g.order)
+        for rows in _corrupted_tables(g.table, rng, 72):
+            expected = table_fault_naive(rows)
+            if expected == "associativity fails":
+                assert _agrees_with_associativity_oracle(rows), rows
+                continue
+            try:
+                h = FiniteGroup(rows)
+            except ValueError as e:
+                assert str(e) == expected, rows
+            else:
+                assert expected is None, rows
+                # a bool entry is read as 0 or 1
+                assert {type(x) for row in h.table for x in row} == {int}, rows
+
+    @pytest.mark.parametrize("row, first", [([3, -1, 0], 3), ([0, 4, 3], 4)])
+    def test_first_entry_out_of_range_is_named(self, row, first):
+        rows = [[0, 1, 2], row, [2, 0, 1]]
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(rows)
+        expected = f"entry {first} out of range in row 1"
+        assert str(err.value) == table_fault_naive(rows) == expected
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polydepth"
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _table_rule_uses(path: pathlib.Path) -> set[str]:
+    """Which of `_trusted` (any reference) and a call of `OrderExceedsCap`
+    the module at `path` holds."""
+    uses = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if _name(node) == "_trusted":
+            uses.add("_trusted")
+        if isinstance(node, ast.Call) and _name(node.func) == "OrderExceedsCap":
+            uses.add("OrderExceedsCap(...)")
+    return uses
+
+
+def test_only_finitegroup_trusts_tables_and_refuses_orders():
+    # a table skips the axiom check, and an order is held to the cap, only
+    # in the module that owns Cayley tables
+    uses = {path.name: _table_rule_uses(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: u for name, u in uses.items() if u} == {
+        "finitegroup.py": {"_trusted", "OrderExceedsCap(...)"}
+    }
+
+
 class TestBasicOps:
     def test_mul_inv_element_order(self):
         g = catalog_group("S3")
@@ -172,6 +266,7 @@ class TestTrustedTables:
                 if a.order * b.order <= DEFAULT_SEARCH_CAP:
                     p = direct_product(a, b)
                     assert FiniteGroup(p.table) == p, (a, b)
+                    assert (p.table, p.name) == direct_product_naive(a, b), (a, b)
                     checked += 1
         assert checked > 100
 

@@ -97,6 +97,19 @@ def test_installed_command_loads_only_what_it_runs(argv, unused):
     assert (script.returncode, script.stdout) == (module.returncode, module.stdout)
 
 
+@pytest.mark.parametrize("command", ["bound", "homology"])
+def test_space_with_table_pi1_loads_no_catalog(tmp_path, command):
+    # RP2 x RP2 with each pi1 written as a Cayley table: only a catalog name
+    # needs the catalog, also when pi1_of builds the product table
+    factor = json.loads((SPACES / "rp2_with_cover.json").read_text())
+    factor["explicit"]["pi1"] = {"finite": {"table": [[0, 1], [1, 0]]}}
+    path = tmp_path / "rp2_x_rp2_tables.json"
+    path.write_text(json.dumps({"product": [factor, factor]}))
+    loaded = _loaded_submodules("-m", "polydepth.cli", command, str(path))
+    assert "finitegroup" in loaded
+    assert "catalog" not in loaded
+
+
 def test_imported_cli_loads_every_command_module():
     # a program that imports polydepth.cli to call run() in-process loads
     # every module while it sets up, not inside a call
@@ -156,6 +169,7 @@ print(raises(lambda: Subgroup(2)))
 print(raises(lambda: ElementaryAmenable(-1, True)))
 report = DepthBoundReport("Cor-simply", 2, 1, {2: 1}, ())
 print(raises(lambda: report.replace(exact_depth=3)))
+print(raises(lambda: FiniteGroup([[0, 1], [1, 2]])))
 try:
     FiniteGroup(%r)
 except ValueError as e:
@@ -166,7 +180,7 @@ except ValueError as e:
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 11
+    assert proc.stdout.split() == ["True"] * 12
 
 
 def test_star_import_exports_every_public_name_once():
