@@ -46,7 +46,13 @@ only and stops at the first conjugate that leaves K.  ``n1`` and
 ``is_normal`` ask it with A = G, and ``_complement`` with A its ambient
 subgroup.  Each group caches its lattice, indexed by order, and one
 generating set per subgroup in it: the lattice finds each new subgroup K as
-<H, x> and records the generators of H followed by x.
+<H, x> and records the generators of H followed by x.  One function,
+``_span``, says which subgroup a list of elements generates: it keeps each
+element outside the span of those kept before it and joins it on with
+``_join_cyclic``, and what it keeps depends on the table alone.  Light's
+test in the constructor checks what it keeps of the whole table, a subgroup
+outside the lattice takes that as its generating set, and
+``subgroup_from_members`` accepts a member set that is its own span.
 """
 
 from __future__ import annotations
@@ -108,15 +114,10 @@ class FiniteGroup:
             if len(set(column)) != n:
                 raise ValueError(f"column {b} is not a permutation")
         # Light's test: the b with (ab)c = a(bc) for all a, c are closed
-        # under the operation, so it is enough to test a set that generates
-        # the table.  `span` is what the identity reaches by right
-        # multiplication with the b tested so far: products of them, and
-        # for a group all they generate, so at most log2(n) b are tested.
-        tested: list[int] = []
-        span = 1
-        for b in range(n):
-            if (span >> b) & 1:
-                continue
+        # under the operation, and the span of what `_span` keeps is made of
+        # table products of those elements whatever the tests find, so the
+        # table is associative once they pass (at most log2(n) for a group).
+        for b in _span(tbl, range(n))[0]:
             tb = tbl[b]
             # row a of each side: a(bc) and (ab)c over all c
             if list(map(itemgetter(*tb), tbl)) != [tbl[ta[b]] for ta in tbl]:
@@ -127,14 +128,6 @@ class FiniteGroup:
                     if tbl[ta[b]][c] != ta[tb[c]]
                 )
                 raise ValueError(f"associativity fails at ({a},{b},{c})")
-            tested.append(b)
-            span, spanned = 1, [0]
-            for x in spanned:  # grows while it is walked
-                row = tbl[x]
-                for y in tested:
-                    if not (span >> row[y]) & 1:
-                        span |= 1 << row[y]
-                        spanned.append(row[y])
         self._store(tbl, name)
 
     @classmethod
@@ -268,13 +261,13 @@ def _cyclic_generators(g: FiniteGroup) -> list[int]:
     return list(by_mask.values())
 
 
-def _join_cyclic(g: FiniteGroup, h: int, h_members: list[int], x: int) -> int:
+def _join_cyclic(
+    table: tuple[tuple[int, ...], ...], h: int, h_members: list[int], x: int
+) -> int:
     """Mask of <H, x>.  The set grows by whole left cosets of H, so it is
     closed under right multiplication by H; closing it under right
     multiplication by x as well makes it the generated subgroup."""
-    table = g.table
-    mask = h
-    members = list(h_members)
+    mask, members = h, list(h_members)
     for a in members:  # grows while it is walked
         b = table[a][x]
         if not (mask >> b) & 1:
@@ -284,6 +277,20 @@ def _join_cyclic(g: FiniteGroup, h: int, h_members: list[int], x: int) -> int:
                 mask |= 1 << coset_elem
                 members.append(coset_elem)
     return mask
+
+
+def _span(
+    table: tuple[tuple[int, ...], ...], elements: Iterable[int]
+) -> tuple[tuple[int, ...], int]:
+    """The elements, in order, outside the subgroup generated by those kept
+    before them, and the mask of that subgroup.  The span is made of table
+    products of kept elements, and what is kept depends on the table alone."""
+    kept, span = [], 1
+    for x in elements:
+        if not (span >> x) & 1:
+            span = _join_cyclic(table, span, _bits(span), x)
+            kept.append(x)
+    return tuple(kept), span
 
 
 def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
@@ -311,7 +318,7 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
                         row = table[x]
                         for c in h_members:
                             tried |= 1 << row[c]
-                        k = _join_cyclic(g, h, h_members, x)
+                        k = _join_cyclic(table, h, h_members, x)
                         if k not in found:
                             found.add(k)
                             fresh.append(k)
@@ -327,17 +334,11 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
 def _generating_set(g: FiniteGroup, mask: int) -> tuple[int, ...]:
     """A generating set of the subgroup `mask`: the one the lattice recorded,
     or, for a mask outside the lattice (the trivial subgroup, or a subgroup
-    of a group whose lattice was never built), the members in index order
-    that lie outside the span of those kept before them, cached per group."""
+    of a group whose lattice was never built), the members that `_span`
+    keeps in index order, cached per group."""
     gens = g._generators.get(mask)
     if gens is None:
-        kept = []
-        span = 1
-        for x in _bits(mask):
-            if not (span >> x) & 1:
-                span = _join_cyclic(g, span, _bits(span), x)
-                kept.append(x)
-        gens = g._generators[mask] = tuple(kept)
+        gens = g._generators[mask] = _span(g.table, _bits(mask))[0]
     return gens
 
 
@@ -364,13 +365,10 @@ def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgrou
 
 
 def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validated construction: the member set must already be a subgroup."""
+    """Validated construction: the member set must already be a subgroup,
+    which it is exactly when `_span` of its members gives back the set."""
     sub = Subgroup.from_members(members)
-    # a finite set that holds the identity and is closed under the operation
-    # is a subgroup
-    elems = sub.members()
-    table = g.table
-    if any(not (sub.mask >> table[a][b]) & 1 for a in elems for b in elems):
+    if _span(g.table, sub.members())[1] != sub.mask:
         raise ValueError("member set is not closed under the group operation")
     return sub
 

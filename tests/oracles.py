@@ -11,7 +11,9 @@ identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
 chains try every set below each term, and the group-series oracles enumerate
 raw power sets and check the series definitions directly, associativity
-is checked on every triple, a table's refusal is found one value at a
+is checked on every triple, the elements Light's test checks come from a
+closure rebuilt after each one, a member set is closed when every product
+of two members is a member, a table's refusal is found one value at a
 time, direct products decode and encode every index, and each value
 record has a standard-library dataclass twin.  They are deliberately slow
 and simple; they exist to catch bugs in the fast implementations.
@@ -390,6 +392,32 @@ def associative_naive(table: list[list[int]]) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def light_generators_naive(table) -> list[int]:
+    """The elements b that Light's test checks on a group, in index order:
+    b is tested unless the identity already reaches it by right
+    multiplication with the b tested before it, and that reach is rebuilt
+    from scratch after every test."""
+    tested: list[int] = []
+    reach = {0}
+    for b in range(len(table)):
+        if b in reach:
+            continue
+        tested.append(b)
+        reach, frontier = {0}, [0]
+        for x in frontier:  # grows while it is walked
+            for y in tested:
+                if table[x][y] not in reach:
+                    reach.add(table[x][y])
+                    frontier.append(table[x][y])
+    return tested
+
+
+def closed_naive(table, mask: int) -> bool:
+    """Every product of two members of the bitmask `mask` is a member."""
+    members = [a for a in range(mask.bit_length()) if (mask >> a) & 1]
+    return all((mask >> table[a][b]) & 1 for a in members for b in members)
 
 
 def table_fault_naive(table) -> str | None:

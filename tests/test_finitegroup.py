@@ -35,12 +35,16 @@ from polydepth.finitegroup import (
     restrict_to_subgroup,
     subgroup_from_members,
     verify_prop32,
+    _generating_set,
+    _span,
 )
 from oracles import (
     associative_naive,
+    closed_naive,
     direct_product_naive,
     fails_associativity,
     intercalate_swaps,
+    light_generators_naive,
     n1_naive,
     n2_naive,
     n3_naive,
@@ -50,6 +54,7 @@ from oracles import (
     table_fault_naive,
     _is_normal_naive,
 )
+from test_lattice import relabelled
 
 SMALL = [
     name
@@ -133,6 +138,69 @@ class TestAssociativityOracle:
         for _ in range(40):
             table = random_loop(n, rng)
             assert _agrees_with_associativity_oracle(table), table
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_tested_elements_match_a_rebuilt_closure(self, name):
+        # the group, its products with each catalog group within the cap,
+        # and two relabellings of each: Light's test checks the elements
+        # that a closure rebuilt after every test would, and they are the
+        # generating set of the whole group when no lattice recorded one
+        g = catalog_group(name)
+        tables = [g] + [
+            direct_product(g, h)
+            for h in map(catalog_group, catalog_names())
+            if g.order * h.order <= DEFAULT_SEARCH_CAP
+        ]
+        for k, t in enumerate(tables):
+            for h in (t, relabelled(t, 2 * k + 1), relabelled(t, 2 * k + 2)):
+                tested = _span(h.table, range(h.order))[0]
+                assert list(tested) == light_generators_naive(h.table), h.table
+                full = (1 << h.order) - 1
+                assert tested == _generating_set(FiniteGroup._trusted(h.table), full)
+
+
+def _members(mask: int) -> list[int]:
+    return [a for a in range(mask.bit_length()) if (mask >> a) & 1]
+
+
+def _agrees_with_closure_oracle(g: FiniteGroup, mask: int) -> bool:
+    """`subgroup_from_members` accepts the members of `mask` exactly when
+    every product of two of them is a member, and refuses with the one
+    message otherwise."""
+    try:
+        sub = subgroup_from_members(g, _members(mask))
+    except ValueError as e:
+        assert str(e) == "member set is not closed under the group operation"
+        return not closed_naive(g.table, mask)
+    return sub.mask == mask and closed_naive(g.table, mask)
+
+
+class TestClosureOracle:
+    """The closure check of `subgroup_from_members` against every product
+    of two members."""
+
+    @pytest.mark.parametrize("name", UP_TO_16)
+    def test_subgroups_and_one_element_more(self, name):
+        g = catalog_group(name)
+        for s in all_subgroups(g):
+            assert _agrees_with_closure_oracle(g, s.mask), s
+            for x in range(g.order):
+                if not s.contains(x):
+                    assert _agrees_with_closure_oracle(g, s.mask | 1 << x), (s, x)
+
+    @pytest.mark.parametrize("name", UP_TO_16)
+    def test_random_member_sets(self, name):
+        g = catalog_group(name)
+        rng = random.Random(19000 + g.order)
+        for _ in range(60):
+            mask = rng.getrandbits(g.order) | 1
+            assert _agrees_with_closure_oracle(g, mask), _members(mask)
+
+    def test_member_outside_the_table_raises_index_error(self):
+        g = catalog_group("Z6")
+        for members in ([0, 6], [0, 2, 4, 6], [0, 1, 9]):
+            with pytest.raises(IndexError):
+                subgroup_from_members(g, members)
 
 
 def _corrupted_tables(table, rng: random.Random, count: int):
@@ -222,6 +290,20 @@ def test_only_finitegroup_trusts_tables_and_refuses_orders():
     assert {name: u for name, u in uses.items() if u} == {
         "finitegroup.py": {"_trusted", "OrderExceedsCap(...)"}
     }
+
+
+def test_only_span_and_the_lattice_join_subgroups():
+    # every span of a list of elements is built by `_span`; the lattice
+    # joins one subgroup with one cyclic subgroup at a time
+    tree = ast.parse((SRC / "finitegroup.py").read_text(encoding="utf-8"))
+    callers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and _name(node.func) == "_join_cyclic"
+    }
+    assert callers == {"_span", "_lattice"}
 
 
 class TestBasicOps:

@@ -148,7 +148,7 @@ def test_every_public_name_is_read_from_its_owner():
 SOUNDNESS_SCRIPT = """
 from polydepth import (
     DepthBoundReport, ElementaryAmenable, FgAbelianGroup, FiniteGroup, Free, HomologyProfile,
-    SeriesResult, Sphere, Subgroup,
+    SeriesResult, Sphere, Subgroup, subgroup_from_members,
 )
 
 def raises(build):
@@ -170,17 +170,30 @@ print(raises(lambda: ElementaryAmenable(-1, True)))
 report = DepthBoundReport("Cor-simply", 2, 1, {2: 1}, ())
 print(raises(lambda: report.replace(exact_depth=3)))
 print(raises(lambda: FiniteGroup([[0, 1], [1, 2]])))
+loop = %r
 try:
-    FiniteGroup(%r)
+    FiniteGroup(loop)
 except ValueError as e:
     print(str(e).startswith("associativity fails at"))
+# Z2 x loop, (z, l) at index z + 2l: element 1 passes Light's test, so the
+# failure is met after the span has grown
+z2_loop = [[0] * 10 for _ in range(10)]
+for a in range(10):
+    for b in range(10):
+        z2_loop[a][b] = (a %% 2 ^ b %% 2) + 2 * loop[a // 2][b // 2]
+try:
+    FiniteGroup(z2_loop)
+except ValueError as e:
+    print(str(e) == "associativity fails at (2,2,4)")
+z3 = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+print(raises(lambda: subgroup_from_members(z3, [0, 1])))
 """ % (NONASSOC_LOOP,)
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 12
+    assert proc.stdout.split() == ["True"] * 14
 
 
 def test_star_import_exports_every_public_name_once():
