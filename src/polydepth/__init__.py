@@ -137,6 +137,7 @@ _EXPORTS = {
         "WedgeDepthResult",
         "render_subwedge",
         "report_to_json",
+        "report_json_text",
         "render_report",
         "GENERAL_ASSUMPTIONS",
         "TWO_DIM_ASSUMPTIONS",

@@ -215,9 +215,12 @@ def _cmd_bound(args) -> int:
     else:
         report = depth.forced_bound(space, args.rule)
     if args.format == "json":
-        print(_dump(depth.report_to_json(report)))
+        chunks = depth.report_json_chunks(report)
     else:
-        print(depth.render_report(report))
+        chunks = depth._report_text_chunks(report)
+    # written piece by piece, like a profile
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
     return 2 if isinstance(report, depth.NoBoundApplicable) else 0
 
 
@@ -230,12 +233,13 @@ def _cmd_homology(args) -> int:
     else:
         profile = topology.homology(space)
     if args.format == "json":
-        # written piece by piece: the text of a high-dimensional profile is
-        # never held whole
-        sys.stdout.writelines(topology.profile_json_chunks(profile))
-        sys.stdout.write("\n")
+        chunks = topology.profile_json_chunks(profile)
     else:
-        print(topology.render_profile(profile))
+        chunks = topology._profile_text_chunks(profile)
+    # written piece by piece: the text of a high-dimensional profile is
+    # never held whole
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
     return 0
 
 

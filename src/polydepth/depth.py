@@ -27,6 +27,9 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
+import json
+from typing import Iterator
+
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
     DEFAULT_SEARCH_CAP,
@@ -48,6 +51,7 @@ from .pi1 import (
 )
 from .topology import (
     SpaceExpr,
+    _degree_chunks,
     dim_of,
     homology,
     pi1_of,
@@ -114,17 +118,27 @@ def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
 
 
 class DepthBoundReport(Record):
+    """A bound sl(pi1) + sum of one term per degree 2..dim, stored sparse:
+    ``terms`` maps a degree to its term and holds only the nonzero ones, in
+    ascending order; ``per_degree`` is the dense view, one entry per degree
+    2..dim, built on request."""
+
     __slots__ = (
-        "applied_rule", "bound", "sl_pi1", "per_degree", "assumptions_used", "exact_depth",
+        "applied_rule", "bound", "sl_pi1", "dim", "terms", "assumptions_used", "exact_depth",
         "provenance",
     )
 
     def __init__(
-        self, applied_rule: str, bound: int, sl_pi1: int, per_degree: dict[int, int],
+        self, applied_rule: str, bound: int, sl_pi1: int, dim: int, terms: dict[int, int],
         assumptions_used: tuple[str, ...], exact_depth: int | None = None,
         provenance: str | None = None,
     ):
-        total = sl_pi1 + sum(per_degree.values())
+        for degree, term in terms.items():
+            if not 2 <= degree <= dim:
+                raise ValueError(f"term degree {degree} is outside 2..{dim}")
+            if not term:
+                raise ValueError(f"term in degree {degree} is zero; only nonzero terms are stored")
+        total = sl_pi1 + sum(terms.values())
         if bound != total:
             raise ValueError(f"bound {bound} is not sl(pi1) plus the per-degree terms ({total})")
         if exact_depth is not None and exact_depth > bound:
@@ -132,10 +146,16 @@ class DepthBoundReport(Record):
         _set(self, "applied_rule", applied_rule)
         _set(self, "bound", bound)
         _set(self, "sl_pi1", sl_pi1)
-        _set(self, "per_degree", per_degree)
+        _set(self, "dim", dim)
+        _set(self, "terms", {k: terms[k] for k in sorted(terms)})
         _set(self, "assumptions_used", assumptions_used)
         _set(self, "exact_depth", exact_depth)
         _set(self, "provenance", provenance)
+
+    @property
+    def per_degree(self) -> dict[int, int]:
+        """Every term, one per degree 2..dim, zeros included."""
+        return {k: self.terms.get(k, 0) for k in range(2, self.dim + 1)}
 
 
 class NoBoundApplicable(Record):
@@ -158,17 +178,14 @@ def bound_general(space: SpaceExpr) -> DepthBoundReport:
     not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
     if not_fg:
         raise NotFinitelyGenerated(not_fg[0])
-    # one term per degree; only the degrees where the cover has homology
-    # cost a splitting length
-    per_degree = dict.fromkeys(range(2, dim + 1), 0)
-    for degree, group in cover.groups.items():
-        if 2 <= degree <= dim:
-            per_degree[degree] = sl_abelian(group)
+    # only the degrees where the cover has homology carry a term
+    terms = {k: sl_abelian(g) for k, g in cover.groups.items() if 2 <= k <= dim}
     return DepthBoundReport(
         applied_rule=_GENERAL_RULE[type(descriptor)],
-        bound=sl_pi1 + sum(per_degree.values()),
+        bound=sl_pi1 + sum(terms.values()),
         sl_pi1=sl_pi1,
-        per_degree=per_degree,
+        dim=dim,
+        terms=terms,
         assumptions_used=GENERAL_ASSUMPTIONS,
     )
 
@@ -186,7 +203,8 @@ def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
         applied_rule=_TWO_DIM_RULE[type(descriptor)],
         bound=sl_pi1 + rank,
         sl_pi1=sl_pi1,
-        per_degree={2: rank},
+        dim=2,
+        terms={2: rank} if rank else {},
         assumptions_used=TWO_DIM_ASSUMPTIONS,
     )
 
@@ -342,19 +360,89 @@ def report_to_json(report: "DepthBoundReport | NoBoundApplicable") -> dict:
     return body
 
 
-def render_report(report: "DepthBoundReport | NoBoundApplicable") -> str:
+def report_json_chunks(report: "DepthBoundReport | NoBoundApplicable") -> Iterator[str]:
+    """The text of `report_json_text` in pieces of at most 1000 lines, so
+    that a caller can write a report of any dimension without holding its
+    whole text: the zero terms of ``per_degree`` are written a block of
+    degrees at a time, and strings are escaped by ``json.dumps``."""
+    dumps = json.dumps
     if isinstance(report, NoBoundApplicable):
-        lines = ["no bound applicable"]
-        lines.extend(
-            f"  {family} failed: {reason}" for family, reason in report.failures
-        )
-        return "\n".join(lines)
-    lines = [f"rule={report.applied_rule} bound={report.bound}"]
-    lines.append(f"sl_pi1={report.sl_pi1}")
-    for degree, value in sorted(report.per_degree.items()):
-        lines.append(f"degree {degree}: {value}")
-    for assumption in report.assumptions_used:
-        lines.append(f"assumes: {assumption}")
+        failures = [
+            f'{{\n      "rule": {dumps(family)},\n      "reason": {dumps(reason)}\n    }}'
+            for family, reason in report.failures
+        ]
+        yield f'{{\n  "rule": null,\n  "bound": null,\n  "failures": {_json_list(failures)}\n}}'
+        return
+    yield (
+        f'{{\n  "rule": {dumps(report.applied_rule)},\n  "bound": {dumps(report.bound)},'
+        f'\n  "sl_pi1": {dumps(report.sl_pi1)},\n  "per_degree": '
+    )
+    if report.dim < 2:
+        yield "{}"
+    else:
+        yield "{\n"
+        yield from _degree_chunks(2, report.dim, _term_texts(report), "0")
+        yield "\n  }"
+    yield f',\n  "assumptions": {_json_list(list(map(dumps, report.assumptions_used)))}'
     if report.exact_depth is not None:
-        lines.append(f"exact_depth={report.exact_depth} ({report.provenance})")
-    return "\n".join(lines)
+        yield (
+            f',\n  "exact_depth": {dumps(report.exact_depth)},'
+            f'\n  "provenance": {dumps(report.provenance)}'
+        )
+    yield "\n}"
+
+
+def report_json_text(report: "DepthBoundReport | NoBoundApplicable") -> str:
+    """``json.dumps(report_to_json(report), indent=2)``: the join of
+    `report_json_chunks`.
+
+    >>> from polydepth import Sphere
+    >>> print(report_json_text(bound_general(Sphere(3))))
+    {
+      "rule": "Cor-simply",
+      "bound": 1,
+      "sl_pi1": 0,
+      "per_degree": {
+        "2": 0,
+        "3": 1
+      },
+      "assumptions": [
+        "H_i(cover) f.g.",
+        "sl(\\u03c0\\u2081) finite"
+      ]
+    }
+    """
+    return "".join(report_json_chunks(report))
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of rendered values as json.dumps(indent=2) writes it one
+    level deep."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def _term_texts(report: DepthBoundReport) -> dict[int, str]:
+    return {k: str(term) for k, term in report.terms.items()}
+
+
+def _report_text_chunks(report: "DepthBoundReport | NoBoundApplicable") -> Iterator[str]:
+    """The text of `render_report` in pieces of at most 1000 lines."""
+    if isinstance(report, NoBoundApplicable):
+        yield "no bound applicable"
+        for family, reason in report.failures:
+            yield f"\n  {family} failed: {reason}"
+        return
+    yield f"rule={report.applied_rule} bound={report.bound}\nsl_pi1={report.sl_pi1}"
+    if report.dim >= 2:
+        yield "\n"
+        yield from _degree_chunks(2, report.dim, _term_texts(report), "0", ("degree ", ": ", "\n"))
+    for assumption in report.assumptions_used:
+        yield f"\nassumes: {assumption}"
+    if report.exact_depth is not None:
+        yield f"\nexact_depth={report.exact_depth} ({report.provenance})"
+
+
+def render_report(report: "DepthBoundReport | NoBoundApplicable") -> str:
+    return "".join(_report_text_chunks(report))

@@ -12,9 +12,13 @@ Z/p^min(a, b) and distinct primes give 0.
 A homology profile stores only the degrees that carry homology (or a
 not-finitely-generated verdict), and the wedge sum and the Kunneth fold
 visit only those, so their cost follows the homology and not the
-dimension.  The renderers still print every degree 0..dim.  Spaces
-read from JSON are limited to dimension ``MAX_DIMENSION``, because that
-dense output grows with the dimension.
+dimension.  Output still names every degree 0..dim, but it is written
+from the stored degrees: each run of trivial degrees goes out one aligned
+block of 1000 degrees at a time (``_degree_runs``), in pieces that a
+caller writes one by one, so the text is never held whole and costs one
+Python step per block and per stored degree.  Spaces read from JSON are
+limited to dimension ``MAX_DIMENSION``, because the size of that output
+grows with the dimension.
 
 The universal cover is built as another space expression, structurally:
 
@@ -74,10 +78,12 @@ from .pi1 import (
 )
 
 MAX_DIMENSION = 10**6
-"""Largest space dimension the command line accepts.  Every rendering prints
-one entry per degree up to the dimension: at this cap, ``homology --format
-json`` prints about 85 MB.  A product's homology may hold at most this many
-torsion summands, over all degrees, for the same reason."""
+"""Largest space dimension the command line accepts.  Profiles and bound
+reports are stored sparse, but every rendering names each degree up to the
+dimension, a block of 1000 degrees at a time: at this cap, ``homology
+--format json`` prints about 85 MB.  A product's homology may hold at most
+this many torsion summands, over all degrees, since each of them is
+stored."""
 
 
 class ChainComplex(Record):
@@ -263,14 +269,19 @@ class HomologyProfile:
         return f"HomologyProfile({', '.join(parts) or 'trivial'})"
 
 
+def _profile_text_chunks(profile: HomologyProfile) -> Iterator[str]:
+    """The text of `render_profile` in pieces of at most 1000 lines."""
+    texts = {
+        k: "not finitely generated" if group is None else render_abelian(group)
+        for k, group in profile.groups.items()
+    }
+    return _degree_chunks(0, profile.dim, texts, "0", ("H", " = ", "\n"))
+
+
 def render_profile(profile: HomologyProfile) -> str:
     """One line ``Hk = ...`` per degree 0..dim; only the stored degrees are
     rendered, every other one reads "0"."""
-    lines = [f"H{k} = 0" for k in range(profile.dim + 1)]
-    for k, group in profile.groups.items():
-        text = "not finitely generated" if group is None else render_abelian(group)
-        lines[k] = f"H{k} = {text}"
-    return "\n".join(lines)
+    return "".join(_profile_text_chunks(profile))
 
 
 def profile_to_json(profile: HomologyProfile) -> dict:
@@ -301,30 +312,63 @@ def _group_json_text(group: FgAbelianGroup | None) -> str:
     )
 
 
-# degrees per chunk in a run of default lines: at most 133 KB of group JSON
-# text for six-digit degrees
-_RUN_DEGREES = 2048
+# "000" .. "999": the last three digits of every degree from 1000 up
+_LOW_DIGITS = tuple(f"{i:03d}" for i in range(1000))
 
 
-def _degree_chunks(dim: int, stored: dict[int, str], default: str) -> Iterator[str]:
-    """The lines '    "k": value,' for k = 0..dim, with no comma on the
-    last one, where value is stored[k] (keys ascending) or else default.
-    Each stored degree is one chunk; runs of default degrees are written by
-    str.join, at most _RUN_DEGREES lines to a chunk."""
-    sep = f'": {default},\n    "'
+def _degree_runs(start: int, stop: int, sep: str) -> Iterator[str]:
+    """``sep.join(map(str, range(start, stop)))`` in pieces that join by
+    `sep`, one piece per aligned block of 1000 degrees.  Every degree in
+    [1000q, 1000q + 999] is str(q) followed by a three-digit tail, so for
+    q >= 1 a piece is one join of `_LOW_DIGITS`: one Python step per block,
+    not one str() per degree."""
+    lo = start
+    while lo < stop:
+        q, a = divmod(lo, 1000)
+        hi = min(stop, 1000 * (q + 1))
+        if q:
+            head = str(q)
+            yield head + (sep + head).join(_LOW_DIGITS[a : hi - 1000 * q])
+        else:
+            yield sep.join(map(str, range(lo, hi)))
+        lo = hi
 
-    def defaults(start: int, stop: int) -> Iterator[str]:
-        for lo in range(start, stop, _RUN_DEGREES):
-            hi = min(lo + _RUN_DEGREES, stop)
-            keys = sep.join(map(str, range(lo, hi)))
-            yield f'    "{keys}": {default}{"," if hi <= dim else ""}\n'
 
-    start = 0
+# the three strings of a degree line "{head}{k}{mid}{value}"; lines are
+# joined by the third, so a run of default lines is one _degree_runs call
+_JSON_LINES = ('    "', '": ', ",\n")
+
+
+def _degree_chunks(
+    start: int,
+    dim: int,
+    stored: dict[int, str],
+    default: str,
+    lines: tuple[str, str, str] = _JSON_LINES,
+) -> Iterator[str]:
+    """The degree lines ``head + str(k) + mid + value`` for k = start..dim,
+    each followed by `tail` but the last, where (head, mid, tail) = `lines`
+    and value is stored[k] (keys ascending, in start..dim) or else default.
+    Nothing when start > dim.  By default a line is '    "k": value' and
+    lines are joined by ',\\n', as json.dumps(indent=2) writes an object one
+    level deep.  Each stored degree is one chunk, and a run of default
+    degrees is one chunk per block of `_degree_runs`, so a chunk holds at
+    most 1000 lines."""
+    head, mid, tail = lines
+    line_end = f"{mid}{default}{tail}"
+    sep = f"{line_end}{head}"
+
+    def defaults(lo: int, hi: int) -> Iterator[str]:
+        for keys in _degree_runs(lo, hi, sep):
+            yield f"{head}{keys}{line_end}"
+
     for k, value in stored.items():
         yield from defaults(start, k)
-        yield f'    "{k}": {value}{"," if k < dim else ""}\n'
+        yield f"{head}{k}{mid}{value}{tail if k < dim else ''}"
         start = k + 1
-    yield from defaults(start, dim + 1)
+    if start <= dim:
+        yield from defaults(start, dim)
+        yield f"{head}{dim}{mid}{default}"
 
 
 _TRIVIAL_GROUP_JSON = _group_json_text(TRIVIAL_GROUP)
@@ -339,10 +383,10 @@ def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
     groups = {k: rendered[g] for k, g in profile.groups.items()}
     verdicts = {k: "false" for k, g in profile.groups.items() if g is None}
     yield f'{{\n  "dim": {profile.dim},\n  "groups": {{\n'
-    yield from _degree_chunks(profile.dim, groups, _TRIVIAL_GROUP_JSON)
-    yield '  },\n  "finitely_generated": {\n'
-    yield from _degree_chunks(profile.dim, verdicts, "true")
-    yield "  }\n}"
+    yield from _degree_chunks(0, profile.dim, groups, _TRIVIAL_GROUP_JSON)
+    yield '\n  },\n  "finitely_generated": {\n'
+    yield from _degree_chunks(0, profile.dim, verdicts, "true")
+    yield "\n  }\n}"
 
 
 def profile_json_text(profile: HomologyProfile) -> str:

@@ -36,6 +36,10 @@ Files
     each in text and ``--format json`` -> exit, stdout, stderr, on the
     space ``oracles.disguised_surface_space(KIND, N)`` from this checkout's
     tests: dense boundary matrices with multi-bit entries.
+``high_degrees.json``
+    expression name -> its space (``HIGH_DEGREES`` below) and, per command
+    of ``HIGH_DEGREE_COMMANDS``, exit, stdout and stderr: spaces whose
+    degrees run past 1000 and 10000.
 """
 
 import contextlib
@@ -70,6 +74,11 @@ FORMATS = ["text", "json"]
 SUBCOMMANDS = ["bound", "homology", "sl", "verify", "catalog"]
 SCRAMBLED = [f"{kind}-{n}" for kind in ("torus", "klein") for n in range(3, 9)]
 SCRAMBLED_COMMANDS = ["homology", "homology --format json", "bound", "bound --format json"]
+HIGH_DEGREES = {
+    "sphere12345": {"sphere": 12345},
+    "wedge-999-1000-10000": {"wedge": [{"sphere": 999}, {"sphere": 1000}, {"sphere": 10000}]},
+}
+HIGH_DEGREE_COMMANDS = ["bound", "bound --format json", "homology", "homology --format json"]
 
 
 def _capture(run, argv: list[str]) -> dict:
@@ -184,6 +193,19 @@ def record(root: pathlib.Path) -> None:
     finally:
         scratch.unlink(missing_ok=True)
     _write("scrambled.json", scrambled)
+
+    high = {}
+    try:
+        for name, space in HIGH_DEGREES.items():
+            scratch.write_text(json.dumps(space), encoding="utf-8")
+            commands = {}
+            for command in HIGH_DEGREE_COMMANDS:
+                first, *rest = command.split()
+                commands[command] = _capture(run, [first, str(scratch), *rest])
+            high[name] = {"space": space, "commands": commands}
+    finally:
+        scratch.unlink(missing_ok=True)
+    _write("high_degrees.json", high, indent=1)
 
 
 if __name__ == "__main__":

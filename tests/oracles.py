@@ -4,8 +4,9 @@ Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
 built cell pair by cell pair, Betti numbers of sphere expressions are dense
-lists added and multiplied as polynomials, profiles are rendered degree by
-degree with their own group text, factorisation divides by every
+lists added and multiplied as polynomials, profiles and bound reports are
+rendered degree by degree with their own text and degrees are written one
+str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
@@ -329,6 +330,26 @@ def render_profile_naive(profile) -> str:
         else:
             text = "not finitely generated"
         lines.append(f"H{k} = {text}")
+    return "\n".join(lines)
+
+
+def degree_run_naive(start: int, stop: int, sep: str) -> str:
+    """The degrees start..stop-1 joined by `sep`, one str() per degree."""
+    return sep.join(map(str, range(start, stop)))
+
+
+def render_report_naive(report) -> str:
+    """A bound report as text, one line per degree 2..dim through the dense
+    ``per_degree`` view, or one line per failed family."""
+    if not hasattr(report, "per_degree"):
+        lines = ["no bound applicable"]
+        lines += [f"  {family} failed: {reason}" for family, reason in report.failures]
+        return "\n".join(lines)
+    lines = [f"rule={report.applied_rule} bound={report.bound}", f"sl_pi1={report.sl_pi1}"]
+    lines += [f"degree {k}: {v}" for k, v in sorted(report.per_degree.items())]
+    lines += [f"assumes: {a}" for a in report.assumptions_used]
+    if report.exact_depth is not None:
+        lines.append(f"exact_depth={report.exact_depth} ({report.provenance})")
     return "\n".join(lines)
 
 

@@ -30,6 +30,12 @@ columns; the test checks that 40 and 200 columns print the same).
 multi-bit boundary matrices (``oracles.disguised_surface_space``); it was
 recorded before the elimination took its pivots from the sparsest column.
 
+``high_degrees.json`` holds exit code, stdout and stderr of ``bound`` and
+``homology``, in text and JSON, on S^12345 and on S^999 v S^1000 v S^10000,
+whose degrees run past 1000 and 10000; it was recorded before output wrote
+its trivial degrees a block of 1000 at a time and ``bound`` streamed its
+report.
+
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
 copy of the commit before the change.
@@ -58,6 +64,7 @@ SL_CATALOG_TEXT = json.loads(
 )
 HELP = json.loads((EXPECTED / "help.json").read_text(encoding="utf-8"))
 SCRAMBLED = json.loads((EXPECTED / "scrambled.json").read_text(encoding="utf-8"))
+HIGH_DEGREES = json.loads((EXPECTED / "high_degrees.json").read_text(encoding="utf-8"))
 EXPRESSION_COMMANDS = [
     "homology",
     "homology --format json",
@@ -176,5 +183,21 @@ def test_scrambled_complex_output_unchanged(name, tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(disguised_surface_space(kind, int(n))), encoding="utf-8")
     for command, expected in SCRAMBLED[name].items():
+        first, *rest = command.split()
+        assert _captured([first, str(path), *rest], capsys) == expected, command
+
+
+def test_expected_high_degree_pins_cover_both_formats():
+    assert sorted(HIGH_DEGREES) == ["sphere12345", "wedge-999-1000-10000"]
+    commands = ["bound", "bound --format json", "homology", "homology --format json"]
+    assert all(sorted(entry["commands"]) == commands for entry in HIGH_DEGREES.values())
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_DEGREES))
+def test_high_degree_output_unchanged(name, tmp_path, capsys):
+    entry = HIGH_DEGREES[name]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(entry["space"]), encoding="utf-8")
+    for command, expected in entry["commands"].items():
         first, *rest = command.split()
         assert _captured([first, str(path), *rest], capsys) == expected, command

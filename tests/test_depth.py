@@ -3,10 +3,12 @@ selection, forced rules, the wedge depth formula, and report serialization."""
 
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import render_report_naive
 from polydepth.abelian import from_cyclic_factors, sl_abelian
 from polydepth.catalog import catalog_abelian_factors, catalog_group, catalog_names, cyclic
 from polydepth.depth import (
@@ -22,6 +24,8 @@ from polydepth.depth import (
     forced_bound,
     render_report,
     render_subwedge,
+    report_json_chunks,
+    report_json_text,
     report_to_json,
     sl_of,
     wedge_exact_depth,
@@ -439,3 +443,85 @@ class TestReports:
         text = render_report(best_bound(space))
         assert text.splitlines()[0] == "no bound applicable"
         assert "Thm4.1 failed" in text and "Thm4.8 failed" in text
+
+    def test_terms_are_sparse_and_checked(self):
+        report = bound_general(S5)
+        assert (report.dim, report.terms) == (5, {5: 1})
+        assert report.replace(terms={5: 1}) == report
+        for terms, message in (({2: 0, 5: 1}, "is zero"), ({1: 1}, "outside"), ({6: 1}, "outside")):
+            with pytest.raises(ValueError, match=message):
+                report.replace(terms=terms, bound=sum(terms.values()))
+
+
+EXPRESSION_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_stdout" / "expressions.json").read_text(
+        encoding="utf-8"
+    )
+)
+REPORT_SPACES = {
+    **{path.name: path for path in SPACE_FILES},
+    "S1": S1,
+    "S2": S2,
+    "S12345": Sphere(12345),
+    **{name: entry["space"] for name, entry in EXPRESSION_PINS.items()},
+}
+# strings a report may carry: non-ASCII, quotes, backslashes, control
+# characters, empty
+REPORT_STRINGS = ["sl(π₁) finite", 'a "quoted" back\\slash', "tab\tand\nnewline", "", "ascii"]
+
+
+def _space(value):
+    if isinstance(value, pathlib.Path):
+        return _load(value)
+    return value if isinstance(value, Sphere) else space_from_json(value)
+
+
+def _random_report(rng):
+    if rng.random() < 0.2:
+        failures = tuple(
+            (rng.choice(sorted(FAMILY_RULES)), rng.choice(REPORT_STRINGS))
+            for _ in range(rng.randrange(3))
+        )
+        return NoBoundApplicable(failures)
+    dim = rng.choice([0, 1, 2, 3, 999, 1000, 1001, 2500])
+    degrees = rng.sample(range(2, dim + 1), min(rng.randrange(6), max(dim - 1, 0)))
+    terms = {k: rng.randrange(1, 12) for k in degrees}
+    sl_pi1 = rng.randrange(4)
+    bound = sl_pi1 + sum(terms.values())
+    exact = rng.choice([None, bound, rng.randrange(bound + 1)])
+    return DepthBoundReport(
+        rng.choice(sorted(RULES)),
+        bound,
+        sl_pi1,
+        dim,
+        terms,
+        tuple(rng.sample(REPORT_STRINGS, rng.randrange(3))),
+        exact,
+        None if exact is None else rng.choice([None, *REPORT_STRINGS]),
+    )
+
+
+class TestReportText:
+    """The streamed report text must be what json.dumps prints, and the
+    text report what the dense oracle prints, in pieces of at most 1000
+    lines."""
+
+    @staticmethod
+    def check(report):
+        chunks = list(report_json_chunks(report))
+        assert "".join(chunks) == report_json_text(report)
+        assert report_json_text(report) == json.dumps(report_to_json(report), indent=2)
+        assert max(map(len, chunks)) < 1000 * 80
+        assert render_report(report) == render_report_naive(report)
+
+    @pytest.mark.parametrize("name", sorted(REPORT_SPACES))
+    def test_best_and_every_forced_rule(self, name):
+        space = _space(REPORT_SPACES[name])
+        self.check(best_bound(space))
+        for rule in sorted(RULES):
+            self.check(forced_bound(space, rule))
+
+    def test_hand_built_sparse_reports(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            self.check(_random_report(rng))

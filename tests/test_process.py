@@ -158,8 +158,10 @@ def raises(build):
         return True
     return False
 
-print(raises(lambda: DepthBoundReport("Cor-simply", 5, 1, {2: 1}, ())))
-print(raises(lambda: DepthBoundReport("Cor-simply", 2, 1, {2: 1}, (), exact_depth=3)))
+print(raises(lambda: DepthBoundReport("Cor-simply", 5, 1, 2, {2: 1}, ())))
+print(raises(lambda: DepthBoundReport("Cor-simply", 2, 1, 2, {2: 1}, (), exact_depth=3)))
+print(raises(lambda: DepthBoundReport("Cor-simply", 1, 1, 2, {2: 0}, ())))
+print(raises(lambda: DepthBoundReport("Cor-simply", 2, 1, 2, {1: 1}, ())))
 print(raises(lambda: SeriesResult(2, (Subgroup(1),), (Subgroup(1),))))
 print(raises(lambda: SeriesResult(0, (Subgroup(1),), ())))
 print(raises(lambda: HomologyProfile(1, {0: FgAbelianGroup(1), 2: FgAbelianGroup(1)})))
@@ -167,7 +169,7 @@ print(raises(lambda: Sphere(0)))
 print(raises(lambda: Free(0)))
 print(raises(lambda: Subgroup(2)))
 print(raises(lambda: ElementaryAmenable(-1, True)))
-report = DepthBoundReport("Cor-simply", 2, 1, {2: 1}, ())
+report = DepthBoundReport("Cor-simply", 2, 1, 2, {2: 1}, ())
 print(raises(lambda: report.replace(exact_depth=3)))
 print(raises(lambda: FiniteGroup([[0, 1], [1, 2]])))
 loop = %r
@@ -193,7 +195,7 @@ print(raises(lambda: subgroup_from_members(z3, [0, 1])))
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 14
+    assert proc.stdout.split() == ["True"] * 16
 
 
 def test_star_import_exports_every_public_name_once():

@@ -45,11 +45,12 @@ def _sphere(rng):
 
 
 def _report(rng):
-    per_degree = {k: rng.randrange(2) for k in range(2, rng.randrange(2, 5))}
+    dim = rng.randrange(1, 5)
+    terms = {k: 1 for k in range(2, dim + 1) if rng.random() < 0.5}
     sl_pi1 = rng.randrange(2)
-    bound = sl_pi1 + sum(per_degree.values())
+    bound = sl_pi1 + sum(terms.values())
     exact = rng.choice([None, bound])
-    return DepthBoundReport("Cor-simply", bound, sl_pi1, per_degree, ("a",), exact, None)
+    return DepthBoundReport("Cor-simply", bound, sl_pi1, dim, terms, ("a",), exact, None)
 
 
 # one random instance of each record class; a small range of values, so
@@ -169,7 +170,7 @@ def test_record_survives_replace_pickle_and_copy(cls):
 
 
 def test_replace_runs_the_checks_again():
-    report = DepthBoundReport("Cor-simply", 2, 1, {2: 1}, ())
+    report = DepthBoundReport("Cor-simply", 2, 1, 2, {2: 1}, ())
     assert report.replace(exact_depth=2).exact_depth == 2
     with pytest.raises(ValueError, match="exceeds the bound"):
         report.replace(exact_depth=3)

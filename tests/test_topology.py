@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     betti_naive,
+    degree_run_naive,
     rank_fraction,
     render_profile_naive,
     surface_grid_naive,
@@ -35,6 +36,7 @@ from polydepth.intlinalg import IntMatrix, smith_normal_form
 from polydepth.pi1 import ElementaryAmenable, FgAbelian, Finite, Free, Trivial, free
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
+    _degree_runs,
     ChainComplex,
     Explicit,
     HomologyProfile,
@@ -700,17 +702,60 @@ class TestProfileJsonText:
             assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
 
 
-    @pytest.mark.parametrize("dim", [2047, 2048, 2049, 6145])
+    @pytest.mark.parametrize("dim", [2047, 2048, 2049, 6145, 10000, 10001])
     def test_runs_longer_than_a_chunk(self, dim):
-        # runs of trivial degrees are cut every 2048 degrees: a stored degree
-        # or a verdict next to a cut or at either end must not move a comma
-        for stored in ([], [0], [dim], [2047], [2048], [0, 2047, 2048, dim]):
-            keys = [k for k in stored if k <= dim]
+        # runs of trivial degrees are cut at every multiple of 1000: a stored
+        # degree or a verdict next to a cut or at either end must not move a
+        # comma
+        for stored in (
+            [], [0], [dim], [2047], [2048], [0, 2047, 2048, dim],
+            [999], [1000], [1999, 2000], [9999], [10000],
+            [999, 1000, 1999, 2000, 9999, 10000, dim],
+        ):
+            keys = sorted({k for k in stored if k <= dim})
             groups = {k: Z if i % 2 == 0 else None for i, k in enumerate(keys)}
             p = HomologyProfile(dim, groups)
             chunks = list(profile_json_chunks(p))
             assert "".join(chunks) == json.dumps(profile_to_json(p), indent=2)
-            assert max(map(len, chunks)) < 2048 * 80
+            assert max(map(len, chunks)) < 1000 * 80
+
+
+# the ends of aligned blocks of 1000 degrees, and where str(k) grows a digit
+RUN_ENDS = [0, 1, 998, 999, 1000, 1001, 1999, 2000, 9999, 10000, 99999, 100000, 999999, 10**6]
+
+
+class TestDegreeRuns:
+    """`_degree_runs` writes a block of 1000 degrees in one join; the oracle
+    writes one str() per degree."""
+
+    SEPS = [",", '": 0,\n    "', " = 0\nH", ": 0\ndegree "]
+
+    @staticmethod
+    def check(start, stop, sep):
+        pieces = list(_degree_runs(start, stop, sep))
+        assert sep.join(pieces) == degree_run_naive(start, stop, sep), (start, stop)
+        # one piece per aligned block the range touches
+        assert len(pieces) == len(range(start // 1000, (stop - 1) // 1000 + 1))
+        assert all(piece.count(sep) < 1000 for piece in pieces)
+
+    def test_block_ends(self):
+        # a one-character sep keeps the oracle's million-degree joins cheap;
+        # the seeded ranges try the separators the renderers use
+        for a in RUN_ENDS:
+            for b in RUN_ENDS:
+                if a < b:
+                    self.check(a, b, ",")
+
+    def test_seeded_ranges(self):
+        rng = random.Random(20)
+        for i in range(300):
+            a = rng.randrange(rng.choice([10, 3000, 30000, 10**6]))
+            b = a + rng.randrange(1, rng.choice([5, 1500, 5000]))
+            self.check(a, b, self.SEPS[i % len(self.SEPS)])
+
+    def test_an_empty_range_has_no_piece(self):
+        for a in RUN_ENDS:
+            assert list(_degree_runs(a, a, ",")) == []
 
 
 class TestRenderProfile:
