@@ -27,7 +27,6 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from .abelian import FgAbelianGroup, sl_abelian
@@ -51,7 +50,10 @@ from .pi1 import (
 )
 from .topology import (
     SpaceExpr,
+    _Degrees,
     _degree_chunks,
+    _json_chunks,
+    _plain,
     dim_of,
     homology,
     pi1_of,
@@ -337,59 +339,31 @@ def render_subwedge(counts: tuple[tuple[int, int], ...]) -> str:
     return " v ".join(parts)
 
 
-def report_to_json(report: "DepthBoundReport | NoBoundApplicable") -> dict:
+def _report_tree(report: "DepthBoundReport | NoBoundApplicable") -> dict:
+    """The layout of `report_to_json`, ``per_degree`` held sparse."""
     if isinstance(report, NoBoundApplicable):
-        return {
-            "rule": None,
-            "bound": None,
-            "failures": [
-                {"rule": family, "reason": reason}
-                for family, reason in report.failures
-            ],
-        }
+        failures = [{"rule": family, "reason": reason} for family, reason in report.failures]
+        return {"rule": None, "bound": None, "failures": failures}
     body = {
         "rule": report.applied_rule,
         "bound": report.bound,
         "sl_pi1": report.sl_pi1,
-        "per_degree": {str(k): v for k, v in sorted(report.per_degree.items())},
+        "per_degree": _Degrees(2, report.dim, report.terms, 0),
         "assumptions": list(report.assumptions_used),
     }
     if report.exact_depth is not None:
-        body["exact_depth"] = report.exact_depth
-        body["provenance"] = report.provenance
+        body.update(exact_depth=report.exact_depth, provenance=report.provenance)
     return body
 
 
+def report_to_json(report: "DepthBoundReport | NoBoundApplicable") -> dict:
+    return _plain(_report_tree(report))
+
+
 def report_json_chunks(report: "DepthBoundReport | NoBoundApplicable") -> Iterator[str]:
-    """The text of `report_json_text` in pieces of at most 1000 lines, so
-    that a caller can write a report of any dimension without holding its
-    whole text: the zero terms of ``per_degree`` are written a block of
-    degrees at a time, and strings are escaped by ``json.dumps``."""
-    dumps = json.dumps
-    if isinstance(report, NoBoundApplicable):
-        failures = [
-            f'{{\n      "rule": {dumps(family)},\n      "reason": {dumps(reason)}\n    }}'
-            for family, reason in report.failures
-        ]
-        yield f'{{\n  "rule": null,\n  "bound": null,\n  "failures": {_json_list(failures)}\n}}'
-        return
-    yield (
-        f'{{\n  "rule": {dumps(report.applied_rule)},\n  "bound": {dumps(report.bound)},'
-        f'\n  "sl_pi1": {dumps(report.sl_pi1)},\n  "per_degree": '
-    )
-    if report.dim < 2:
-        yield "{}"
-    else:
-        yield "{\n"
-        yield from _degree_chunks(2, report.dim, _term_texts(report), "0")
-        yield "\n  }"
-    yield f',\n  "assumptions": {_json_list(list(map(dumps, report.assumptions_used)))}'
-    if report.exact_depth is not None:
-        yield (
-            f',\n  "exact_depth": {dumps(report.exact_depth)},'
-            f'\n  "provenance": {dumps(report.provenance)}'
-        )
-    yield "\n}"
+    """The text of `report_json_text` in pieces of at most 1000 lines: the
+    tree of `report_to_json`, written by `_json_chunks`."""
+    return _json_chunks(_report_tree(report))
 
 
 def report_json_text(report: "DepthBoundReport | NoBoundApplicable") -> str:
@@ -415,18 +389,6 @@ def report_json_text(report: "DepthBoundReport | NoBoundApplicable") -> str:
     return "".join(report_json_chunks(report))
 
 
-def _json_list(items: list[str]) -> str:
-    """A list of rendered values as json.dumps(indent=2) writes it one
-    level deep."""
-    if not items:
-        return "[]"
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
-
-
-def _term_texts(report: DepthBoundReport) -> dict[int, str]:
-    return {k: str(term) for k, term in report.terms.items()}
-
-
 def _report_text_chunks(report: "DepthBoundReport | NoBoundApplicable") -> Iterator[str]:
     """The text of `render_report` in pieces of at most 1000 lines."""
     if isinstance(report, NoBoundApplicable):
@@ -437,7 +399,8 @@ def _report_text_chunks(report: "DepthBoundReport | NoBoundApplicable") -> Itera
     yield f"rule={report.applied_rule} bound={report.bound}\nsl_pi1={report.sl_pi1}"
     if report.dim >= 2:
         yield "\n"
-        yield from _degree_chunks(2, report.dim, _term_texts(report), "0", ("degree ", ": ", "\n"))
+        terms = {k: str(term) for k, term in report.terms.items()}
+        yield from _degree_chunks(2, report.dim, terms, "0", ("degree ", ": ", "\n"))
     for assumption in report.assumptions_used:
         yield f"\nassumes: {assumption}"
     if report.exact_depth is not None:

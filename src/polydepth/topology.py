@@ -16,9 +16,12 @@ dimension.  Output still names every degree 0..dim, but it is written
 from the stored degrees: each run of trivial degrees goes out one aligned
 block of 1000 degrees at a time (``_degree_runs``), in pieces that a
 caller writes one by one, so the text is never held whole and costs one
-Python step per block and per stored degree.  Spaces read from JSON are
-limited to dimension ``MAX_DIMENSION``, because the size of that output
-grows with the dimension.
+Python step per block and per stored degree.  All JSON, here and in
+``depth``, is one tree per form whose per-degree maps are lazy `_Degrees`
+nodes: `_json_chunks`, the one JSON writer, writes it, and `_plain`
+expands it to the ``*_to_json`` dict.  Spaces read from JSON are limited
+to dimension ``MAX_DIMENSION``, because the size of that output grows
+with the dimension.
 
 The universal cover is built as another space expression, structurally:
 
@@ -41,7 +44,10 @@ UnsupportedConstruction; no rule, no answer.
 
 from __future__ import annotations
 
+import json
 import math
+from collections import namedtuple
+from itertools import chain, groupby
 from typing import Iterator, Union
 
 from .abelian import (
@@ -284,32 +290,90 @@ def render_profile(profile: HomologyProfile) -> str:
     return "".join(_profile_text_chunks(profile))
 
 
+# a JSON object keyed by the degrees start..dim: stored[k] (keys ascending) or else
+# default, where no value holds another node
+_Degrees = namedtuple("_Degrees", "start dim stored default")
+
+
+def _plain(value):
+    """`value` with each `_Degrees` node expanded to its dense dict, in
+    fresh containers, so that no two degrees share a value."""
+    if isinstance(value, _Degrees):
+        start, dim, stored, default = value
+        return {str(k): _plain(stored.get(k, default)) for k in range(start, dim + 1)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value] if isinstance(value, list) else value
+
+
+def _json_chunks(value, level: int = 0) -> Iterator[str]:
+    """``json.dumps(_plain(value), indent=2)`` nested `level` deep, for a tree
+    of string-keyed dicts, lists, strings, ints, bools, None and `_Degrees`
+    nodes, each written by `_degree_chunks`; the text between nodes is one chunk."""
+    parts = _json_parts(value, "  " * level, [])
+    for is_text, run in groupby(parts, lambda part: isinstance(part, str)):
+        yield from ["".join(run)] if is_text else chain.from_iterable(run)
+
+
+def _json_leaf(value) -> str | None:
+    """The text of a scalar or an empty container, else None."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, _Degrees)):
+        raise TypeError(f"not a JSON value: {value!r}")
+    if not (value.start <= value.dim if isinstance(value, _Degrees) else value):
+        return "[]" if isinstance(value, list) else "{}"
+    return None
+
+
+def _json_parts(value, indent: str, out: list) -> list:
+    """`out` with the text of `value` at `indent` appended: strings, and the
+    lines of each `_Degrees` node, its distinct values (by id) rendered once."""
+    leaf = _json_leaf(value)
+    if leaf is not None:
+        out.append(leaf)
+        return out
+    inner = indent + "  "
+    if isinstance(value, _Degrees):
+        unique = {id(v): v for v in (value.default, *value.stored.values())}
+        texts = {i: "".join(_json_parts(v, inner, [])) for i, v in unique.items()}
+        stored = {k: texts[id(v)] for k, v in value.stored.items()}
+        lines = (f'{inner}"', '": ', ",\n")
+        out += "{\n", _degree_chunks(*value[:2], stored, texts[id(value.default)], lines)
+    elif isinstance(value, dict):
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{json.encoder.encode_basestring_ascii(key)}: ")
+            _json_parts(item, inner, out)
+            sep = ",\n" + inner
+    else:
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = ",\n" + inner
+    out.append(f"\n{indent}{']' if isinstance(value, list) else '}'}")
+    return out
+
+
+def _profile_tree(profile: HomologyProfile) -> dict:
+    """The layout of `profile_to_json`.  Equal groups share one tree, found by
+    their shape (free_rank, torsion), which hashes in C; None if not f.g."""
+    dim, held = profile.dim, profile.groups
+    shapes = {k: None if g is None else (g.free_rank, g.torsion) for k, g in held.items()}
+    trees = {s: {"free_rank": s[0], "torsion": [*s[1]]} for s in {(0, ()), *shapes.values()} if s}
+    groups = _Degrees(0, dim, {k: trees.get(s) for k, s in shapes.items()}, trees[0, ()])
+    verdicts = _Degrees(0, dim, {k: False for k, s in shapes.items() if s is None}, True)
+    return {"dim": dim, "groups": groups, "finitely_generated": verdicts}
+
+
 def profile_to_json(profile: HomologyProfile) -> dict:
-    """The profile as a JSON object with one entry per degree 0..dim in
-    ``groups`` and in ``finitely_generated``."""
-    groups = {}
-    fg = {}
-    for k in range(profile.dim + 1):
-        g = profile.group(k)
-        groups[str(k)] = (
-            None if g is None else {"free_rank": g.free_rank, "torsion": list(g.torsion)}
-        )
-        fg[str(k)] = profile.fg(k)
-    return {"dim": profile.dim, "groups": groups, "finitely_generated": fg}
-
-
-def _group_json_text(group: FgAbelianGroup | None) -> str:
-    """One group's value as json.dumps(indent=2) writes it two levels deep."""
-    if group is None:
-        return "null"
-    torsion = (
-        "[\n        " + ",\n        ".join(map(str, group.torsion)) + "\n      ]"
-        if group.torsion
-        else "[]"
-    )
-    return (
-        f'{{\n      "free_rank": {group.free_rank},\n      "torsion": {torsion}\n    }}'
-    )
+    """The profile as a JSON object, one entry per degree 0..dim in each map."""
+    return _plain(_profile_tree(profile))
 
 
 # "000" .. "999": the last three digits of every degree from 1000 up
@@ -334,59 +398,32 @@ def _degree_runs(start: int, stop: int, sep: str) -> Iterator[str]:
         lo = hi
 
 
-# the three strings of a degree line "{head}{k}{mid}{value}"; lines are
-# joined by the third, so a run of default lines is one _degree_runs call
-_JSON_LINES = ('    "', '": ', ",\n")
-
-
 def _degree_chunks(
-    start: int,
-    dim: int,
-    stored: dict[int, str],
-    default: str,
-    lines: tuple[str, str, str] = _JSON_LINES,
+    start: int, dim: int, stored: dict[int, str], default: str, lines: tuple[str, str, str]
 ) -> Iterator[str]:
     """The degree lines ``head + str(k) + mid + value`` for k = start..dim,
     each followed by `tail` but the last, where (head, mid, tail) = `lines`
-    and value is stored[k] (keys ascending, in start..dim) or else default.
-    Nothing when start > dim.  By default a line is '    "k": value' and
-    lines are joined by ',\\n', as json.dumps(indent=2) writes an object one
-    level deep.  Each stored degree is one chunk, and a run of default
-    degrees is one chunk per block of `_degree_runs`, so a chunk holds at
-    most 1000 lines."""
+    and value is stored[k] (keys ascending, in start..dim) or else default;
+    nothing when start > dim.  Each stored degree is one chunk, and a run of
+    default lines, joined by tail + head, one chunk per `_degree_runs` block,
+    so a chunk holds at most 1000 lines."""
     head, mid, tail = lines
     line_end = f"{mid}{default}{tail}"
     sep = f"{line_end}{head}"
 
-    def defaults(lo: int, hi: int) -> Iterator[str]:
-        for keys in _degree_runs(lo, hi, sep):
-            yield f"{head}{keys}{line_end}"
-
     for k, value in stored.items():
-        yield from defaults(start, k)
+        yield from (f"{head}{keys}{line_end}" for keys in _degree_runs(start, k, sep))
         yield f"{head}{k}{mid}{value}{tail if k < dim else ''}"
         start = k + 1
     if start <= dim:
-        yield from defaults(start, dim)
+        yield from (f"{head}{keys}{line_end}" for keys in _degree_runs(start, dim, sep))
         yield f"{head}{dim}{mid}{default}"
 
 
-_TRIVIAL_GROUP_JSON = _group_json_text(TRIVIAL_GROUP)
-
-
 def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
-    """The text of `profile_json_text` in pieces of bounded size, so that a
-    caller can write a profile of any dimension without holding its whole
-    text: each distinct group is rendered once and every trivial degree
-    gets one constant string."""
-    rendered = {g: _group_json_text(g) for g in set(profile.groups.values())}
-    groups = {k: rendered[g] for k, g in profile.groups.items()}
-    verdicts = {k: "false" for k, g in profile.groups.items() if g is None}
-    yield f'{{\n  "dim": {profile.dim},\n  "groups": {{\n'
-    yield from _degree_chunks(0, profile.dim, groups, _TRIVIAL_GROUP_JSON)
-    yield '\n  },\n  "finitely_generated": {\n'
-    yield from _degree_chunks(0, profile.dim, verdicts, "true")
-    yield "\n  }\n}"
+    """The text of `profile_json_text` in pieces of bounded size: the tree
+    of `profile_to_json`, written by `_json_chunks`."""
+    return _json_chunks(_profile_tree(profile))
 
 
 def profile_json_text(profile: HomologyProfile) -> str:

@@ -5,8 +5,8 @@ through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
 built cell pair by cell pair, Betti numbers of sphere expressions are dense
 lists added and multiplied as polynomials, profiles and bound reports are
-rendered degree by degree with their own text and degrees are written one
-str() at a time, factorisation divides by every
+rendered degree by degree with their own text, and as JSON dicts built one
+degree at a time, and degrees are written one str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), subspaces of F_p^k are counted by Gaussian binomials, longest
@@ -336,6 +336,45 @@ def render_profile_naive(profile) -> str:
 def degree_run_naive(start: int, stop: int, sep: str) -> str:
     """The degrees start..stop-1 joined by `sep`, one str() per degree."""
     return sep.join(map(str, range(start, stop)))
+
+
+def profile_to_json_naive(profile) -> dict:
+    """A homology profile as a JSON object, one degree at a time over 0..dim
+    through the profile's group(k)/fg(k) accessors."""
+    groups = {}
+    fg = {}
+    for k in range(profile.dim + 1):
+        g = profile.group(k)
+        groups[str(k)] = (
+            None if g is None else {"free_rank": g.free_rank, "torsion": list(g.torsion)}
+        )
+        fg[str(k)] = profile.fg(k)
+    return {"dim": profile.dim, "groups": groups, "finitely_generated": fg}
+
+
+def report_to_json_naive(report) -> dict:
+    """A bound report as a JSON object with one ``per_degree`` entry per
+    degree 2..dim from the dense ``per_degree`` view, or its failures."""
+    if not hasattr(report, "per_degree"):
+        return {
+            "rule": None,
+            "bound": None,
+            "failures": [
+                {"rule": family, "reason": reason}
+                for family, reason in report.failures
+            ],
+        }
+    body = {
+        "rule": report.applied_rule,
+        "bound": report.bound,
+        "sl_pi1": report.sl_pi1,
+        "per_degree": {str(k): v for k, v in sorted(report.per_degree.items())},
+        "assumptions": list(report.assumptions_used),
+    }
+    if report.exact_depth is not None:
+        body["exact_depth"] = report.exact_depth
+        body["provenance"] = report.provenance
+    return body
 
 
 def render_report_naive(report) -> str:

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import render_report_naive
+from oracles import render_report_naive, report_to_json_naive
 from polydepth.abelian import from_cyclic_factors, sl_abelian
 from polydepth.catalog import catalog_abelian_factors, catalog_group, catalog_names, cyclic
 from polydepth.depth import (
@@ -431,12 +431,14 @@ class TestReports:
         assert j["per_degree"] == {"2": 1, "3": 0}
         assert j["exact_depth"] == 2
         assert isinstance(j["assumptions"], list)
+        assert j == report_to_json_naive(best_bound(product(S1, S2)))
 
     def test_json_for_no_bound(self):
         space = Explicit(DISC, ElementaryAmenable(hirsch=1, cd_finite=False))
         j = report_to_json(best_bound(space))
         assert j["rule"] is None and j["bound"] is None
         assert len(j["failures"]) == 2
+        assert j == report_to_json_naive(best_bound(space))
 
     def test_render_no_bound(self):
         space = Explicit(DISC, ElementaryAmenable(hirsch=1, cd_finite=False))
@@ -511,6 +513,7 @@ class TestReportText:
         chunks = list(report_json_chunks(report))
         assert "".join(chunks) == report_json_text(report)
         assert report_json_text(report) == json.dumps(report_to_json(report), indent=2)
+        assert report_to_json(report) == report_to_json_naive(report)
         assert max(map(len, chunks)) < 1000 * 80
         assert render_report(report) == render_report_naive(report)
 

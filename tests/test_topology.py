@@ -6,17 +6,20 @@ generated with exact zero composition by drawing the second boundary map
 from the kernel of the first, and checked for Euler consistency.
 """
 
+import ast
 import itertools
 import json
+import pathlib
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     betti_naive,
     degree_run_naive,
+    profile_to_json_naive,
     rank_fraction,
     render_profile_naive,
     surface_grid_naive,
@@ -36,7 +39,10 @@ from polydepth.intlinalg import IntMatrix, smith_normal_form
 from polydepth.pi1 import ElementaryAmenable, FgAbelian, Finite, Free, Trivial, free
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
+    _Degrees,
     _degree_runs,
+    _json_chunks,
+    _plain,
     ChainComplex,
     Explicit,
     HomologyProfile,
@@ -605,6 +611,7 @@ class TestProfile:
         assert j["groups"]["0"] == {"free_rank": 1, "torsion": []}
         assert j["groups"]["1"] == {"free_rank": 0, "torsion": []}
         assert j["finitely_generated"]["2"] is True
+        assert j == profile_to_json_naive(p)
 
 
 def _random_sphere_expression(rng, depth):
@@ -687,6 +694,7 @@ class TestProfileJsonText:
         for _ in range(400):
             p = _random_profile(rng)
             assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
+            assert profile_to_json(p) == profile_to_json_naive(p)
 
     @pytest.mark.parametrize(
         "space",
@@ -700,6 +708,7 @@ class TestProfileJsonText:
             profiles.append(universal_cover_homology(space))
         for p in profiles:
             assert profile_json_text(p) == json.dumps(profile_to_json(p), indent=2)
+            assert profile_to_json(p) == profile_to_json_naive(p)
 
 
     @pytest.mark.parametrize("dim", [2047, 2048, 2049, 6145, 10000, 10001])
@@ -718,6 +727,142 @@ class TestProfileJsonText:
             chunks = list(profile_json_chunks(p))
             assert "".join(chunks) == json.dumps(profile_to_json(p), indent=2)
             assert max(map(len, chunks)) < 1000 * 80
+            assert profile_to_json(p) == profile_to_json_naive(p)
+
+
+# strings json.dumps must escape: quotes, backslashes, control characters,
+# non-ASCII (BMP and astral) and lone surrogates, beside any code point
+_ESCAPED = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "π", "₁", "\U0001f600", "\ud800", "\udfff"]
+)
+_TEXT = st.text(st.one_of(_ESCAPED, st.characters(blacklist_categories=())), max_size=8)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-20, 20), _TEXT)
+
+
+def _json_trees(depth: int):
+    """JSON trees nested at most `depth` containers deep, empty ones included."""
+    if depth == 0:
+        return _SCALARS
+    inner = _json_trees(depth - 1)
+    return st.one_of(
+        _SCALARS, st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)
+    )
+
+
+@st.composite
+def _degree_nodes(draw):
+    """A `_Degrees` node: empty ones (start > dim), stored degrees at either
+    end and beside the 1000-degree cuts, and values shared by identity."""
+    start = draw(st.integers(0, 3))
+    dim = draw(st.sampled_from([start - 2, start - 1, start, start + 1, 7, 999, 1000, 1001, 2001]))
+    anywhere = draw(st.integers(start, max(start, dim)))
+    candidates = [start, dim, 998, 999, 1000, 1001, 1999, 2000, anywhere]
+    keys = sorted({k for k in candidates if start <= k <= dim and draw(st.booleans())})
+    pool = draw(st.lists(_json_trees(2), min_size=1, max_size=3))
+    stored = {k: pool[draw(st.integers(0, len(pool) - 1))] for k in keys}
+    # every default line is short, so a block of 1000 of them stays under 80 000 characters
+    short = _json_trees(0).filter(lambda v: len(json.dumps(v)) < 20)
+    default = draw(st.one_of(short, st.just({"free_rank": 0, "torsion": []}), st.just([])))
+    return _Degrees(start, dim, stored, default)
+
+
+def _degree_trees():
+    """A `_Degrees` node, or a list or dict of at most two items beside it."""
+    node = _degree_nodes()
+    item = st.one_of(node, _json_trees(1))
+    return st.one_of(
+        node,
+        st.lists(item, min_size=1, max_size=2),
+        st.dictionaries(
+            _TEXT, st.one_of(item, st.lists(item, max_size=2)), min_size=1, max_size=2
+        ),
+    )
+
+
+class TestJsonWriter:
+    """`_json_chunks` writes what json.dumps(indent=2) writes, nested any
+    number of levels deep, and a `_Degrees` node as its dense dict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees(4))
+    @example([True, 1, False, 0, -1, 10**30, None, "", [], {}, [[]], {"": {}}])
+    def test_plain_trees(self, value):
+        for level in range(4):
+            want = json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+            assert "".join(_json_chunks(value, level)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_degree_trees(), st.integers(0, 3))
+    def test_trees_with_degree_maps(self, value, level):
+        chunks = list(_json_chunks(value, level))
+        want = json.dumps(_plain(value), indent=2).replace("\n", "\n" + "  " * level)
+        assert "".join(chunks) == want
+        assert max(map(len, chunks)) < 1000 * 80
+
+    def test_plain_degree_maps_share_nothing(self):
+        group = {"free_rank": 0, "torsion": []}
+        plain = _plain({"groups": _Degrees(0, 2, {1: group}, group)})
+        assert plain == {"groups": {"0": group, "1": group, "2": group}}
+        values = list(plain["groups"].values())
+        assert len({id(v) for v in values} | {id(v["torsion"]) for v in values}) == 6
+
+    @pytest.mark.parametrize("value", [1.5, 0.0, (), (1,), {1, 2}, {1: 2}, object()])
+    def test_refuses_what_is_not_json(self, value):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks([value]))
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polydepth"
+# the one JSON writer: its entry, its container walk and its leaf helper
+WRITER = {"_json_chunks", "_json_parts", "_json_leaf"}
+# pieces of JSON layout no string outside the writer spells
+JSON_PUNCTUATION = ('": ', '",', "{\n", "[\n", ",\n", "{}", "[]", "null", "true", "false")
+
+
+def _imports_json(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+        for node in ast.walk(tree)
+    )
+
+
+def _spelled_json(tree: ast.Module) -> list[str]:
+    """The strings outside the writer and outside docstrings that spell a
+    piece of JSON layout."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+        and ast.get_docstring(node) is not None
+    }
+    return [
+        node.value
+        for stmt in tree.body
+        if not (isinstance(stmt, ast.FunctionDef) and stmt.name in WRITER)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and any(piece in node.value for piece in JSON_PUNCTUATION)
+    ]
+
+
+def test_only_the_writer_spells_json():
+    # topology owns the JSON layout and the CLI reads its input files; in
+    # topology only the writer reaches json, and neither topology nor depth
+    # holds a string outside it that spells JSON punctuation
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    importers = {name for name, tree in trees.items() if _imports_json(tree)}
+    assert importers == {"cli.py", "topology.py"}
+    reach = {
+        stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for stmt in trees["topology.py"].body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "json"
+    }
+    assert reach and reach <= WRITER
+    assert _spelled_json(trees["topology.py"]) == []
+    assert _spelled_json(trees["depth.py"]) == []
 
 
 # the ends of aligned blocks of 1000 degrees, and where str(k) grows a digit
