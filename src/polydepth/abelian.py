@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import CompositionNotZero, DimensionMismatch, Record, _set
-from .intlinalg import IntMatrix, _check_token, invariant_factors, rank
+from .intlinalg import IntMatrix, _check_token, _composes_to_zero, invariant_factors, rank
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest cyclic order the trial-division factoriser accepts; a prime just
@@ -114,7 +114,10 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
     """Homology at the middle chain group: ker(d_k) / im(d_k_plus_1).
 
     The middle group has rank cols(d_k) = rows(d_k_plus_1); zero maps are
-    expressed as matrices with zero rows or columns.
+    expressed as matrices with zero rows or columns.  Maps whose shapes do
+    not fit raise `DimensionMismatch`; maps that do not compose to zero, as
+    `intlinalg._composes_to_zero` decides without forming the product,
+    raise `CompositionNotZero`.
 
     >>> from_boundary_maps(IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]]))
     FgAbelianGroup(free_rank=0, torsion=(2,))
@@ -123,7 +126,7 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
         raise DimensionMismatch(
             f"cols(d_k) = {d_k.cols} but rows(d_k_plus_1) = {d_k_plus_1.rows}"
         )
-    if not (d_k @ d_k_plus_1).is_zero():
+    if not _composes_to_zero(d_k, d_k_plus_1):
         raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
     return _homology_group(d_k.cols, rank(d_k), invariant_factors(d_k_plus_1))
 

@@ -7,9 +7,9 @@ functions are pure and safe to call concurrently.
 
 An `IntMatrix` stores only its nonzero entries, one dict {column: entry}
 per row.  Building one checks every entry, zeros included, to be an int.
-The product `@` and `is_zero`, and so the zero-composition test of a
-chain complex, visit only those entries, so a boundary matrix costs what
-its nonzero entries cost.  Only `smith_normal_form`,
+The product `@`, `is_zero` and `_composes_to_zero`, the exact test that
+two boundary maps compose to zero, visit only those entries, so a boundary
+matrix costs what its nonzero entries cost.  Only `smith_normal_form`,
 `determinant` and the dense `entries` view expand a matrix to all its
 cells.
 
@@ -32,7 +32,7 @@ There are two ways to diagonalize:
 from __future__ import annotations
 
 import re
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -226,6 +226,56 @@ class IntMatrix(Record):
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
+
+
+# most bits a packed column of `_composes_to_zero` spans: adding and
+# multiplying ints of this length stays cheap, and the rows of a dense
+# boundary map of a few dozen cells still pack into one block
+_PACK_BITS = 2048
+
+
+def _composes_to_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether ``a @ b`` is the zero matrix, decided exactly without forming
+    the product (Kronecker substitution); `a.cols` must equal `b.rows`.
+
+    Let `most` be the largest row L1 norm of `a` times the largest |entry|
+    of `b`, and shift = most.bit_length(), so every entry of c = a @ b has
+    |c_ij| <= most < 2^shift.  Over a block of consecutive rows i0, i0+1,
+    ... of `a`, column k packs into one int, cols[k] = sum of
+    a_ik 2^((i - i0) shift), and acc[j] = sum over k of b_kj cols[k] =
+    sum of c_ij 2^((i - i0) shift) costs one multiply-add per nonzero b_kj
+    whose row k meets the block.
+
+    acc[j] = 0 exactly when c_ij = 0 for every row i of the block.  If
+    acc[j] = 0 while some c_ij != 0, take the least such i: every later
+    term of acc[j] is a multiple of 2^((i - i0 + 1) shift), so 2^shift
+    divides c_ij, yet 0 < |c_ij| < 2^shift.  A block spans at most
+    `_PACK_BITS` bits, which keeps the ints of a long sparse map short.
+    There is no randomness and no rounding: the answer is the product's.
+    """
+    arows, brows = a._rows, b._rows
+    # two passes at C speed: the row L1 norms of a, the |entries| of b
+    row_l1 = max(map(sum, map(map, repeat(abs), map(dict.values, arows))), default=0)
+    most = row_l1 * max(map(abs, chain.from_iterable(map(dict.values, brows))), default=0)
+    if not most:
+        return True
+    shift = most.bit_length()
+    step = max(1, _PACK_BITS // shift)
+    for start in range(0, a.rows, step):
+        cols = [0] * a.cols
+        base = 0
+        for row in arows[start : start + step]:
+            for k, x in row.items():
+                cols[k] += x << base
+            base += shift
+        acc = [0] * b.cols
+        for packed, row in zip(cols, brows):
+            if packed:
+                for j, x in row.items():
+                    acc[j] += x * packed
+        if any(acc):
+            return False
+    return True
 
 
 class SnfResult(Record):

@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedConstruction,
     _set,
 )
-from .intlinalg import IntMatrix, _check_int, invariant_factors
+from .intlinalg import IntMatrix, _check_int, _composes_to_zero, invariant_factors
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -96,7 +96,10 @@ class ChainComplex(Record):
     """Finite chain complex of free abelian groups, given by cell counts per
     dimension and boundary matrices d_1 .. d_dim (d_k: k-chains to
     (k-1)-chains, rows indexed by (k-1)-cells), taken as given: a tuple of
-    ints and a tuple of `IntMatrix`."""
+    ints and a tuple of `IntMatrix`.  The constructor checks the shapes and
+    proves d_k d_(k+1) = 0 for every k with `intlinalg._composes_to_zero`,
+    exactly and without forming the product; maps that do not compose to
+    zero raise `CompositionNotZero`."""
 
     __slots__ = ("dim", "boundary", "cells")
 
@@ -120,7 +123,7 @@ class ChainComplex(Record):
                     f"{cells[k - 1]}x{cells[k]}"
                 )
         for k in range(1, dim):
-            if not (boundary[k - 1] @ boundary[k]).is_zero():
+            if not _composes_to_zero(boundary[k - 1], boundary[k]):
                 raise CompositionNotZero(
                     f"boundary maps {k} and {k + 1} do not compose to zero"
                 )

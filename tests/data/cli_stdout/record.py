@@ -40,6 +40,11 @@ Files
     expression name -> its space (``HIGH_DEGREES`` below) and, per command
     of ``HIGH_DEGREE_COMMANDS``, exit, stdout and stderr: spaces whose
     degrees run past 1000 and 10000.
+``low_dimensions.json``
+    space name -> its space (``LOW_DIMENSIONS`` below) and, per command of
+    ``LOW_DIMENSION_COMMANDS``, exit, stdout and stderr: spaces of dimension
+    1, whose bound report has no degree >= 2 and prints an empty
+    ``per_degree``.
 """
 
 import contextlib
@@ -79,6 +84,17 @@ HIGH_DEGREES = {
     "wedge-999-1000-10000": {"wedge": [{"sphere": 999}, {"sphere": 1000}, {"sphere": 10000}]},
 }
 HIGH_DEGREE_COMMANDS = ["bound", "bound --format json", "homology", "homology --format json"]
+LOW_DIMENSIONS = {
+    "sphere1": {"sphere": 1},
+    "circle-complex": {
+        "explicit": {
+            "complex": {"cells": [1, 1], "boundary": [[[0]]]},
+            "pi1": {"free": 1},
+            "cover": {"cells": [1], "boundary": []},
+        }
+    },
+}
+LOW_DIMENSION_COMMANDS = ["bound", "bound --format json"]
 
 
 def _capture(run, argv: list[str]) -> dict:
@@ -194,18 +210,28 @@ def record(root: pathlib.Path) -> None:
         scratch.unlink(missing_ok=True)
     _write("scrambled.json", scrambled)
 
-    high = {}
+    for file, named, commands in [
+        ("high_degrees.json", HIGH_DEGREES, HIGH_DEGREE_COMMANDS),
+        ("low_dimensions.json", LOW_DIMENSIONS, LOW_DIMENSION_COMMANDS),
+    ]:
+        _write(file, _space_pins(run, scratch, named, commands), indent=1)
+
+
+def _space_pins(run, scratch: pathlib.Path, spaces: dict, commands: list[str]) -> dict:
+    """name -> {"space", "commands": command -> exit, stdout, stderr} for each
+    space, written to `scratch` for the run."""
+    pins = {}
     try:
-        for name, space in HIGH_DEGREES.items():
+        for name, space in spaces.items():
             scratch.write_text(json.dumps(space), encoding="utf-8")
-            commands = {}
-            for command in HIGH_DEGREE_COMMANDS:
+            captured = {}
+            for command in commands:
                 first, *rest = command.split()
-                commands[command] = _capture(run, [first, str(scratch), *rest])
-            high[name] = {"space": space, "commands": commands}
+                captured[command] = _capture(run, [first, str(scratch), *rest])
+            pins[name] = {"space": space, "commands": captured}
     finally:
         scratch.unlink(missing_ok=True)
-    _write("high_degrees.json", high, indent=1)
+    return pins
 
 
 if __name__ == "__main__":

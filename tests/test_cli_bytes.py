@@ -36,6 +36,11 @@ whose degrees run past 1000 and 10000; it was recorded before output wrote
 its trivial degrees a block of 1000 at a time and ``bound`` streamed its
 report.
 
+``low_dimensions.json`` holds the same for ``bound`` in text and JSON on S^1
+and on an explicit circle complex, spaces of dimension 1 whose report has an
+empty ``per_degree``; it was recorded before the zero-composition test of a
+chain complex packed its columns into integers.
+
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
 copy of the commit before the change.
@@ -65,6 +70,9 @@ SL_CATALOG_TEXT = json.loads(
 HELP = json.loads((EXPECTED / "help.json").read_text(encoding="utf-8"))
 SCRAMBLED = json.loads((EXPECTED / "scrambled.json").read_text(encoding="utf-8"))
 HIGH_DEGREES = json.loads((EXPECTED / "high_degrees.json").read_text(encoding="utf-8"))
+LOW_DIMENSIONS = json.loads(
+    (EXPECTED / "low_dimensions.json").read_text(encoding="utf-8")
+)
 EXPRESSION_COMMANDS = [
     "homology",
     "homology --format json",
@@ -73,13 +81,39 @@ EXPRESSION_COMMANDS = [
 ]
 
 
+def _same(got, pin, where: str = "output") -> None:
+    """Fail unless `got` equals `pin` exactly: a str or bytes output, an exit
+    code, or a dict of them such as `_captured` returns.  The message gives
+    both lengths and the first line that differs, never a diff of the whole
+    text, so a broken pin on megabytes of output fails at once."""
+    if got == pin:
+        return
+    if isinstance(pin, dict) and isinstance(got, dict) and got.keys() == pin.keys():
+        for key in pin:
+            _same(got[key], pin[key], f"{where} {key}")
+    if isinstance(pin, (str, bytes)) and type(got) is type(pin):
+        got_lines = got.splitlines(keepends=True)
+        pin_lines = pin.splitlines(keepends=True)
+        line = next(
+            (n for n, (x, y) in enumerate(zip(got_lines, pin_lines)) if x != y),
+            min(len(got_lines), len(pin_lines)),
+        )
+        got_line = got_lines[line][:200] if line < len(got_lines) else "end of output"
+        pin_line = pin_lines[line][:200] if line < len(pin_lines) else "end of output"
+        raise AssertionError(
+            f"{where}: length {len(got)}, pin length {len(pin)}; line {line + 1} "
+            f"differs: got {got_line!r}, pin has {pin_line!r}"
+        )
+    raise AssertionError(f"{where}: got {got!r:.200}, pin has {pin!r:.200}")
+
+
 @pytest.mark.parametrize(
     "suite", ["prop32", "lemma34", "prop36-bridge", "snf", "euler"]
 )
 def test_verify_suite_stdout_unchanged(suite, capsys):
     assert run(["verify", suite, "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert out.encode("utf-8") == (EXPECTED / f"verify-{suite}.json").read_bytes()
+    _same(out.encode("utf-8"), (EXPECTED / f"verify-{suite}.json").read_bytes())
 
 
 def test_expected_sl_covers_the_catalog():
@@ -89,7 +123,7 @@ def test_expected_sl_covers_the_catalog():
 @pytest.mark.parametrize("name", catalog_names())
 def test_sl_catalog_stdout_unchanged(name, capsys):
     assert run(["sl", "--catalog", name, "--format", "json"]) == 0
-    assert capsys.readouterr().out == SL_CATALOG[name]
+    _same(capsys.readouterr().out, SL_CATALOG[name])
 
 
 def test_expected_spaces_cover_every_space_file():
@@ -103,7 +137,7 @@ def test_space_stdout_unchanged(name, command, capsys):
     argv = command.split() + [str(SPACES_DIR / name), "--format", "json"]
     expected = SPACES[name][command]
     assert run(argv) == expected["exit"]
-    assert capsys.readouterr().out == expected["stdout"]
+    _same(capsys.readouterr().out, expected["stdout"])
 
 
 def test_expected_expressions_cover_every_command():
@@ -122,7 +156,7 @@ def test_expression_stdout_unchanged(name, command, tmp_path, capsys):
     first, *rest = command.split()
     expected = entry["commands"][command]
     assert run([first, str(path), *rest]) == expected["exit"]
-    assert capsys.readouterr().out == expected["stdout"]
+    _same(capsys.readouterr().out, expected["stdout"])
 
 
 def _captured(argv, capsys) -> dict:
@@ -145,19 +179,19 @@ def test_expected_text_pins_cover_every_input():
 @pytest.mark.parametrize("name", sorted(BOUND_RULES))
 def test_forced_rule_output_unchanged(name, rule, fmt, capsys):
     argv = ["bound", str(SPACES_DIR / name), "--rule", rule, "--format", fmt]
-    assert _captured(argv, capsys) == BOUND_RULES[name][rule][fmt]
+    _same(_captured(argv, capsys), BOUND_RULES[name][rule][fmt])
 
 
 @pytest.mark.parametrize("command", SPACE_COMMANDS)
 @pytest.mark.parametrize("name", sorted(SPACES_TEXT))
 def test_space_text_output_unchanged(name, command, capsys):
     argv = command.split() + [str(SPACES_DIR / name)]
-    assert _captured(argv, capsys) == SPACES_TEXT[name][command]
+    _same(_captured(argv, capsys), SPACES_TEXT[name][command])
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_sl_catalog_text_output_unchanged(name, capsys):
-    assert _captured(["sl", "--catalog", name], capsys) == SL_CATALOG_TEXT[name]
+    _same(_captured(["sl", "--catalog", name], capsys), SL_CATALOG_TEXT[name])
 
 
 @pytest.mark.parametrize("command", sorted(HELP))
@@ -166,7 +200,7 @@ def test_help_unchanged(command, monkeypatch, capsys):
     argv = [command, "--help"] if command else ["--help"]
     for columns in ["80", "40", "200"]:
         monkeypatch.setenv("COLUMNS", columns)
-        assert _captured(argv, capsys) == HELP[command], columns
+        _same(_captured(argv, capsys), HELP[command], f"COLUMNS={columns}")
 
 
 def test_expected_scrambled_pins_cover_both_surfaces():
@@ -184,7 +218,7 @@ def test_scrambled_complex_output_unchanged(name, tmp_path, capsys):
     path.write_text(json.dumps(disguised_surface_space(kind, int(n))), encoding="utf-8")
     for command, expected in SCRAMBLED[name].items():
         first, *rest = command.split()
-        assert _captured([first, str(path), *rest], capsys) == expected, command
+        _same(_captured([first, str(path), *rest], capsys), expected, command)
 
 
 def test_expected_high_degree_pins_cover_both_formats():
@@ -193,11 +227,29 @@ def test_expected_high_degree_pins_cover_both_formats():
     assert all(sorted(entry["commands"]) == commands for entry in HIGH_DEGREES.values())
 
 
-@pytest.mark.parametrize("name", sorted(HIGH_DEGREES))
-def test_high_degree_output_unchanged(name, tmp_path, capsys):
-    entry = HIGH_DEGREES[name]
+def test_expected_low_dimension_pins_cover_both_formats():
+    assert sorted(LOW_DIMENSIONS) == ["circle-complex", "sphere1"]
+    commands = ["bound", "bound --format json"]
+    assert all(
+        sorted(entry["commands"]) == commands for entry in LOW_DIMENSIONS.values()
+    )
+    for entry in LOW_DIMENSIONS.values():
+        assert '"per_degree": {}' in entry["commands"]["bound --format json"]["stdout"]
+
+
+def _same_space_pins(entry, tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(entry["space"]), encoding="utf-8")
     for command, expected in entry["commands"].items():
         first, *rest = command.split()
-        assert _captured([first, str(path), *rest], capsys) == expected, command
+        _same(_captured([first, str(path), *rest], capsys), expected, command)
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_DEGREES))
+def test_high_degree_output_unchanged(name, tmp_path, capsys):
+    _same_space_pins(HIGH_DEGREES[name], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(LOW_DIMENSIONS))
+def test_low_dimension_output_unchanged(name, tmp_path, capsys):
+    _same_space_pins(LOW_DIMENSIONS[name], tmp_path, capsys)

@@ -147,14 +147,15 @@ def test_every_public_name_is_read_from_its_owner():
 
 SOUNDNESS_SCRIPT = """
 from polydepth import (
-    DepthBoundReport, ElementaryAmenable, FgAbelianGroup, FiniteGroup, Free, HomologyProfile,
-    SeriesResult, Sphere, Subgroup, subgroup_from_members,
+    ChainComplex, CompositionNotZero, DepthBoundReport, ElementaryAmenable, FgAbelianGroup,
+    FiniteGroup, Free, HomologyProfile, IntMatrix, SeriesResult, Sphere, Subgroup,
+    from_boundary_maps, subgroup_from_members,
 )
 
-def raises(build):
+def raises(build, error=ValueError):
     try:
         build()
-    except ValueError:
+    except error:
         return True
     return False
 
@@ -189,13 +190,19 @@ except ValueError as e:
     print(str(e) == "associativity fails at (2,2,4)")
 z3 = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 print(raises(lambda: subgroup_from_members(z3, [0, 1])))
+# d1 d2 = [[0], [1]] is nonzero in its last entry only, and the ranks (1 and
+# 1 of 2 cells) do not give the maps away
+d1 = IntMatrix.from_rows([[0, 0], [0, 1]])
+d2 = IntMatrix.from_rows([[0], [1]])
+print(raises(lambda: ChainComplex(2, (d1, d2), (2, 2, 1)), CompositionNotZero))
+print(raises(lambda: from_boundary_maps(d1, d2), CompositionNotZero))
 """ % (NONASSOC_LOOP,)
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 16
+    assert proc.stdout.split() == ["True"] * 18
 
 
 def test_star_import_exports_every_public_name_once():

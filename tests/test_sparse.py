@@ -1,10 +1,11 @@
 """The sparse homology path against independent references.
 
 `invariant_factors` must give the same tuple as the dense
-`smith_normal_form`; `IntMatrix.__matmul__` must agree with a triple loop;
-and homology of triangulated tori and Klein bottles, glued by the oracle's
-own generator and disguised by shuffles and unimodular changes of basis,
-must come out as Z, Z^2, Z and Z, Z + Z/2, 0.
+`smith_normal_form`; `IntMatrix.__matmul__` and the zero-composition test
+`_composes_to_zero` must agree with a triple loop; and homology of
+triangulated tori and Klein bottles, glued by the oracle's own generator and
+disguised by shuffles and unimodular changes of basis, must come out as
+Z, Z^2, Z and Z, Z + Z/2, 0.
 """
 
 import math
@@ -18,6 +19,7 @@ from polydepth.abelian import from_cyclic_factors
 from polydepth.errors import CompositionNotZero
 from polydepth.intlinalg import (
     IntMatrix,
+    _composes_to_zero,
     invariant_factors,
     rank,
     smith_normal_form,
@@ -64,6 +66,126 @@ def test_matmul_matches_naive_on_random_matrices():
         naive = matmul_naive(a.to_rows(), b.to_rows(), m)
         assert (a @ b).to_rows() == naive
         assert (a @ b).is_zero() == (not any(map(any, naive)))
+
+
+# ---------------------------------------------------------------------------
+# zero composition
+
+
+def _composes_to_zero_naive(a: IntMatrix, b: IntMatrix) -> bool:
+    return not any(map(any, matmul_naive(a.to_rows(), b.to_rows(), b.cols)))
+
+
+def _changed(m: IntMatrix, i: int, j: int, delta: int) -> IntMatrix:
+    rows = m.to_rows()
+    rows[i][j] += delta
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+def _zero_product_pair(rng, n, k1, k2, m, density, bound):
+    # a = [A | A R] and b = [R S ; -S] give a @ b = A R S - A R S = 0
+    a1 = _random_matrix(rng, n, k1, density, bound).to_rows()
+    r = _random_matrix(rng, k1, k2, density, bound).to_rows()
+    s = _random_matrix(rng, k2, m, density, bound).to_rows()
+    ar = matmul_naive(a1, r, k2)
+    rs = matmul_naive(r, s, m)
+    a = IntMatrix.from_rows([x + y for x, y in zip(a1, ar)], cols=k1 + k2)
+    b = IntMatrix.from_rows(rs + [[-x for x in row] for row in s], cols=m)
+    return a, b
+
+
+def test_composes_to_zero_matches_naive_on_random_matrices():
+    rng = random.Random(20261019)
+    for _ in range(600):
+        n, k, m = (rng.randint(0, 7) for _ in range(3))
+        density = rng.choice((0.0, 0.1, 0.3, 0.7, 1.0))
+        bound = rng.choice((1, 9, 2**40))
+        a = _random_matrix(rng, n, k, density, bound).to_rows()
+        b = _random_matrix(rng, k, m, density, bound).to_rows()
+        # a zero row and a zero column on either side
+        if n and rng.random() < 0.3:
+            a[rng.randrange(n)] = [0] * k
+        if m and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in b:
+                row[j] = 0
+        a, b = IntMatrix.from_rows(a, cols=k), IntMatrix.from_rows(b, cols=m)
+        assert _composes_to_zero(a, b) == _composes_to_zero_naive(a, b), (a, b)
+
+
+def test_composes_to_zero_on_every_empty_shape():
+    for n in range(3):
+        for k in range(3):
+            for m in range(3):
+                if 0 not in (n, k, m):
+                    continue
+                a = IntMatrix.from_rows([[1] * k] * n, cols=k)
+                b = IntMatrix.from_rows([[1] * m] * k, cols=m)
+                assert _composes_to_zero(a, b) is True
+                assert _composes_to_zero_naive(a, b)
+
+
+def test_composes_to_zero_on_products_zero_by_construction():
+    rng = random.Random(7)
+    for _ in range(300):
+        n, k1, k2, m = (rng.randint(0, 7) for _ in range(4))
+        density = rng.choice((0.1, 0.3, 0.7, 1.0))
+        bound = rng.choice((1, 9, 2**40))
+        a, b = _zero_product_pair(rng, n, k1, k2, m, density, bound)
+        assert _composes_to_zero(a, b)
+        assert _composes_to_zero_naive(a, b)
+        if a.rows and a.cols:
+            i, k = rng.randrange(a.rows), rng.randrange(a.cols)
+            a2 = _changed(a, i, k, rng.choice((-1, 1, 2**40)))
+            assert _composes_to_zero(a2, b) == _composes_to_zero_naive(a2, b)
+        if b.rows and b.cols:
+            k, j = rng.randrange(b.rows), rng.randrange(b.cols)
+            b2 = _changed(b, k, j, rng.choice((-1, 1, 2**40)))
+            assert _composes_to_zero(a, b2) == _composes_to_zero_naive(a, b2)
+
+
+@pytest.mark.parametrize("kind", ["torus", "klein"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_composes_to_zero_on_disguised_surfaces(kind, n):
+    d1, d2 = (IntMatrix.from_rows(m) for m in disguised_surface(kind, n))
+    assert _composes_to_zero(d1, d2)
+    rng = random.Random(f"{kind}-{n}")
+    for _ in range(20):
+        if rng.random() < 0.5:
+            i, k = rng.randrange(d1.rows), rng.randrange(d1.cols)
+            a, b = _changed(d1, i, k, rng.choice((-1, 1))), d2
+        else:
+            k, j = rng.randrange(d2.rows), rng.randrange(d2.cols)
+            a, b = d1, _changed(d2, k, j, rng.choice((-1, 1)))
+        assert _composes_to_zero(a, b) == _composes_to_zero_naive(a, b)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 40])
+def test_composes_to_zero_packs_wide_enough_to_stop_carries(m):
+    # the product is [[2^m], [-1]]: packed one bit narrower than the bound
+    # asks, 2^m in the low slot and -1 in the next cancel to zero
+    a = IntMatrix.from_rows([[2**m], [-1]])
+    b = IntMatrix.from_rows([[1]])
+    assert not _composes_to_zero(a, b)
+    assert not _composes_to_zero_naive(a, b)
+    assert _composes_to_zero(a, IntMatrix.zeros(1, 1))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_composes_to_zero_finds_one_nonzero_entry_in_any_block(where):
+    # entries of 2^600 make each packed block three rows tall, so the 36
+    # vertices of the 6 x 6 torus span twelve blocks; one changed entry
+    # leaves a single nonzero entry of d1 d2, in the row of that vertex
+    d1, d2 = surface_grid_naive("torus", 6)
+    d1 = [[x << 600 for x in row] for row in d1]
+    a, b = IntMatrix.from_rows(d1), IntMatrix.from_rows(d2)
+    assert _composes_to_zero(a, b)
+    i = {"first": 0, "middle": len(d1) // 2, "last": len(d1) - 1}[where]
+    k = next(k for k, x in enumerate(d1[i]) if x)
+    changed = _changed(a, i, k, 1)
+    product = matmul_naive(changed.to_rows(), d2, b.cols)
+    assert {r for r, row in enumerate(product) if any(row)} == {i}
+    assert not _composes_to_zero(changed, b)
 
 
 # ---------------------------------------------------------------------------
