@@ -19,13 +19,17 @@ mask); lengths are the contract, witnesses are evidence.
 
 Subgroups are bitmasks over element indices, so all the searches are integer
 arithmetic on Python ints.  Each group builds its subgroup lattice once, by
-cyclic extension (Neubüser 1960): every subgroup H found is joined with the
-cyclic subgroups it lacks.  Since <H, x> = <H, xh> for every h in H, one
-join per left coset xH is enough, and a generator in a coset already tried
-is skipped; the set of subgroups found is the same.  All three searches
-read that one lattice, which is indexed by order.  The ``n3`` recursion
-reads the subgroups of each retract off the shared lattice, since the
-subgroups of H are exactly the subgroups of G inside H.
+cyclic extension (Neubüser 1960) with one canonical parent per subgroup
+(McKay 1998): the least generators x_0, x_1, ... of the cyclic subgroups,
+larger subgroups first, give each subgroup K one canonical sequence, the
+x_i in K that `_span` keeps, and K is built only as the join of the span H
+of that sequence without its last term x_i with <x_i>.  So each subgroup
+is built exactly once, and a candidate <H, x_i> that would hold some x_j
+with j < i outside H is refused, many of them from the left coset x_i H
+alone, before any join (the proof is in ``_lattice``).  All three
+searches read that one lattice, which is indexed by order.  The ``n3``
+recursion reads the subgroups of each retract off the shared lattice,
+since the subgroups of H are exactly the subgroups of G inside H.
 
 The chain searches of ``n1``/``n2`` and the ``n3`` recursion stop early on
 a bound: a strictly decreasing chain of subgroups from H down to 1 has at
@@ -45,14 +49,16 @@ every s in S and t in T, so it conjugates a generating set of K by one of A
 only and stops at the first conjugate that leaves K.  ``n1`` and
 ``is_normal`` ask it with A = G, and ``_complement`` with A its ambient
 subgroup.  Each group caches its lattice, indexed by order, and one
-generating set per subgroup in it: the lattice finds each new subgroup K as
-<H, x> and records the generators of H followed by x.  One function,
-``_span``, says which subgroup a list of elements generates: it keeps each
+generating set per subgroup in it: the lattice builds each subgroup K as
+<H, x> and records K's canonical sequence, H's followed by x.  One
+function, ``_span``, says which subgroup a list of elements generates: it keeps each
 element outside the span of those kept before it and joins it on with
 ``_join_cyclic``, and what it keeps depends on the table alone.  Light's
 test in the constructor checks what it keeps of the whole table, a subgroup
 outside the lattice takes that as its generating set, and
-``subgroup_from_members`` accepts a member set that is its own span.
+``subgroup_from_members`` accepts a member set that is its own span, the
+one subgroup check (``_is_subgroup``) that ``is_normal``, ``is_complement``
+and ``is_retract`` also ask before they answer.
 """
 
 from __future__ import annotations
@@ -254,11 +260,12 @@ def _cyclic_mask(g: FiniteGroup, x: int) -> int:
 
 
 def _cyclic_generators(g: FiniteGroup) -> list[int]:
-    """One generator x per nontrivial cyclic subgroup <x>, the least one."""
+    """One generator x per nontrivial cyclic subgroup <x>, the least one,
+    larger subgroups first and then by x."""
     by_mask: dict[int, int] = {}
     for x in range(1, g.order):
         by_mask.setdefault(_cyclic_mask(g, x), x)
-    return list(by_mask.values())
+    return [x for _, x in sorted((-m.bit_count(), x) for m, x in by_mask.items())]
 
 
 def _join_cyclic(
@@ -295,37 +302,70 @@ def _span(
 
 def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
     """Every subgroup mask of G by order, orders ascending and each list by
-    mask, built once per group by cyclic extension (Neubüser): starting from
-    the trivial subgroup, join each subgroup found with each cyclic subgroup
-    it does not contain.  Every subgroup is a join of cyclic subgroups, so
-    nothing is missed.  Since <H, x> = <H, xh> for every h in H, one join per
-    left coset xH is enough: a generator in a coset already tried (H itself
-    included) is skipped.  Each new <H, x> is recorded in `g._generators`
-    with the generators of H followed by x."""
+    mask, built once per group by cyclic extension (Neubüser) in which each
+    subgroup is built exactly once, from its canonical parent (McKay's
+    canonical augmentation).
+
+    Let x_0, x_1, ... be the least generators of the nontrivial cyclic
+    subgroups, larger subgroups first (`_cyclic_generators`).  The
+    canonical sequence of a subgroup K is what `_span` keeps of the x_i in
+    K, in order; it spans K.  A cyclic K's sequence is then its one
+    generator, which keeps short the generating sets recorded here, and
+    `_normal_in` conjugates those.  The search starts at the trivial
+    subgroup, whose sequence is empty.  At a subgroup H whose sequence ends
+    before x_s, it takes each x = x_i with i >= s, joins K = <H, x>, and
+    accepts K when every x_j in K with j < i lies in H.  An accepted K is
+    recorded in `g._generators` with H's sequence followed by x, and the
+    search goes on from K at x_i+1.
+
+    * Uniqueness: below x_i an accepted K holds only the x_j of H, which
+      span H, so `_span` keeps H's sequence and then x: that is K's
+      canonical sequence.  It names H and x, so K is built once.
+    * Completeness: take any K other than 1, and let x_i end its canonical
+      sequence and H be the span of the terms before it.  Every x_j in K
+      with j < i is in the span H of the terms kept before x_i, so H holds
+      the same x_j below x_i and K's sequence without x_i is H's canonical
+      sequence.  By induction on the length, H is reached with s <= i, and
+      from there x_i passes every test.
+    * Skips lose nothing.  Since <H, x> = <H, xh> for every h in H, the
+      search builds the left coset xH (C-level passes) before any join and
+      drops the x_j in it from those left to try.  An x in H gives K = H, no
+      new subgroup.  If x lies in a coset x_j H tried before, or xH holds
+      some x_j with j < i, then K holds such an x_j outside H, and the
+      acceptance test would refuse K anyway."""
     if g._masks_by_order is None:
         table = g.table
         gens = g._generators
         cyclics = _cyclic_generators(g)
-        found = {1}
-        frontier = [1]
-        while frontier:
-            fresh = []
-            for h in frontier:
-                h_members = _bits(h)
-                tried = h
-                for x in cyclics:
-                    if not (tried >> x) & 1:
-                        row = table[x]
-                        for c in h_members:
-                            tried |= 1 << row[c]
-                        k = _join_cyclic(table, h, h_members, x)
-                        if k not in found:
-                            found.add(k)
-                            fresh.append(k)
-                            gens[k] = gens.get(h, ()) + (x,)
-            frontier = fresh
+        # x_i is bit i of `rank`, so a sum of ranks names a set of the x_i;
+        # below[i] is the member mask of x_0 .. x_i-1
+        rank = [0] * g.order
+        below = [0]
+        for i, x in enumerate(cyclics):
+            rank[x] = 1 << i
+            below.append(below[i] | 1 << x)
+        every = (1 << len(cyclics)) - 1
+        masks = [1]
+        todo: list[tuple[int, tuple[int, ...], int]] = [(1, (), every)]
+        while todo:
+            h, h_gens, untried = todo.pop()
+            h_members = _bits(h)
+            untried &= ~sum(map(rank.__getitem__, h_members))
+            while untried:
+                low = untried & -untried
+                i = low.bit_length() - 1
+                x = cyclics[i]
+                coset = sum(map(rank.__getitem__, map(table[x].__getitem__, h_members)))
+                untried &= ~coset
+                if coset & (low - 1):  # xH holds some x_j with j < i
+                    continue
+                k = _join_cyclic(table, h, h_members, x)
+                if not (k ^ h) & below[i]:  # K \ H holds no x_j with j < i
+                    k_gens = gens[k] = h_gens + (x,)
+                    masks.append(k)
+                    todo.append((k, k_gens, every & -(low << 1)))  # x_j, j > i
         by_order: dict[int, list[int]] = {}
-        for m in sorted(found, key=lambda m: (m.bit_count(), m)):
+        for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
             by_order.setdefault(m.bit_count(), []).append(m)
         g._masks_by_order = by_order
     return g._masks_by_order
@@ -364,29 +404,52 @@ def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Subgrou
     return [Subgroup(m) for masks in _lattice(g).values() for m in masks]
 
 
+class _OutsideGroup(ValueError, IndexError):
+    """A member set names an element index at or past the group's order: a
+    malformed input, and an index past the end of the Cayley table."""
+
+
+def _is_subgroup(g: FiniteGroup, mask: int) -> bool:
+    """Whether the member set `mask` is a subgroup of G, which it is exactly
+    when it is its own `_span`.  A mask that names an element at or past
+    |G| is no subset of G, and raises ValueError."""
+    if mask >> g.order:
+        raise _OutsideGroup(
+            f"member set holds element {mask.bit_length() - 1}, "
+            f"outside a group of order {g.order}"
+        )
+    return _span(g.table, _bits(mask))[1] == mask
+
+
 def subgroup_from_members(g: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validated construction: the member set must already be a subgroup,
-    which it is exactly when `_span` of its members gives back the set."""
+    """Validated construction: the member set must already be a subgroup of
+    G (see `_is_subgroup`), else ValueError."""
     sub = Subgroup.from_members(members)
-    if _span(g.table, sub.members())[1] != sub.mask:
+    if not _is_subgroup(g, sub.mask):
         raise ValueError("member set is not closed under the group operation")
     return sub
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    return _normal_in(g, h.mask, (1 << g.order) - 1)
+    """Whether H is a normal subgroup of G (False for a member set that is
+    no subgroup)."""
+    return _is_subgroup(g, h.mask) and _normal_in(g, h.mask, (1 << g.order) - 1)
 
 
 def is_complement(g: FiniteGroup, h: Subgroup, k: Subgroup) -> bool:
-    """K complements H when they meet only in the identity and HK is all of G
-    (equivalently |H| * |K| = |G| once the intersection is trivial)."""
-    return (h.mask & k.mask) == 1 and h.order * k.order == g.order
+    """K complements H when both are subgroups, they meet only in the
+    identity and HK is all of G (equivalently |H| * |K| = |G| once the
+    intersection is trivial)."""
+    both = _is_subgroup(g, h.mask) & _is_subgroup(g, k.mask)  # `&`: check both
+    return both and (h.mask & k.mask) == 1 and h.order * k.order == g.order
 
 
 def is_retract(g: FiniteGroup, h: Subgroup, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """A retract is a subgroup with a normal complement."""
     _check_cap(g.order, cap)
-    return _complement(g, (1 << g.order) - 1, h.mask, normal=True) is not None
+    return _is_subgroup(g, h.mask) and (
+        _complement(g, (1 << g.order) - 1, h.mask, normal=True) is not None
+    )
 
 
 def restrict_to_subgroup(
@@ -424,11 +487,9 @@ def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | Non
     """The least mask of a complement of H in the subgroup A = `ambient`: a
     subgroup of A of order |A|/|H| that meets H trivially and, when `normal`
     is set, is normal in A.  None when H has no such complement."""
-    size, h_order = ambient.bit_count(), h.bit_count()
-    # only is_retract's caller can pass a member set that is no subgroup
-    if size % h_order:
-        return None
-    for k in _lattice(g).get(size // h_order, ()):
+    # every caller passes a subgroup H of A (`is_retract` asks
+    # `_is_subgroup` first), so |H| divides |A| by Lagrange
+    for k in _lattice(g).get(ambient.bit_count() // h.bit_count(), ()):
         if k & h == 1 and k & ambient == k:
             if not normal or _normal_in(g, k, ambient):
                 return k

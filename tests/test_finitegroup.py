@@ -199,8 +199,11 @@ class TestClosureOracle:
     def test_member_outside_the_table_raises_index_error(self):
         g = catalog_group("Z6")
         for members in ([0, 6], [0, 2, 4, 6], [0, 1, 9]):
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError) as err:
                 subgroup_from_members(g, members)
+            # the one subgroup check refuses it as malformed input too
+            assert isinstance(err.value, ValueError)
+            assert f"element {max(members)}, outside a group of order 6" in str(err.value)
 
 
 def _corrupted_tables(table, rng: random.Random, count: int):
@@ -411,6 +414,35 @@ class TestPredicates:
         table = [list(r) for r in g.table]
         for s in all_subgroups(g):
             assert is_normal(g, s) == _is_normal_naive(table, frozenset(s.members()))
+
+    def test_predicates_answer_false_for_a_set_that_is_no_subgroup(self):
+        # {0, 1} in Z6 meets the normal subgroup {0, 2, 4} in the identity
+        # and 2 * 3 = 6, but it is no subgroup
+        g = catalog_group("Z6")
+        bad, h3 = Subgroup(0b11), subgroup_from_members(g, [0, 2, 4])
+        assert not is_retract(g, bad)
+        assert not is_normal(g, bad)
+        assert not is_complement(g, bad, h3)
+        assert not is_complement(g, h3, bad)
+        with pytest.raises(ValueError, match="not closed under the group operation"):
+            subgroup_from_members(g, bad.members())
+
+    def test_predicates_refuse_a_set_outside_the_group(self):
+        # element 10 of a group of order 6
+        g = catalog_group("Z6")
+        bad, h3 = Subgroup((1 << 10) | 1), subgroup_from_members(g, [0, 2, 4])
+        for ask in (
+            lambda: is_retract(g, bad),
+            lambda: is_normal(g, bad),
+            lambda: is_complement(g, bad, h3),
+            lambda: is_complement(g, h3, bad),
+            lambda: subgroup_from_members(g, bad.members()),
+        ):
+            with pytest.raises(ValueError, match="element 10, outside a group of order 6"):
+                ask()
+        # the search cap is still checked before the member set
+        with pytest.raises(OrderExceedsCap):
+            is_retract(g, bad, cap=4)
 
     def test_complements_in_z6(self):
         g = catalog_group("Z6")

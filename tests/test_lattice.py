@@ -1,11 +1,18 @@
 """The shared subgroup lattice, the complement search and the n3 search
 that filters it.
 
-Each group builds its subgroup lattice once, by cyclic extension with one
-join per coset, and n3 reads the subgroups of every retract off that one
-lattice.  These tests check the lattice against an independent
-generator-subset oracle on the whole catalog and against Gaussian-binomial
-subspace counts on elementary abelian groups up to order 64, and check n3
+Each group builds its subgroup lattice once, by cyclic extension that
+builds each subgroup exactly once, from the prefix of its canonical
+sequence (the least cyclic generators inside it that `_span` keeps), and
+n3 reads the subgroups of every retract off that one lattice.  These tests
+check the lattice against an independent generator-subset oracle on the
+whole catalog and on S4, against Gaussian-binomial subspace counts on
+elementary abelian groups up to order 64, and against the known counts of
+the nonsolvable A5 and S5, built from permutations.  On the catalog, the
+relabelled large groups and those of order 64 they check that no mask is
+listed twice, that each subgroup's recorded generators are its canonical
+sequence, and that the family of member sets is carried onto itself by
+two more relabellings, which change the canonical parents.  They check n3
 against a recursion that restricts the table to each proper retract and
 starts over there.  The chain search, which stops early on an Omega bound,
 is checked against an exhaustive longest-chain search on random candidate
@@ -36,8 +43,11 @@ from polydepth.catalog import (
 from polydepth.finitegroup import (
     FiniteGroup,
     Subgroup,
+    _cyclic_generators,
+    _lattice,
     _longest_chain,
     _normal_in,
+    _span,
     all_subgroups,
     is_normal,
     is_retract,
@@ -45,6 +55,7 @@ from polydepth.finitegroup import (
     n2,
     n3,
     restrict_to_subgroup,
+    subgroup_from_members,
     verify_prop32,
 )
 from oracles import (
@@ -60,13 +71,18 @@ from oracles import (
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def relabelling(n: int, seed: int) -> list[int]:
+    """A seeded random renaming of 0..n-1 that keeps 0 in place."""
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    return [0] + rest
+
+
 def relabelled(group: FiniteGroup, seed: int) -> FiniteGroup:
     """The same group under a seeded random renaming of its elements; the
     identity keeps index 0, so subgroup masks are scattered over the bits."""
     n = group.order
-    rest = list(range(1, n))
-    random.Random(seed).shuffle(rest)
-    pi = [0] + rest
+    pi = relabelling(n, seed)
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -270,3 +286,113 @@ def test_series_complements_are_least_naive_complements(name):
                 if (m in normal or not need_normal) and _is_complement_naive(table, h, k)
             )
             assert comp.mask == least, (term, need_normal)
+
+
+ALL_GROUPS = catalog_names() + list(LARGE) + list(ORDER_64)
+
+
+def _least_cyclic_generators_naive(table) -> list[int]:
+    """The least generator of each nontrivial cyclic subgroup, larger
+    subgroups first and then by index, from raw powers of every element."""
+    least: dict[frozenset[int], int] = {}
+    for x in range(1, len(table)):
+        powers, y = {0}, x
+        while y:
+            powers.add(y)
+            y = table[y][x]
+        least.setdefault(frozenset(powers), x)
+    return [x for _, x in sorted((-len(c), x) for c, x in least.items())]
+
+
+def _check_lattice_is_canonical(g: FiniteGroup) -> list[int]:
+    """The lattice's masks, after checking that it lists each once, sorted
+    by (order, mask), and recorded each subgroup other than 1 with its
+    canonical sequence as generating set: what `_span` keeps of the least
+    cyclic generators inside it, in their order."""
+    cyclics = _least_cyclic_generators_naive(g.table)
+    assert _cyclic_generators(g) == cyclics
+    masks = [m for ms in _lattice(g).values() for m in ms]
+    assert len(masks) == len(set(masks))
+    assert masks == sorted(masks, key=lambda m: (m.bit_count(), m))
+    for k in masks[1:]:
+        inside = [x for x in cyclics if (k >> x) & 1]
+        assert g._generators[k] == _span(g.table, inside)[0], k
+    return masks
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_lattice_builds_each_subgroup_once_from_its_canonical_sequence(name):
+    g, _ = _group_and_cap(name)
+    assert _check_lattice_is_canonical(g)[0] == 1
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_lattice_maps_onto_itself_under_relabelling(name):
+    # renaming the elements reorders the cyclic generators, so the search
+    # builds each subgroup from another canonical parent; the family of
+    # member sets must be the image of the original one all the same
+    g, cap = _group_and_cap(name)
+    family = [frozenset(s.members()) for s in all_subgroups(g, cap)]
+    for seed in (23, 24):
+        pi = relabelling(g.order, seed)
+        h = relabelled(g, seed)
+        got = {frozenset(s.members()) for s in all_subgroups(h, cap)}
+        assert got == {frozenset(pi[a] for a in m) for m in family}
+        assert len(got) == len(family)
+
+
+def permutation_group(generators: list[tuple[int, ...]]) -> FiniteGroup:
+    """The group the permutations generate, as a Cayley table: the identity
+    is element 0, and a times b is the permutation i -> a[b[i]]."""
+    identity = tuple(range(len(generators[0])))
+    elements = [identity]
+    index = {identity: 0}
+    for a in elements:  # grows while it is walked
+        for s in generators:
+            b = tuple(a[i] for i in s)
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+    return FiniteGroup(
+        [[index[tuple(a[i] for i in b)] for b in elements] for a in elements]
+    )
+
+
+def _symmetric(n: int) -> FiniteGroup:
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    return permutation_group([cycle, swap])
+
+
+def _alternating_5() -> FiniteGroup:
+    return permutation_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+
+
+def test_permutation_groups_have_the_expected_orders():
+    assert _symmetric(4).order == 24
+    assert _alternating_5().order == 60
+    assert _symmetric(5).order == 120
+
+
+def test_s4_lattice_matches_generator_subset_oracle():
+    g = _symmetric(4)
+    masks = _check_lattice_is_canonical(g)
+    got = {frozenset(s.members()) for s in all_subgroups(g)}
+    assert got == set(generated_subgroups_naive([list(r) for r in g.table]))
+    assert len(masks) == len(got) == 30
+
+
+@pytest.mark.parametrize(
+    "build, cap, count",
+    # the known subgroup counts of the nonsolvable A5 and S5
+    [(_alternating_5, 64, 59), (lambda: _symmetric(5), 120, 156)],
+    ids=["A5", "S5"],
+)
+def test_nonsolvable_lattices_have_the_known_counts(build, cap, count):
+    g = build()
+    masks = _check_lattice_is_canonical(g)
+    subs = all_subgroups(g, cap)
+    assert [s.mask for s in subs] == masks
+    assert len(subs) == count
+    for s in subs:
+        assert subgroup_from_members(g, s.members()) == s
