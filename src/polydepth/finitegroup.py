@@ -270,10 +270,11 @@ def _cyclic_generators(g: FiniteGroup) -> list[int]:
 
 def _join_cyclic(
     table: tuple[tuple[int, ...], ...], h: int, h_members: list[int], x: int
-) -> int:
-    """Mask of <H, x>.  The set grows by whole left cosets of H, so it is
-    closed under right multiplication by H; closing it under right
-    multiplication by x as well makes it the generated subgroup."""
+) -> tuple[int, list[int]]:
+    """Mask and member list of <H, x>, the members in no set order.  The
+    set grows by whole left cosets of H, so it is closed under right
+    multiplication by H; closing it under right multiplication by x as well
+    makes it the generated subgroup."""
     mask, members = h, list(h_members)
     for a in members:  # grows while it is walked
         b = table[a][x]
@@ -283,7 +284,7 @@ def _join_cyclic(
                 coset_elem = row[c]
                 mask |= 1 << coset_elem
                 members.append(coset_elem)
-    return mask
+    return mask, members
 
 
 def _span(
@@ -292,10 +293,10 @@ def _span(
     """The elements, in order, outside the subgroup generated by those kept
     before them, and the mask of that subgroup.  The span is made of table
     products of kept elements, and what is kept depends on the table alone."""
-    kept, span = [], 1
+    kept, span, members = [], 1, [0]
     for x in elements:
         if not (span >> x) & 1:
-            span = _join_cyclic(table, span, _bits(span), x)
+            span, members = _join_cyclic(table, span, members, x)
             kept.append(x)
     return tuple(kept), span
 
@@ -346,10 +347,11 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
             below.append(below[i] | 1 << x)
         every = (1 << len(cyclics)) - 1
         masks = [1]
-        todo: list[tuple[int, tuple[int, ...], int]] = [(1, (), every)]
+        # (H, its members, its sequence, the x_i left to try); only sums
+        # and joins read the members, so their order does not matter
+        todo: list[tuple[int, list[int], tuple[int, ...], int]] = [(1, [0], (), every)]
         while todo:
-            h, h_gens, untried = todo.pop()
-            h_members = _bits(h)
+            h, h_members, h_gens, untried = todo.pop()
             untried &= ~sum(map(rank.__getitem__, h_members))
             while untried:
                 low = untried & -untried
@@ -359,11 +361,11 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
                 untried &= ~coset
                 if coset & (low - 1):  # xH holds some x_j with j < i
                     continue
-                k = _join_cyclic(table, h, h_members, x)
+                k, k_members = _join_cyclic(table, h, h_members, x)
                 if not (k ^ h) & below[i]:  # K \ H holds no x_j with j < i
                     k_gens = gens[k] = h_gens + (x,)
                     masks.append(k)
-                    todo.append((k, k_gens, every & -(low << 1)))  # x_j, j > i
+                    todo.append((k, k_members, k_gens, every & -(low << 1)))  # x_j, j > i
         by_order: dict[int, list[int]] = {}
         for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
             by_order.setdefault(m.bit_count(), []).append(m)

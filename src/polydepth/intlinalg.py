@@ -13,20 +13,23 @@ matrix costs what its nonzero entries cost.  Only `smith_normal_form`,
 `determinant` and the dense `entries` view expand a matrix to all its
 cells.
 
-There are two ways to diagonalize:
+One sparse elimination, `_eliminate`, finds the Smith diagonals that
+homology and `rank` read.  It works on copies of the sparse rows and keeps no
+transforms, so its cost follows the fill-in rather than the matrix size.
+Each pivot comes from the live column with the fewest nonzero entries, the
+count kept current as fill-in and cancellation change it (Markowitz's rule
+for low fill-in, restricted to the column count); within that column the
+least |entry| wins, ties going to the shortest row.  A unit pivot costs one
+pass over each row it clears.  `invariant_factors` and `rank` read it for
+one map.  `topology.homology_of_complex` runs it top-down over a complex:
+each row of d_(k+1) that a leading unit pivot clears is a column of d_k
+left out before d_k is reduced (reduction pairs; the proof is at
+`_eliminate`).
 
-* `invariant_factors` returns only the nonzero Smith diagonal.  It
-  eliminates on copies of the sparse rows and keeps no transforms, so its
-  cost follows the fill-in rather than the matrix size.  Each pivot comes
-  from the live column with the fewest nonzero entries, the count kept
-  current as fill-in and cancellation change it (Markowitz's rule for low
-  fill-in, restricted to the column count); within that column the least
-  |entry| wins, ties going to the shortest row.  Homology and `rank` read
-  it.
-* `smith_normal_form` runs dense elimination and also returns the unimodular
-  transforms U and V with S = U @ M @ V, for callers that need a basis, such
-  as a kernel basis of a boundary map.  It is the tests' reference for the
-  diagonal.
+`smith_normal_form` runs dense elimination and also returns the unimodular
+transforms U and V with S = U @ M @ V, for callers that need a basis, such
+as a kernel basis of a boundary map.  It is the tests' reference for the
+diagonal.
 """
 
 from __future__ import annotations
@@ -413,8 +416,20 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero Smith diagonal d1 | d2 | ... | dr of `m`, each positive:
-    the same tuple as ``smith_normal_form(m).diagonal``, found by sparse
-    elimination that builds neither U, V nor S.
+    the same tuple as ``smith_normal_form(m).diagonal``, found by the sparse
+    elimination of `_eliminate`, which builds neither U, V nor S.
+
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    """
+    return _eliminate(m, frozenset())[0]
+
+
+def _eliminate(
+    m: IntMatrix, drop: frozenset[int]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The nonzero Smith diagonal of `m` without the columns in `drop`, and
+    the rows of `m` that the elimination matched.
 
     Each step takes its pivot in the live column with the fewest nonzero
     entries, at the entry of least absolute value there (ties to the
@@ -426,55 +441,94 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     diagonal form of `m`; pairwise gcd/lcm turns it into the divisibility
     chain.  The pivot position changes only the cost, never the result.
 
-    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    (2, 4)
+    A row is matched when a step whose pivot was +-1 at the start cleared
+    it, and every earlier step was such a unit step too.  Let `m` be
+    d_(k+1) of a chain complex with d_k d_(k+1) = 0; its rows are the
+    columns of d_k.  Then d_k without the matched columns has the Smith
+    form of d_k (the reduction pairs of Kaczynski, Mischaikow and Mrozek,
+    *Computational Homology*, ch. 4):
+
+    * The row operation row_i -= q row_pi is U d_(k+1) with U unimodular,
+      and d_k U^-1 adds q times column i of d_k to its column pi.  So the
+      pair d_k U^-1, U d_(k+1) still composes to zero, and of d_k only
+      column pi changes.  Column operations on d_(k+1) leave d_k as it is.
+    * A unit step takes row pi as its only source, so of d_k it changes
+      column pi alone.  Once the step has cleared column pj of d_(k+1),
+      that column is +-e_pi, and d_k' d_(k+1)' = 0 makes column pi of d_k'
+      zero.  If every earlier step was a unit step too, then by induction
+      d_k' is d_k with its matched columns zeroed, reached from d_k by
+      unimodular column operations.  Zero columns do not change a Smith
+      form, so dropping those columns of the original d_k keeps it.
+    * A step that starts from a pivot other than +-1 may take other rows as
+      sources; its operations add columns of d_k into several columns, so
+      d_k' is no longer d_k with columns zeroed.  Matching stops at the
+      first such step.
+
+    Dropped columns are left out before elimination, so the matches of
+    d_(k+1) may be dropped from d_k, and d_k's matches from d_(k-1) in turn.
     """
     # imported on first use: importing polydepth does not load heapq
     from heapq import heapify, heappop, heappush
 
     # rows[i] holds the nonzero entries of row i; column j has a nonzero
     # entry exactly in the rows of in_col[j]
-    rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
+    if drop:
+        kept = ({j: x for j, x in row.items() if j not in drop} for row in m._rows)
+        rows = {i: row for i, row in enumerate(kept) if row}
+    else:
+        rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
     in_col: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             in_col.setdefault(j, set()).add(i)
     # (count, j) items: every live column j has one holding its current
-    # count len(in_col[j]); outdated items are dropped when popped
+    # count len(in_col[j]), pushed whenever a pivot row that changed the
+    # column is left; outdated items are dropped when popped
     heap = [(len(s), j) for j, s in in_col.items()]
     heapify(heap)
 
     pivots: list[int] = []
+    matched: list[int] = []
+    matching = True
     while rows:
         # a live column of fewest nonzero entries, ties to the least index
         count, pj = heappop(heap)
         if len(in_col[pj]) != count:
             continue
         pi = min(in_col[pj], key=lambda i: (abs(rows[i][pj]), len(rows[i])))
-        # a step changes counts only in columns of the pivot rows it uses
-        touched: set[int] = set()
+        matching = matching and abs(rows[pi][pj]) == 1
         while True:
             prow = rows[pi]
-            touched.update(prow)
             p = prow[pj]
             for i in [i for i in in_col[pj] if i != pi]:
-                # row i -= q * pivot row
                 row = rows[i]
                 q = row[pj] // p
+                if not q:
+                    # |row[pj]| < |p| after the pivot moved along its row:
+                    # nothing to subtract, and the row is a later pivot
+                    continue
+                # row i -= q * pivot row, one lookup per entry
                 for j, x in prow.items():
-                    y = row.get(j, 0) - q * x
-                    if y:
-                        if j not in row:
-                            in_col[j].add(i)
-                        row[j] = y
-                    elif j in row:
-                        del row[j]
-                        in_col[j].discard(i)
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = -q * x
+                        in_col[j].add(i)
+                    else:
+                        y -= q * x
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+                            in_col[j].discard(i)
                 if not row:
                     del rows[i]
-            left = [i for i in in_col[pj] if i != pi]
-            if left:
-                pi = min(left, key=lambda i: abs(rows[i][pj]))
+            if len(in_col[pj]) > 1:
+                # remainders left in the column: the least becomes the pivot,
+                # and the counts this row changed are pushed as it is left
+                for j in prow:
+                    if in_col[j]:
+                        heappush(heap, (len(in_col[j]), j))
+                pi = min((i for i in in_col[pj] if i != pi), key=lambda i: abs(rows[i][pj]))
                 continue
             if abs(p) != 1:
                 # column j -= (x // p) * column pj changes only the pivot row
@@ -484,21 +538,27 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
                         prow[j] = r
                     else:
                         del prow[j]
-                        in_col[j].discard(pi)
+                        col = in_col[j]
+                        col.discard(pi)
+                        if col:
+                            heappush(heap, (len(col), j))
                 if len(prow) > 1:
                     pj = min((j for j in prow if j != pj), key=lambda j: abs(prow[j]))
                     continue
             # the pivot is alone in its row and column (a unit pivot clears
-            # the rest of its row outright)
+            # the rest of its row outright); only the pivot rows of the step
+            # changed column counts, and this is the last of them
             for j in prow:
-                in_col[j].discard(pi)
+                col = in_col[j]
+                col.discard(pi)
+                if col:
+                    heappush(heap, (len(col), j))
             del rows[pi]
             pivots.append(abs(p))
+            if matching:
+                matched.append(pi)
             break
-        for j in touched:
-            if in_col[j]:
-                heappush(heap, (len(in_col[j]), j))
-    return _divisibility_chain(pivots)
+    return _divisibility_chain(pivots), frozenset(matched)
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:

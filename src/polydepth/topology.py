@@ -67,7 +67,7 @@ from .errors import (
     UnsupportedConstruction,
     _set,
 )
-from .intlinalg import IntMatrix, _check_int, _composes_to_zero, invariant_factors
+from .intlinalg import IntMatrix, _check_int, _composes_to_zero, _eliminate
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -460,14 +460,20 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     the rank of d_k and the Smith diagonal of d_(k+1).  The constructor has
     already proved that consecutive maps compose to zero.
 
+    The maps are reduced top-down, d_dim first.  Each row that the
+    elimination of d_(k+1) matched, a row cleared by one of its leading
+    unit pivots, is a column of d_k that can go without changing d_k's
+    Smith form (see `intlinalg._eliminate`), so d_k is reduced without it.
+
     >>> render_profile(homology_of_complex(EXAMPLE_COMPLEXES["projective-plane"]))
     'H0 = Z\\nH1 = Z/2\\nH2 = 0'
     """
     # diagonals[k] is the nonzero Smith diagonal of d_k; d_0 and d_(dim+1)
     # are zero maps
-    diagonals = [()]
-    diagonals.extend(invariant_factors(b) for b in complex_.boundary)
-    diagonals.append(())
+    diagonals: list[tuple[int, ...]] = [()] * (complex_.dim + 2)
+    drop: frozenset[int] = frozenset()
+    for k in range(complex_.dim, 0, -1):
+        diagonals[k], drop = _eliminate(complex_.boundary[k - 1], drop)
     groups = {
         k: _homology_group(complex_.cells[k], len(diagonals[k]), diagonals[k + 1])
         for k in range(complex_.dim + 1)

@@ -9,9 +9,11 @@ rendered degree by degree with their own text, and as JSON dicts built one
 degree at a time, and degrees are written one str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
-changes), subspaces of F_p^k are counted by Gaussian binomials, longest
-chains try every set below each term, and the group-series oracles enumerate
-raw power sets and check the series definitions directly, associativity
+changes), complexes of known homology start from diagonal boundary
+maps before the same disguise, subspaces of F_p^k are counted by Gaussian
+binomials, longest chains try every set below each term, and the
+group-series oracles enumerate raw power sets and check the series
+definitions directly, associativity
 is checked on every triple, the elements Light's test checks come from a
 closure rebuilt after each one, a member set is closed when every product
 of two members is a member, a table's refusal is found one value at a
@@ -204,23 +206,28 @@ def _shuffled_cells(maps: list, rng) -> list:
     return out
 
 
+def _change_basis(out: list, counts: list, k: int, rng) -> None:
+    """One elementary change of basis of C_k, in place: the new k-cell j
+    is e_j + q e_i, so d_k gains q times column i in column j and d_(k+1)
+    loses q times row j from row i.  Every composition stays zero."""
+    i, j = rng.sample(range(counts[k]), 2)
+    q = rng.choice((-2, -1, 1, 2))
+    if k > 0:
+        for row in out[k - 1]:
+            row[j] += q * row[i]
+    if k < len(out):
+        out[k][i] = [a - q * b for a, b in zip(out[k][i], out[k][j])]
+
+
 def _scrambled_basis(maps: list, ops: int, rng) -> list:
-    """`ops` elementary changes of basis: the new k-cell j is e_j + q e_i,
-    so d_k gains q times column i in column j and d_(k+1) loses q times
-    row j from row i.  Every composition stays zero."""
+    """`ops` elementary changes of basis (`_change_basis`), each of a
+    degree drawn at random."""
     counts = [len(maps[0])] + [len(m[0]) for m in maps]
     out = [[row[:] for row in m] for m in maps]
     for _ in range(ops):
         k = rng.randrange(len(counts))
-        if counts[k] < 2:
-            continue
-        i, j = rng.sample(range(counts[k]), 2)
-        q = rng.choice((-2, -1, 1, 2))
-        if k > 0:
-            for row in out[k - 1]:
-                row[j] += q * row[i]
-        if k < len(out):
-            out[k][i] = [a - q * b for a, b in zip(out[k][i], out[k][j])]
+        if counts[k] >= 2:
+            _change_basis(out, counts, k, rng)
     return out
 
 
@@ -245,6 +252,45 @@ def disguised_surface_space(kind: str, n: int) -> dict:
     complex_ = {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
     cover = {"cells": [1], "boundary": []}
     return {"explicit": {"complex": complex_, "pi1": pi1, "cover": cover}}
+
+
+def torsion_complex(dim: int, seed) -> tuple[list, list[tuple[int, list[int]]]]:
+    """Boundary maps [d_1, ..., d_dim] of a chain complex whose homology is
+    known by construction, and that homology as (free rank, prime-power
+    torsion sorted ascending) per degree.
+
+    Every C_k gets 2 to 5 cells.  Going down from d_dim, a k-cell that no
+    (k+1)-cell hits may be sent to t times a (k-1)-cell that nothing else
+    hits, t drawn from +-1, 2, 3, 4 and 6, so each d_k starts diagonal and
+    d_k d_(k+1) = 0.  Then H_k holds a Z for each k-cell that neither
+    sends nor is hit, and a Z/|t| for each k-cell hit with |t| > 1.  The
+    cells are shuffled and every C_k gets a few elementary changes of basis
+    (`_change_basis`), seeded by `seed`, which leave the homology alone."""
+    rng = random.Random(f"torsion-{dim}-{seed}")
+    counts = [rng.randint(2, 5) for _ in range(dim + 1)]
+    maps = [[[0] * counts[k] for _ in range(counts[k - 1])] for k in range(1, dim + 1)]
+    hit: list[dict[int, int]] = [{} for _ in range(dim + 1)]  # cell -> t
+    sends = [set() for _ in range(dim + 1)]
+    for k in range(dim, 0, -1):
+        for c in range(counts[k]):
+            free = [r for r in range(counts[k - 1]) if r not in hit[k - 1]]
+            if c in hit[k] or not free or rng.random() < 0.3:
+                continue
+            r = rng.choice(free)
+            t = rng.choice((1, -1, 2, 3, 4, 6, -2, -6))
+            maps[k - 1][r][c] = t
+            hit[k - 1][r] = abs(t)
+            sends[k].add(c)
+    homology = []
+    for k in range(dim + 1):
+        free_rank = sum(1 for c in range(counts[k]) if c not in hit[k] and c not in sends[k])
+        torsion = [p**e for t in hit[k].values() if t > 1 for p, e in factor_naive(t)]
+        homology.append((free_rank, sorted(torsion)))
+    maps = _shuffled_cells(maps, rng)
+    for k in range(dim + 1):
+        for _ in range(rng.randint(1, 2 * counts[k])):
+            _change_basis(maps, counts, k, rng)
+    return maps, homology
 
 
 def tensor_complex_naive(c1: dict, c2: dict) -> dict:

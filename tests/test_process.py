@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from test_finitegroup import NONASSOC_LOOP
+from test_reduction import PINNED_D1, PINNED_D2
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SPACES = SRC.parent / "spaces"
@@ -149,7 +150,7 @@ SOUNDNESS_SCRIPT = """
 from polydepth import (
     ChainComplex, CompositionNotZero, DepthBoundReport, ElementaryAmenable, FgAbelianGroup,
     FiniteGroup, Free, HomologyProfile, IntMatrix, SeriesResult, Sphere, Subgroup,
-    from_boundary_maps, subgroup_from_members,
+    from_boundary_maps, homology_of_complex, render_profile, subgroup_from_members,
 )
 
 def raises(build, error=ValueError):
@@ -196,13 +197,16 @@ d1 = IntMatrix.from_rows([[0, 0], [0, 1]])
 d2 = IntMatrix.from_rows([[0], [1]])
 print(raises(lambda: ChainComplex(2, (d1, d2), (2, 2, 1)), CompositionNotZero))
 print(raises(lambda: from_boundary_maps(d1, d2), CompositionNotZero))
-""" % (NONASSOC_LOOP,)
+# the reduction matches no row of d2 after a step whose pivot is not +-1
+pinned = ChainComplex(2, (IntMatrix.from_rows(%r), IntMatrix.from_rows(%r)), (5, 6, 3))
+print(render_profile(homology_of_complex(pinned)) == "H0 = Z^2 ⊕ Z/3 ⊕ Z/4 ⊕ Z/4\\nH1 = Z/2\\nH2 = 0")
+""" % (NONASSOC_LOOP, PINNED_D1, PINNED_D2)
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 18
+    assert proc.stdout.split() == ["True"] * 19
 
 
 def test_star_import_exports_every_public_name_once():

@@ -204,6 +204,11 @@ def test_invariant_factors_examples():
     assert invariant_factors(diag) == (2, 2, 60)
     coprime = IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 3]])
     assert invariant_factors(coprime) == (1, 1, 6)
+    # the first pivot, 5 or 7, leaves a remainder in its row and moves along
+    # it; the other rows hold entries below |pivot| in the new column, so
+    # their quotient is 0 and they stay as they are until one is the pivot
+    assert invariant_factors(IntMatrix.from_rows([[0, 2], [0, 3], [5, 9]])) == (1, 5)
+    assert invariant_factors(IntMatrix.from_rows([[2, 0], [6, 7], [5, 0]])) == (1, 7)
 
 
 @pytest.mark.parametrize("seed", range(6))
