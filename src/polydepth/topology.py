@@ -409,7 +409,8 @@ def _degree_chunks(
     and value is stored[k] (keys ascending, in start..dim) or else default;
     nothing when start > dim.  Each stored degree is one chunk, and a run of
     default lines, joined by tail + head, one chunk per `_degree_runs` block,
-    so a chunk holds at most 1000 lines."""
+    so a chunk holds at most 1000 degrees: 1000 lines where default is one
+    line."""
     head, mid, tail = lines
     line_end = f"{mid}{default}{tail}"
     sep = f"{line_end}{head}"

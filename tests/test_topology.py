@@ -760,7 +760,7 @@ def _degree_nodes(draw):
     keys = sorted({k for k in candidates if start <= k <= dim and draw(st.booleans())})
     pool = draw(st.lists(_json_trees(2), min_size=1, max_size=3))
     stored = {k: pool[draw(st.integers(0, len(pool) - 1))] for k in keys}
-    # every default line is short, so a block of 1000 of them stays under 80 000 characters
+    # every line of a default is short: under 80 characters at any depth drawn here
     short = _json_trees(0).filter(lambda v: len(json.dumps(v)) < 20)
     default = draw(st.one_of(short, st.just({"free_rank": 0, "torsion": []}), st.just([])))
     return _Degrees(start, dim, stored, default)
@@ -779,6 +779,15 @@ def _degree_trees():
     )
 
 
+def _degree_lines(value) -> int:
+    """The most lines that one default degree of a `_Degrees` node in
+    `value` spans, at least 1."""
+    if isinstance(value, _Degrees):
+        return json.dumps(value.default, indent=2).count("\n") + 1
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return max(map(_degree_lines, items), default=1)
+
+
 class TestJsonWriter:
     """`_json_chunks` writes what json.dumps(indent=2) writes, nested any
     number of levels deep, and a `_Degrees` node as its dense dict."""
@@ -793,11 +802,16 @@ class TestJsonWriter:
 
     @settings(max_examples=150, deadline=None)
     @given(_degree_trees(), st.integers(0, 3))
+    @example({"": None, '"': [_Degrees(0, 999, {}, {"free_rank": 0, "torsion": []})]}, 2)
     def test_trees_with_degree_maps(self, value, level):
         chunks = list(_json_chunks(value, level))
         want = json.dumps(_plain(value), indent=2).replace("\n", "\n" + "  " * level)
         assert "".join(chunks) == want
-        assert max(map(len, chunks)) < 1000 * 80
+        # a chunk holds at most 1000 degrees, and a default degree spans
+        # `lines` lines: a homology group's default spans four
+        lines = _degree_lines(value)
+        assert max(chunk.count("\n") for chunk in chunks) <= 1000 * lines
+        assert max(map(len, chunks)) < 1000 * 80 * lines
 
     def test_plain_degree_maps_share_nothing(self):
         group = {"free_rank": 0, "torsion": []}
