@@ -17,10 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import CompositionNotZero, DimensionMismatch, Record, _set
-from .intlinalg import IntMatrix, _check_token, _composes_to_zero, invariant_factors, rank
+from .errors import CompositionNotZero, DimensionMismatch, Record, _check_token, _set
+
+if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest cyclic order the trial-division factoriser accepts; a prime just
@@ -119,16 +121,20 @@ def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
     `intlinalg._composes_to_zero` decides without forming the product,
     raise `CompositionNotZero`.
 
+    >>> from polydepth.intlinalg import IntMatrix
     >>> from_boundary_maps(IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]]))
     FgAbelianGroup(free_rank=0, torsion=(2,))
     """
+    # imported on first use: reading a group loads no linear algebra
+    from . import intlinalg
+
     if d_k.cols != d_k_plus_1.rows:
         raise DimensionMismatch(
             f"cols(d_k) = {d_k.cols} but rows(d_k_plus_1) = {d_k_plus_1.rows}"
         )
-    if not _composes_to_zero(d_k, d_k_plus_1):
+    if not intlinalg._composes_to_zero(d_k, d_k_plus_1):
         raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
-    return _homology_group(d_k.cols, rank(d_k), invariant_factors(d_k_plus_1))
+    return _homology_group(d_k.cols, intlinalg.rank(d_k), intlinalg.invariant_factors(d_k_plus_1))
 
 
 def _homology_group(

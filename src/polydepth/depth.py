@@ -37,9 +37,9 @@ from .errors import (
     NotFinitelyGenerated,
     PolydepthError,
     Record,
+    _check_int,
     _set,
 )
-from .intlinalg import _check_int
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,

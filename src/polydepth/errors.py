@@ -2,9 +2,10 @@
 that ``OrderExceedsCap`` reports, and the base of the value records.
 
 Plain ``ValueError`` is reserved for malformed input (bad tables, bad JSON,
-bad matrix shapes at construction time).  The classes below mark computations
-that are well formed but fall outside a rule's hypotheses; callers such as
-``depth.best_bound`` catch them and turn them into structured outcomes.
+bad matrix shapes at construction time), which the reading rules at the end
+refuse.  The classes below mark computations that are well formed but fall
+outside a rule's hypotheses; callers such as ``depth.best_bound`` catch them
+and turn them into structured outcomes.
 
 A ``Record`` names its fields once, in ``__slots__``; its ``__init__`` takes
 them in that order, checks them and stores each with ``_set``.  The base
@@ -16,7 +17,9 @@ its checks.
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
+from typing import Iterable, Sequence
 
 DEFAULT_SEARCH_CAP = 64
 """Largest group order a subgroup search accepts unless told otherwise.  It
@@ -121,3 +124,95 @@ class DimensionNotTwo(PolydepthError):
 class CdNotFinite(PolydepthError):
     """Elementary amenable descriptor declared without finite cohomological
     dimension; its splitting length is not defined by any implemented rule."""
+
+
+# entry types accepted without a per-entry isinstance call; bool is an int
+# subclass and has always been accepted as an entry
+_INT_TYPES = frozenset((int, bool))
+
+
+def _check_ints(values: Sequence, what: str) -> None:
+    # every entry, zero-valued or falsy ones included, must be an int
+    if not _INT_TYPES.issuperset(map(type, values)):
+        for x in values:
+            _check_int(x, what)
+
+
+def _int_row(values: Sequence, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints by the rule of `_check_ints`, a bool read
+    as 0 or 1.  A row of plain ints, the usual case, is copied as it is:
+    int() on each value would cost more than the type check."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    _check_ints(values, what)
+    return tuple(map(int, values))
+
+
+def _check_int(x, what: str) -> int:
+    """The integer rule of `_check_ints` for one value read from outside: an
+    int, with a bool read as 0 or 1; anything else is refused by its type."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, int):
+        raise ValueError(f"{what} must be int, got {type(x).__name__}")
+    return int(x)
+
+
+# The integer rule for a token of a text grammar: an optional '-' and ASCII
+# digits.  Python's int() also takes a '+', '_' between digits, surrounding
+# spaces and non-ASCII digits, so tokens are matched before int() reads them.
+# The tokens of a text of ASCII digits and whitespace only are digit runs,
+# which pass the rule, so one match of the text replaces a check per token.
+_INT_TOKEN = re.compile("-?[0-9]+")
+_DIGITS_AND_SPACE = re.compile(r"[0-9\s]*", re.ASCII)
+
+
+def _check_token(token: str, what: str) -> int:
+    """The token rule for one integer token of a text grammar."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(
+            f"non-integer token in {what}: {token!r} "
+            "(an integer token is an optional '-' and ASCII digits)"
+        )
+    return int(token)
+
+
+def _as_list(items, what: str) -> list | tuple:
+    # a list or tuple as it is, any other iterable read into a list
+    if isinstance(items, (list, tuple)):
+        return items
+    if not isinstance(items, Iterable):
+        raise ValueError(f"{what} must be iterable, got {type(items).__name__}")
+    return list(items)
+
+
+def _fields(obj, what: str, required=(), allowed=(), lists=()) -> dict:
+    """`obj` when it is an object with every key of `required`, no key
+    outside `required` and `allowed`, and a list under each key of `lists`
+    that it has; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if not obj.keys() >= set(required):
+        raise ValueError(f"{what} needs the fields {'/'.join(required)}")
+    unknown = obj.keys() - {*required, *allowed}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in lists:
+        if key in obj and not isinstance(obj[key], list):
+            raise ValueError(f"{what} {key} must be a list, got {type(obj[key]).__name__}")
+    return obj
+
+
+def _one_of(obj, what: str, tags: tuple[str, ...], lists=()) -> tuple[str, object]:
+    """The (tag, value) of an object whose one key is one of `tags`; a tag in
+    `lists` must hold a list."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(
+            f"{what} must be an object with exactly one of the keys {'/'.join(tags)}"
+        )
+    (tag, value), = obj.items()
+    if tag not in tags:
+        raise ValueError(f"unknown {what} tag {tag!r}")
+    if tag in lists and not isinstance(value, list):
+        raise ValueError(f"{what} {tag} must be a list, got {type(value).__name__}")
+    return tag, value

@@ -63,15 +63,22 @@ and ``is_retract`` also ask before they answer.
 
 from __future__ import annotations
 
-import re
 from functools import total_ordering
 from itertools import product
 from operator import itemgetter
 from typing import Iterable
 
 from .abelian import _factor
-from .errors import DEFAULT_SEARCH_CAP, OrderExceedsCap, Record, _set
-from .intlinalg import _as_list, _check_token, _int_row
+from .errors import (
+    _DIGITS_AND_SPACE,
+    DEFAULT_SEARCH_CAP,
+    OrderExceedsCap,
+    Record,
+    _as_list,
+    _check_token,
+    _int_row,
+    _set,
+)
 
 
 class FiniteGroup:
@@ -684,18 +691,12 @@ def render_series(g: FiniteGroup, series: SeriesResult) -> str:
     return ">".join(describe_subgroup(g, s) for s in series.witness)
 
 
-# a Cayley text of ASCII digits and whitespace only: its tokens are digit
-# runs, which pass the token rule, so one pass over the text replaces a check
-# per token (a text with any other character is checked token by token)
-_DIGITS_AND_SPACE = re.compile(r"[0-9\s]*", re.ASCII)
-
-
 def parse_cayley_table(
     text: str, name: str | None = None, cap: int | None = None
 ) -> FiniteGroup:
     """Cayley-table text format: the order n on the first line, then n lines
     of n whitespace-separated element indices; index 0 is the identity.
-    Each token follows the token rule of ``intlinalg``: an optional '-' and
+    Each token follows the token rule of ``errors``: an optional '-' and
     ASCII digits.
 
     With a ``cap``, a declared order above it raises ``OrderExceedsCap``

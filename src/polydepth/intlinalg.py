@@ -6,12 +6,12 @@ so fixed-width arithmetic is not an option.  Matrices are immutable; all
 functions are pure and safe to call concurrently.
 
 An `IntMatrix` stores only its nonzero entries, one dict {column: entry}
-per row.  Building one checks every entry, zeros included, to be an int.
-The product `@`, `is_zero` and `_composes_to_zero`, the exact test that
-two boundary maps compose to zero, visit only those entries, so a boundary
-matrix costs what its nonzero entries cost.  Only `smith_normal_form`,
-`determinant` and the dense `entries` view expand a matrix to all its
-cells.
+per row.  Building one checks every entry, zeros included, by the integer
+rule of `errors`.  The product `@`, `is_zero` and `_composes_to_zero`, the
+exact test that two boundary maps compose to zero, visit only those
+entries, so a boundary matrix costs what its nonzero entries cost.  Only
+`smith_normal_form`, `determinant` and the dense `entries` view expand a
+matrix to all its cells.
 
 One sparse elimination, `_eliminate`, finds the Smith diagonals that
 homology and `rank` read.  It works on copies of the sparse rows and keeps no
@@ -34,73 +34,16 @@ diagonal.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, compress, repeat
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import Record, _set
-
-# entry types accepted without a per-entry isinstance call; bool is an int
-# subclass and has always been accepted as an entry
-_INT_TYPES = frozenset((int, bool))
+from .errors import Record, _as_list, _check_ints, _set
 
 
 def _check_shape(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
-
-
-def _check_ints(values: Sequence, what: str) -> None:
-    # every entry, zero-valued or falsy ones included, must be an int
-    if not _INT_TYPES.issuperset(map(type, values)):
-        for x in values:
-            _check_int(x, what)
-
-
-def _int_row(values: Sequence, what: str) -> tuple[int, ...]:
-    """`values` as a tuple of ints by the rule of `_check_ints`, a bool read
-    as 0 or 1.  A row of plain ints, the usual case, is copied as it is:
-    int() on each value would cost more than the type check."""
-    if set(map(type, values)) <= {int}:
-        return tuple(values)
-    _check_ints(values, what)
-    return tuple(map(int, values))
-
-
-def _check_int(x, what: str) -> int:
-    """The integer rule of `_check_ints` for one value read from outside: an
-    int, with a bool read as 0 or 1; anything else is refused by its type."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, int):
-        raise ValueError(f"{what} must be int, got {type(x).__name__}")
-    return int(x)
-
-
-# The integer rule for a token of a text grammar: an optional '-' and ASCII
-# digits.  Python's int() also takes a '+', '_' between digits, surrounding
-# spaces and non-ASCII digits, so tokens are matched before int() reads them.
-_INT_TOKEN = re.compile("-?[0-9]+")
-
-
-def _check_token(token: str, what: str) -> int:
-    """The token rule for one integer token of a text grammar."""
-    if _INT_TOKEN.fullmatch(token) is None:
-        raise ValueError(
-            f"non-integer token in {what}: {token!r} "
-            "(an integer token is an optional '-' and ASCII digits)"
-        )
-    return int(token)
-
-
-def _as_list(items, what: str) -> list | tuple:
-    # a list or tuple as it is, any other iterable read into a list
-    if isinstance(items, (list, tuple)):
-        return items
-    if not isinstance(items, Iterable):
-        raise ValueError(f"{what} must be iterable, got {type(items).__name__}")
-    return list(items)
 
 
 def _nonzero(values: Sequence[int]) -> dict[int, int]:
@@ -407,9 +350,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             s[k] = [-x for x in s[k]]
             u[k] = [-x for x in u[k]]
 
-    s_m = IntMatrix.from_rows(s, cols=cols) if rows else IntMatrix(0, cols, ())
-    u_m = IntMatrix.from_rows(u, cols=rows) if rows else IntMatrix(0, 0, ())
-    v_m = IntMatrix.from_rows(v, cols=cols) if cols else IntMatrix(0, 0, ())
+    s_m = IntMatrix.from_rows(s, cols=cols)
+    u_m = IntMatrix.from_rows(u, cols=rows)
+    v_m = IntMatrix.from_rows(v, cols=cols)
     diag = tuple(s_m.entry(k, k) for k in range(limit) if s_m.entry(k, k))
     return SnfResult(U=u_m, S=s_m, V=v_m, diagonal=diag)
 

@@ -6,9 +6,9 @@ finitely generated abelian, free of known rank, or elementary amenable with a
 known Hirsch length and a flag saying whether the cohomological dimension is
 finite.  The descriptor records exactly what the bound formulas need.
 
-Only the finite shape needs ``finitegroup``, and only a catalog name needs
-``catalog``.  They are imported where a finite descriptor is read or
-written, so a command that never meets one does not load them.
+Descriptors are read by the rules of ``errors``.  Only the finite shape
+needs ``finitegroup`` and only a catalog name ``catalog``, imported where a
+finite descriptor is met, so a command that never meets one loads neither.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Union
 
 from .abelian import FgAbelianGroup, from_cyclic_factors, parse_abelian, render_abelian
-from .errors import Record, _set
-from .intlinalg import _check_int
+from .errors import Record, _check_int, _fields, _one_of, _set
 
 if TYPE_CHECKING:
     from .finitegroup import FiniteGroup
@@ -118,38 +117,6 @@ def pi1_to_json(d: Pi1Descriptor) -> dict:
             "elementary_amenable": {"hirsch": d.hirsch, "cd_finite": d.cd_finite}
         }
     raise TypeError(f"not a Pi1Descriptor: {d!r}")
-
-
-def _fields(obj, what: str, required=(), allowed=(), lists=()) -> dict:
-    """`obj` when it is an object with every key of `required`, no key
-    outside `required` and `allowed`, and a list under each key of `lists`
-    that it has; anything else raises ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
-    if not obj.keys() >= set(required):
-        raise ValueError(f"{what} needs the fields {'/'.join(required)}")
-    unknown = obj.keys() - {*required, *allowed}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    for key in lists:
-        if key in obj and not isinstance(obj[key], list):
-            raise ValueError(f"{what} {key} must be a list, got {type(obj[key]).__name__}")
-    return obj
-
-
-def _one_of(obj, what: str, tags: tuple[str, ...], lists=()) -> tuple[str, object]:
-    """The (tag, value) of an object whose one key is one of `tags`; a tag in
-    `lists` must hold a list."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(
-            f"{what} must be an object with exactly one of the keys {'/'.join(tags)}"
-        )
-    (tag, value), = obj.items()
-    if tag not in tags:
-        raise ValueError(f"unknown {what} tag {tag!r}")
-    if tag in lists and not isinstance(value, list):
-        raise ValueError(f"{what} {tag} must be a list, got {type(value).__name__}")
-    return tag, value
 
 
 def _finite_from_json(obj, cap: int | None = None) -> Finite:

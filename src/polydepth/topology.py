@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, groupby
 from typing import Iterator, Union
 
@@ -65,9 +65,12 @@ from .errors import (
     NotFinitelyGenerated,
     Record,
     UnsupportedConstruction,
+    _check_int,
+    _fields,
+    _one_of,
     _set,
 )
-from .intlinalg import IntMatrix, _check_int, _composes_to_zero, _eliminate
+from .intlinalg import IntMatrix, _composes_to_zero, _eliminate
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -75,8 +78,6 @@ from .pi1 import (
     Free,
     Pi1Descriptor,
     Trivial,
-    _fields,
-    _one_of,
     fg_abelian,
     free,
     pi1_from_json,
@@ -558,30 +559,17 @@ def poincare_polynomial(space: SpaceExpr) -> list[int]:
 def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":
     """If the space is a sphere or a wedge of spheres, the number of spheres
     per degree; otherwise None."""
-    if isinstance(space, Sphere):
-        return {space.n: 1}
-    if isinstance(space, Wedge):
-        counts: dict[int, int] = {}
-        for part in space.parts:
-            if not isinstance(part, Sphere):
-                return None
-            counts[part.n] = counts.get(part.n, 0) + 1
-        return counts
-    return None
+    parts = space.parts if isinstance(space, Wedge) else (space,)
+    if not all(isinstance(part, Sphere) for part in parts):
+        return None
+    return dict(Counter(part.n for part in parts))
 
 
 def sphere_product_dims(space: SpaceExpr) -> "list[int] | None":
-    """If the space is a sphere or a product of spheres, the list of factor
-    dimensions in order; otherwise None."""
-    if isinstance(space, Sphere):
-        return [space.n]
-    if isinstance(space, Product):
-        dims: list[int] = []
-        for factor in space.factors:
-            if not isinstance(factor, Sphere):
-                return None
-            dims.append(factor.n)
-        return dims
+    """If the space is a product of spheres, the list of factor dimensions in
+    order; otherwise None, a lone sphere included (`sphere_wedge_counts`)."""
+    if isinstance(space, Product) and all(isinstance(f, Sphere) for f in space.factors):
+        return [f.n for f in space.factors]
     return None
 
 

@@ -53,6 +53,22 @@ RP2 = json.loads(
 )
 
 
+def _wedge_s1_s2(cells=(1, 1, 1), pi1=None):
+    """S^1 v S^2 as one explicit complex, its pi1 a free group of rank 1."""
+    complex_ = {"cells": list(cells), "boundary": [[[0]], [[0]]]}
+    return {"explicit": {"complex": complex_, "pi1": pi1 or {"free": 1}}}
+
+
+# Z2 as a Cayley table, written with JSON booleans and with integers
+Z2_BOOL_TABLE = {"finite": {"table": [[False, True], [True, False]]}}
+Z2_INT_TABLE = {"finite": {"table": [[0, 1], [1, 0]]}}
+
+
+def _rp2_with(pi1):
+    """The shipped RP^2 with `pi1` as its fundamental group."""
+    return {"explicit": dict(RP2["explicit"], pi1=pi1)}
+
+
 class TestBoundCommand:
     def test_wedge_s1_s2_text_report(self, tmp_path, capsys):
         path = _space_file(tmp_path, wedge(Sphere(1), Sphere(2)))
@@ -414,6 +430,40 @@ class TestExitCodes:
         assert run(["homology", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_negative_cell_count_is_malformed_input(self, tmp_path, capsys):
+        # the count passes the integer rule; ChainComplex refuses it
+        space = {"explicit": {"complex": {"cells": [-1]}, "pi1": {"trivial": True}}}
+        path = _write_json(tmp_path, "space.json", space)
+        for command in ("bound", "homology"):
+            assert run([command, path]) == 1
+            assert capsys.readouterr() == ("", "input error: cell counts must be >= 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, as_bool, as_int",
+        [
+            (["bound"], {"sphere": True}, {"sphere": 1}),
+            (["homology"], {"sphere": True}, {"sphere": 1}),
+            (["sl", "--descriptor"], {"free": True}, {"free": 1}),
+            (["bound"], _wedge_s1_s2(pi1={"free": True}), _wedge_s1_s2()),
+            (["bound"], _wedge_s1_s2(cells=[True, True, True]), _wedge_s1_s2()),
+            (["homology"], _wedge_s1_s2(cells=[True, True, True]), _wedge_s1_s2()),
+            (["sl", "--descriptor"], Z2_BOOL_TABLE, Z2_INT_TABLE),
+            (["bound"], _rp2_with(Z2_BOOL_TABLE), _rp2_with(Z2_INT_TABLE)),
+        ],
+        ids=[
+            "sphere-bound", "sphere-homology", "free-sl", "free-bound", "cells-bound",
+            "cells-homology", "table-sl", "table-bound",
+        ],
+    )
+    def test_bool_reads_as_one_or_zero(self, tmp_path, capsys, argv, as_bool, as_int):
+        # the integer rule reads true as 1 and false as 0 wherever it reads a number
+        seen = []
+        for body in (as_bool, as_int):
+            code = run([*argv, _write_json(tmp_path, "input.json", body)])
+            seen.append((code, *capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 0 and seen[0][1]
 
     def test_cyclic_order_above_limit_is_malformed_input(self, tmp_path, capsys):
         path = _write_json(tmp_path, "pi1.json", {"abelian": f"Z/{10**87 + 1}"})

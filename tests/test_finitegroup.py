@@ -295,6 +295,40 @@ def test_only_finitegroup_trusts_tables_and_refuses_orders():
     }
 
 
+# the rules that read outside input: integers, tokens, lists, object shapes
+READING_RULES = frozenset({
+    "_INT_TYPES", "_check_ints", "_int_row", "_check_int", "_INT_TOKEN", "_DIGITS_AND_SPACE",
+    "_check_token", "_as_list", "_fields", "_one_of",
+})
+
+
+def _reading_rule_uses(path: pathlib.Path) -> tuple[set[str], set[str], bool]:
+    """The reading rules the module at `path` defines, the modules it
+    imports any of them from, and whether it calls ``re.compile``."""
+    defined, sources, compiles = set(), set(), False
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(_name(t) for t in targets)
+        elif isinstance(node, ast.ImportFrom):
+            if READING_RULES & {alias.name for alias in node.names}:
+                sources.add(node.module)
+        elif isinstance(node, ast.Call) and _name(node.func) == "compile":
+            compiles |= _name(getattr(node.func, "value", None)) == "re"
+    return defined & READING_RULES, sources, compiles
+
+
+def test_only_errors_owns_the_reading_rules():
+    # each reading rule is defined once, in `errors`, every import of one
+    # names `errors`, and no other module compiles a pattern of its own
+    uses = {path.name: _reading_rule_uses(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: d for name, (d, _, _) in uses.items() if d} == {"errors.py": READING_RULES}
+    assert set().union(*(sources for _, sources, _ in uses.values())) == {"errors"}
+    assert {name for name, (_, _, compiles) in uses.items() if compiles} == {"errors.py"}
+
+
 def test_only_span_and_the_lattice_join_subgroups():
     # every span of a list of elements is built by `_span`; the lattice
     # joins one subgroup with one cyclic subgroup at a time

@@ -58,14 +58,19 @@ def test_import_loads_no_submodule():
     assert _loaded_submodules("-c", "import polydepth") == set()
 
 
+# S3 as a Cayley-table text file, for `sl --table`
+S3_TABLE = SRC.parent / "tests" / "data" / "s3_table.txt"
+
 COLD_COMMANDS = pytest.mark.parametrize(
     "argv, unused",
     [
-        (["sl", "--catalog", "Z6"], {"topology", "depth"}),
+        (["sl", "--catalog", "Z6"], {"intlinalg", "topology", "depth"}),
+        (["sl", "--table", str(S3_TABLE)], {"intlinalg", "topology", "depth"}),
+        (["catalog"], {"intlinalg", "topology", "depth", "pi1"}),
         (["homology", str(SPACES / "torus.json")], {"depth", "catalog", "finitegroup"}),
         (["bound", str(SPACES / "torus.json")], {"catalog", "finitegroup"}),
     ],
-    ids=["sl-catalog", "homology", "bound"],
+    ids=["sl-catalog", "sl-table", "catalog", "homology", "bound"],
 )
 
 # what the installed `polydepth` script runs
