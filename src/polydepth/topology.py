@@ -4,24 +4,24 @@ Spaces are expression trees over four constructors: spheres (minimal cell
 structure: one 0-cell, one n-cell), wedges, products, and explicit chain
 complexes with a declared fundamental group.  Nested wedges and nested
 products flatten when they are built.  Homology of explicit complexes is
-exact (Smith normal form); wedges add reduced homology degreewise; products
-follow the Kunneth formula with its Tor term (Hatcher, Algebraic Topology,
-Thm 3B.6), where in primary form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) =
-Z/p^min(a, b) and distinct primes give 0.
+exact (Smith normal form).  Spheres, wedges and products are one integer
+fold over free ranks and torsion by degree (``_fold``): wedges add reduced
+homology degreewise; products follow the Kunneth formula with its Tor term
+(Hatcher, Algebraic Topology, Thm 3B.6), where in primary form Z/p^a (x)
+Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b) and distinct primes give 0.
 
 A homology profile stores only the degrees that carry homology (or a
-not-finitely-generated verdict), and the wedge sum and the Kunneth fold
-visit only those, so their cost follows the homology and not the
-dimension.  Output still names every degree 0..dim, but it is written
-from the stored degrees: each run of trivial degrees goes out one aligned
-block of 1000 degrees at a time (``_degree_runs``), in pieces that a
-caller writes one by one, so the text is never held whole and costs one
-Python step per block and per stored degree.  All JSON, here and in
-``depth``, is one tree per form whose per-degree maps are lazy `_Degrees`
-nodes: `_json_chunks`, the one JSON writer, writes it, and `_plain`
-expands it to the ``*_to_json`` dict.  Spaces read from JSON are limited
-to dimension ``MAX_DIMENSION``, because the size of that output grows
-with the dimension.
+not-finitely-generated verdict), and the fold visits only those, so its
+cost follows the homology, not the dimension.  Output names every degree
+0..dim, written from the stored degrees: a run of trivial degrees goes out
+an aligned block of 1000 degrees at a time, each one join over a table of
+degree names (``_degree_runs``), in pieces that a caller writes one by one,
+so the text is never held whole and costs one Python step per block and
+per stored degree.  All JSON, here and in ``depth``, is one tree per form
+whose per-degree maps are lazy `_Degrees` nodes: `_json_chunks`, the one
+JSON writer, writes it, and `_plain` expands it to the ``*_to_json`` dict.
+Spaces read from JSON are limited to dimension ``MAX_DIMENSION``, because
+the size of that output grows with the dimension.
 
 The universal cover is built as another space expression, structurally:
 
@@ -380,25 +380,23 @@ def profile_to_json(profile: HomologyProfile) -> dict:
     return _plain(_profile_tree(profile))
 
 
-# "000" .. "999": the last three digits of every degree from 1000 up
+# the degrees 0..999, and "000" .. "999", the last three digits of every degree from 1000 up
+_NAMES = tuple(map(str, range(1000)))
 _LOW_DIGITS = tuple(f"{i:03d}" for i in range(1000))
 
 
 def _degree_runs(start: int, stop: int, sep: str) -> Iterator[str]:
     """``sep.join(map(str, range(start, stop)))`` in pieces that join by
     `sep`, one piece per aligned block of 1000 degrees.  Every degree in
-    [1000q, 1000q + 999] is str(q) followed by a three-digit tail, so for
-    q >= 1 a piece is one join of `_LOW_DIGITS`: one Python step per block,
-    not one str() per degree."""
+    [1000q, 1000q + 999] is a head ("" for q = 0, else str(q)) followed by
+    an entry of a table (`_NAMES`, else `_LOW_DIGITS`), so a piece is one
+    join of a table slice: one Python step per block, not one str() per degree."""
     lo = start
     while lo < stop:
         q, a = divmod(lo, 1000)
         hi = min(stop, 1000 * (q + 1))
-        if q:
-            head = str(q)
-            yield head + (sep + head).join(_LOW_DIGITS[a : hi - 1000 * q])
-        else:
-            yield sep.join(map(str, range(lo, hi)))
+        head, names = (str(q), _LOW_DIGITS) if q else ("", _NAMES)
+        yield head + (sep + head).join(names[a : hi - 1000 * q])
         lo = hi
 
 
@@ -483,77 +481,79 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     return HomologyProfile(complex_.dim, groups)
 
 
+def _fold(space: SpaceExpr) -> tuple[int, dict[int, int], dict[int, list[int]]]:
+    """(dim, free ranks by degree, torsion by degree) of a space: Smith form for an
+    explicit part, else integer sums and products; torsion is prime powers, unsorted."""
+    if isinstance(space, Sphere):
+        return space.n, {0: 1, space.n: 1}, {}
+    if isinstance(space, Explicit):
+        groups = homology_of_complex(space.complex).groups
+        ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
+        return space.complex.dim, ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
+    if isinstance(space, Wedge):
+        # reduced homology adds up over the parts, so H_0 stays Z
+        folds = [*map(_fold, space.parts)]
+        ranks, torsion = {}, {}
+        for _, part_ranks, part_torsion in folds:
+            for k, r in part_ranks.items():
+                ranks[k] = ranks.get(k, 0) + r
+            for k, t in part_torsion.items():
+                torsion.setdefault(k, []).extend(t)
+        ranks[0] = 1
+        return max(d for d, _, _ in folds), ranks, torsion
+    if not isinstance(space, Product):
+        raise TypeError(f"not a SpaceExpr: {space!r}")
+    # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
+    # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
+    dim, ranks, torsion = 0, {0: 1}, {}
+    for d, f_ranks, f_torsion in map(_fold, space.factors):
+        # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
+        held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
+        most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
+        if most > MAX_DIMENSION:
+            raise UnsupportedConstruction(
+                f"product homology may need more than {MAX_DIMENSION} torsion summands"
+            )
+        out_ranks, out_torsion = {}, {}
+        for i, r in ranks.items():
+            for j, q in f_ranks.items():
+                out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
+            for j, t in f_torsion.items():
+                out_torsion.setdefault(i + j, []).extend(t * r)
+        for i, s in torsion.items():
+            for j, q in f_ranks.items():
+                out_torsion.setdefault(i + j, []).extend(s * q)
+            for j, t in f_torsion.items():
+                # Z/p^a (x) Z/p^b in degree i + j, and its Tor twin in i + j + 1
+                tor = _tor_torsion(s, t)
+                out_torsion.setdefault(i + j, []).extend(tor)
+                out_torsion.setdefault(i + j + 1, []).extend(tor)
+        dim, ranks, torsion = dim + d, out_ranks, {k: t for k, t in out_torsion.items() if t}
+    return dim, ranks, torsion
+
+
 def homology(space: SpaceExpr) -> HomologyProfile:
-    """Ordinary integral homology.
+    """Ordinary integral homology: Smith form for an explicit complex, else
+    the integer fold of `_fold`, whose groups are built once at the end.
 
     >>> render_profile(homology(Sphere(2)))
     'H0 = Z\\nH1 = 0\\nH2 = Z'
     """
-    if isinstance(space, Sphere):
-        one = FgAbelianGroup(free_rank=1)
-        return HomologyProfile(space.n, {0: one, space.n: one})
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
-    if isinstance(space, Wedge):
-        # reduced homology adds up over the parts; each part is computed once
-        # and only its stored degrees are visited
-        profiles = [homology(part) for part in space.parts]
-        summands: dict[int, list[FgAbelianGroup]] = {}
-        for p in profiles:
-            for k, group in p.groups.items():
-                if k:
-                    summands.setdefault(k, []).append(group)
-        groups = {k: direct_sum(*parts) for k, parts in summands.items()}
-        groups[0] = FgAbelianGroup(free_rank=1)
-        return HomologyProfile(max(p.dim for p in profiles), groups)
-    if isinstance(space, Product):
-        # Kunneth over the stored degrees: H_n(X x Y) sums H_i(X) (x) H_j(Y) over
-        # i + j = n and Tor(H_i(X), H_j(Y)) over i + j = n - 1.  Free ranks fold
-        # as integers; torsion lists are touched only where a degree has some.
-        ranks, torsion = {0: 1}, {}
-        for factor in space.factors:
-            groups = homology(factor).groups
-            f_ranks = {j: g.free_rank for j, g in groups.items() if g.free_rank}
-            f_torsion = {j: g.torsion for j, g in groups.items() if g.torsion}
-            # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
-            held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
-            most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
-            if most > MAX_DIMENSION:
-                raise UnsupportedConstruction(
-                    f"product homology may need more than {MAX_DIMENSION} torsion summands"
-                )
-            out_ranks, out_torsion = {}, {}
-            for i, r in ranks.items():
-                for j, q in f_ranks.items():
-                    out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
-            for j, t in f_torsion.items():
-                for i, r in ranks.items():
-                    out_torsion.setdefault(i + j, []).extend(t * r)
-            for i, s in torsion.items():
-                for j, q in f_ranks.items():
-                    out_torsion.setdefault(i + j, []).extend(s * q)
-                for j, t in f_torsion.items():
-                    # Z/p^a (x) Z/p^b in degree i + j, and its Tor twin in i + j + 1
-                    tor = _tor_torsion(s, t)
-                    out_torsion.setdefault(i + j, []).extend(tor)
-                    out_torsion.setdefault(i + j + 1, []).extend(tor)
-            ranks, torsion = out_ranks, {k: t for k, t in out_torsion.items() if t}
-        groups = {k: FgAbelianGroup(r) for k, r in ranks.items()}
-        for k, t in torsion.items():
-            groups[k] = FgAbelianGroup(ranks.get(k, 0), tuple(sorted(t)))
-        return HomologyProfile(dim_of(space), groups)
-    raise TypeError(f"not a SpaceExpr: {space!r}")
+    dim, ranks, torsion = _fold(space)
+    return HomologyProfile(dim, {
+        k: FgAbelianGroup(ranks.get(k, 0), tuple(sorted(torsion.get(k, ()))))
+        for k in {*ranks, *torsion}
+    })
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:
     """Coefficient list: coefficient of x^k is the free rank of H_k (the
     Betti number b_k), for every k in 0..dim; torsion does not count, so
     RP^2 gives [1, 0, 0]."""
-    profile = homology(space)
-    coeffs = [0] * (profile.dim + 1)
-    for k, group in profile.groups.items():
-        coeffs[k] = group.free_rank
-    return coeffs
+    dim, ranks, _ = _fold(space)
+    return [ranks.get(k, 0) for k in range(dim + 1)]
 
 
 def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":

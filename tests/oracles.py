@@ -3,9 +3,10 @@
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
-built cell pair by cell pair, Betti numbers of sphere expressions are dense
-lists added and multiplied as polynomials, profiles and bound reports are
-rendered degree by degree with their own text, and as JSON dicts built one
+built cell pair by cell pair, wedge complexes cell by cell around one base
+point, Betti numbers of sphere expressions are dense lists added and
+multiplied as polynomials, profiles and bound reports are rendered degree
+by degree with their own text, and as JSON dicts built one
 degree at a time, and degrees are written one str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
@@ -331,6 +332,40 @@ def tensor_complex_naive(c1: dict, c2: dict) -> dict:
     return {"cells": [len(b) for b in basis], "boundary": boundary}
 
 
+def wedge_complex_naive(*complexes: dict) -> dict:
+    """Cellular chain complex of the wedge of cell complexes, each in chain
+    complex JSON form, with a 0-cell, and with a d_1 whose every column sums
+    to zero (the edge of a 1-cell runs from a 0-cell to a 0-cell): the first
+    0-cell of every part is the one base point, 0-cell 0 of the wedge, and
+    every other cell stays apart.
+
+    The cells of each degree are listed part by part, and each boundary map
+    is block diagonal but that the rows of all the base points are one row."""
+    for c in complexes:
+        if not c["cells"][0]:
+            raise ValueError("a wedge part needs a 0-cell")
+        if c["boundary"] and any(sum(col) for col in zip(*c["boundary"][0])):
+            raise ValueError("a wedge part's d_1 has a column that does not sum to zero")
+    top = max(len(c["cells"]) for c in complexes) - 1
+    size = [1] + [0] * top
+    index = [{} for _ in range(top + 1)]  # (part, cell) -> wedge cell, per degree
+    for p, c in enumerate(complexes):
+        for k, n in enumerate(c["cells"]):
+            for i in range(n):
+                if k == 0 and i == 0:
+                    index[0][p, 0] = 0
+                else:
+                    index[k][p, i] = size[k]
+                    size[k] += 1
+    boundary = [[[0] * size[k] for _ in range(size[k - 1])] for k in range(1, top + 1)]
+    for p, c in enumerate(complexes):
+        for k, rows in enumerate(c["boundary"], start=1):
+            for r, row in enumerate(rows):
+                for col, v in enumerate(row):
+                    boundary[k - 1][index[k - 1][p, r]][index[k][p, col]] += v
+    return {"cells": size, "boundary": boundary}
+
+
 def betti_naive(space: dict) -> list[int]:
     """Betti numbers b_0 .. b_dim of a sphere/wedge/product expression in
     its JSON form, as a dense list: a sphere is 1 + t^n, a wedge adds its
@@ -379,9 +414,15 @@ def render_profile_naive(profile) -> str:
     return "\n".join(lines)
 
 
-def degree_run_naive(start: int, stop: int, sep: str) -> str:
-    """The degrees start..stop-1 joined by `sep`, one str() per degree."""
-    return sep.join(map(str, range(start, stop)))
+def degree_names_naive(stop: int) -> list[str]:
+    """str(k) for every degree k in 0..stop-1, one str() per degree."""
+    return [str(k) for k in range(stop)]
+
+
+def degree_run_naive(start: int, stop: int, sep: str, names: list[str] | None = None) -> str:
+    """The degrees start..stop-1 joined by `sep`, one str() per degree, or
+    a slice of `names` (from `degree_names_naive`) when it is given."""
+    return sep.join(map(str, range(start, stop)) if names is None else names[start:stop])
 
 
 def profile_to_json_naive(profile) -> dict:

@@ -7,6 +7,7 @@ from the kernel of the first, and checked for Euler consistency.
 """
 
 import ast
+import collections
 import itertools
 import json
 import pathlib
@@ -18,12 +19,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     betti_naive,
+    degree_names_naive,
     degree_run_naive,
     profile_to_json_naive,
     rank_fraction,
     render_profile_naive,
     surface_grid_naive,
     tensor_complex_naive,
+    torsion_complex,
+    wedge_complex_naive,
 )
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
 from polydepth.catalog import catalog_group
@@ -564,6 +568,100 @@ class TestProductAgainstTensorComplex:
         assert universal_cover_homology(space) == expected
 
 
+def _sphere_complex(n):
+    """S^n as one 0-cell and one n-cell, in chain complex JSON form."""
+    cells = [1] + [0] * (n - 1) + [1]
+    zeros = [[[0] * cells[k] for _ in range(cells[k - 1])] for k in range(1, n + 1)]
+    return {"cells": cells, "boundary": zeros}
+
+
+def _pointed_torsion_complexes(count):
+    """`count` complexes of known homology from `oracles.torsion_complex`,
+    dimensions 1 and 2, each shifted up one degree over a single 0-cell with
+    d_1 = 0, so that it is connected and has a base point; in chain complex
+    JSON form.  Its H_(k+1) is the drawn H_k."""
+    out = []
+    for seed in range(count):
+        maps, _ = torsion_complex(1 + seed % 2, seed)
+        cells = [1, len(maps[0])] + [len(d[0]) for d in maps]
+        out.append({"cells": cells, "boundary": [[[0] * cells[1]]] + maps})
+    return out
+
+
+class TestFoldAgainstCellularComplexes:
+    """`homology` of nested wedges and products, with explicit parts that
+    carry torsion, against Smith form on the cellular complex the oracles
+    build: `wedge_complex_naive` for a wedge, `tensor_complex_naive` for a
+    product."""
+
+    LEAVES = [
+        *(("sphere", n) for n in (1, 2, 3)),
+        *(("explicit", complex_to_json(EXAMPLE_COMPLEXES[name]))
+          for name in ("projective-plane", "klein-bottle", "torus", "circle", "point")),
+        *(("explicit", c) for c in _pointed_torsion_complexes(6)),
+    ]
+
+    def expression(self, rng, depth):
+        """A random space and the JSON of its cellular chain complex."""
+        if depth == 0 or rng.random() < 0.25:
+            kind, value = rng.choice(self.LEAVES)
+            if kind == "sphere":
+                return Sphere(value), _sphere_complex(value)
+            return Explicit(complex_from_json(value), Trivial()), value
+        if rng.random() < 0.5:
+            parts = [self.expression(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+            return wedge(*(s for s, _ in parts)), wedge_complex_naive(*(c for _, c in parts))
+        # two factors, drawn again while the oracle's dense product would be large
+        while True:
+            (x, cx), (y, cy) = (self.expression(rng, depth - 1) for _ in range(2))
+            if sum(cx["cells"]) * sum(cy["cells"]) <= 200:
+                return product(x, y), tensor_complex_naive(cx, cy)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_expressions(self, seed):
+        rng = random.Random(f"fold-{seed}")
+        for _ in range(12):
+            space, complex_json = self.expression(rng, 3)
+            got = homology(space)
+            want = homology_of_complex(complex_from_json(complex_json))
+            assert (got, got.dim) == (want, want.dim), space_to_json(space)
+            betti = [want.group(k).free_rank for k in range(want.dim + 1)]
+            assert poincare_polynomial(space) == betti
+
+    def test_wedge_oracle_identifies_the_base_points(self):
+        rp2 = complex_to_json(EXAMPLE_COMPLEXES["projective-plane"])
+        c = wedge_complex_naive(_sphere_complex(2), rp2, _sphere_complex(1))
+        assert c["cells"] == [1, 2, 2]
+        assert render_profile(homology_of_complex(complex_from_json(c))) == (
+            "H0 = Z\nH1 = Z ⊕ Z/2\nH2 = Z"
+        )
+
+
+class TestHomologyBuildsOnce:
+    """A wedge or product of spheres is one integer fold: one profile, and
+    at most one group per stored degree, built for the answer alone."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            wedge(*(Sphere(1 + i % 97) for i in range(300))),
+            product(*(Sphere(1 + i) for i in range(10))),
+        ],
+        ids=["wedge-300", "product-10"],
+    )
+    def test_constructions(self, space, monkeypatch):
+        built = collections.Counter()
+        for cls in (HomologyProfile, FgAbelianGroup):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        profile = homology(space)
+        assert built["HomologyProfile"] == 1
+        assert 0 < built["FgAbelianGroup"] <= len(profile.groups)
+
+
 class TestProfile:
     def test_content_equality_ignores_trailing_trivial_degrees(self):
         a = profile(2, {0: Z})
@@ -890,20 +988,22 @@ class TestDegreeRuns:
     SEPS = [",", '": 0,\n    "', " = 0\nH", ": 0\ndegree "]
 
     @staticmethod
-    def check(start, stop, sep):
+    def check(start, stop, sep, names=None):
         pieces = list(_degree_runs(start, stop, sep))
-        assert sep.join(pieces) == degree_run_naive(start, stop, sep), (start, stop)
+        assert sep.join(pieces) == degree_run_naive(start, stop, sep, names), (start, stop)
         # one piece per aligned block the range touches
         assert len(pieces) == len(range(start // 1000, (stop - 1) // 1000 + 1))
         assert all(piece.count(sep) < 1000 for piece in pieces)
 
     def test_block_ends(self):
-        # a one-character sep keeps the oracle's million-degree joins cheap;
-        # the seeded ranges try the separators the renderers use
+        # a one-character sep keeps the oracle's million-degree joins cheap,
+        # and each degree's str() is taken once, for all 91 ranges; the
+        # seeded ranges try the separators the renderers use
+        names = degree_names_naive(RUN_ENDS[-1])
         for a in RUN_ENDS:
             for b in RUN_ENDS:
                 if a < b:
-                    self.check(a, b, ",")
+                    self.check(a, b, ",", names)
 
     def test_seeded_ranges(self):
         rng = random.Random(20)
