@@ -491,7 +491,7 @@ def _fold(space: SpaceExpr) -> tuple[int, dict[int, int], dict[int, list[int]]]:
         ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
         return space.complex.dim, ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
     if isinstance(space, Wedge):
-        # reduced homology adds up over the parts, so H_0 stays Z
+        # reduced homology adds up over the parts, and H_0 is Z
         folds = [*map(_fold, space.parts)]
         ranks, torsion = {}, {}
         for _, part_ranks, part_torsion in folds:
