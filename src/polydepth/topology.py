@@ -481,32 +481,32 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     return HomologyProfile(complex_.dim, groups)
 
 
-def _fold(space: SpaceExpr) -> tuple[int, dict[int, int], dict[int, list[int]]]:
-    """(dim, free ranks by degree, torsion by degree) of a space: Smith form for an
+def _fold(space: SpaceExpr) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """(free ranks by degree, torsion by degree) of a space: Smith form for an
     explicit part, else integer sums and products; torsion is prime powers, unsorted."""
     if isinstance(space, Sphere):
-        return space.n, {0: 1, space.n: 1}, {}
+        return {0: 1, space.n: 1}, {}
     if isinstance(space, Explicit):
         groups = homology_of_complex(space.complex).groups
         ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
-        return space.complex.dim, ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
+        return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
     if isinstance(space, Wedge):
-        # reduced homology adds up over the parts, and H_0 is Z
-        folds = [*map(_fold, space.parts)]
+        # reduced homology adds up over the parts; H_0 is Z, whatever the parts' H_0
         ranks, torsion = {}, {}
-        for _, part_ranks, part_torsion in folds:
+        for part_ranks, part_torsion in map(_fold, space.parts):
             for k, r in part_ranks.items():
                 ranks[k] = ranks.get(k, 0) + r
             for k, t in part_torsion.items():
                 torsion.setdefault(k, []).extend(t)
         ranks[0] = 1
-        return max(d for d, _, _ in folds), ranks, torsion
+        torsion.pop(0, None)
+        return ranks, torsion
     if not isinstance(space, Product):
         raise TypeError(f"not a SpaceExpr: {space!r}")
     # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
     # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
-    dim, ranks, torsion = 0, {0: 1}, {}
-    for d, f_ranks, f_torsion in map(_fold, space.factors):
+    ranks, torsion = {0: 1}, {}
+    for f_ranks, f_torsion in map(_fold, space.factors):
         # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
         held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
         most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
@@ -528,8 +528,8 @@ def _fold(space: SpaceExpr) -> tuple[int, dict[int, int], dict[int, list[int]]]:
                 tor = _tor_torsion(s, t)
                 out_torsion.setdefault(i + j, []).extend(tor)
                 out_torsion.setdefault(i + j + 1, []).extend(tor)
-        dim, ranks, torsion = dim + d, out_ranks, {k: t for k, t in out_torsion.items() if t}
-    return dim, ranks, torsion
+        ranks, torsion = out_ranks, {k: t for k, t in out_torsion.items() if t}
+    return ranks, torsion
 
 
 def homology(space: SpaceExpr) -> HomologyProfile:
@@ -541,8 +541,8 @@ def homology(space: SpaceExpr) -> HomologyProfile:
     """
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
-    dim, ranks, torsion = _fold(space)
-    return HomologyProfile(dim, {
+    ranks, torsion = _fold(space)
+    return HomologyProfile(dim_of(space), {
         k: FgAbelianGroup(ranks.get(k, 0), tuple(sorted(torsion.get(k, ()))))
         for k in {*ranks, *torsion}
     })
@@ -552,8 +552,8 @@ def poincare_polynomial(space: SpaceExpr) -> list[int]:
     """Coefficient list: coefficient of x^k is the free rank of H_k (the
     Betti number b_k), for every k in 0..dim; torsion does not count, so
     RP^2 gives [1, 0, 0]."""
-    dim, ranks, _ = _fold(space)
-    return [ranks.get(k, 0) for k in range(dim + 1)]
+    ranks, _ = _fold(space)
+    return [ranks.get(k, 0) for k in range(dim_of(space) + 1)]
 
 
 def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":

@@ -419,10 +419,9 @@ def degree_names_naive(stop: int) -> list[str]:
     return [str(k) for k in range(stop)]
 
 
-def degree_run_naive(start: int, stop: int, sep: str, names: list[str] | None = None) -> str:
-    """The degrees start..stop-1 joined by `sep`, one str() per degree, or
-    a slice of `names` (from `degree_names_naive`) when it is given."""
-    return sep.join(map(str, range(start, stop)) if names is None else names[start:stop])
+def degree_run_naive(start: int, stop: int, sep: str) -> str:
+    """The degrees start..stop-1 joined by `sep`, one str() per degree."""
+    return sep.join(map(str, range(start, stop)))
 
 
 def profile_to_json_naive(profile) -> dict:
