@@ -49,7 +49,10 @@ from .pi1 import (
     Trivial,
 )
 from .topology import (
+    Product,
     SpaceExpr,
+    Sphere,
+    Wedge,
     _Degrees,
     _degree_chunks,
     _json_chunks,
@@ -57,8 +60,6 @@ from .topology import (
     dim_of,
     homology,
     pi1_of,
-    sphere_product_dims,
-    sphere_wedge_counts,
     universal_cover_homology,
 )
 
@@ -253,12 +254,13 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
 
 
 def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
-    counts = sphere_wedge_counts(space)
-    if counts is not None:
-        return sum(counts.values()), WEDGE_PROVENANCE
-    dims = sphere_product_dims(space)
-    if dims is not None and len(dims) == 2 and sorted(dims)[0] == 1 and dims != [1, 1]:
-        return 2, CIRCLE_CROSS_SPHERE_PROVENANCE
+    parts = space.parts if isinstance(space, Wedge) else (space,)
+    if all(isinstance(part, Sphere) for part in parts):
+        return len(parts), WEDGE_PROVENANCE
+    if isinstance(space, Product) and all(isinstance(f, Sphere) for f in space.factors):
+        dims = sorted(f.n for f in space.factors)
+        if len(dims) == 2 and dims[0] == 1 < dims[1]:
+            return 2, CIRCLE_CROSS_SPHERE_PROVENANCE
     return None
 
 

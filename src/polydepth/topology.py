@@ -31,22 +31,28 @@ The universal cover is built as another space expression, structurally:
 * an explicit complex with nontrivial group is covered by its user-supplied
   cover complex, which has trivial group;
 * a product is covered by the product of its factors' covers;
-* a simply connected wedge is its own cover.
+* a wedge follows one rule (Hatcher, Algebraic Topology, 1.2-1.3, 2.2).
+  Its simply connected parts are the rest.  pi1 is free on the others'
+  ranks when all are free, else pi1 of the one other part X (van Kampen),
+  else refused.  The cover is X~ with a copy of the rest at each of the
+  n = |pi1 X| lifts of the base point: for finite n the wedge of X~ and n
+  copies of the rest (at most ``MAX_DIMENSION`` parts and summands).  For
+  infinite n (a tree for several circles, X~ the point) it is no finite
+  complex: a product refuses it, and universal_cover_homology gives H(X~)
+  with a not-f.g. verdict in each degree >= 1 where the rest has homology.
+  n is known for a finite or torsion abelian group, infinite for a free
+  group, free abelian rank or Hirsch length >= 1; Hirsch length 0 refuses.
 
-The one ordinary homology() then computes the cover's homology.  A single
-verdict sits outside that path: a wedge of spheres (the whole space)
-mixing a circle with at least one higher sphere has a cover whose homology
-is not finitely generated in each degree where a higher sphere sits, and
-the profile says exactly that.  Anything else, such as a wedge of circles
-alone or an explicit complex with nontrivial group and no cover, raises
-UnsupportedConstruction; no rule, no answer.
+The one ordinary homology() then computes the cover's homology.  Anything
+else, such as an explicit complex with nontrivial group and no cover,
+raises UnsupportedConstruction; no rule, no answer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain, groupby
 from typing import Iterator, Union
 
@@ -91,6 +97,9 @@ dimension, a block of 1000 degrees at a time: at this cap, ``homology
 --format json`` prints about 85 MB.  A product's homology may hold at most
 this many torsion summands, over all degrees, since each of them is
 stored."""
+
+# pi1 of the circle as an abelian group: a wedge counts it as free of rank 1
+_Z = FgAbelian(FgAbelianGroup(free_rank=1))
 
 
 class ChainComplex(Record):
@@ -491,9 +500,11 @@ def _fold(space: SpaceExpr) -> tuple[dict[int, int], dict[int, list[int]]]:
         ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
         return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
     if isinstance(space, Wedge):
-        # reduced homology adds up over the parts; H_0 is Z, whatever the parts' H_0
-        ranks, torsion = {}, {}
-        for part_ranks, part_torsion in map(_fold, space.parts):
+        # reduced homology adds up; H_0 is Z, whatever the parts' H_0; a run of copies folds once
+        ranks, torsion, last = {}, {}, None
+        for part in space.parts:
+            if part is not last:
+                last, (part_ranks, part_torsion) = part, _fold(part)
             for k, r in part_ranks.items():
                 ranks[k] = ranks.get(k, 0) + r
             for k, t in part_torsion.items():
@@ -556,21 +567,30 @@ def poincare_polynomial(space: SpaceExpr) -> list[int]:
     return [ranks.get(k, 0) for k in range(dim_of(space) + 1)]
 
 
-def sphere_wedge_counts(space: SpaceExpr) -> "dict[int, int] | None":
-    """If the space is a sphere or a wedge of spheres, the number of spheres
-    per degree; otherwise None."""
-    parts = space.parts if isinstance(space, Wedge) else (space,)
-    if not all(isinstance(part, Sphere) for part in parts):
-        return None
-    return dict(Counter(part.n for part in parts))
-
-
-def sphere_product_dims(space: SpaceExpr) -> "list[int] | None":
-    """If the space is a product of spheres, the list of factor dimensions in
-    order; otherwise None, a lone sphere included (`sphere_wedge_counts`)."""
-    if isinstance(space, Product) and all(isinstance(f, Sphere) for f in space.factors):
-        return [f.n for f in space.factors]
-    return None
+def _wedge_cover(space: Wedge) -> tuple[SpaceExpr, list[SpaceExpr]]:
+    """(the cover, []) by the wedge rule of the module docstring when it is a
+    finite complex, else (X~, rest): X~ with infinitely many copies of rest."""
+    pairs = [(part, pi1_of(part)) for part in space.parts]
+    groups = [(p, d) for p, d in pairs if not isinstance(d, Trivial)]
+    rest = [p for p, d in pairs if isinstance(d, Trivial)]
+    if not groups:
+        return space, []
+    part, d = groups[0]
+    if len(groups) > 1 and not all(isinstance(p, Sphere) for p, _ in groups):
+        raise UnsupportedConstruction(
+            "wedge with several parts that are not simply connected: a cover "
+            "rule exists only when they are all circles"
+        )
+    if isinstance(d, ElementaryAmenable) and not d.hirsch:
+        raise UnsupportedConstruction("wedge part of Hirsch length 0: its order is unknown")
+    if isinstance(d, Finite) or (isinstance(d, FgAbelian) and not d.group.free_rank):
+        n = d.group.order if isinstance(d, Finite) else math.prod(d.group.torsion)
+        # n side-by-side copies of each part (folded once) and of its degrees and summands
+        held = sum(1 + len(r) + sum(map(len, t.values())) for r, t in map(_fold, rest))
+        if n * held > MAX_DIMENSION:
+            raise UnsupportedConstruction(f"wedge cover: over {MAX_DIMENSION} parts and summands")
+        return wedge(_cover(part), *(p for p in rest for _ in range(n))), []
+    return _cover(part), rest
 
 
 def _cover(space: SpaceExpr) -> SpaceExpr:
@@ -594,24 +614,20 @@ def _cover(space: SpaceExpr) -> SpaceExpr:
     if isinstance(space, Product):
         return Product(tuple(_cover(f) for f in space.factors))
     if isinstance(space, Wedge):
-        if all(_cover(p) == p for p in space.parts):
-            return space
-        if all(isinstance(p, Sphere) for p in space.parts):
+        cover, rest = _wedge_cover(space)
+        if rest:
             raise UnsupportedConstruction(
-                "wedge of spheres with a circle inside a product: its cover "
-                "rule applies only to the whole space"
+                "wedge with infinite fundamental group and simply connected "
+                "parts inside a product: its cover is not a finite complex"
             )
-        raise UnsupportedConstruction(
-            "wedge with a part that is not simply connected: no cover rule "
-            "unless every part is a sphere"
-        )
+        return cover
     raise TypeError(f"not a SpaceExpr: {space!r}")
 
 
 def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     """Homology of the universal cover: ordinary homology of the cover built
-    by the structural rules, except for the one verdict on a wedge of
-    spheres with a circle (see the module docstring).
+    by the structural rules, or H(X~) with not-f.g. verdicts for a wedge
+    whose cover is not a finite complex (see the module docstring).
 
     >>> rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"],
     ...                fg_abelian(FgAbelianGroup(torsion=(2,))),
@@ -623,16 +639,14 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     H3 = 0
     H4 = Z
     """
-    counts = sphere_wedge_counts(space)
-    if isinstance(space, Wedge) and counts is not None and 1 in counts:
-        higher = [n for n in counts if n >= 2]
-        if not higher:
-            raise UnsupportedConstruction(
-                "wedge of circles only: no cover rule in the supported list"
-            )
-        groups = {0: FgAbelianGroup(free_rank=1), **{n: None for n in higher}}
-        return HomologyProfile(max(higher), groups)
-    return homology(_cover(space))
+    cover, rest = _wedge_cover(space) if isinstance(space, Wedge) else (_cover(space), [])
+    base = homology(cover)
+    if not rest:
+        return base
+    # infinitely many copies of the rest: every degree where it has homology
+    not_fg = {k for part in rest for k in chain(*_fold(part)) if k}
+    dim = max(base.dim, *map(dim_of, rest))
+    return HomologyProfile(dim, {**base.groups, **dict.fromkeys(not_fg)})
 
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
@@ -645,23 +659,14 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
     if isinstance(space, Explicit):
         return space.pi1
     if isinstance(space, Wedge):
-        # free product of the parts; only free/trivial parts stay in the
-        # descriptor family
-        rank = 0
-        for p in space.parts:
-            d = pi1_of(p)
-            if isinstance(d, Trivial):
-                continue
-            if isinstance(d, Free):
-                rank += d.rank
-            elif isinstance(d, FgAbelian) and d.group == FgAbelianGroup(free_rank=1):
-                rank += 1
-            else:
-                raise UnsupportedConstruction(
-                    "wedge part has a fundamental group that makes the free "
-                    "product leave the supported descriptor shapes"
-                )
-        return free(rank)
+        # van Kampen: a free product of free groups (Z counts), or of one group
+        groups = [d for d in map(pi1_of, space.parts) if not isinstance(d, Trivial)]
+        ranks = [d.rank if isinstance(d, Free) else int(d == _Z) for d in groups]
+        if all(ranks):
+            return free(sum(ranks))
+        if len(groups) == 1:
+            return groups[0]
+        raise UnsupportedConstruction("free product of the wedge parts' groups has no descriptor")
     if isinstance(space, Product):
         finite_groups = []
         abelian = TRIVIAL_GROUP
@@ -670,13 +675,10 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
             d = pi1_of(f)
             if isinstance(d, Trivial):
                 continue
-            if isinstance(d, Free):
-                if d.rank == 1:
-                    abelian = direct_sum(abelian, FgAbelianGroup(free_rank=1))
-                else:
-                    free_ranks.append(d.rank)
-            elif isinstance(d, FgAbelian):
-                abelian = direct_sum(abelian, d.group)
+            if isinstance(d, Free) and d.rank > 1:
+                free_ranks.append(d.rank)
+            elif isinstance(d, (Free, FgAbelian)):
+                abelian = direct_sum(abelian, _Z.group if isinstance(d, Free) else d.group)
             elif isinstance(d, Finite):
                 finite_groups.append(d.group)
             else:
@@ -684,11 +686,7 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
                     "product factor has a fundamental group outside the "
                     "supported descriptor shapes"
                 )
-        kinds = sum(
-            (1 if finite_groups else 0, 1 if not abelian.is_trivial else 0,
-             1 if free_ranks else 0)
-        )
-        if kinds > 1 or len(free_ranks) > 1:
+        if bool(finite_groups) + (not abelian.is_trivial) + len(free_ranks) > 1:
             raise UnsupportedConstruction(
                 "product mixes fundamental-group shapes with no descriptor "
                 "for their direct product"

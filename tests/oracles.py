@@ -4,7 +4,8 @@ Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
 from gcd/determinant identities, products are triple loops, product complexes are
 built cell pair by cell pair, wedge complexes cell by cell around one base
-point, Betti numbers of sphere expressions are dense lists added and
+point, the cover of a wedge with the presentation complex of <a | a^n> lifted
+cell by cell, Betti numbers of sphere expressions are dense lists added and
 multiplied as polynomials, profiles and bound reports are rendered degree
 by degree with their own text, and as JSON dicts built one
 degree at a time, and degrees are written one str() at a time, factorisation divides by every
@@ -363,6 +364,41 @@ def wedge_complex_naive(*complexes: dict) -> dict:
             for r, row in enumerate(rows):
                 for col, v in enumerate(row):
                     boundary[k - 1][index[k - 1][p, r]][index[k][p, col]] += v
+    return {"cells": size, "boundary": boundary}
+
+
+def cyclic_cover_wedge_naive(n: int, *parts: dict) -> dict:
+    """Cellular chain complex of the universal cover of X v Y_1 v ..., where
+    X is the presentation complex of <a | a^n> (one cell in each of degrees
+    0, 1 and 2, d_2 = n) and each Y is in chain complex JSON form with its
+    first 0-cell as base point; with no parts, the cover of X alone.
+
+    The cover is lifted cell by cell: n 0-cells v_i, n 1-cells e_i from v_i
+    to v_(i+1 mod n) (d_1 is the n-cycle) and n 2-cells, each bounded by the
+    whole cycle e_0 + ... + e_(n-1).  At each v_i one copy of every Y is
+    attached, its base point identified with v_i, its other cells apart."""
+    top = max([2] + [len(c["cells"]) - 1 for c in parts])
+    size = [n, n, n] + [0] * (top - 2)
+    entries = []  # (k, row, column, value) of d_k
+    for i in range(n):
+        entries += [(1, i, i, -1), (1, (i + 1) % n, i, 1)]
+        entries += [(2, j, i, 1) for j in range(n)]
+    for i in range(n):
+        for c in parts:
+            index = [[] for _ in c["cells"]]  # cell of this copy -> cover cell, per degree
+            for k, count in enumerate(c["cells"]):
+                for j in range(count):
+                    if (k, j) == (0, 0):
+                        index[0].append(i)
+                    else:
+                        index[k].append(size[k])
+                        size[k] += 1
+            for k, rows in enumerate(c["boundary"], start=1):
+                for r, row in enumerate(rows):
+                    entries += [(k, index[k - 1][r], index[k][col], v) for col, v in enumerate(row)]
+    boundary = [[[0] * size[k] for _ in range(size[k - 1])] for k in range(1, top + 1)]
+    for k, r, col, v in entries:
+        boundary[k - 1][r][col] += v
     return {"cells": size, "boundary": boundary}
 
 

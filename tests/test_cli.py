@@ -219,9 +219,91 @@ class TestHomologyCommand:
         )
 
     def test_unsupported_cover_exits_two(self, tmp_path, capsys):
-        path = _space_file(tmp_path, wedge(Sphere(1), Sphere(1)))
+        # Z2 * Z2 has no descriptor and the wedge rule no cover
+        path = _write_json(tmp_path, "space.json", {"wedge": [RP2, RP2]})
         assert run(["homology", path, "--universal-cover"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# the torus complex with pi1 Z^2 and the point as its cover
+TORUS = {"explicit": {
+    "complex": complex_to_json(EXAMPLE_COMPLEXES["torus"]),
+    "pi1": {"abelian": "Z^2"},
+    "cover": complex_to_json(EXAMPLE_COMPLEXES["point"]),
+}}
+S1, S2 = {"sphere": 1}, {"sphere": 2}
+WEDGE_RULE = [
+    ("s1-v-s1", {"wedge": [S1, S1]}, "H0 = Z\n", (
+        "rule=Cor-free bound=2\nsl_pi1=2\nassumes: H_i(cover) f.g.\n"
+        "assumes: sl(π₁) finite\nexact_depth=2 (closed form: depth of a wedge of "
+        "spheres is the sum of the sphere counts)\n"
+    )),
+    ("rp2-v-s2", {"wedge": [RP2, S2]}, "H0 = Z\nH1 = 0\nH2 = Z^3\n", (
+        "rule=Thm4.8 bound=2\nsl_pi1=1\ndegree 2: 1\nassumes: dim(P) = 2\n"
+        "assumes: sl(π₁) finite\nassumes: both rules apply: general bound 4, "
+        "2-dim bound 2\n"
+    )),
+    ("t2-v-s2", {"wedge": [TORUS, S2]}, "H0 = Z\nH1 = 0\nH2 = not finitely generated\n", (
+        "rule=Cor-abelian-2dim bound=4\nsl_pi1=2\ndegree 2: 2\nassumes: dim(P) = 2\n"
+        "assumes: sl(π₁) finite\n"
+    )),
+    ("rp2-v-s2-x-s2", {"product": [{"wedge": [RP2, S2]}, S2]},
+     "H0 = Z\nH1 = 0\nH2 = Z^4\nH3 = 0\nH4 = Z^3\n", (
+         "rule=Cor-finite bound=8\nsl_pi1=1\ndegree 2: 4\ndegree 3: 0\ndegree 4: 3\n"
+         "assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\n"
+     )),
+]
+
+
+class TestWedgeRule:
+    """New answers of the one wedge rule, derived by hand: S^1 v S^1 has
+    pi1 F2 and a contractible cover; RP^2 v S^2 has pi1 Z2 and the cover
+    S^2 v S^2 v S^2; T^2 v S^2 has pi1 Z^2 and infinitely many S^2 in its
+    cover; (RP^2 v S^2) x S^2 is covered by (S^2 v S^2 v S^2) x S^2."""
+
+    @pytest.mark.parametrize(
+        "space, cover, report", [case[1:] for case in WEDGE_RULE], ids=[c[0] for c in WEDGE_RULE]
+    )
+    def test_cover_and_bound(self, tmp_path, capsys, space, cover, report):
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["homology", path, "--universal-cover"]) == 0
+        assert capsys.readouterr() == (cover, "")
+        assert run(["bound", path]) == 0
+        assert capsys.readouterr() == (report, "")
+
+    def test_circle_wedge_product_of_spheres_has_no_bound(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "space.json", {"wedge": [S1, {"product": [S2, S2]}]})
+        assert run(["bound", path]) == 2
+        out = capsys.readouterr().out
+        assert "Thm4.1 failed: NotFinitelyGenerated" in out
+        assert "Thm4.8 failed: DimensionNotTwo" in out
+
+    @pytest.mark.parametrize(
+        "space",
+        [{"wedge": [RP2, RP2]}, {"product": [S1, {"wedge": [S1, S2]}]}],
+        ids=["rp2-v-rp2", "s1-x-s1-v-s2"],
+    )
+    def test_still_refused(self, tmp_path, capsys, space):
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["bound", path]) == 2
+        assert "no bound applicable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "pi1, reason",
+        [
+            ({"abelian": {"torsion": [999999999989]}}, "over 1000000 parts and summands"),
+            ({"elementary_amenable": {"hirsch": 0, "cd_finite": True}}, "Hirsch length 0"),
+        ],
+        ids=["order-999999999989", "hirsch-0"],
+    )
+    def test_part_without_a_bounded_cover_exits_two(self, tmp_path, capsys, pi1, reason):
+        path = _write_json(tmp_path, "space.json", {"wedge": [_rp2_with(pi1), S2]})
+        start = time.perf_counter()
+        assert run(["homology", path, "--universal-cover"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: UnsupportedConstruction: ") and reason in err
 
 
 class TestSlCommand:

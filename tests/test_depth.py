@@ -15,6 +15,7 @@ from polydepth.depth import (
     GENERAL_ASSUMPTIONS,
     RULES,
     TWO_DIM_ASSUMPTIONS,
+    WEDGE_PROVENANCE,
     DepthBoundReport,
     NoBoundApplicable,
     WedgeDepthResult,
@@ -280,13 +281,22 @@ class TestBestBound:
         assert report.per_degree == {2: 2, 3: 0, 4: 1}
 
     def test_wedge_of_circles_is_outside_both_rules(self):
-        # dim 1 rules out the 2-dim bound and the cover list has no rule for
-        # a wedge of circles, so the honest answer is structured failure
-        outcome = best_bound(wedge(S1, S1))
+        # dim 1 rules out the 2-dim bound, and a circle given as a complex
+        # without a cover, next to another circle, has no cover rule, so the
+        # honest answer is structured failure
+        uncovered = Explicit(EXAMPLE_COMPLEXES["circle"], Free(1))
+        outcome = best_bound(wedge(uncovered, S1))
         assert isinstance(outcome, NoBoundApplicable)
         reasons = dict(outcome.failures)
         assert "UnsupportedConstruction" in reasons["Thm4.1"]
         assert "DimensionNotTwo" in reasons["Thm4.8"]
+
+
+    def test_wedge_of_circles_takes_the_free_rule(self):
+        # pi1 = F2 and the tree covering the wedge is contractible
+        report = best_bound(wedge(S1, S1))
+        assert (report.applied_rule, report.bound, report.terms) == ("Cor-free", 2, {})
+        assert (report.exact_depth, report.provenance) == (2, WEDGE_PROVENANCE)
 
 
 SPACE_FILES = sorted((pathlib.Path(__file__).parent.parent / "spaces").glob("*.json"))

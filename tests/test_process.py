@@ -69,8 +69,12 @@ COLD_COMMANDS = pytest.mark.parametrize(
         (["catalog"], {"intlinalg", "topology", "depth", "pi1"}),
         (["homology", str(SPACES / "torus.json")], {"depth", "catalog", "finitegroup"}),
         (["bound", str(SPACES / "torus.json")], {"catalog", "finitegroup"}),
+        (
+            ["homology", "--universal-cover", str(SPACES / "s1_wedge_s2.json")],
+            {"depth", "catalog", "finitegroup"},
+        ),
     ],
-    ids=["sl-catalog", "sl-table", "catalog", "homology", "bound"],
+    ids=["sl-catalog", "sl-table", "catalog", "homology", "bound", "homology-cover"],
 )
 
 # what the installed `polydepth` script runs

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     betti_naive,
+    cyclic_cover_wedge_naive,
     degree_names_naive,
     degree_run_naive,
     profile_to_json_naive,
@@ -390,6 +391,34 @@ class TestPi1:
             pi1_of(product(s3, Sphere(1)))
 
 
+RP2_COVERED = Explicit(
+    EXAMPLE_COMPLEXES["projective-plane"],
+    Finite(catalog_group("Z2")),
+    cover=EXAMPLE_COMPLEXES["sphere2"],
+)
+# spaces the wedge rule still refuses: a free product with no descriptor, a
+# circle with no cover next to another circle, a part of unknown order
+RP2_WEDGE_RP2 = wedge(RP2_COVERED, RP2_COVERED)
+UNCOVERED_CIRCLE_WEDGE_S1 = wedge(Explicit(EXAMPLE_COMPLEXES["circle"], Free(1)), Sphere(1))
+# a part of prime order 999999999989: its cover would have that many copies of S^2
+HUGE_ORDER_WEDGE_S2 = wedge(
+    Explicit(
+        EXAMPLE_COMPLEXES["point"],
+        FgAbelian(from_cyclic_factors(0, [999999999989])),
+        cover=EXAMPLE_COMPLEXES["point"],
+    ),
+    Sphere(2),
+)
+HIRSCH0_WEDGE_S2 = wedge(
+    Explicit(
+        EXAMPLE_COMPLEXES["projective-plane"],
+        ElementaryAmenable(hirsch=0, cd_finite=True),
+        cover=EXAMPLE_COMPLEXES["sphere2"],
+    ),
+    Sphere(2),
+)
+
+
 class TestUniversalCover:
     def test_simply_connected_is_itself(self):
         for x in [Sphere(3), wedge(Sphere(2), Sphere(4)), product(Sphere(2), Sphere(2))]:
@@ -433,8 +462,8 @@ class TestUniversalCover:
         "space",
         [
             product(Sphere(1), wedge(Sphere(1), Sphere(2))),
-            wedge(Sphere(1), Sphere(1)),
-            wedge(Sphere(1), product(Sphere(2), Sphere(2))),
+            RP2_WEDGE_RP2,
+            UNCOVERED_CIRCLE_WEDGE_S1,
             Explicit(EXAMPLE_COMPLEXES["circle"], Free(1)),
         ],
     )
@@ -451,23 +480,90 @@ class TestCoverRefusals:
         [
             (product(Sphere(1), wedge(Sphere(1), Sphere(2))), "inside a product"),
             (Explicit(EXAMPLE_COMPLEXES["circle"], Free(1)), "user-supplied cover"),
-            (wedge(Sphere(1), Sphere(1)), "wedge of circles only"),
-            (
-                wedge(Sphere(1), product(Sphere(2), Sphere(2))),
-                "not simply connected: no cover rule unless every part is a sphere",
-            ),
+            (RP2_WEDGE_RP2, "rule exists only when they are all circles"),
+            (HIRSCH0_WEDGE_S2, "Hirsch length 0: its order is unknown"),
+            (HUGE_ORDER_WEDGE_S2, "over 1000000 parts and summands"),
         ],
     )
     def test_message_names_the_reason(self, space, reason):
         with pytest.raises(UnsupportedConstruction, match=reason):
             universal_cover_homology(space)
 
+    def test_part_limit_refuses_before_building(self):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedConstruction):
+            universal_cover_homology(product(HUGE_ORDER_WEDGE_S2, Sphere(2)))
+        assert time.perf_counter() - start < 1.0
 
-RP2_COVERED = Explicit(
-    EXAMPLE_COMPLEXES["projective-plane"],
-    Finite(catalog_group("Z2")),
-    cover=EXAMPLE_COMPLEXES["sphere2"],
+    @pytest.mark.parametrize("order, refused", [(10**4, True), (4000, False)])
+    def test_part_limit_counts_the_homology_of_each_copy(self, order, refused):
+        # one part of the rest, a product of 20 spheres with 229 degrees of
+        # homology: 4000 copies hold 920000 parts and degrees, 10^4 copies too many
+        x = Explicit(
+            EXAMPLE_COMPLEXES["point"],
+            FgAbelian(from_cyclic_factors(0, [order])),
+            cover=EXAMPLE_COMPLEXES["point"],
+        )
+        space = wedge(x, product(*map(Sphere, range(2, 22))))
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(UnsupportedConstruction, match="over 1000000 parts"):
+                universal_cover_homology(space)
+        else:
+            got = universal_cover_homology(space)
+            assert got.group(2).free_rank == order and len(got.groups) == 229
+        # each run of copies is folded once; folding every copy took 3-5 s
+        assert time.perf_counter() - start < 2.0
+
+
+TORUS_COVERED = Explicit(
+    EXAMPLE_COMPLEXES["torus"],
+    FgAbelian(FgAbelianGroup(free_rank=2)),
+    cover=EXAMPLE_COMPLEXES["point"],
 )
+S2_X_S2 = product(Sphere(2), Sphere(2))
+
+
+class TestWedgeRule:
+    """One rule for a wedge: its simply connected parts ride along on the
+    cover of the one part that is not, or on the tree of several circles."""
+
+    def test_pi1_of_the_one_part_that_is_not_simply_connected(self):
+        assert pi1_of(wedge(RP2_COVERED, Sphere(2))) == Finite(catalog_group("Z2"))
+        assert pi1_of(wedge(TORUS_COVERED, Sphere(2), S2_X_S2)) == TORUS_COVERED.pi1
+        assert pi1_of(wedge(Sphere(1), Sphere(1), S2_X_S2)) == Free(2)
+        with pytest.raises(UnsupportedConstruction, match="free product"):
+            pi1_of(RP2_WEDGE_RP2)
+        with pytest.raises(UnsupportedConstruction, match="free product"):
+            pi1_of(wedge(TORUS_COVERED, Sphere(1)))
+
+    @pytest.mark.parametrize(
+        "space, dim, groups",
+        [
+            # the tree that covers several circles is contractible
+            (wedge(Sphere(1), Sphere(1)), 0, {0: Z}),
+            # S^2 v S^2 v S^2: the cover S^2 of RP^2 with an S^2 at each of 2 lifts
+            (wedge(RP2_COVERED, Sphere(2)), 2, {0: Z, 2: FgAbelianGroup(free_rank=3)}),
+            (wedge(TORUS_COVERED, Sphere(2)), 2, {0: Z, 2: None}),
+            (wedge(Sphere(1), S2_X_S2), 4, {0: Z, 2: None, 4: None}),
+            # infinitely many copies of a Z/2 are not finitely generated either
+            (wedge(Sphere(1), Explicit(EXAMPLE_COMPLEXES["projective-plane"], Trivial())), 2,
+             {0: Z, 1: None}),
+            # (S^2 v S^2 v S^2) x S^2
+            (product(wedge(RP2_COVERED, Sphere(2)), Sphere(2)), 4,
+             {0: Z, 2: FgAbelianGroup(free_rank=4), 4: FgAbelianGroup(free_rank=3)}),
+        ],
+    )
+    def test_cover_answers(self, space, dim, groups):
+        got = universal_cover_homology(space)
+        assert (got, got.dim) == (profile(dim, groups), dim)
+
+    def test_a_trivial_group_of_order_one_keeps_one_copy(self):
+        point = EXAMPLE_COMPLEXES["point"]
+        one = Explicit(point, Finite(catalog_group("Z1")), cover=point)
+        assert universal_cover_homology(wedge(one, Sphere(2))) == homology(Sphere(2))
+
+
 KLEIN_COVERED = Explicit(
     EXAMPLE_COMPLEXES["klein-bottle"],
     ElementaryAmenable(hirsch=2, cd_finite=True),
@@ -651,6 +747,53 @@ class TestFoldAgainstCellularComplexes:
             (product(wedge(z2, Sphere(2)), z2), "H0 = Z/2\nH1 = 0\nH2 = Z/2\nH3 = 0"),
         ]:
             assert render_profile(homology(space)) == text
+
+
+def _presentation_complex(n):
+    """<a | a^n> as one cell in each of degrees 0, 1 and 2, with d_2 = n."""
+    return {"cells": [1, 1, 1], "boundary": [[[0]], [[n]]]}
+
+
+class TestWedgeCoverAgainstLiftedComplex:
+    """The cover of X v Y for the presentation complex X of <a | a^n>, by the
+    wedge rule, against Smith form on the cover lifted cell by cell
+    (`oracles.cyclic_cover_wedge_naive`), and chi(cover) = n chi(X v Y)."""
+
+    RESTS = {
+        "S2": [(Sphere(2), _sphere_complex(2))],
+        "S3": [(Sphere(3), _sphere_complex(3))],
+        "torus-labelled-trivial": [
+            (Explicit(EXAMPLE_COMPLEXES["torus"], Trivial()),
+             complex_to_json(EXAMPLE_COMPLEXES["torus"])),
+        ],
+        "S2xS2": [(S2_X_S2, tensor_complex_naive(_sphere_complex(2), _sphere_complex(2)))],
+        "S2-and-S3": [(Sphere(2), _sphere_complex(2)), (Sphere(3), _sphere_complex(3))],
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rest", sorted(RESTS))
+    @pytest.mark.parametrize("kind", ["finite", "abelian"])
+    def test_rule_matches_the_lifted_complex(self, n, rest, kind):
+        if kind == "finite":
+            pi1 = Finite(catalog_group(f"Z{n}"))
+        else:
+            pi1 = FgAbelian(from_cyclic_factors(0, [n]))
+        x = Explicit(
+            complex_from_json(_presentation_complex(n)), pi1,
+            cover=complex_from_json(cyclic_cover_wedge_naive(n)),
+        )
+        parts = self.RESTS[rest]
+        space = wedge(x, *(y for y, _ in parts))
+        lifted = complex_from_json(cyclic_cover_wedge_naive(n, *(c for _, c in parts)))
+        got, want = universal_cover_homology(space), homology_of_complex(lifted)
+        assert (got, got.dim) == (want, want.dim)
+        assert euler_characteristic(lifted) == n * _euler(homology(space))
+        assert _euler(got) == n * _euler(homology(space))
+
+
+def _euler(profile_):
+    """The Euler characteristic read from a profile's free ranks."""
+    return sum((-1) ** k * g.free_rank for k, g in profile_.groups.items())
 
 
 class TestHomologyBuildsOnce:
