@@ -174,10 +174,34 @@ class NoBoundApplicable(Record):
 def bound_general(space: SpaceExpr) -> DepthBoundReport:
     """Cover-based bound: sl(pi1) plus the splitting lengths of the cover's
     homology in degrees 2..dim."""
-    descriptor = pi1_of(space)
+    return _general(space, dim_of(space), _pi1(space))
+
+
+def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
+    """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
+    homology of a 2-complex is free, so rank captures the whole group."""
+    return _two_dim(space, dim_of(space), _pi1(space))
+
+
+def _pi1(space: SpaceExpr) -> "Pi1Descriptor | PolydepthError":
+    """pi1_of(space), or its domain error, which a family raises where it
+    reads pi1 (`_descriptor`): both families read one walk of the space."""
+    try:
+        return pi1_of(space)
+    except PolydepthError as err:
+        return err
+
+
+def _descriptor(pi1: "Pi1Descriptor | PolydepthError") -> Pi1Descriptor:
+    if isinstance(pi1, PolydepthError):
+        raise pi1
+    return pi1
+
+
+def _general(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
+    descriptor = _descriptor(pi1)
     sl_pi1 = sl_of(descriptor)
     cover = universal_cover_homology(space)
-    dim = dim_of(space)
     not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
     if not_fg:
         raise NotFinitelyGenerated(not_fg[0])
@@ -193,13 +217,10 @@ def bound_general(space: SpaceExpr) -> DepthBoundReport:
     )
 
 
-def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
-    """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
-    homology of a 2-complex is free, so rank captures the whole group."""
-    dim = dim_of(space)
+def _two_dim(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
     if dim != 2:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
-    descriptor = pi1_of(space)
+    descriptor = _descriptor(pi1)
     sl_pi1 = sl_of(descriptor)
     rank = homology(space).group(2).free_rank
     return DepthBoundReport(
@@ -212,19 +233,21 @@ def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     )
 
 
-# family name -> (its bound, the rule it selects per pi1 class)
+# family name -> (its bound on (space, dim, pi1), the rule it selects per pi1 class)
 _FAMILIES = {
-    "Thm4.1": (bound_general, _GENERAL_RULE),
-    "Thm4.8": (bound_2dim, _TWO_DIM_RULE),
+    "Thm4.1": (_general, _GENERAL_RULE),
+    "Thm4.8": (_two_dim, _TWO_DIM_RULE),
 }
 RULES = frozenset(_FAMILIES).union(*(rules.values() for _, rules in _FAMILIES.values()))
 
 
-def _attempt(space: SpaceExpr, family: str) -> "DepthBoundReport | NoBoundApplicable":
+def _attempt(
+    space: SpaceExpr, family: str, dim: int, pi1
+) -> "DepthBoundReport | NoBoundApplicable":
     """Run one bound family; a domain error becomes its one recorded failure."""
     runner, _ = _FAMILIES[family]
     try:
-        return runner(space)
+        return runner(space, dim, pi1)
     except PolydepthError as err:
         return NoBoundApplicable(failures=((family, f"{type(err).__name__}: {err}"),))
 
@@ -243,7 +266,7 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
             break
     else:
         raise ValueError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    report = _attempt(space, family)
+    report = _attempt(space, family, dim_of(space), _pi1(space))
     if isinstance(report, DepthBoundReport) and rule not in (family, report.applied_rule):
         reason = (
             f"requested rule {rule}, but the fundamental group "
@@ -255,7 +278,7 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
 
 def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
     parts = space.parts if isinstance(space, Wedge) else (space,)
-    if all(isinstance(part, Sphere) for part in parts):
+    if {Sphere}.issuperset(map(type, parts)):
         return len(parts), WEDGE_PROVENANCE
     if isinstance(space, Product) and all(isinstance(f, Sphere) for f in space.factors):
         dims = sorted(f.n for f in space.factors)
@@ -268,7 +291,8 @@ def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
     the result lists every failed hypothesis."""
-    results = [_attempt(space, family) for family in _FAMILIES]
+    dim, pi1 = dim_of(space), _pi1(space)
+    results = [_attempt(space, family, dim, pi1) for family in _FAMILIES]
     attempts = [r for r in results if isinstance(r, DepthBoundReport)]
     if not attempts:
         return NoBoundApplicable(failures=tuple(f for r in results for f in r.failures))

@@ -3,27 +3,31 @@
 Spaces are expression trees over four constructors: spheres (minimal cell
 structure: one 0-cell, one n-cell), wedges, products, and explicit chain
 complexes with a declared fundamental group.  Nested wedges and nested
-products flatten when they are built.  Homology of explicit complexes is
-exact (Smith normal form).  Spheres, wedges and products are one integer
-fold over free ranks and torsion by degree (``_fold``): wedges add reduced
-homology degreewise; products follow the Kunneth formula with its Tor term
-(Hatcher, Algebraic Topology, Thm 3B.6), where in primary form Z/p^a (x)
-Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b) and distinct primes give 0.
+products flatten when they are built; a read shares one ``Sphere`` per
+dimension.  Homology of explicit complexes is exact (Smith normal form).
+Spheres, wedges and products are one integer fold over free ranks and
+torsion by degree, with the dimension (``_fold``): a wedge adds its parts'
+reduced homology into one pair of accumulators (``_add``), one dict update
+per sphere, each other part object folded once; products follow the
+Kunneth formula with its Tor term (Hatcher, Algebraic Topology, Thm 3B.6),
+where in primary form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b)
+and distinct primes give 0.
 
 A homology profile stores only the degrees that carry homology (or a
 not-finitely-generated verdict), and the fold visits only those, so its
 cost follows the homology, not the dimension.  Output names every degree
 0..dim, written from the stored degrees: a run of trivial degrees goes out
 an aligned block of 1000 degrees at a time, each one join over a table of
-degree names (``_degree_runs``), in pieces that a caller writes one by one,
-so the text is never held whole and costs one Python step per block and
-per stored degree.  All JSON, here and in ``depth``, is one tree per form
-whose per-degree maps are lazy `_Degrees` nodes: `_json_chunks`, the one
-JSON writer, writes it, and `_plain` expands it to the ``*_to_json`` dict.
-Spaces read from JSON are limited to dimension ``MAX_DIMENSION``, because
-the size of that output grows with the dimension.
+degree names (``_degree_runs``), written as made, in pieces that a caller
+writes one by one, so the text is never held whole and costs one Python
+step per block and per stored degree.  All JSON, here and in ``depth``, is
+one tree per form whose per-degree maps are lazy `_Degrees` nodes:
+`_json_chunks`, the one JSON writer, writes it, and `_plain` expands it to
+the ``*_to_json`` dict.  Spaces read from JSON are limited to dimension
+``MAX_DIMENSION``, because the size of that output grows with the dimension.
 
-The universal cover is built as another space expression, structurally:
+The cover's homology is the fold of the universal cover by structural
+rules, the cover itself never built:
 
 * the circle is covered by the line, so its cover is the point;
 * a higher sphere, and an explicit complex with trivial declared group,
@@ -32,9 +36,10 @@ The universal cover is built as another space expression, structurally:
   cover complex, which has trivial group;
 * a product is covered by the product of its factors' covers;
 * a wedge follows one rule (Hatcher, Algebraic Topology, 1.2-1.3, 2.2).
-  Its simply connected parts are the rest.  pi1 is free on the others'
-  ranks when all are free, else pi1 of the one other part X (van Kampen),
-  else refused.  The cover is X~ with a copy of the rest at each of the
+  Its simply connected parts are the rest, split off in one pass that pi1
+  and the cover share (``_split``).  pi1 is free on the others' ranks when
+  all are free, else pi1 of the one other part X (van Kampen), else
+  refused.  The cover is X~ with a copy of the rest at each of the
   n = |pi1 X| lifts of the base point: for finite n the wedge of X~ and n
   copies of the rest (at most ``MAX_DIMENSION`` parts and summands).  For
   infinite n (a tree for several circles, X~ the point) it is no finite
@@ -43,16 +48,15 @@ The universal cover is built as another space expression, structurally:
   n is known for a finite or torsion abelian group, infinite for a free
   group, free abelian rank or Hirsch length >= 1; Hirsch length 0 refuses.
 
-The one ordinary homology() then computes the cover's homology.  Anything
-else, such as an explicit complex with nontrivial group and no cover,
-raises UnsupportedConstruction; no rule, no answer.
+Anything else, such as an explicit complex with nontrivial group and no
+cover, raises UnsupportedConstruction; no rule, no answer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, groupby
 from typing import Iterator, Union
 
@@ -169,6 +173,15 @@ class Sphere(Record):
         _set(self, "n", n)
 
 
+def _spliced(items, cls, field: str) -> tuple:
+    """`items` with each one of class `cls` replaced by its tuple `field`;
+    one scan in C when there is none."""
+    items = tuple(items)
+    if cls not in map(type, items):
+        return items
+    return tuple(chain.from_iterable(getattr(i, field) if type(i) is cls else (i,) for i in items))
+
+
 class Wedge(Record):
     """Wedge of its parts; a nested wedge is spliced in, so parts are never
     wedges."""
@@ -176,12 +189,10 @@ class Wedge(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[SpaceExpr, ...]):
-        spliced = []
-        for p in parts:
-            spliced.extend(p.parts if isinstance(p, Wedge) else (p,))
+        spliced = _spliced(parts, Wedge, "parts")
         if not spliced:
             raise ValueError("wedge needs at least one part")
-        _set(self, "parts", tuple(spliced))
+        _set(self, "parts", spliced)
 
 
 class Product(Record):
@@ -191,12 +202,10 @@ class Product(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[SpaceExpr, ...]):
-        spliced = []
-        for f in factors:
-            spliced.extend(f.factors if isinstance(f, Product) else (f,))
+        spliced = _spliced(factors, Product, "factors")
         if not spliced:
             raise ValueError("product needs at least one factor")
-        _set(self, "factors", tuple(spliced))
+        _set(self, "factors", spliced)
 
 
 class Explicit(Record):
@@ -229,9 +238,9 @@ def dim_of(space: SpaceExpr) -> int:
     if isinstance(space, Sphere):
         return space.n
     if isinstance(space, Wedge):
-        return max(dim_of(p) for p in space.parts)
+        return max(map(dim_of, space.parts))
     if isinstance(space, Product):
-        return sum(dim_of(f) for f in space.factors)
+        return sum(map(dim_of, space.factors))
     if isinstance(space, Explicit):
         return space.complex.dim
     raise TypeError(f"not a SpaceExpr: {space!r}")
@@ -394,18 +403,18 @@ _NAMES = tuple(map(str, range(1000)))
 _LOW_DIGITS = tuple(f"{i:03d}" for i in range(1000))
 
 
-def _degree_runs(start: int, stop: int, sep: str) -> Iterator[str]:
+def _degree_runs(start: int, stop: int, sep: str) -> Iterator[tuple[str, str]]:
     """``sep.join(map(str, range(start, stop)))`` in pieces that join by
-    `sep`, one piece per aligned block of 1000 degrees.  Every degree in
-    [1000q, 1000q + 999] is a head ("" for q = 0, else str(q)) followed by
-    an entry of a table (`_NAMES`, else `_LOW_DIGITS`), so a piece is one
+    `sep`, one (head, body) per aligned block of 1000 degrees.  Every degree
+    in [1000q, 1000q + 999] is a head ("" for q = 0, else str(q)) followed by
+    an entry of a table (`_NAMES`, else `_LOW_DIGITS`), so a body is one
     join of a table slice: one Python step per block, not one str() per degree."""
     lo = start
     while lo < stop:
         q, a = divmod(lo, 1000)
         hi = min(stop, 1000 * (q + 1))
         head, names = (str(q), _LOW_DIGITS) if q else ("", _NAMES)
-        yield head + (sep + head).join(names[a : hi - 1000 * q])
+        yield head, (sep + head).join(names[a : hi - 1000 * q])
         lo = hi
 
 
@@ -416,19 +425,21 @@ def _degree_chunks(
     each followed by `tail` but the last, where (head, mid, tail) = `lines`
     and value is stored[k] (keys ascending, in start..dim) or else default;
     nothing when start > dim.  Each stored degree is one chunk, and a run of
-    default lines, joined by tail + head, one chunk per `_degree_runs` block,
-    so a chunk holds at most 1000 degrees: 1000 lines where default is one
-    line."""
+    default lines, joined by tail + head, a `_degree_runs` block at a time:
+    its head and line end around its body, which is not copied again.  So a
+    chunk holds at most 1000 degrees: 1000 lines where default is one line."""
     head, mid, tail = lines
     line_end = f"{mid}{default}{tail}"
     sep = f"{line_end}{head}"
 
     for k, value in stored.items():
-        yield from (f"{head}{keys}{line_end}" for keys in _degree_runs(start, k, sep))
+        for block_head, body in _degree_runs(start, k, sep):
+            yield from (f"{head}{block_head}", body, line_end)
         yield f"{head}{k}{mid}{value}{tail if k < dim else ''}"
         start = k + 1
     if start <= dim:
-        yield from (f"{head}{keys}{line_end}" for keys in _degree_runs(start, dim, sep))
+        for block_head, body in _degree_runs(start, dim, sep):
+            yield from (f"{head}{block_head}", body, line_end)
         yield f"{head}{dim}{mid}{default}"
 
 
@@ -490,57 +501,96 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     return HomologyProfile(complex_.dim, groups)
 
 
-def _fold(space: SpaceExpr) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """(free ranks by degree, torsion by degree) of a space: Smith form for an
-    explicit part, else integer sums and products; torsion is prime powers, unsorted."""
-    if isinstance(space, Sphere):
-        return {0: 1, space.n: 1}, {}
+def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
+    """(free ranks by degree, torsion by degree as unsorted prime powers,
+    dimension) of a space, or with `cover` of its universal cover: Smith
+    form for an explicit complex, else integer sums and products."""
     if isinstance(space, Explicit):
-        groups = homology_of_complex(space.complex).groups
+        complex_ = space.complex
+        if cover and not isinstance(space.pi1, Trivial):
+            if space.cover is None:
+                raise UnsupportedConstruction(
+                    "explicit complex with nontrivial fundamental group needs a "
+                    "user-supplied cover complex"
+                )
+            complex_ = space.cover
+        groups = homology_of_complex(complex_).groups
         ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
-        return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}
-    if isinstance(space, Wedge):
-        # reduced homology adds up; H_0 is Z, whatever the parts' H_0; a run of copies folds once
-        ranks, torsion, last = {}, {}, None
-        for part in space.parts:
-            if part is not last:
-                last, (part_ranks, part_torsion) = part, _fold(part)
-            for k, r in part_ranks.items():
-                ranks[k] = ranks.get(k, 0) + r
-            for k, t in part_torsion.items():
-                torsion.setdefault(k, []).extend(t)
-        ranks[0] = 1
-        torsion.pop(0, None)
-        return ranks, torsion
-    if not isinstance(space, Product):
+        return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}, complex_.dim
+    if isinstance(space, Product):
+        # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
+        # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
+        ranks, torsion, dim = {0: 1}, {}, 0
+        for f_ranks, f_torsion, f_dim in [_fold(f, cover) for f in space.factors]:
+            dim += f_dim
+            # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
+            held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
+            most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
+            if most > MAX_DIMENSION:
+                raise UnsupportedConstruction(
+                    f"product homology may need more than {MAX_DIMENSION} torsion summands"
+                )
+            out_ranks, out_torsion = {}, {}
+            for i, r in ranks.items():
+                for j, q in f_ranks.items():
+                    out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
+                for j, t in f_torsion.items():
+                    out_torsion.setdefault(i + j, []).extend(t * r)
+            for i, s in torsion.items():
+                for j, q in f_ranks.items():
+                    out_torsion.setdefault(i + j, []).extend(s * q)
+                for j, t in f_torsion.items():
+                    # Z/p^a (x) Z/p^b in degree i + j, and its Tor twin in i + j + 1
+                    tor = _tor_torsion(s, t)
+                    out_torsion.setdefault(i + j, []).extend(tor)
+                    out_torsion.setdefault(i + j + 1, []).extend(tor)
+            ranks, torsion = out_ranks, {k: t for k, t in out_torsion.items() if t}
+        return ranks, torsion, dim
+    if not isinstance(space, (Sphere, Wedge)):
         raise TypeError(f"not a SpaceExpr: {space!r}")
-    # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
-    # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
-    ranks, torsion = {0: 1}, {}
-    for f_ranks, f_torsion in map(_fold, space.factors):
-        # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
-        held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
-        most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
-        if most > MAX_DIMENSION:
+    if cover and isinstance(space, Wedge):
+        fold, rest = _wedge_cover(space)
+        if rest:
             raise UnsupportedConstruction(
-                f"product homology may need more than {MAX_DIMENSION} torsion summands"
+                "wedge with infinite fundamental group and simply connected "
+                "parts inside a product: its cover is not a finite complex"
             )
-        out_ranks, out_torsion = {}, {}
-        for i, r in ranks.items():
-            for j, q in f_ranks.items():
-                out_ranks[i + j] = out_ranks.get(i + j, 0) + r * q
-            for j, t in f_torsion.items():
-                out_torsion.setdefault(i + j, []).extend(t * r)
-        for i, s in torsion.items():
-            for j, q in f_ranks.items():
-                out_torsion.setdefault(i + j, []).extend(s * q)
-            for j, t in f_torsion.items():
-                # Z/p^a (x) Z/p^b in degree i + j, and its Tor twin in i + j + 1
-                tor = _tor_torsion(s, t)
-                out_torsion.setdefault(i + j, []).extend(tor)
-                out_torsion.setdefault(i + j + 1, []).extend(tor)
-        ranks, torsion = out_ranks, {k: t for k, t in out_torsion.items() if t}
-    return ranks, torsion
+        return fold
+    if cover and space.n == 1:
+        # the circle is covered by the line, which is contractible
+        return {0: 1}, {}, 0
+    ranks, torsion = {0: 1}, {}
+    return ranks, torsion, _add(space, ranks, torsion, 1, {})
+
+
+def _add(space: SpaceExpr, ranks: dict, torsion: dict, times: int, folds: dict) -> int:
+    """Add `times` copies of the homology above degree 0 of `space` (a wedge
+    keeps H_0 = Z) into the accumulators; the dimension.  Any part but a
+    sphere or wedge is folded once per object, kept in `folds` by id."""
+    if isinstance(space, Sphere):
+        ranks[space.n] = ranks.get(space.n, 0) + times
+        return space.n
+    if isinstance(space, Wedge):
+        return max([_add(part, ranks, torsion, times, folds) for part in space.parts])
+    fold = folds.get(id(space))
+    if fold is None:
+        fold = folds[id(space)] = _fold(space)
+    part_ranks, part_torsion, dim = fold
+    for k, r in part_ranks.items():
+        if k:
+            ranks[k] = ranks.get(k, 0) + r * times
+    for k, t in part_torsion.items():
+        if k:
+            torsion.setdefault(k, []).extend(t * times)
+    return dim
+
+
+def _profile(ranks: dict[int, int], torsion: dict[int, list[int]], dim: int) -> HomologyProfile:
+    """The profile of a `_fold`: its groups are built here, once per shape
+    (free rank, torsion), which hashes in C, and degrees of one shape share it."""
+    shapes = {k: (ranks.get(k, 0), tuple(sorted(torsion.get(k, ())))) for k in {*ranks, *torsion}}
+    groups = {shape: FgAbelianGroup(*shape) for shape in set(shapes.values())}
+    return HomologyProfile(dim, {k: groups[shape] for k, shape in shapes.items()})
 
 
 def homology(space: SpaceExpr) -> HomologyProfile:
@@ -552,82 +602,68 @@ def homology(space: SpaceExpr) -> HomologyProfile:
     """
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
-    ranks, torsion = _fold(space)
-    return HomologyProfile(dim_of(space), {
-        k: FgAbelianGroup(ranks.get(k, 0), tuple(sorted(torsion.get(k, ()))))
-        for k in {*ranks, *torsion}
-    })
+    return _profile(*_fold(space))
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:
     """Coefficient list: coefficient of x^k is the free rank of H_k (the
     Betti number b_k), for every k in 0..dim; torsion does not count, so
     RP^2 gives [1, 0, 0]."""
-    ranks, _ = _fold(space)
-    return [ranks.get(k, 0) for k in range(dim_of(space) + 1)]
+    ranks, _, dim = _fold(space)
+    return [ranks.get(k, 0) for k in range(dim + 1)]
 
 
-def _wedge_cover(space: Wedge) -> tuple[SpaceExpr, list[SpaceExpr]]:
-    """(the cover, []) by the wedge rule of the module docstring when it is a
-    finite complex, else (X~, rest): X~ with infinitely many copies of rest."""
-    pairs = [(part, pi1_of(part)) for part in space.parts]
-    groups = [(p, d) for p, d in pairs if not isinstance(d, Trivial)]
-    rest = [p for p, d in pairs if isinstance(d, Trivial)]
-    if not groups:
-        return space, []
-    part, d = groups[0]
-    if len(groups) > 1 and not all(isinstance(p, Sphere) for p, _ in groups):
+# pi1 of a circle and of a higher sphere
+_FREE_1, _TRIVIAL = Free(1), Trivial()
+
+
+def _split(parts: tuple[SpaceExpr, ...]) -> tuple[list, list]:
+    """The parts of a wedge in one pass, each distinct object once, by
+    identity (a read shares one `Sphere` per dimension): (others, rest), the
+    parts that are not simply connected as (part, pi1, copies) and the
+    simply connected ones as (part, copies)."""
+    objects = dict(zip(map(id, parts), parts))
+    split = [(objects[i], pi1_of(objects[i]), c) for i, c in Counter(map(id, parts)).items()]
+    rest = [(part, copies) for part, d, copies in split if isinstance(d, Trivial)]
+    return [s for s in split if not isinstance(s[1], Trivial)], rest
+
+
+def _wedge_cover(space: Wedge) -> tuple[tuple, list]:
+    """(the `_fold` of the cover, []) by the wedge rule of the module
+    docstring when it is a finite complex, else (the `_fold` of X~, rest)."""
+    others, rest = _split(space.parts)
+    if not others:
+        return _fold(space), []
+    part, d, copies = others[0]
+    if (len(others) > 1 or copies > 1) and not all(isinstance(p, Sphere) for p, _, _ in others):
         raise UnsupportedConstruction(
             "wedge with several parts that are not simply connected: a cover "
             "rule exists only when they are all circles"
         )
     if isinstance(d, ElementaryAmenable) and not d.hirsch:
         raise UnsupportedConstruction("wedge part of Hirsch length 0: its order is unknown")
-    if isinstance(d, Finite) or (isinstance(d, FgAbelian) and not d.group.free_rank):
-        n = d.group.order if isinstance(d, Finite) else math.prod(d.group.torsion)
-        # n side-by-side copies of each part (folded once) and of its degrees and summands
-        held = sum(1 + len(r) + sum(map(len, t.values())) for r, t in map(_fold, rest))
-        if n * held > MAX_DIMENSION:
-            raise UnsupportedConstruction(f"wedge cover: over {MAX_DIMENSION} parts and summands")
-        return wedge(_cover(part), *(p for p in rest for _ in range(n))), []
-    return _cover(part), rest
-
-
-def _cover(space: SpaceExpr) -> SpaceExpr:
-    """The universal cover as a space expression, by the structural rules of
-    the module docstring.  A supported space is its own cover exactly when it
-    is simply connected."""
-    if isinstance(space, Sphere):
-        if space.n == 1:
-            # covered by the line, which is contractible
-            return Explicit(EXAMPLE_COMPLEXES["point"], Trivial())
-        return space
-    if isinstance(space, Explicit):
-        if isinstance(space.pi1, Trivial):
-            return space
-        if space.cover is None:
-            raise UnsupportedConstruction(
-                "explicit complex with nontrivial fundamental group needs a "
-                "user-supplied cover complex"
-            )
-        return Explicit(space.cover, Trivial())
-    if isinstance(space, Product):
-        return Product(tuple(_cover(f) for f in space.factors))
-    if isinstance(space, Wedge):
-        cover, rest = _wedge_cover(space)
-        if rest:
-            raise UnsupportedConstruction(
-                "wedge with infinite fundamental group and simply connected "
-                "parts inside a product: its cover is not a finite complex"
-            )
-        return cover
-    raise TypeError(f"not a SpaceExpr: {space!r}")
+    if not (isinstance(d, Finite) or (isinstance(d, FgAbelian) and not d.group.free_rank)):
+        return _fold(part, cover=True), rest
+    n = d.group.order if isinstance(d, Finite) else math.prod(d.group.torsion)
+    # n copies of each part of the rest, counted with its degrees and summands
+    folds = {id(p): _fold(p) for p, _ in rest}
+    held = sum(c * (1 + len(r) + sum(map(len, t.values())))
+               for (_, c), (r, t, _) in zip(rest, folds.values()))
+    if n * held > MAX_DIMENSION:
+        raise UnsupportedConstruction(f"wedge cover: over {MAX_DIMENSION} parts and summands")
+    ranks, torsion, dim = _fold(part, cover=True)
+    if rest:
+        # the wedge of X~ and the copies: H_0 is Z
+        dim = max(dim, *(_add(p, ranks, torsion, n * c, folds) for p, c in rest))
+        ranks[0] = 1
+        torsion.pop(0, None)
+    return (ranks, torsion, dim), []
 
 
 def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
-    """Homology of the universal cover: ordinary homology of the cover built
-    by the structural rules, or H(X~) with not-f.g. verdicts for a wedge
-    whose cover is not a finite complex (see the module docstring).
+    """Homology of the universal cover: the fold of the cover by the
+    structural rules, or H(X~) with not-f.g. verdicts for a wedge whose
+    cover is not a finite complex (see the module docstring).
 
     >>> rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"],
     ...                fg_abelian(FgAbelianGroup(torsion=(2,))),
@@ -639,14 +675,18 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     H3 = 0
     H4 = Z
     """
-    cover, rest = _wedge_cover(space) if isinstance(space, Wedge) else (_cover(space), [])
-    base = homology(cover)
+    if isinstance(space, Wedge):
+        cover, rest = _wedge_cover(space)
+    else:
+        cover, rest = _fold(space, cover=True), []
+    profile = _profile(*cover)
     if not rest:
-        return base
+        return profile
     # infinitely many copies of the rest: every degree where it has homology
-    not_fg = {k for part in rest for k in chain(*_fold(part)) if k}
-    dim = max(base.dim, *map(dim_of, rest))
-    return HomologyProfile(dim, {**base.groups, **dict.fromkeys(not_fg)})
+    ranks, torsion, folds = {}, {}, {}
+    dim = max([_add(part, ranks, torsion, 1, folds) for part, _ in rest])
+    not_fg = dict.fromkeys({*ranks, *torsion})
+    return HomologyProfile(max(profile.dim, dim), {**profile.groups, **not_fg})
 
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
@@ -655,17 +695,17 @@ def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
     of finite groups whose order exceeds ``DEFAULT_SEARCH_CAP`` raises
     OrderExceedsCap before its table is built."""
     if isinstance(space, Sphere):
-        return free(1) if space.n == 1 else Trivial()
+        return _FREE_1 if space.n == 1 else _TRIVIAL
     if isinstance(space, Explicit):
         return space.pi1
     if isinstance(space, Wedge):
         # van Kampen: a free product of free groups (Z counts), or of one group
-        groups = [d for d in map(pi1_of, space.parts) if not isinstance(d, Trivial)]
-        ranks = [d.rank if isinstance(d, Free) else int(d == _Z) for d in groups]
+        others, _ = _split(space.parts)
+        ranks = [c * (d.rank if isinstance(d, Free) else int(d == _Z)) for _, d, c in others]
         if all(ranks):
             return free(sum(ranks))
-        if len(groups) == 1:
-            return groups[0]
+        if len(others) == 1 and others[0][2] == 1:
+            return others[0][1]
         raise UnsupportedConstruction("free product of the wedge parts' groups has no descriptor")
     if isinstance(space, Product):
         finite_groups = []
@@ -758,25 +798,32 @@ def space_to_json(space: SpaceExpr) -> dict:
     raise TypeError(f"not a SpaceExpr: {space!r}")
 
 
+_SPACE_TAGS, _SPACE_LISTS = ("sphere", "wedge", "product", "explicit"), ("wedge", "product")
+
+
 def space_from_json(obj) -> SpaceExpr:
     """Read a space expression: an object with one tag, ``sphere`` (a JSON
     integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
     Anything malformed raises ValueError; a Cayley table above
     ``DEFAULT_SEARCH_CAP``, which no search takes, raises OrderExceedsCap
     before its rows are read, so it exits 2 even when it is malformed."""
-    tag, value = _one_of(
-        obj, "space", ("sphere", "wedge", "product", "explicit"), lists=("wedge", "product")
-    )
-    if tag == "sphere":
-        return Sphere(_check_int(value, "sphere dimension"))
-    if tag == "wedge":
-        return wedge(*map(space_from_json, value))
-    if tag == "product":
-        return product(*map(space_from_json, value))
-    body = _fields(value, "explicit space", ("complex", "pi1"), ("cover",))
-    cover = complex_from_json(body["cover"]) if "cover" in body else None
-    complex_ = complex_from_json(body["complex"])
-    return Explicit(complex_, pi1_from_json(body["pi1"], cap=DEFAULT_SEARCH_CAP), cover)
+    spheres: dict[int, Sphere] = {}
+
+    def read(obj) -> SpaceExpr:
+        tag, value = _one_of(obj, "space", _SPACE_TAGS, _SPACE_LISTS)
+        if tag == "sphere":
+            n = _check_int(value, "sphere dimension")
+            return spheres.get(n) or spheres.setdefault(n, Sphere(n))
+        if tag == "wedge":
+            return wedge(*map(read, value))
+        if tag == "product":
+            return product(*map(read, value))
+        body = _fields(value, "explicit space", ("complex", "pi1"), ("cover",))
+        cover = complex_from_json(body["cover"]) if "cover" in body else None
+        complex_ = complex_from_json(body["complex"])
+        return Explicit(complex_, pi1_from_json(body["pi1"], cap=DEFAULT_SEARCH_CAP), cover)
+
+    return read(obj)
 
 
 def _cc(cells: tuple[int, ...], *boundary) -> ChainComplex:

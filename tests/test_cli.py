@@ -36,6 +36,9 @@ from polydepth.topology import (
 )
 
 
+ONE_TAG = "space must be an object with exactly one of the keys sphere/wedge/product/explicit"
+
+
 def _write_json(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(json.dumps(body))
@@ -604,6 +607,38 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("input error:"), (argv, out, err)
             assert err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [
+            ({"sphere": 0}, "sphere dimension must be >= 1, got 0"),
+            ({"sphere": 2.0}, "sphere dimension must be int, got float"),
+            ({"sphere": "3"}, "sphere dimension must be int, got str"),
+            ({"sphere": 3, "x": 1}, ONE_TAG),
+            (2.0, ONE_TAG),
+            (True, ONE_TAG),
+            ("3", ONE_TAG),
+        ],
+    )
+    def test_bad_leaf_deep_in_a_wedge(self, tmp_path, capsys, leaf, message):
+        # a read shares one Sphere per dimension; each leaf still meets every
+        # reading rule, the dimensions 2 and 3 before it included
+        leaves = [{"sphere": 1 + i % 60} for i in range(300)]
+        leaves[200:260] = [{"wedge": leaves[200:236] + [leaf] + leaves[237:260]}]
+        path = _write_json(tmp_path, "wedge.json", {"wedge": leaves})
+        for command in ("homology", "bound"):
+            assert run([command, path]) == 1
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_true_leaf_deep_in_a_wedge_reads_as_a_circle(self, tmp_path, capsys):
+        seen = []
+        for leaf in ({"sphere": True}, {"sphere": 1}):
+            leaves = [{"sphere": 2 + i % 60} for i in range(300)]
+            leaves[230] = {"wedge": [leaves[230], leaf]}
+            path = _write_json(tmp_path, "wedge.json", {"wedge": leaves})
+            seen.append([(run([c, path]), *capsys.readouterr()) for c in ("homology", "bound")])
+        assert seen[0] == seen[1]
+        assert [code for code, _, _ in seen[0]] == [0, 2]
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 64

@@ -31,7 +31,9 @@ from oracles import (
     wedge_complex_naive,
 )
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
+from polydepth import depth, topology
 from polydepth.catalog import catalog_group
+from polydepth.cli import run
 from polydepth.suites import _random_zero_composition_complex
 from polydepth.depth import best_bound
 from polydepth.errors import (
@@ -749,6 +751,129 @@ class TestFoldAgainstCellularComplexes:
             assert render_profile(homology(space)) == text
 
 
+class TestSharedParts:
+    """A wedge may hold one part object many times, not side by side, beside
+    equal parts that are other objects; a read shares one `Sphere` per
+    dimension.  The fold, pi1 and the cover count every copy: homology
+    against Smith form on the cellular complex of `wedge_complex_naive`."""
+
+    @staticmethod
+    def pool():
+        """(part, its cellular complex): spheres, explicit parts with
+        torsion, and products, all simply connected but the circle."""
+        rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"], Trivial())
+        rp2_json = complex_to_json(EXAMPLE_COMPLEXES["projective-plane"])
+        return [
+            *((Sphere(n), _sphere_complex(n)) for n in (1, 2, 3)),
+            *((Explicit(complex_from_json(c), Trivial()), c)
+              for c in [rp2_json, complex_to_json(EXAMPLE_COMPLEXES["torus"]),
+                        *_pointed_torsion_complexes(2)]),
+            (product(Sphere(2), rp2), tensor_complex_naive(_sphere_complex(2), rp2_json)),
+            (S2_X_S2, tensor_complex_naive(_sphere_complex(2), _sphere_complex(2))),
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_and_equal_parts_against_the_cellular_wedge(self, seed):
+        rng = random.Random(f"shared-{seed}")
+        pool = self.pool()
+        picks = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+        # every pick again, in another order, and an equal copy read afresh
+        parts = picks + rng.sample(picks, len(picks))
+        copy, complex_json = rng.choice(picks)
+        twin = space_from_json(space_to_json(copy))
+        assert twin == copy and twin is not copy
+        parts.insert(rng.randrange(len(parts) + 1), (twin, complex_json))
+        space = wedge(*(part for part, _ in parts))
+        lifted = complex_from_json(wedge_complex_naive(*(c for _, c in parts)))
+        got, want = homology(space), homology_of_complex(lifted)
+        assert (got, got.dim) == (want, want.dim), space_to_json(space)
+        circles = sum(part == Sphere(1) for part, _ in parts)
+        assert pi1_of(space) == free(circles)
+        if not circles:
+            assert universal_cover_homology(space) == got
+
+    def test_pi1_counts_every_copy_of_a_part(self):
+        circle, torus = Sphere(1), product(Sphere(1), Sphere(1))
+        assert pi1_of(wedge(circle, Sphere(2), circle)) == Free(2)
+        s1_x_s2 = product(Sphere(1), Sphere(2))
+        assert pi1_of(wedge(s1_x_s2, Sphere(3), s1_x_s2, circle)) == Free(3)
+        assert pi1_of(wedge(torus, Sphere(2))) == FgAbelian(FgAbelianGroup(free_rank=2))
+        with pytest.raises(UnsupportedConstruction, match="free product"):
+            pi1_of(wedge(torus, Sphere(2), torus))
+        with pytest.raises(UnsupportedConstruction, match="only when they are all circles"):
+            universal_cover_homology(wedge(RP2_COVERED, Sphere(2), RP2_COVERED))
+
+    def test_a_read_shares_one_sphere_per_dimension(self):
+        rng = random.Random(300)
+        dims = [1] + [rng.randint(2, 60) for _ in range(299)]
+        space = space_from_json({"wedge": [{"sphere": n} for n in dims]})
+        # the expression of one fresh Sphere per leaf, compared by value
+        assert space == wedge(*map(Sphere, dims))
+        assert [part.n for part in space.parts] == dims
+        assert len({id(part) for part in space.parts}) == len(set(dims))
+        nested = {"product": [{"wedge": [{"sphere": 2}, {"sphere": 3}]}, {"sphere": 2}]}
+        got = space_from_json(nested)
+        assert got == product(wedge(Sphere(2), Sphere(3)), Sphere(2))
+        assert got.factors[0].parts[0] is got.factors[1]
+        # two reads share nothing
+        assert space_from_json({"sphere": 2}) is not space_from_json({"sphere": 2})
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Wrap the function `name` in each of `modules` with one counter; its
+    list holds the number of calls."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestWedgeWalks:
+    """A wedge request walks its parts a bounded number of times: one read,
+    then O(1) passes per stage, not one per rule that needs pi1 or the
+    dimension."""
+
+    def test_best_bound_reads_pi1_at_most_twice_per_part(self, monkeypatch):
+        # the benchmark's 50 S^1 + 150 S^2 wedge, read as the command line reads it
+        dims = [1] * 50 + [2] * 150
+        random.Random(2651).shuffle(dims)
+        space = space_from_json({"wedge": [{"sphere": n} for n in dims]})
+        calls = _count_calls(monkeypatch, "pi1_of", topology, depth)
+        report = best_bound(space)
+        assert (report.applied_rule, report.bound, report.exact_depth) == (
+            "Cor-free-2dim", 200, 200
+        )
+        assert calls[0] <= 2 * len(dims)
+
+    def test_homology_command_walks_the_dimension_once(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(2651)
+        dims = [1] + [rng.randint(2, 60) for _ in range(300)]
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps({"wedge": [{"sphere": n} for n in dims]}))
+        calls = _count_calls(monkeypatch, "dim_of", topology, depth)
+        assert run(["homology", "--format", "json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == max(dims)
+        # the dimension cap reads it; homology takes it from its fold
+        assert calls[0] <= 1 + len(dims)
+
+    def test_the_rest_of_a_finite_cover_is_folded_once(self, monkeypatch):
+        # RP^2 v T^2: the cover S^2 of RP^2 with a T^2 at each of its 2 lifts
+        torus = Explicit(EXAMPLE_COMPLEXES["torus"], Trivial())
+        calls = _count_calls(monkeypatch, "homology_of_complex", topology)
+        got = universal_cover_homology(wedge(RP2_COVERED, torus))
+        assert got == profile(2, {
+            0: Z, 1: FgAbelianGroup(free_rank=4), 2: FgAbelianGroup(free_rank=3)
+        })
+        # Smith form once on the cover of RP^2, once on T^2
+        assert calls[0] == 2
+
+
 def _presentation_complex(n):
     """<a | a^n> as one cell in each of degrees 0, 1 and 2, with d_2 = n."""
     return {"cells": [1, 1, 1], "boundary": [[[0]], [[n]]]}
@@ -789,6 +914,23 @@ class TestWedgeCoverAgainstLiftedComplex:
         assert (got, got.dim) == (want, want.dim)
         assert euler_characteristic(lifted) == n * _euler(homology(space))
         assert _euler(got) == n * _euler(homology(space))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_repeated_rest_parts_make_their_copies(self, n):
+        # S^2 and a torus twice each, apart, beside an equal torus read afresh
+        x = Explicit(
+            complex_from_json(_presentation_complex(n)), Finite(catalog_group(f"Z{n}")),
+            cover=complex_from_json(cyclic_cover_wedge_naive(n)),
+        )
+        torus_json = complex_to_json(EXAMPLE_COMPLEXES["torus"])
+        s2, torus = Sphere(2), Explicit(EXAMPLE_COMPLEXES["torus"], Trivial())
+        twin = space_from_json(space_to_json(torus))
+        rest = [(s2, _sphere_complex(2)), (torus, torus_json), (s2, _sphere_complex(2)),
+                (twin, torus_json), (torus, torus_json)]
+        space = wedge(rest[0][0], rest[1][0], x, *(part for part, _ in rest[2:]))
+        lifted = complex_from_json(cyclic_cover_wedge_naive(n, *(c for _, c in rest)))
+        got, want = universal_cover_homology(space), homology_of_complex(lifted)
+        assert (got, got.dim) == (want, want.dim)
 
 
 def _euler(profile_):
@@ -1148,7 +1290,7 @@ class TestDegreeRuns:
 
     @staticmethod
     def check(start, stop, sep, expected):
-        pieces = list(_degree_runs(start, stop, sep))
+        pieces = [head + body for head, body in _degree_runs(start, stop, sep)]
         assert sep.join(pieces) == expected, (start, stop)
         # one piece per aligned block the range touches
         assert len(pieces) == len(range(start // 1000, (stop - 1) // 1000 + 1))
