@@ -314,28 +314,20 @@ def _cmd_verify(args) -> int:
 def _cmd_catalog(args) -> int:
     from . import catalog
 
+    rows = [
+        (name, catalog.catalog_group(name).order, catalog.catalog_abelian_factors(name))
+        for name in catalog.catalog_names()
+    ]
     if args.format == "json":
-        body = []
-        for name in catalog.catalog_names():
-            factors = catalog.catalog_abelian_factors(name)
-            body.append(
-                {
-                    "name": name,
-                    "order": catalog.catalog_group(name).order,
-                    "abelian_factors": list(factors) if factors is not None else None,
-                }
-            )
-        print(_dump(body))
+        print(_dump([
+            {"name": name, "order": order,
+             "abelian_factors": list(factors) if factors is not None else None}
+            for name, order, factors in rows
+        ]))
     else:
-        for name in catalog.catalog_names():
-            factors = catalog.catalog_abelian_factors(name)
-            if factors is None:
-                shape = "nonabelian"
-            elif factors == ():
-                shape = "1"
-            else:
-                shape = "x".join(f"Z{f}" for f in factors)
-            print(f"{name} order={catalog.catalog_group(name).order} {shape}")
+        for name, order, factors in rows:
+            shape = "nonabelian" if factors is None else "x".join(f"Z{f}" for f in factors) or "1"
+            print(f"{name} order={order} {shape}")
     return 0
 
 

@@ -27,7 +27,8 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cache, partial
+from typing import Callable, Iterator
 
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
@@ -174,32 +175,17 @@ class NoBoundApplicable(Record):
 def bound_general(space: SpaceExpr) -> DepthBoundReport:
     """Cover-based bound: sl(pi1) plus the splitting lengths of the cover's
     homology in degrees 2..dim."""
-    return _general(space, dim_of(space), _pi1(space))
+    return _general(space, dim_of(space), partial(pi1_of, space))
 
 
 def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
     homology of a 2-complex is free, so rank captures the whole group."""
-    return _two_dim(space, dim_of(space), _pi1(space))
+    return _two_dim(space, dim_of(space), partial(pi1_of, space))
 
 
-def _pi1(space: SpaceExpr) -> "Pi1Descriptor | PolydepthError":
-    """pi1_of(space), or its domain error, which a family raises where it
-    reads pi1 (`_descriptor`): both families read one walk of the space."""
-    try:
-        return pi1_of(space)
-    except PolydepthError as err:
-        return err
-
-
-def _descriptor(pi1: "Pi1Descriptor | PolydepthError") -> Pi1Descriptor:
-    if isinstance(pi1, PolydepthError):
-        raise pi1
-    return pi1
-
-
-def _general(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
-    descriptor = _descriptor(pi1)
+def _general(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> DepthBoundReport:
+    descriptor = pi1()
     sl_pi1 = sl_of(descriptor)
     cover = universal_cover_homology(space)
     not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
@@ -217,10 +203,10 @@ def _general(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
     )
 
 
-def _two_dim(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
+def _two_dim(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> DepthBoundReport:
     if dim != 2:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
-    descriptor = _descriptor(pi1)
+    descriptor = pi1()
     sl_pi1 = sl_of(descriptor)
     rank = homology(space).group(2).free_rank
     return DepthBoundReport(
@@ -233,7 +219,8 @@ def _two_dim(space: SpaceExpr, dim: int, pi1) -> DepthBoundReport:
     )
 
 
-# family name -> (its bound on (space, dim, pi1), the rule it selects per pi1 class)
+# family name -> (its bound on (space, dim, pi1), the rule it selects per pi1
+# class); pi1() reads pi1 where the family needs it, so a failed read is its failure
 _FAMILIES = {
     "Thm4.1": (_general, _GENERAL_RULE),
     "Thm4.8": (_two_dim, _TWO_DIM_RULE),
@@ -266,7 +253,7 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
             break
     else:
         raise ValueError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    report = _attempt(space, family, dim_of(space), _pi1(space))
+    report = _attempt(space, family, dim_of(space), partial(pi1_of, space))
     if isinstance(report, DepthBoundReport) and rule not in (family, report.applied_rule):
         reason = (
             f"requested rule {rule}, but the fundamental group "
@@ -290,8 +277,9 @@ def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
 def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
-    the result lists every failed hypothesis."""
-    dim, pi1 = dim_of(space), _pi1(space)
+    the result lists every failed hypothesis.  Both families share one read
+    of pi1, kept for this call."""
+    dim, pi1 = dim_of(space), cache(partial(pi1_of, space))
     results = [_attempt(space, family, dim, pi1) for family in _FAMILIES]
     attempts = [r for r in results if isinstance(r, DepthBoundReport)]
     if not attempts:
@@ -348,11 +336,11 @@ def wedge_exact_depth(r: dict[int, int]) -> WedgeDepthResult:
     for count in counts.values():
         capacity *= count + 1
     chain: list[tuple[tuple[int, int], ...]] = [()]
-    partial: dict[int, int] = {}
+    grown: dict[int, int] = {}
     for degree in sorted(counts):
         for _ in range(counts[degree]):
-            partial[degree] = partial.get(degree, 0) + 1
-            chain.append(tuple(sorted(partial.items())))
+            grown[degree] = grown.get(degree, 0) + 1
+            chain.append(tuple(sorted(grown.items())))
     return WedgeDepthResult(depth=depth, capacity=capacity, chain=tuple(chain))
 
 

@@ -3,9 +3,11 @@ that ``OrderExceedsCap`` reports, and the base of the value records.
 
 Plain ``ValueError`` is reserved for malformed input (bad tables, bad JSON,
 bad matrix shapes at construction time), which the reading rules at the end
-refuse.  The classes below mark computations that are well formed but fall
-outside a rule's hypotheses; callers such as ``depth.best_bound`` catch them
-and turn them into structured outcomes.
+refuse; their one integer rule (`_check_int`, `_int_row` for a row) reads a
+bool as 1 or 0, matrix entries included.  The classes below mark
+computations that are well formed but fall outside a rule's hypotheses;
+callers such as ``depth.best_bound`` catch them and turn them into
+structured outcomes.
 
 A ``Record`` names its fields once, in ``__slots__``; its ``__init__`` takes
 them in that order, checks them and stores each with ``_set``.  The base
@@ -126,31 +128,22 @@ class CdNotFinite(PolydepthError):
     dimension; its splitting length is not defined by any implemented rule."""
 
 
-# entry types accepted without a per-entry isinstance call; bool is an int
-# subclass and has always been accepted as an entry
-_INT_TYPES = frozenset((int, bool))
+_INT_ONLY = frozenset((int,))
 
 
-def _check_ints(values: Sequence, what: str) -> None:
-    # every entry, zero-valued or falsy ones included, must be an int
-    if not _INT_TYPES.issuperset(map(type, values)):
-        for x in values:
-            _check_int(x, what)
-
-
-def _int_row(values: Sequence, what: str) -> tuple[int, ...]:
-    """`values` as a tuple of ints by the rule of `_check_ints`, a bool read
-    as 0 or 1.  A row of plain ints, the usual case, is copied as it is:
-    int() on each value would cost more than the type check."""
-    if set(map(type, values)) <= {int}:
-        return tuple(values)
-    _check_ints(values, what)
-    return tuple(map(int, values))
+def _int_row(values: Sequence, what: str) -> Sequence[int]:
+    """The integer rule of `_check_int` for a row read from outside: `values`
+    itself when every entry is a plain int (one C-level type scan), else a
+    tuple of its entries read by `_check_int`, a bool as 0 or 1, so the
+    first entry of another type is the one named."""
+    if _INT_ONLY.issuperset(map(type, values)):
+        return values
+    return tuple([_check_int(x, what) for x in values])
 
 
 def _check_int(x, what: str) -> int:
-    """The integer rule of `_check_ints` for one value read from outside: an
-    int, with a bool read as 0 or 1; anything else is refused by its type."""
+    """The integer rule for one value read from outside: an int, with a
+    bool read as 0 or 1; anything else is refused by its type."""
     if type(x) is int:
         return x
     if not isinstance(x, int):

@@ -104,7 +104,7 @@ class FiniteGroup:
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
         tbl = tuple(
-            _int_row(_as_list(row, "Cayley table rows"), "Cayley table entries")
+            tuple(_int_row(_as_list(row, "Cayley table rows"), "Cayley table entries"))
             for row in table
         )
         n = len(tbl)

@@ -38,7 +38,7 @@ from itertools import chain, compress, repeat
 from math import gcd
 from typing import Sequence
 
-from .errors import Record, _as_list, _check_ints, _set
+from .errors import Record, _as_list, _int_row, _set
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -66,7 +66,7 @@ class IntMatrix(Record):
         _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        _check_ints(entries, "matrix entries")
+        entries = _int_row(entries, "matrix entries")
         data = tuple(_nonzero(entries[i * cols : (i + 1) * cols]) for i in range(rows))
         self._store(rows, cols, data)
 
@@ -94,11 +94,8 @@ class IntMatrix(Record):
             raise ValueError(f"declared {cols} columns but rows have {width}")
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        sparse = []
-        for row in data:
-            _check_ints(row, "matrix entries")
-            sparse.append(_nonzero(row))
-        return cls._sparse(len(data), width, tuple(sparse))
+        sparse = tuple(_nonzero(_int_row(row, "matrix entries")) for row in data)
+        return cls._sparse(len(data), width, sparse)
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:

@@ -8,10 +8,12 @@ dimension.  Homology of explicit complexes is exact (Smith normal form).
 Spheres, wedges and products are one integer fold over free ranks and
 torsion by degree, with the dimension (``_fold``): a wedge adds its parts'
 reduced homology into one pair of accumulators (``_add``), one dict update
-per sphere, each other part object folded once; products follow the
-Kunneth formula with its Tor term (Hatcher, Algebraic Topology, Thm 3B.6),
-where in primary form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b)
-and distinct primes give 0.
+per sphere, each other part object folded once.  So its H_0 is Z plus one Z
+for each component of a part past the first; a part's H_0 torsion is
+dropped, as a cellular H_0 has none.  Products follow the Kunneth formula
+with its Tor term (Hatcher, Algebraic Topology, Thm 3B.6), where in primary
+form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b) and distinct
+primes give 0.
 
 A homology profile stores only the degrees that carry homology (or a
 not-finitely-generated verdict), and the fold visits only those, so its
@@ -44,7 +46,7 @@ rules, the cover itself never built:
   copies of the rest (at most ``MAX_DIMENSION`` parts and summands).  For
   infinite n (a tree for several circles, X~ the point) it is no finite
   complex: a product refuses it, and universal_cover_homology gives H(X~)
-  with a not-f.g. verdict in each degree >= 1 where the rest has homology.
+  with a not-f.g. verdict in each degree of the rest's reduced homology.
   n is known for a finite or torsion abelian group, infinite for a free
   group, free abelian rank or Hirsch length >= 1; Hirsch length 0 refuses.
 
@@ -431,16 +433,14 @@ def _degree_chunks(
     head, mid, tail = lines
     line_end = f"{mid}{default}{tail}"
     sep = f"{line_end}{head}"
-
-    for k, value in stored.items():
+    items = stored.items()
+    if start <= dim and dim not in stored:  # the last degree ends the tail run
+        items = chain(items, ((dim, default),))
+    for k, value in items:
         for block_head, body in _degree_runs(start, k, sep):
             yield from (f"{head}{block_head}", body, line_end)
         yield f"{head}{k}{mid}{value}{tail if k < dim else ''}"
         start = k + 1
-    if start <= dim:
-        for block_head, body in _degree_runs(start, dim, sep):
-            yield from (f"{head}{block_head}", body, line_end)
-        yield f"{head}{dim}{mid}{default}"
 
 
 def profile_json_chunks(profile: HomologyProfile) -> Iterator[str]:
@@ -564,9 +564,9 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
 
 
 def _add(space: SpaceExpr, ranks: dict, torsion: dict, times: int, folds: dict) -> int:
-    """Add `times` copies of the homology above degree 0 of `space` (a wedge
-    keeps H_0 = Z) into the accumulators; the dimension.  Any part but a
-    sphere or wedge is folded once per object, kept in `folds` by id."""
+    """Add `times` copies of the reduced homology of `space`, H_0 torsion
+    dropped, into the accumulators; the dimension.  Any part but a sphere
+    or wedge is folded once per object, kept in `folds` by id."""
     if isinstance(space, Sphere):
         ranks[space.n] = ranks.get(space.n, 0) + times
         return space.n
@@ -579,6 +579,8 @@ def _add(space: SpaceExpr, ranks: dict, torsion: dict, times: int, folds: dict) 
     for k, r in part_ranks.items():
         if k:
             ranks[k] = ranks.get(k, 0) + r * times
+        elif r > 1:
+            ranks[0] = ranks.get(0, 0) + (r - 1) * times
     for k, t in part_torsion.items():
         if k:
             torsion.setdefault(k, []).extend(t * times)
@@ -653,10 +655,10 @@ def _wedge_cover(space: Wedge) -> tuple[tuple, list]:
         raise UnsupportedConstruction(f"wedge cover: over {MAX_DIMENSION} parts and summands")
     ranks, torsion, dim = _fold(part, cover=True)
     if rest:
-        # the wedge of X~ and the copies: H_0 is Z
-        dim = max(dim, *(_add(p, ranks, torsion, n * c, folds) for p, c in rest))
+        # the wedge of X~ and the copies: H_0 is Z, then the copies' components
         ranks[0] = 1
         torsion.pop(0, None)
+        dim = max(dim, *(_add(p, ranks, torsion, n * c, folds) for p, c in rest))
     return (ranks, torsion, dim), []
 
 

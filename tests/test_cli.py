@@ -291,6 +291,23 @@ class TestWedgeRule:
         assert run(["bound", path]) == 2
         assert "no bound applicable" in capsys.readouterr().out
 
+    def test_both_families_fail_on_the_same_pi1_read(self, tmp_path, capsys):
+        # Z2 * Z2 has no descriptor: each family reads pi1 and records the refusal
+        path = _write_json(tmp_path, "space.json", {"wedge": [RP2, RP2]})
+        reason = "UnsupportedConstruction: free product of the wedge parts' groups has no descriptor"
+        assert run(["bound", path]) == 2
+        assert capsys.readouterr() == (
+            f"no bound applicable\n  Thm4.1 failed: {reason}\n  Thm4.8 failed: {reason}\n", ""
+        )
+        assert run(["bound", path, "--format", "json"]) == 2
+        failures = ",\n".join(
+            f'    {{\n      "rule": "{family}",\n      "reason": "{reason}"\n    }}'
+            for family in ("Thm4.1", "Thm4.8")
+        )
+        assert capsys.readouterr() == (
+            f'{{\n  "rule": null,\n  "bound": null,\n  "failures": [\n{failures}\n  ]\n}}\n', ""
+        )
+
     @pytest.mark.parametrize(
         "pi1, reason",
         [

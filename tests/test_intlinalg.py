@@ -104,6 +104,13 @@ def test_from_rows_validation():
             IntMatrix.from_rows(bad)
 
 
+def test_bool_entries_are_stored_as_ints():
+    # a bool reads as 1 or 0, as every other number read from outside does
+    for m in (IntMatrix.from_rows([[True, False]]), IntMatrix(1, 2, (True, False))):
+        assert all(type(x) is int for x in m.entries)
+        assert m.entries == (1, 0) and "True" not in repr(m)
+
+
 def test_from_rows_accepts_iterable_rows():
     # rows that are not sequences, such as generators and map objects, are
     # read once and kept entry for entry

@@ -77,6 +77,7 @@ from polydepth.topology import (
 
 Z = FgAbelianGroup(free_rank=1)
 POINT = Explicit(EXAMPLE_COMPLEXES["point"], Trivial())
+TWO_POINTS = {"cells": [2], "boundary": []}  # a disconnected wedge part
 
 
 def profile(dim, groups):
@@ -102,6 +103,10 @@ class TestChainComplex:
                 ),
                 cells=(1, 2, 1),
             )
+
+    def test_a_bool_entry_reads_back_as_an_int(self):
+        c = complex_from_json({"cells": [1, 1], "boundary": [[[True]]]})
+        assert json.dumps(complex_to_json(c)) == '{"cells": [1, 1], "boundary": [[[1]]]}'
 
     def test_boundary_map_padding(self):
         c = EXAMPLE_COMPLEXES["torus"]
@@ -750,6 +755,27 @@ class TestFoldAgainstCellularComplexes:
         ]:
             assert render_profile(homology(space)) == text
 
+    @pytest.mark.parametrize(
+        "parts, h0",
+        [
+            ([TWO_POINTS, 2], 2),
+            ([TWO_POINTS, TWO_POINTS], 3),
+            ([{"cells": [2, 1], "boundary": [[[0], [0]]]}, 2, TWO_POINTS], 3),
+        ],
+        ids=["two-points-v-s2", "two-points-v-two-points", "point-and-circle-v-s2-v-two-points"],
+    )
+    def test_a_disconnected_part_adds_its_components(self, parts, h0):
+        # an int is a sphere of that dimension, a dict the complex of an explicit part
+        spaces = [
+            Sphere(p) if isinstance(p, int) else Explicit(complex_from_json(p), Trivial())
+            for p in parts
+        ]
+        cells = [_sphere_complex(p) if isinstance(p, int) else p for p in parts]
+        got = homology(wedge(*spaces))
+        want = homology_of_complex(complex_from_json(wedge_complex_naive(*cells)))
+        assert (got, got.dim) == (want, want.dim)
+        assert got.group(0) == FgAbelianGroup(free_rank=h0)
+
 
 class TestSharedParts:
     """A wedge may hold one part object many times, not side by side, beside
@@ -893,6 +919,8 @@ class TestWedgeCoverAgainstLiftedComplex:
         ],
         "S2xS2": [(S2_X_S2, tensor_complex_naive(_sphere_complex(2), _sphere_complex(2)))],
         "S2-and-S3": [(Sphere(2), _sphere_complex(2)), (Sphere(3), _sphere_complex(3))],
+        # each lift of the base point gets a further component: H_0 = Z^(n+1)
+        "two-points": [(Explicit(complex_from_json(TWO_POINTS), Trivial()), TWO_POINTS)],
     }
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -931,6 +959,11 @@ class TestWedgeCoverAgainstLiftedComplex:
         lifted = complex_from_json(cyclic_cover_wedge_naive(n, *(c for _, c in rest)))
         got, want = universal_cover_homology(space), homology_of_complex(lifted)
         assert (got, got.dim) == (want, want.dim)
+
+    def test_a_circle_with_a_disconnected_part_has_infinitely_many_components(self):
+        two_points = Explicit(complex_from_json(TWO_POINTS), Trivial())
+        got = universal_cover_homology(wedge(Sphere(1), two_points))
+        assert (got.groups, got.dim) == ({0: None}, 0)
 
 
 def _euler(profile_):
@@ -1124,9 +1157,10 @@ class TestProfileJsonText:
             groups = {k: Z if i % 2 == 0 else None for i, k in enumerate(keys)}
             p = HomologyProfile(dim, groups)
             chunks = list(profile_json_chunks(p))
-            assert "".join(chunks) == json.dumps(profile_to_json(p), indent=2)
+            expanded = profile_to_json(p)
+            assert "".join(chunks) == json.dumps(expanded, indent=2)
             assert max(map(len, chunks)) < 1000 * 80
-            assert profile_to_json(p) == profile_to_json_naive(p)
+            assert expanded == profile_to_json_naive(p)
 
 
 # strings json.dumps must escape: quotes, backslashes, control characters,
