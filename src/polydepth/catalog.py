@@ -231,16 +231,18 @@ def catalog_names() -> list[str]:
     return list(CATALOG)
 
 
-def catalog_group(name: str) -> FiniteGroup:
+def _entry(name) -> _Entry:
+    """The catalog entry of `name`; anything but a catalog name is refused."""
     if not isinstance(name, str) or name not in CATALOG:
         raise ValueError(f"unknown catalog group {name!r}; see catalog_names()")
-    if name not in _instances:
-        _instances[name] = CATALOG[name][0]()
-    return _instances[name]
+    return CATALOG[name]
+
+
+def catalog_group(name: str) -> FiniteGroup:
+    build = _entry(name)[0]
+    return _instances.get(name) or _instances.setdefault(name, build())
 
 
 def catalog_abelian_factors(name: str) -> "tuple[int, ...] | None":
     """Cyclic factor orders for abelian entries, None for nonabelian ones."""
-    if name not in CATALOG:
-        raise ValueError(f"unknown catalog group {name!r}; see catalog_names()")
-    return CATALOG[name][1]
+    return _entry(name)[1]

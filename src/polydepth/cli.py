@@ -23,13 +23,15 @@ exceeded; ``bound`` still prints a structured report), 64 usage error.
 Output is byte-deterministic: the same invocation always prints the
 same bytes.
 
-This module only parses arguments and prints results, and each command
-imports the modules it runs.  Run as a program (``python -m
-polydepth.cli``, or the installed ``polydepth``, which runs it the same
-way), it loads no polydepth module at start-up but ``errors``, so that a
-cold ``sl --catalog`` never loads ``topology`` or ``depth``, and
-``homology`` on a space without a finite group never loads ``depth``,
-``catalog`` or ``finitegroup``.  Imported as ``polydepth.cli`` by a
+This module only parses arguments and prints results: each refusal is
+made by the module that owns the rule, a space above the dimension cap by
+the space reader, ``topology.space_from_json``.  Each command imports the
+modules it runs.  Run as a program (``python -m polydepth.cli``, or the
+installed ``polydepth``, which runs it the same way), it loads no
+polydepth module at start-up but ``errors``, so that a cold
+``sl --catalog`` never loads ``topology`` or ``depth``, and ``homology``
+on a space without a finite group never loads ``depth``, ``catalog`` or
+``finitegroup``.  Imported as ``polydepth.cli`` by a
 program that calls ``run`` in-process, it loads every command module at
 import instead: a long-lived caller loads them once, while it sets up,
 and no call loads a module.  A command imports a module, not names
@@ -57,7 +59,7 @@ import functools
 import json
 import sys
 
-from .errors import DEFAULT_SEARCH_CAP, DimensionExceedsCap, PolydepthError
+from .errors import DEFAULT_SEARCH_CAP, PolydepthError
 
 # what argparse picks for an 80-column terminal
 _HELP_WIDTH = 78
@@ -73,6 +75,9 @@ class _Parser(argparse.ArgumentParser):
     only this subcommand loads."""
 
     def __init__(self, *args, late=None, **kwargs):
+        kwargs.setdefault(
+            "formatter_class", functools.partial(argparse.HelpFormatter, width=_HELP_WIDTH)
+        )
         super().__init__(*args, **kwargs)
         self._late = late
 
@@ -81,9 +86,6 @@ class _Parser(argparse.ArgumentParser):
         if late is not None:
             late(self)
         return super().parse_known_args(args, namespace)
-
-    def _get_formatter(self):
-        return self.formatter_class(prog=self.prog, width=_HELP_WIDTH)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -190,26 +192,10 @@ def _load_json(path: str, parse):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_space(path: str):
-    """Read a space-expression file; a space above the dimension cap is
-    refused before any homology, since every rendering is dense in degree."""
-    from . import topology
-
-    space = _load_json(path, topology.space_from_json)
-    dim = topology.dim_of(space)
-    if dim > topology.MAX_DIMENSION:
-        raise DimensionExceedsCap(dim, topology.MAX_DIMENSION)
-    return space
-
-
-def _dump(body) -> str:
-    return json.dumps(body, indent=2)
-
-
 def _cmd_bound(args) -> int:
-    from . import depth
+    from . import depth, topology
 
-    space = _load_space(args.space)
+    space = _load_json(args.space, topology.space_from_json)
     if args.rule is None:
         report = depth.best_bound(space)
     else:
@@ -227,7 +213,7 @@ def _cmd_bound(args) -> int:
 def _cmd_homology(args) -> int:
     from . import topology
 
-    space = _load_space(args.space)
+    space = _load_json(args.space, topology.space_from_json)
     if args.universal_cover:
         profile = topology.universal_cover_homology(space)
     else:
@@ -274,7 +260,7 @@ def _cmd_sl(args) -> int:
         body: dict = {"group": pi1.render_pi1(descriptor), "sl": value}
         if witness is not None:
             body["witness"] = witness
-        print(_dump(body))
+        print(json.dumps(body, indent=2))
     else:
         line = f"sl={value}"
         if witness is not None:
@@ -289,18 +275,15 @@ def _cmd_verify(args) -> int:
     results = suites.SUITES[args.suite](args.cap)
     all_pass = all(ok for _, ok, _ in results)
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "suite": args.suite,
-                    "results": [
-                        {"item": item, "pass": ok, "detail": detail}
-                        for item, ok, detail in results
-                    ],
-                    "all_pass": all_pass,
-                }
-            )
-        )
+        body = {
+            "suite": args.suite,
+            "results": [
+                {"item": item, "pass": ok, "detail": detail}
+                for item, ok, detail in results
+            ],
+            "all_pass": all_pass,
+        }
+        print(json.dumps(body, indent=2))
     else:
         for item, ok, detail in results:
             status = "PASS" if ok else "FAIL"
@@ -319,11 +302,11 @@ def _cmd_catalog(args) -> int:
         for name in catalog.catalog_names()
     ]
     if args.format == "json":
-        print(_dump([
+        print(json.dumps([
             {"name": name, "order": order,
              "abelian_factors": list(factors) if factors is not None else None}
             for name, order, factors in rows
-        ]))
+        ], indent=2))
     else:
         for name, order, factors in rows:
             shape = "nonabelian" if factors is None else "x".join(f"Z{f}" for f in factors) or "1"

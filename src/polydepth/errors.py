@@ -95,7 +95,7 @@ class OrderExceedsCap(PolydepthError):
 
 
 class DimensionExceedsCap(PolydepthError):
-    """Space dimension is beyond the cap on what the command line renders."""
+    """Space dimension is beyond ``topology.MAX_DIMENSION``, the cap of the space reader."""
 
     def __init__(self, dim: int, cap: int):
         super().__init__(f"space dimension {dim} exceeds the cap {cap}")

@@ -168,11 +168,7 @@ class FiniteGroup:
         return self._inv[a]
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return _cyclic_mask(self, a).bit_count()
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table

@@ -25,8 +25,9 @@ writes one by one, so the text is never held whole and costs one Python
 step per block and per stored degree.  All JSON, here and in ``depth``, is
 one tree per form whose per-degree maps are lazy `_Degrees` nodes:
 `_json_chunks`, the one JSON writer, writes it, and `_plain` expands it to
-the ``*_to_json`` dict.  Spaces read from JSON are limited to dimension
-``MAX_DIMENSION``, because the size of that output grows with the dimension.
+the ``*_to_json`` dict.  `space_from_json` refuses a space of dimension
+above ``MAX_DIMENSION`` (DimensionExceedsCap), for every caller, because the
+size of that output grows with the dimension.
 
 The cover's homology is the fold of the universal cover by structural
 rules, the cover itself never built:
@@ -45,8 +46,9 @@ rules, the cover itself never built:
   n = |pi1 X| lifts of the base point: for finite n the wedge of X~ and n
   copies of the rest (at most ``MAX_DIMENSION`` parts and summands).  For
   infinite n (a tree for several circles, X~ the point) it is no finite
-  complex: a product refuses it, and universal_cover_homology gives H(X~)
-  with a not-f.g. verdict in each degree of the rest's reduced homology.
+  complex, and its fold is H(X~) with a not-f.g. verdict in each degree of
+  the rest's reduced homology (``_wedge_cover`` makes every such verdict),
+  which a product refuses.
   n is known for a finite or torsion abelian group, infinite for a free
   group, free abelian rank or Hirsch length >= 1; Hirsch length 0 refuses.
 
@@ -73,6 +75,7 @@ from .abelian import (
 from .errors import (
     DEFAULT_SEARCH_CAP,
     CompositionNotZero,
+    DimensionExceedsCap,
     DimensionMismatch,
     NotFinitelyGenerated,
     Record,
@@ -97,7 +100,7 @@ from .pi1 import (
 )
 
 MAX_DIMENSION = 10**6
-"""Largest space dimension the command line accepts.  Profiles and bound
+"""The largest dimension `space_from_json` accepts.  Profiles and bound
 reports are stored sparse, but every rendering names each degree up to the
 dimension, a block of 1000 degrees at a time: at this cap, ``homology
 --format json`` prints about 85 MB.  A product's homology may hold at most
@@ -549,13 +552,7 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
     if not isinstance(space, (Sphere, Wedge)):
         raise TypeError(f"not a SpaceExpr: {space!r}")
     if cover and isinstance(space, Wedge):
-        fold, rest = _wedge_cover(space)
-        if rest:
-            raise UnsupportedConstruction(
-                "wedge with infinite fundamental group and simply connected "
-                "parts inside a product: its cover is not a finite complex"
-            )
-        return fold
+        return _wedge_cover(space, in_product=True)
     if cover and space.n == 1:
         # the circle is covered by the line, which is contractible
         return {0: 1}, {}, 0
@@ -587,11 +584,13 @@ def _add(space: SpaceExpr, ranks: dict, torsion: dict, times: int, folds: dict) 
     return dim
 
 
-def _profile(ranks: dict[int, int], torsion: dict[int, list[int]], dim: int) -> HomologyProfile:
+def _profile(ranks: dict, torsion: dict, dim: int) -> HomologyProfile:
     """The profile of a `_fold`: its groups are built here, once per shape
-    (free rank, torsion), which hashes in C, and degrees of one shape share it."""
+    (free rank, torsion), which hashes in C, and degrees of one shape share it.
+    A rank of None marks a degree that is not finitely generated, whatever
+    its torsion."""
     shapes = {k: (ranks.get(k, 0), tuple(sorted(torsion.get(k, ())))) for k in {*ranks, *torsion}}
-    groups = {shape: FgAbelianGroup(*shape) for shape in set(shapes.values())}
+    groups = {s: None if s[0] is None else FgAbelianGroup(*s) for s in set(shapes.values())}
     return HomologyProfile(dim, {k: groups[shape] for k, shape in shapes.items()})
 
 
@@ -630,12 +629,14 @@ def _split(parts: tuple[SpaceExpr, ...]) -> tuple[list, list]:
     return [s for s in split if not isinstance(s[1], Trivial)], rest
 
 
-def _wedge_cover(space: Wedge) -> tuple[tuple, list]:
-    """(the `_fold` of the cover, []) by the wedge rule of the module
-    docstring when it is a finite complex, else (the `_fold` of X~, rest)."""
+def _wedge_cover(space: Wedge, in_product: bool = False) -> tuple[dict, dict, int]:
+    """The `_fold` of the cover by the wedge rule of the module docstring.
+    When it is no finite complex, that is the fold of X~ with a rank of None
+    (not f.g.) in each degree where the rest has homology, and refused
+    `in_product`, where no rule takes it."""
     others, rest = _split(space.parts)
     if not others:
-        return _fold(space), []
+        return _fold(space)
     part, d, copies = others[0]
     if (len(others) > 1 or copies > 1) and not all(isinstance(p, Sphere) for p, _, _ in others):
         raise UnsupportedConstruction(
@@ -645,7 +646,18 @@ def _wedge_cover(space: Wedge) -> tuple[tuple, list]:
     if isinstance(d, ElementaryAmenable) and not d.hirsch:
         raise UnsupportedConstruction("wedge part of Hirsch length 0: its order is unknown")
     if not (isinstance(d, Finite) or (isinstance(d, FgAbelian) and not d.group.free_rank)):
-        return _fold(part, cover=True), rest
+        ranks, torsion, dim = _fold(part, cover=True)
+        if rest:
+            if in_product:
+                raise UnsupportedConstruction(
+                    "wedge with infinite fundamental group and simply connected "
+                    "parts inside a product: its cover is not a finite complex"
+                )
+            # infinitely many copies of the rest
+            rest_ranks, rest_torsion, folds = {}, {}, {}
+            dim = max(dim, *(_add(p, rest_ranks, rest_torsion, 1, folds) for p, _ in rest))
+            ranks.update(dict.fromkeys({*rest_ranks, *rest_torsion}))
+        return ranks, torsion, dim
     n = d.group.order if isinstance(d, Finite) else math.prod(d.group.torsion)
     # n copies of each part of the rest, counted with its degrees and summands
     folds = {id(p): _fold(p) for p, _ in rest}
@@ -659,7 +671,7 @@ def _wedge_cover(space: Wedge) -> tuple[tuple, list]:
         ranks[0] = 1
         torsion.pop(0, None)
         dim = max(dim, *(_add(p, ranks, torsion, n * c, folds) for p, c in rest))
-    return (ranks, torsion, dim), []
+    return ranks, torsion, dim
 
 
 def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
@@ -677,18 +689,7 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     H3 = 0
     H4 = Z
     """
-    if isinstance(space, Wedge):
-        cover, rest = _wedge_cover(space)
-    else:
-        cover, rest = _fold(space, cover=True), []
-    profile = _profile(*cover)
-    if not rest:
-        return profile
-    # infinitely many copies of the rest: every degree where it has homology
-    ranks, torsion, folds = {}, {}, {}
-    dim = max([_add(part, ranks, torsion, 1, folds) for part, _ in rest])
-    not_fg = dict.fromkeys({*ranks, *torsion})
-    return HomologyProfile(max(profile.dim, dim), {**profile.groups, **not_fg})
+    return _profile(*(_wedge_cover(space) if isinstance(space, Wedge) else _fold(space, True)))
 
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:
@@ -808,7 +809,8 @@ def space_from_json(obj) -> SpaceExpr:
     integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
     Anything malformed raises ValueError; a Cayley table above
     ``DEFAULT_SEARCH_CAP``, which no search takes, raises OrderExceedsCap
-    before its rows are read, so it exits 2 even when it is malformed."""
+    before its rows are read, so it exits 2 even when it is malformed.  Once
+    read, a space above ``MAX_DIMENSION`` raises DimensionExceedsCap."""
     spheres: dict[int, Sphere] = {}
 
     def read(obj) -> SpaceExpr:
@@ -825,7 +827,10 @@ def space_from_json(obj) -> SpaceExpr:
         complex_ = complex_from_json(body["complex"])
         return Explicit(complex_, pi1_from_json(body["pi1"], cap=DEFAULT_SEARCH_CAP), cover)
 
-    return read(obj)
+    space = read(obj)
+    if (dim := dim_of(space)) > MAX_DIMENSION:
+        raise DimensionExceedsCap(dim, MAX_DIMENSION)
+    return space
 
 
 def _cc(cells: tuple[int, ...], *boundary) -> ChainComplex:

@@ -154,6 +154,14 @@ def test_unknown_name_rejected():
         catalog_abelian_factors("nope")
 
 
+@pytest.mark.parametrize("name", [[1], {"Z2": 1}, 1, None])
+def test_a_name_that_is_not_a_string_is_unknown(name):
+    # one lookup for both: a list or a dict is refused, not hashed
+    for lookup in (catalog_group, catalog_abelian_factors):
+        with pytest.raises(ValueError, match="unknown catalog group"):
+            lookup(name)
+
+
 def test_builder_validation():
     with pytest.raises(ValueError):
         cyclic(0)

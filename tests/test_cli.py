@@ -5,6 +5,7 @@ capsys so the tests check the exact bytes a user would see.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import polydepth.finitegroup
 import polydepth.suites
 from polydepth.cli import build_parser, run
 from polydepth.depth import RULES
+from polydepth.errors import DimensionExceedsCap
 from polydepth.finitegroup import format_cayley_table, n1
 from polydepth.pi1 import ElementaryAmenable, free, pi1_to_json
 from polydepth.topology import (
@@ -34,6 +36,8 @@ from polydepth.topology import (
     space_to_json,
     wedge,
 )
+
+from test_finitegroup import SRC, _name
 
 
 ONE_TAG = "space must be an object with exactly one of the keys sphere/wedge/product/explicit"
@@ -235,6 +239,8 @@ TORUS = {"explicit": {
     "cover": complex_to_json(EXAMPLE_COMPLEXES["point"]),
 }}
 S1, S2 = {"sphere": 1}, {"sphere": 2}
+# a point: simply connected, with no reduced homology
+POINT = {"explicit": {"complex": {"cells": [1]}, "pi1": {"trivial": True}}}
 WEDGE_RULE = [
     ("s1-v-s1", {"wedge": [S1, S1]}, "H0 = Z\n", (
         "rule=Cor-free bound=2\nsl_pi1=2\nassumes: H_i(cover) f.g.\n"
@@ -307,6 +313,26 @@ class TestWedgeRule:
         assert capsys.readouterr() == (
             f'{{\n  "rule": null,\n  "bound": null,\n  "failures": [\n{failures}\n  ]\n}}\n', ""
         )
+
+    @pytest.mark.parametrize(
+        "factors, reason",
+        [
+            ([{"wedge": [S1, S1, S2]}, "rp2"], "parts inside a product: its cover is not a finite"),
+            (["rp2", {"wedge": [S1, S1, S2]}], "needs a user-supplied cover complex"),
+            # the rest of S^1 v point has no reduced homology, and is refused all the same
+            ([{"wedge": [S1, POINT]}, S2], "parts inside a product: its cover is not a finite"),
+        ],
+        ids=["wedge-first", "uncovered-first", "contractible-rest"],
+    )
+    def test_first_refused_factor_names_the_reason(self, tmp_path, capsys, factors, reason):
+        # the factors are folded in order: the first refusal is the one printed
+        rp2 = {"explicit": {k: v for k, v in RP2["explicit"].items() if k != "cover"}}
+        space = {"product": [rp2 if f == "rp2" else f for f in factors]}
+        path = _write_json(tmp_path, "space.json", space)
+        assert run(["homology", path, "--universal-cover"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: UnsupportedConstruction: ") and reason in err
 
     @pytest.mark.parametrize(
         "pi1, reason",
@@ -768,6 +794,17 @@ class TestShippedSpaceFiles:
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _dimension_cap_uses(path: pathlib.Path) -> tuple[bool, bool]:
+    """Whether the module at `path` names `DimensionExceedsCap` at all, and
+    whether it constructs one."""
+    named = raised = False
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = node.name if isinstance(node, ast.alias) else _name(node)
+        named |= name == "DimensionExceedsCap"
+        raised |= isinstance(node, ast.Call) and _name(node.func) == "DimensionExceedsCap"
+    return named, raised
+
+
 class TestDimensionCap:
     """Spaces above MAX_DIMENSION are refused right after parsing, before
     any homology: their dense output alone would be gigabytes."""
@@ -791,6 +828,23 @@ class TestDimensionCap:
         assert err.startswith("error: DimensionExceedsCap: space dimension ")
         assert err.endswith(f" exceeds the cap {MAX_DIMENSION}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("space", OVER_CAP[1:], ids=["sphere", "product", "wedge"])
+    def test_the_reader_refuses_library_callers_too(self, space):
+        with pytest.raises(DimensionExceedsCap) as info:
+            space_from_json(space)
+        assert (info.value.dim, info.value.cap) == (MAX_DIMENSION + 1, MAX_DIMENSION)
+
+    def test_a_malformed_space_is_refused_before_its_dimension(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "space.json", {"wedge": [{"sphere": 10**9}, {"sphere": 0}]})
+        assert run(["homology", path]) == 1
+        assert capsys.readouterr() == ("", "input error: sphere dimension must be >= 1, got 0\n")
+
+    def test_only_the_space_reader_refuses_a_dimension(self):
+        # one owner for the cap: `topology` alone raises it, and `cli` does not name it
+        uses = {path.name: _dimension_cap_uses(path) for path in sorted(SRC.glob("*.py"))}
+        assert {name for name, (_, raised) in uses.items() if raised} == {"topology.py"}
+        assert uses["cli.py"] == (False, False)
 
     def test_at_cap_is_accepted(self, tmp_path, capsys):
         # the 2-dim rule refuses at once, so no dense rendering runs
