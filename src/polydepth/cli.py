@@ -18,7 +18,13 @@ Subcommands
 
 Exit codes: 0 success, 1 malformed input or a failed verify check,
 2 domain failure (no applicable bound, unsupported cover, search cap
-exceeded; ``bound`` still prints a structured report), 64 usage error.
+exceeded; ``bound`` still prints a structured report), 64 usage error,
+141 (128 + SIGPIPE) when stdout was closed by its reader, with nothing
+printed: a closed stdout is not malformed input.  ``run`` returns 141 when
+a write fails so; ``main`` flushes stdout, and after a broken pipe points
+it at ``os.devnull``, so that Python's flush at exit does not fail again
+(the SIGPIPE note in the docs of the ``signal`` module).  Only ``main``
+redirects: an in-process caller's stdout is left as it is.
 
 Output is byte-deterministic: the same invocation always prints the
 same bytes.
@@ -57,12 +63,15 @@ if __name__ != "__main__":
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import DEFAULT_SEARCH_CAP, PolydepthError
 
 # what argparse picks for an 80-column terminal
 _HELP_WIDTH = 78
+# the exit code of a shell command killed by SIGPIPE
+_BROKEN_PIPE = 128 + 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,13 +341,23 @@ def run(argv: "list[str] | None" = None) -> int:
     except PolydepthError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return _BROKEN_PIPE
     except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _BROKEN_PIPE
+    if code == _BROKEN_PIPE:
+        # what is still buffered would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ cover: bound = sl(pi1) + sum over degrees i >= 2 of sl(H_i(cover)), and is
 only applicable when every H_i(cover) is finitely generated.  The
 two-dimensional rule works on ordinary homology: bound = sl(pi1) +
 rank(H_2), and survives covers with infinitely generated homology, which is
-exactly where the general rule dies.
+exactly where the general rule dies.  H_2 of a 2-complex is ker d_2, free,
+so its rank is read as c_2 - rank d_2 (`topology._top_free_rank`): of an
+explicit complex only d_2 is reduced.
 
 ``best_bound`` tries both, returns the smaller applicable bound, and keeps
 the loser's value in the assumptions list; ``forced_bound`` runs the one
@@ -27,7 +29,7 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Iterator
 
 from .abelian import FgAbelianGroup, sl_abelian
@@ -58,8 +60,8 @@ from .topology import (
     _degree_chunks,
     _json_chunks,
     _plain,
+    _top_free_rank,
     dim_of,
-    homology,
     pi1_of,
     universal_cover_homology,
 )
@@ -180,7 +182,8 @@ def bound_general(space: SpaceExpr) -> DepthBoundReport:
 
 def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
-    homology of a 2-complex is free, so rank captures the whole group."""
+    homology of a 2-complex is ker d_2, free, so rank captures the whole
+    group, and it is read as c_2 - rank d_2, with d_1 never reduced."""
     return _two_dim(space, dim_of(space), partial(pi1_of, space))
 
 
@@ -208,7 +211,7 @@ def _two_dim(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> De
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
     descriptor = pi1()
     sl_pi1 = sl_of(descriptor)
-    rank = homology(space).group(2).free_rank
+    rank = _top_free_rank(space)
     return DepthBoundReport(
         applied_rule=_TWO_DIM_RULE[type(descriptor)],
         bound=sl_pi1 + rank,
@@ -274,12 +277,31 @@ def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
     return None
 
 
+def _read_once(read: Callable[[], Pi1Descriptor]) -> Callable[[], Pi1Descriptor]:
+    """`read`, run on the first call only: each call returns its result or
+    raises the domain error it raised.  (``functools.cache`` keeps no
+    raised error, so a refused read would run again.)"""
+    outcome: list = []
+
+    def once() -> Pi1Descriptor:
+        if not outcome:
+            try:
+                outcome.append(read())
+            except PolydepthError as err:
+                outcome.append(err)
+        if isinstance(outcome[0], PolydepthError):
+            raise outcome[0]
+        return outcome[0]
+
+    return once
+
+
 def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
     the result lists every failed hypothesis.  Both families share one read
-    of pi1, kept for this call."""
-    dim, pi1 = dim_of(space), cache(partial(pi1_of, space))
+    of pi1, kept for this call with its result or its refusal."""
+    dim, pi1 = dim_of(space), _read_once(partial(pi1_of, space))
     results = [_attempt(space, family, dim, pi1) for family in _FAMILIES]
     attempts = [r for r in results if isinstance(r, DepthBoundReport)]
     if not attempts:

@@ -85,7 +85,7 @@ from .errors import (
     _one_of,
     _set,
 )
-from .intlinalg import IntMatrix, _composes_to_zero, _eliminate
+from .intlinalg import IntMatrix, _composes_to_zero, _eliminate, rank
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -604,6 +604,27 @@ def homology(space: SpaceExpr) -> HomologyProfile:
     if isinstance(space, Explicit):
         return homology_of_complex(space.complex)
     return _profile(*_fold(space))
+
+
+def _top_free_rank(space: SpaceExpr) -> int:
+    """The free rank of H_dim(space), dim its dimension.
+
+    For an explicit complex it is c_dim - rank d_dim: there is no
+    (dim+1)-cell, so H_dim = ker d_dim, a subgroup of the free group
+    C_dim and so free, of rank c_dim - rank d_dim by rank-nullity.  Only
+    d_dim is reduced; the maps below it play no part.  Any other space
+    reads it from its integer `_fold`, with no profile built.
+
+    >>> _top_free_rank(Explicit(EXAMPLE_COMPLEXES["klein-bottle"], Trivial()))
+    0
+    >>> _top_free_rank(wedge(Sphere(1), Sphere(2), Sphere(2)))
+    2
+    """
+    if isinstance(space, Explicit):
+        complex_ = space.complex
+        return complex_.cells[complex_.dim] - rank(complex_.boundary_map(complex_.dim))
+    ranks, _, dim = _fold(space)
+    return ranks.get(dim, 0)
 
 
 def poincare_polynomial(space: SpaceExpr) -> list[int]:

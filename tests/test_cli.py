@@ -493,7 +493,53 @@ class TestCatalogCommand:
         assert by_name["S3"]["abelian_factors"] is None
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write fails as a pipe would."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # far more than a pipe holds: the write fails inside the command
+            ["homology", "--format", "json", "SPHERE"],
+            # a few lines, buffered until the flush before exit
+            ["bound", "TORUS"],
+        ],
+        ids=["homology-large", "bound-small"],
+    )
+    def test_a_closed_stdout_exits_141_with_nothing_printed(self, tmp_path, argv):
+        files = {
+            "SPHERE": _write_json(tmp_path, "sphere.json", {"sphere": 100000}),
+            "TORUS": str(ROOT / "spaces" / "torus.json"),
+        }
+        argv = [files.get(a, a) for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # so a small output waits for the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command starts
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polydepth.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_run_leaves_a_closed_stdout_to_its_caller(self, monkeypatch, capsys):
+        closed = _ClosedStdout()
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert run(["catalog"]) == 141
+        assert sys.stdout is closed
+        assert capsys.readouterr().err == ""
+
     def test_missing_file_is_malformed_input(self, tmp_path, capsys):
         assert run(["bound", str(tmp_path / "missing.json")]) == 1
         assert "input error" in capsys.readouterr().err

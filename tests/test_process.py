@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from oracles import disguised_surface
 from test_finitegroup import NONASSOC_LOOP
 from test_reduction import PINNED_D1, PINNED_D2
 
@@ -209,13 +210,21 @@ print(raises(lambda: from_boundary_maps(d1, d2), CompositionNotZero))
 # the reduction matches no row of d2 after a step whose pivot is not +-1
 pinned = ChainComplex(2, (IntMatrix.from_rows(%r), IntMatrix.from_rows(%r)), (5, 6, 3))
 print(render_profile(homology_of_complex(pinned)) == "H0 = Z^2 ⊕ Z/3 ⊕ Z/4 ⊕ Z/4\\nH1 = Z/2\\nH2 = 0")
-""" % (NONASSOC_LOOP, PINNED_D1, PINNED_D2)
+# the 2-dim rule's rank H_2, c_2 - rank d_2, on a disguised torus
+from polydepth.pi1 import Trivial
+from polydepth.topology import Explicit, _top_free_rank, homology
+d1, d2 = %r
+torus = Explicit(ChainComplex(
+    2, (IntMatrix.from_rows(d1), IntMatrix.from_rows(d2)), (len(d1), len(d2), len(d2[0]))
+), Trivial())
+print(_top_free_rank(torus) == homology(torus).group(2).free_rank == 1)
+""" % (NONASSOC_LOOP, PINNED_D1, PINNED_D2, disguised_surface("torus", 4))
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 19
+    assert proc.stdout.split() == ["True"] * 20
 
 
 def test_star_import_exports_every_public_name_once():

@@ -21,6 +21,7 @@ from oracles import (
     betti_naive,
     cyclic_cover_wedge_naive,
     degree_names_naive,
+    disguised_surface_space,
     degree_run_naive,
     profile_to_json_naive,
     rank_fraction,
@@ -31,11 +32,11 @@ from oracles import (
     wedge_complex_naive,
 )
 from polydepth.abelian import FgAbelianGroup, from_boundary_maps, from_cyclic_factors
-from polydepth import depth, topology
+from polydepth import depth, intlinalg, topology
 from polydepth.catalog import catalog_group
 from polydepth.cli import run
 from polydepth.suites import _random_zero_composition_complex
-from polydepth.depth import best_bound
+from polydepth.depth import best_bound, forced_bound
 from polydepth.errors import (
     CompositionNotZero,
     DimensionMismatch,
@@ -50,6 +51,7 @@ from polydepth.topology import (
     _degree_runs,
     _json_chunks,
     _plain,
+    _top_free_rank,
     ChainComplex,
     Explicit,
     HomologyProfile,
@@ -898,6 +900,91 @@ class TestWedgeWalks:
         })
         # Smith form once on the cover of RP^2, once on T^2
         assert calls[0] == 2
+
+    def test_a_refused_pi1_is_read_once(self, monkeypatch):
+        # Z2 * Z2 has no descriptor: one read is pi1_of on the wedge and on
+        # each of its two parts, read as two objects, and the second family
+        # sees the same refusal
+        rp2 = space_to_json(RP2_COVERED)
+        space = space_from_json({"wedge": [rp2, rp2]})
+        calls = _count_calls(monkeypatch, "pi1_of", topology, depth)
+        report = best_bound(space)
+        reason = (
+            "UnsupportedConstruction: free product of the wedge parts' groups has no descriptor"
+        )
+        assert report.failures == (("Thm4.1", reason), ("Thm4.8", reason))
+        assert calls[0] == 3
+
+
+class TestTopFreeRank:
+    """`_top_free_rank`, which the 2-dim rule reads as rank H_2, is the free
+    rank of the top homology group, and on an explicit complex it reduces
+    only the top boundary map."""
+
+    @staticmethod
+    def check(space):
+        dim = dim_of(space)
+        assert _top_free_rank(space) == homology(space).group(dim).free_rank, space_to_json(space)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_COMPLEXES))
+    def test_example_complexes(self, name):
+        self.check(Explicit(EXAMPLE_COMPLEXES[name], Trivial()))
+
+    @pytest.mark.parametrize("kind", ["torus", "klein"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_plain_and_disguised_surfaces(self, kind, n):
+        plain = surface_grid_naive(kind, n)
+        plain_complex = {"cells": [len(plain[0]), len(plain[1]), len(plain[1][0])],
+                         "boundary": list(plain)}
+        self.check(Explicit(complex_from_json(plain_complex), Trivial()))
+        self.check(space_from_json(disguised_surface_space(kind, n)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_complexes_of_known_torsion(self, dim, seed):
+        maps, known = torsion_complex(dim, seed)
+        cells = [len(maps[0])] + [len(m[0]) for m in maps]
+        space = Explicit(complex_from_json({"cells": cells, "boundary": maps}), Trivial())
+        self.check(space)
+        assert _top_free_rank(space) == known[dim][0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_expressions(self, seed):
+        rng = random.Random(f"top-rank-{seed}")
+        fold = TestFoldAgainstCellularComplexes()
+        for _ in range(20):
+            self.check(space_from_json(_random_sphere_expression(rng, 3)))
+            self.check(fold.expression(rng, 3)[0])
+
+    SURFACES = {
+        "torus": FgAbelian(FgAbelianGroup(free_rank=2)),
+        "klein-bottle": ElementaryAmenable(hirsch=2, cd_finite=True),
+    }
+
+    @pytest.mark.parametrize("bound", ["best", "forced"])
+    @pytest.mark.parametrize("name", sorted(SURFACES))
+    def test_a_surface_bound_reduces_only_d2(self, monkeypatch, name, bound):
+        complex_ = EXAMPLE_COMPLEXES[name]
+        space = Explicit(complex_, self.SURFACES[name], cover=EXAMPLE_COMPLEXES["point"])
+        reduced = []
+        original = intlinalg._eliminate
+
+        def recording(m, drop):
+            reduced.append(m)
+            return original(m, drop)
+
+        for module in (intlinalg, topology):
+            monkeypatch.setattr(module, "_eliminate", recording)
+        # sl(pi1) = 2, and rank H_2 is 1 for the torus and 0 for the Klein bottle
+        two_dim = 3 if name == "torus" else 2
+        if bound == "best":
+            assert best_bound(space).assumptions_used[-1] == (
+                f"both rules apply: general bound 2, 2-dim bound {two_dim}"
+            )
+        else:
+            assert forced_bound(space, "Thm4.8").bound == two_dim
+        # the cover is the point, with no map to reduce; H_2 reads d_2 alone
+        assert len(reduced) == 1 and reduced[0] is complex_.boundary[1]
 
 
 def _presentation_complex(n):
