@@ -4,7 +4,11 @@ that ``OrderExceedsCap`` reports, and the base of the value records.
 Plain ``ValueError`` is reserved for malformed input (bad tables, bad JSON,
 bad matrix shapes at construction time), which the reading rules at the end
 refuse; their one integer rule (`_check_int`, `_int_row` for a row) reads a
-bool as 1 or 0, matrix entries included.  The classes below mark
+bool as 1 or 0, matrix entries included.  A list of space nodes that are
+all exactly ``{"sphere": n}``, n a plain int, is read by one list rule
+(`_sphere_dims`) in C-level passes; any other list goes node by node
+through the shape and integer rules, so its first fault is named in node
+order either way.  The classes below mark
 computations that are well formed but fall outside a rule's hypotheses;
 callers such as ``depth.best_bound`` catch them and turn them into
 structured outcomes.
@@ -20,7 +24,7 @@ its checks.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_SEARCH_CAP = 64
@@ -139,6 +143,27 @@ def _int_row(values: Sequence, what: str) -> Sequence[int]:
     if _INT_ONLY.issuperset(map(type, values)):
         return values
     return tuple([_check_int(x, what) for x in values])
+
+
+_DICT_ONLY, _LENGTH_ONE = frozenset((dict,)), frozenset((1,))
+_sphere_value = itemgetter("sphere")
+
+
+def _sphere_dims(nodes: list) -> list[int] | None:
+    """The dimensions of a list of space nodes that are all exactly
+    ``{"sphere": n}``, a dict with that one key and n a plain int, read in
+    C-level passes: type, length, the key with its value (a dict of length
+    1 without the key raises KeyError), value type.  Else None, and the
+    list is left to the per-node rules.  A bool, a float, a dict subclass
+    or an extra key anywhere gives None; a plain n < 1 does not, and is
+    refused where its ``Sphere`` is built."""
+    if not (_DICT_ONLY.issuperset(map(type, nodes)) and _LENGTH_ONE.issuperset(map(len, nodes))):
+        return None
+    try:
+        dims = list(map(_sphere_value, nodes))
+    except KeyError:
+        return None
+    return dims if _INT_ONLY.issuperset(map(type, dims)) else None
 
 
 def _check_int(x, what: str) -> int:

@@ -3,17 +3,26 @@
 Spaces are expression trees over four constructors: spheres (minimal cell
 structure: one 0-cell, one n-cell), wedges, products, and explicit chain
 complexes with a declared fundamental group.  Nested wedges and nested
-products flatten when they are built; a read shares one ``Sphere`` per
-dimension.  Homology of explicit complexes is exact (Smith normal form).
-Spheres, wedges and products are one integer fold over free ranks and
-torsion by degree, with the dimension (``_fold``): a wedge adds its parts'
-reduced homology into one pair of accumulators (``_add``), one dict update
-per sphere, each other part object folded once.  So its H_0 is Z plus one Z
-for each component of a part past the first; a part's H_0 torsion is
-dropped, as a cellular H_0 has none.  Products follow the Kunneth formula
-with its Tor term (Hatcher, Algebraic Topology, Thm 3B.6), where in primary
-form Z/p^a (x) Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a, b) and distinct
-primes give 0.
+products flatten when they are built.  A read shares one ``Sphere`` per
+dimension, and reads a wedge or product list of plain sphere leaves in
+C-level passes (``errors._sphere_dims``), any other list node by node.
+Homology of explicit complexes is exact (Smith normal form).  Spheres,
+wedges and products are one integer fold over free ranks and torsion by
+degree, with the dimension (``_fold``): a wedge adds its parts' reduced
+homology into one pair of accumulators (``_add``).  A wedge of spheres
+alone is counted by dimension in C-level passes, one dict update per
+dimension; any other wedge takes one dict update per sphere and folds
+each other part object once.  Its H_0 is Z plus one Z for each component
+of a part past the first; a part's H_0 torsion is dropped, as a cellular
+H_0 has none.  (``dim_of`` still visits every part: skipping repeated
+part objects by ``id`` costs more than the calls it saves.)  Products
+follow the Kunneth formula with its Tor term (Hatcher, Algebraic
+Topology, Thm 3B.6), where in primary form Z/p^a (x) Z/p^b =
+Tor(Z/p^a, Z/p^b) = Z/p^min(a, b) and distinct primes give 0.  A
+product is refused (UnsupportedConstruction) before its Kunneth steps
+when its total Betti number would pass ``MAX_BETTI``, and before a step
+when its summands would pass ``MAX_DIMENSION`` or the pairs of degrees
+combined would pass ``MAX_KUNNETH_PAIRS``.
 
 A homology profile stores only the degrees that carry homology (or a
 not-finitely-generated verdict), and the fold visits only those, so its
@@ -27,7 +36,9 @@ one tree per form whose per-degree maps are lazy `_Degrees` nodes:
 `_json_chunks`, the one JSON writer, writes it, and `_plain` expands it to
 the ``*_to_json`` dict.  `space_from_json` refuses a space of dimension
 above ``MAX_DIMENSION`` (DimensionExceedsCap), for every caller, because the
-size of that output grows with the dimension.
+size of that output grows with the dimension, and an expression nested
+more than ``MAX_NESTING`` wedge and product lists deep (ValueError),
+because the fold, pi1 and the cover recurse once per level.
 
 The cover's homology is the fold of the universal cover by structural
 rules, the cover itself never built:
@@ -61,7 +72,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, namedtuple
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .abelian import (
@@ -84,6 +96,7 @@ from .errors import (
     _fields,
     _one_of,
     _set,
+    _sphere_dims,
 )
 from .intlinalg import IntMatrix, _composes_to_zero, _eliminate, rank
 from .pi1 import (
@@ -106,6 +119,26 @@ dimension, a block of 1000 degrees at a time: at this cap, ``homology
 --format json`` prints about 85 MB.  A product's homology may hold at most
 this many torsion summands, over all degrees, since each of them is
 stored."""
+
+MAX_NESTING = 100
+"""The most wedge and product lists `space_from_json` accepts around one
+node.  The fold, the cover rule and pi1 recurse about three Python frames
+per level, so at this cap a request stays far below the interpreter's
+default limit of 1000 frames (deeper expressions end in RecursionError at
+about 330 levels)."""
+
+MAX_BETTI = 10**1000
+"""The largest total Betti number (the sum of the free ranks over all
+degrees) a product's homology may have: it is the product of its factors'
+totals, so it is checked before any Kunneth step runs.  Every rank then
+prints in at most 1001 digits, below the interpreter's default limit of
+4300 digits for converting an int to text."""
+
+MAX_KUNNETH_PAIRS = 5 * 10**6
+"""The most pairs of stored degrees, one of the product so far and one of
+the next factor, that the Kunneth steps of a product may combine in all.
+Each step is checked before it runs.  The product of 2235 circles is just
+under it, and takes about 2 s on a 2-vCPU host."""
 
 # pi1 of the circle as an abelian group: a wedge counts it as free of rank 1
 _Z = FgAbelian(FgAbelianGroup(free_rank=1))
@@ -176,6 +209,10 @@ class Sphere(Record):
         if n < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {n}")
         _set(self, "n", n)
+
+
+# a wedge of spheres is folded by these, in C-level passes
+_SPHERE_ONLY, _sphere_n = frozenset((Sphere,)), attrgetter("n")
 
 
 def _spliced(items, cls, field: str) -> tuple:
@@ -523,15 +560,30 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
     if isinstance(space, Product):
         # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
         # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
-        ranks, torsion, dim = {0: 1}, {}, 0
-        for f_ranks, f_torsion, f_dim in [_fold(f, cover) for f in space.factors]:
+        folds, betti = [_fold(f, cover) for f in space.factors], 1
+        for f_ranks, _, _ in folds:
+            betti *= sum(f_ranks.values())
+            if betti > MAX_BETTI:
+                raise UnsupportedConstruction(
+                    "product homology has a total Betti number above "
+                    f"10^{len(str(MAX_BETTI)) - 1}"
+                )
+        ranks, torsion, dim, pairs = {0: 1}, {}, 0, 0
+        for f_ranks, f_torsion, f_dim in folds:
             dim += f_dim
-            # RP^2 to the k has about 3^k / 2 summands: bound a step before it runs
+            # RP^2 to the k has about 3^k / 2 summands, and the circle to
+            # the k holds k + 1 degrees: bound a step before it runs
             held, met = sum(map(len, torsion.values())), sum(map(len, f_torsion.values()))
             most = held * (sum(f_ranks.values()) + 2 * met) + met * sum(ranks.values())
             if most > MAX_DIMENSION:
                 raise UnsupportedConstruction(
                     f"product homology may need more than {MAX_DIMENSION} torsion summands"
+                )
+            pairs += (len(ranks) + len(torsion)) * (len(f_ranks) + len(f_torsion))
+            if pairs > MAX_KUNNETH_PAIRS:
+                raise UnsupportedConstruction(
+                    f"product homology needs more than {MAX_KUNNETH_PAIRS} "
+                    "Kunneth pairs of degrees"
                 )
             out_ranks, out_torsion = {}, {}
             for i, r in ranks.items():
@@ -562,13 +614,20 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
 
 def _add(space: SpaceExpr, ranks: dict, torsion: dict, times: int, folds: dict) -> int:
     """Add `times` copies of the reduced homology of `space`, H_0 torsion
-    dropped, into the accumulators; the dimension.  Any part but a sphere
-    or wedge is folded once per object, kept in `folds` by id."""
+    dropped, into the accumulators; the dimension.  A wedge of spheres
+    only adds one count per dimension; any part but a sphere or wedge is
+    folded once per object, kept in `folds` by id."""
     if isinstance(space, Sphere):
         ranks[space.n] = ranks.get(space.n, 0) + times
         return space.n
     if isinstance(space, Wedge):
-        return max([_add(part, ranks, torsion, times, folds) for part in space.parts])
+        parts = space.parts
+        if not _SPHERE_ONLY.issuperset(map(type, parts)):
+            return max([_add(part, ranks, torsion, times, folds) for part in parts])
+        dims = list(map(_sphere_n, parts))
+        for n, copies in Counter(dims).items():
+            ranks[n] = ranks.get(n, 0) + copies * times
+        return max(dims)
     fold = folds.get(id(space))
     if fold is None:
         fold = folds[id(space)] = _fold(space)
@@ -828,27 +887,43 @@ _SPACE_TAGS, _SPACE_LISTS = ("sphere", "wedge", "product", "explicit"), ("wedge"
 def space_from_json(obj) -> SpaceExpr:
     """Read a space expression: an object with one tag, ``sphere`` (a JSON
     integer), ``wedge`` or ``product`` (a list of spaces) or ``explicit``.
-    Anything malformed raises ValueError; a Cayley table above
-    ``DEFAULT_SEARCH_CAP``, which no search takes, raises OrderExceedsCap
-    before its rows are read, so it exits 2 even when it is malformed.  Once
-    read, a space above ``MAX_DIMENSION`` raises DimensionExceedsCap."""
+    Anything malformed raises ValueError, and so does a list nested inside
+    ``MAX_NESTING`` others; a Cayley table above ``DEFAULT_SEARCH_CAP``,
+    which no search takes, raises OrderExceedsCap before its rows are read,
+    so it exits 2 even when it is malformed.  Once read, a space above
+    ``MAX_DIMENSION`` raises DimensionExceedsCap.
+
+    A list that `_sphere_dims` reads as plain sphere leaves gets one
+    ``Sphere`` per new dimension, built in order of first appearance, so a
+    dimension below 1 is refused as it would be node by node."""
     spheres: dict[int, Sphere] = {}
 
-    def read(obj) -> SpaceExpr:
+    def read(obj, depth: int) -> SpaceExpr:
+        # depth: the wedge and product lists around obj
         tag, value = _one_of(obj, "space", _SPACE_TAGS, _SPACE_LISTS)
         if tag == "sphere":
             n = _check_int(value, "sphere dimension")
             return spheres.get(n) or spheres.setdefault(n, Sphere(n))
-        if tag == "wedge":
-            return wedge(*map(read, value))
-        if tag == "product":
-            return product(*map(read, value))
+        if tag != "explicit":
+            if depth == MAX_NESTING:
+                raise ValueError(
+                    f"space nested more than {MAX_NESTING} wedge and product lists deep"
+                )
+            dims = _sphere_dims(value)
+            if dims is None:
+                parts = map(read, value, repeat(depth + 1))
+            else:
+                for n in dict.fromkeys(dims):
+                    if n not in spheres:
+                        spheres[n] = Sphere(n)
+                parts = map(spheres.__getitem__, dims)
+            return wedge(*parts) if tag == "wedge" else product(*parts)
         body = _fields(value, "explicit space", ("complex", "pi1"), ("cover",))
         cover = complex_from_json(body["cover"]) if "cover" in body else None
         complex_ = complex_from_json(body["complex"])
         return Explicit(complex_, pi1_from_json(body["pi1"], cap=DEFAULT_SEARCH_CAP), cover)
 
-    space = read(obj)
+    space = read(obj, 0)
     if (dim := dim_of(space)) > MAX_DIMENSION:
         raise DimensionExceedsCap(dim, MAX_DIMENSION)
     return space

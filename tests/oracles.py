@@ -6,7 +6,8 @@ from gcd/determinant identities, products are triple loops, product complexes ar
 built cell pair by cell pair, wedge complexes cell by cell around one base
 point, the cover of a wedge with the presentation complex of <a | a^n> lifted
 cell by cell, Betti numbers of sphere expressions are dense lists added and
-multiplied as polynomials, profiles and bound reports are rendered degree
+multiplied as polynomials, a space expression is read one node at a time
+with its refusals written out, profiles and bound reports are rendered degree
 by degree with their own text, and as JSON dicts built one
 degree at a time, and degrees are written one str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
@@ -429,6 +430,47 @@ def betti_naive(space: dict) -> list[int]:
                 out[i + j] += x * y
         betti = out
     return betti
+
+
+def space_from_json_naive(obj, depth: int = 0):
+    """A sphere/wedge/product space expression read one node at a time, in
+    node order, with every refusal of the space reader written out here.
+    It returns the records of `polydepth.topology`, a wedge in a wedge or a
+    product in a product spliced in and a one-part list collapsed here, and
+    a fresh `Sphere` for every leaf.  An ``explicit`` node is not read."""
+    from polydepth.topology import MAX_NESTING, Product, Sphere, Wedge
+
+    tags = ("sphere", "wedge", "product", "explicit")
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(
+            "space must be an object with exactly one of the keys " + "/".join(tags)
+        )
+    (tag, value), = obj.items()
+    if tag not in tags:
+        raise ValueError(f"unknown space tag {tag!r}")
+    if tag == "sphere":
+        if not isinstance(value, int):
+            raise ValueError(f"sphere dimension must be int, got {type(value).__name__}")
+        if value < 1:
+            raise ValueError(f"sphere dimension must be >= 1, got {int(value)}")
+        return Sphere(int(value))
+    if tag == "explicit":
+        raise NotImplementedError("the naive reader reads no explicit complex")
+    if not isinstance(value, list):
+        raise ValueError(f"space {tag} must be a list, got {type(value).__name__}")
+    if depth == MAX_NESTING:
+        raise ValueError(f"space nested more than {MAX_NESTING} wedge and product lists deep")
+    cls, field = (Wedge, "parts") if tag == "wedge" else (Product, "factors")
+    parts = []
+    for node in value:
+        part = space_from_json_naive(node, depth + 1)
+        if type(part) is cls:
+            parts.extend(getattr(part, field))
+        else:
+            parts.append(part)
+    if not parts:
+        raise ValueError(f"{tag} needs at least one {'part' if cls is Wedge else 'factor'}")
+    return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
 
 def render_profile_naive(profile) -> str:

@@ -26,7 +26,9 @@ from polydepth.finitegroup import format_cayley_table, n1
 from polydepth.pi1 import ElementaryAmenable, free, pi1_to_json
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
+    MAX_BETTI,
     MAX_DIMENSION,
+    MAX_NESTING,
     Explicit,
     Sphere,
     complex_to_json,
@@ -38,6 +40,7 @@ from polydepth.topology import (
 )
 
 from test_finitegroup import SRC, _name
+from test_topology import _nested
 
 
 ONE_TAG = "space must be an object with exactly one of the keys sphere/wedge/product/explicit"
@@ -938,3 +941,54 @@ class TestDimensionCap:
         assert len(files) > 100
         dims = [dim_of(space_from_json(json.loads(p.read_text()))) for p in files]
         assert 90000 < max(dims) <= MAX_DIMENSION
+
+
+def _one_error_line(err: str, head: str) -> bool:
+    return err.startswith(head) and err.count("\n") == 1
+
+
+class TestExpressionLimits:
+    """Expressions nested too deep, and products whose Betti numbers or
+    Kunneth work grow past their bounds, end in one line with their exit
+    code, not in a traceback, a misread or a hang."""
+
+    COMMANDS = [["homology"], ["bound"], ["homology", "--universal-cover"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_nesting_cap(self, tmp_path, capsys, command):
+        path = _write_json(tmp_path, "at.json", _nested(MAX_NESTING))
+        assert run([command[0], path, *command[1:]]) in (0, 2)
+        assert "Error" not in capsys.readouterr().err
+        path = _write_json(tmp_path, "over.json", _nested(MAX_NESTING + 1))
+        assert run([command[0], path, *command[1:]]) == 1
+        message = f"space nested more than {MAX_NESTING} wedge and product lists deep"
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_huge_betti_numbers_are_refused_not_misread(self, tmp_path, capsys):
+        # pi1 free of rank 100 in each of 2200 factors: ranks of about 4400
+        # digits, past the interpreter's limit for printing an int
+        factor = {"explicit": {
+            "complex": {"cells": [1, 100], "boundary": [[[0] * 100]]}, "pi1": {"free": 100},
+        }}
+        path = _write_json(tmp_path, "big.json", {"product": [factor] * 2200})
+        assert run(["homology", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        digits = len(str(MAX_BETTI)) - 1
+        assert _one_error_line(err, "error: UnsupportedConstruction: product homology has a "
+                                    f"total Betti number above 10^{digits}")
+
+    def test_many_circles_are_refused_within_seconds(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "circles.json", {"product": [{"sphere": 1}] * 10**5})
+        start = time.perf_counter()
+        assert run(["homology", path]) == 2
+        assert time.perf_counter() - start < 5
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err, "error: UnsupportedConstruction: ")
+
+    def test_a_thousand_circles_still_answer(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "circles.json", {"product": [{"sphere": 1}] * 1000})
+        assert run(["homology", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1001
+        assert lines[500] == f"H500 = Z^{math.comb(1000, 500)}"

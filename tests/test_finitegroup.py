@@ -298,7 +298,7 @@ def test_only_finitegroup_trusts_tables_and_refuses_orders():
 # the rules that read outside input: integers, tokens, lists, object shapes
 READING_RULES = frozenset({
     "_INT_ONLY", "_int_row", "_check_int", "_INT_TOKEN", "_DIGITS_AND_SPACE",
-    "_check_token", "_as_list", "_fields", "_one_of",
+    "_check_token", "_as_list", "_fields", "_one_of", "_sphere_dims",
 })
 
 

@@ -12,6 +12,7 @@ import pytest
 from oracles import disguised_surface
 from test_finitegroup import NONASSOC_LOOP
 from test_reduction import PINNED_D1, PINNED_D2
+from test_topology import _nested
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SPACES = SRC.parent / "spaces"
@@ -119,6 +120,19 @@ def test_space_with_table_pi1_loads_no_catalog(tmp_path, command):
     loaded = _loaded_submodules("-m", "polydepth.cli", command, str(path))
     assert "finitegroup" in loaded
     assert "catalog" not in loaded
+
+
+@pytest.mark.parametrize("command", [["homology"], ["bound"], ["homology", "--universal-cover"]])
+def test_deep_nesting_ends_in_one_line(tmp_path, command):
+    # 350 alternating levels read fine, but the fold, the cover rule and
+    # pi1 would recurse past the interpreter's limit: the reader refuses it
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_nested(350)))
+    proc = _python("-m", "polydepth.cli", command[0], str(path), *command[1:])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: space nested more than ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_imported_cli_loads_every_command_module():

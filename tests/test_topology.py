@@ -26,6 +26,7 @@ from oracles import (
     profile_to_json_naive,
     rank_fraction,
     render_profile_naive,
+    space_from_json_naive,
     surface_grid_naive,
     tensor_complex_naive,
     torsion_complex,
@@ -42,11 +43,13 @@ from polydepth.errors import (
     DimensionMismatch,
     NotFinitelyGenerated,
     UnsupportedConstruction,
+    _sphere_dims,
 )
 from polydepth.intlinalg import IntMatrix, smith_normal_form
 from polydepth.pi1 import ElementaryAmenable, FgAbelian, Finite, Free, Trivial, free
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
+    MAX_NESTING,
     _Degrees,
     _degree_runs,
     _json_chunks,
@@ -890,6 +893,21 @@ class TestWedgeWalks:
         # the dimension cap reads it; homology takes it from its fold
         assert calls[0] <= 1 + len(dims)
 
+    def test_a_wedge_of_spheres_is_folded_per_list(self, tmp_path, monkeypatch, capsys):
+        # one _add call for the whole wedge: its spheres are counted by
+        # dimension, not added one part at a time
+        rng = random.Random(2651)
+        dims = [1] + [rng.randint(2, 60) for _ in range(300)]
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps({"wedge": [{"sphere": n} for n in dims]}))
+        calls = _count_calls(monkeypatch, "_add", topology)
+        assert run(["homology", "--format", "json", str(path)]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        assert {k: g["free_rank"] for k, g in groups.items() if g["free_rank"]} == {
+            "0": 1, **{str(n): c for n, c in collections.Counter(dims).items()}
+        }
+        assert calls[0] == 1
+
     def test_the_rest_of_a_finite_cover_is_folded_once(self, monkeypatch):
         # RP^2 v T^2: the cover S^2 of RP^2 with a T^2 at each of its 2 lifts
         torus = Explicit(EXAMPLE_COMPLEXES["torus"], Trivial())
@@ -914,6 +932,145 @@ class TestWedgeWalks:
         )
         assert report.failures == (("Thm4.1", reason), ("Thm4.8", reason))
         assert calls[0] == 3
+
+
+def _nested(levels: int) -> dict:
+    """S^2 inside `levels` wedge and product lists, alternating, with an S^3
+    beside it in each: no two levels splice into one."""
+    space = {"sphere": 2}
+    for level in range(levels):
+        space = {("product", "wedge")[level % 2]: [space, {"sphere": 3}]}
+    return space
+
+
+# nodes that leave a list to the per-node read, valid ones included
+READER_FAULTS = [
+    {"sphere": True}, {"sphere": False}, {"sphere": 2.0}, {"sphere": 0}, {"sphere": -4},
+    {"sphere": "3"}, {"sphere": None}, {"sphere": 2, "x": 1}, {"x": 2}, {}, 2.0, "3", None,
+    True, [], {"wedge": []}, {"product": {"sphere": 2}}, collections.OrderedDict(sphere=3),
+]
+
+
+def _random_space_list(rng, depth: int = 0) -> dict:
+    """A wedge or product of 1-30 nodes: sphere leaves of dimension 1-60,
+    and less than three lists deep now and then a nested list."""
+    nodes = [
+        _random_space_list(rng, depth + 1) if depth < 3 and rng.random() < 0.1
+        else {"sphere": rng.randint(1, 60)}
+        for _ in range(rng.randint(1, 30))
+    ]
+    return {rng.choice(("wedge", "product")): nodes}
+
+
+def _lists(space: dict) -> list[list]:
+    """Every wedge and product list of a valid expression in JSON form."""
+    (_, value), = space.items()
+    if not isinstance(value, list):
+        return []
+    return [value, *(inner for node in value for inner in _lists(node))]
+
+
+def _read_outcome(read, obj):
+    """The repr of the space `read` returns, which tells a bool from an int,
+    or the type and message of the ValueError it raises."""
+    try:
+        return repr(read(obj))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestSphereListRule:
+    """A list of plain sphere leaves is read by `errors._sphere_dims` in
+    C-level passes and any other list node by node; either way the space,
+    or the first fault in node order, is that of `space_from_json_naive`."""
+
+    @pytest.mark.parametrize("nodes, dims", [
+        ([{"sphere": 3}, {"sphere": 1}, {"sphere": 3}], [3, 1, 3]),
+        ([], []),
+        # a plain int below 1 is refused where its Sphere is built
+        ([{"sphere": 0}, {"sphere": -2}], [0, -2]),
+        ([{"sphere": 2}, {"sphere": True}], None),
+        ([{"sphere": 2}, {"sphere": 2.0}], None),
+        ([{"sphere": 2}, {"sphere": 2, "x": 1}], None),
+        ([{"sphere": 2}, {"wedge": [{"sphere": 2}]}], None),
+        ([{"sphere": 2}, collections.OrderedDict(sphere=2)], None),
+        ([{"sphere": 2}, {}], None),
+        ([{"sphere": 2}, 2], None),
+    ])
+    def test_the_rule(self, nodes, dims):
+        assert _sphere_dims(nodes) == dims
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_the_per_node_reader(self, seed):
+        rng = random.Random(f"sphere-lists-{seed}")
+        refused = collections.Counter()
+        for _ in range(60):
+            space = _random_space_list(rng)
+            if rng.random() < 2 / 3:
+                lists = _lists(space)
+                for _ in range(rng.randint(1, 3)):
+                    nodes = rng.choice(lists)
+                    nodes[rng.randrange(len(nodes))] = rng.choice(READER_FAULTS)
+            got = _read_outcome(space_from_json, space)
+            assert got == _read_outcome(space_from_json_naive, space), space
+            refused[isinstance(got, tuple)] += 1
+        assert refused[True] and refused[False]
+
+    @pytest.mark.parametrize("read", [space_from_json, space_from_json_naive])
+    def test_the_first_bad_dimension_in_node_order(self, read):
+        with pytest.raises(ValueError, match="got 0$"):
+            read({"wedge": [{"sphere": 2}, {"sphere": 0}, {"sphere": -4}, {"sphere": 0}]})
+
+    def test_a_sphere_list_is_read_per_list(self, monkeypatch):
+        # one shape check, on the wedge node, and no integer rule per leaf
+        rng = random.Random(2651)
+        dims = [1] + [rng.randint(2, 60) for _ in range(300)]
+        calls = {
+            name: _count_calls(monkeypatch, name, topology) for name in ("_one_of", "_check_int")
+        }
+        space = space_from_json({"wedge": [{"sphere": n} for n in dims]})
+        assert [part.n for part in space.parts] == dims
+        assert len({id(part) for part in space.parts}) == len(set(dims))
+        assert {name: count[0] for name, count in calls.items()} == {"_one_of": 1, "_check_int": 0}
+
+    def test_the_nesting_cap(self):
+        assert space_from_json(_nested(MAX_NESTING)) == space_from_json_naive(_nested(MAX_NESTING))
+        message = f"space nested more than {MAX_NESTING} wedge and product lists deep"
+        for read in (space_from_json, space_from_json_naive):
+            with pytest.raises(ValueError, match=message):
+                read(_nested(MAX_NESTING + 1))
+        # at the cap, the fold, pi1 and the cover run far below the
+        # interpreter's recursion limit
+        space = space_from_json(_nested(MAX_NESTING))
+        # each product level adds an S^3
+        assert homology(space).dim == dim_of(space) == 2 + 3 * ((MAX_NESTING + 1) // 2)
+        assert pi1_of(space) == Trivial()
+        assert universal_cover_homology(space) == homology(space)
+
+
+class TestProductBounds:
+    """A product is refused up front when its total Betti number passes
+    MAX_BETTI, and before a Kunneth step when the pairs of stored degrees
+    combined so far would pass MAX_KUNNETH_PAIRS."""
+
+    def test_at_and_past_each_bound(self, monkeypatch):
+        # the 3-torus: total Betti number 8, and 2 + 4 + 6 pairs of degrees
+        torus3 = product(Sphere(1), Sphere(1), Sphere(1))
+        for name, at in (("MAX_BETTI", 8), ("MAX_KUNNETH_PAIRS", 12)):
+            monkeypatch.setattr(topology, name, at)
+            assert poincare_polynomial(torus3) == [1, 3, 3, 1]
+            monkeypatch.setattr(topology, name, at - 1)
+            with pytest.raises(UnsupportedConstruction):
+                homology(torus3)
+            monkeypatch.undo()
+
+    def test_pairs_are_refused_before_the_step_runs(self):
+        # the second step would combine 3001 x 3001 degrees
+        spheres = wedge(*map(Sphere, range(1, 3001)))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedConstruction, match="Kunneth pairs of degrees"):
+            homology(product(spheres, spheres))
+        assert time.perf_counter() - start < 1
 
 
 class TestTopFreeRank:
