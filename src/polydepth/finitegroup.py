@@ -42,20 +42,25 @@ comparison are those of a full scan, so the witnesses are the same.
 One function, ``_complement``, decides whether H has a complement (or a
 normal complement) in a subgroup A: it looks only among the subgroups of
 order |A|/|H| and takes the least mask, so witnesses do not depend on which
-search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract`` all
-call it.  One predicate, ``_normal_in``, decides whether K is normal in a
-subgroup A: K = <T> is normal in A = <S> exactly when sts^-1 lies in K for
-every s in S and t in T, so it conjugates a generating set of K by one of A
-only and stops at the first conjugate that leaves K.  ``n1`` and
-``is_normal`` ask it with A = G, and ``_complement`` with A its ambient
-subgroup.  Each group caches its lattice, indexed by order, and one
-generating set per subgroup in it: the lattice builds each subgroup K as
-<H, x> and records K's canonical sequence, H's followed by x.  One
-function, ``_span``, says which subgroup a list of elements generates: it keeps each
-element outside the span of those kept before it and joins it on with
-``_join_cyclic``, and what it keeps depends on the table alone.  Light's
-test in the constructor checks what it keeps of the whole table, a subgroup
-outside the lattice takes that as its generating set, and
+search asks.  ``n1``, ``n2``, ``n3``'s retract filter and ``is_retract``
+all call it.  One predicate, ``_normal_in``, decides whether K is normal in
+a subgroup A: K = <T> is normal in A = <S> exactly when sts^-1 lies in K
+for every s in S and t in T, so it conjugates a generating set of K by one
+of A only and stops at the first conjugate that leaves K.  ``is_normal``
+asks it with A = G.  The searches ask it through ``_normal_subgroups``,
+which keeps per group, for each ambient A and order, the lattice's
+subgroups of that order that are normal in A: ``n1`` walks those of G, and
+``_complement`` reads a normal complement off them, so each subgroup's
+normality in G is decided once for ``n1``, ``n2`` and ``is_retract``
+together, and in a retract once for the whole ``n3`` recursion.  Each group
+caches its lattice, indexed by order, those normal subgroups, and one
+generating set per subgroup in the lattice: the lattice builds each
+subgroup K as <H, x> and records K's canonical sequence, H's followed by x.
+One function, ``_span``, says which subgroup a list of elements generates:
+it keeps each element outside the span of those kept before it and joins it
+on with ``_join_cyclic``, and what it keeps depends on the table alone.
+Light's test in the constructor checks what it keeps of the whole table, a
+subgroup outside the lattice takes that as its generating set, and
 ``subgroup_from_members`` accepts a member set that is its own span, the
 one subgroup check (``_is_subgroup``) that ``is_normal``, ``is_complement``
 and ``is_retract`` also ask before they answer.
@@ -100,6 +105,7 @@ class FiniteGroup:
         "_inv",
         "_generators",
         "_masks_by_order",
+        "_normal_by_ambient",
     )
 
     def __init__(self, table: Iterable[Iterable[int]], name: str | None = None):
@@ -160,6 +166,7 @@ class FiniteGroup:
         self._inv = tuple(tbl[a].index(0) for a in range(n))
         self._generators: dict[int, tuple[int, ...]] = {}
         self._masks_by_order: dict[int, list[int]] | None = None
+        self._normal_by_ambient: dict[tuple[int, int], list[int]] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -332,7 +339,8 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
       sequence.  By induction on the length, H is reached with s <= i, and
       from there x_i passes every test.
     * Skips lose nothing.  Since <H, x> = <H, xh> for every h in H, the
-      search builds the left coset xH (C-level passes) before any join and
+      search reads the left coset xH before any join, row x of the table
+      at H's members through one `itemgetter` per H (C-level passes), and
       drops the x_j in it from those left to try.  An x in H gives K = H, no
       new subgroup.  If x lies in a coset x_j H tried before, or xH holds
       some x_j with j < i, then K holds such an x_j outside H, and the
@@ -348,6 +356,7 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
         for i, x in enumerate(cyclics):
             rank[x] = 1 << i
             below.append(below[i] | 1 << x)
+        rank_of = rank.__getitem__
         every = (1 << len(cyclics)) - 1
         masks = [1]
         # (H, its members, its sequence, the x_i left to try); only sums
@@ -355,12 +364,15 @@ def _lattice(g: FiniteGroup) -> dict[int, list[int]]:
         todo: list[tuple[int, list[int], tuple[int, ...], int]] = [(1, [0], (), every)]
         while todo:
             h, h_members, h_gens, untried = todo.pop()
-            untried &= ~sum(map(rank.__getitem__, h_members))
+            untried &= ~sum(map(rank_of, h_members))
+            # row x of the table read at H's members is the coset xH; the
+            # trivial H gives {x}, whose rank is x's own bit
+            pick = itemgetter(*h_members) if h != 1 else None
             while untried:
                 low = untried & -untried
                 i = low.bit_length() - 1
                 x = cyclics[i]
-                coset = sum(map(rank.__getitem__, map(table[x].__getitem__, h_members)))
+                coset = sum(map(rank_of, pick(table[x]))) if pick else low
                 untried &= ~coset
                 if coset & (low - 1):  # xH holds some x_j with j < i
                     continue
@@ -488,16 +500,35 @@ def direct_product(*groups: FiniteGroup, name: str | None = None) -> FiniteGroup
     return FiniteGroup._trusted(table, name=name or auto)
 
 
+def _normal_subgroups(g: FiniteGroup, ambient: int, order: int) -> list[int]:
+    """The lattice's masks of the given order that lie in the subgroup
+    A = `ambient` and are normal in it, in lattice order.  Each (A, order)
+    is decided once per group, so `_normal_in` meets each subgroup at most
+    once per ambient."""
+    key = (ambient, order)
+    found = g._normal_by_ambient.get(key)
+    if found is None:
+        found = g._normal_by_ambient[key] = [
+            k for k in _lattice(g).get(order, ()) if k & ambient == k and _normal_in(g, k, ambient)
+        ]
+    return found
+
+
 def _complement(g: FiniteGroup, ambient: int, h: int, normal: bool) -> int | None:
     """The least mask of a complement of H in the subgroup A = `ambient`: a
     subgroup of A of order |A|/|H| that meets H trivially and, when `normal`
-    is set, is normal in A.  None when H has no such complement."""
+    is set, is normal in A.  None when H has no such complement.  The
+    candidates are the normal subgroups of A of that order that
+    `_normal_subgroups` keeps, or, without `normal`, the lattice's
+    subgroups of that order inside A; both lists are in lattice order, so
+    the first that meets H trivially is the least complement."""
     # every caller passes a subgroup H of A (`is_retract` asks
     # `_is_subgroup` first), so |H| divides |A| by Lagrange
-    for k in _lattice(g).get(ambient.bit_count() // h.bit_count(), ()):
+    order = ambient.bit_count() // h.bit_count()
+    cands = _normal_subgroups(g, ambient, order) if normal else _lattice(g).get(order, ())
+    for k in cands:
         if k & h == 1 and k & ambient == k:
-            if not normal or _normal_in(g, k, ambient):
-                return k
+            return k
     return None
 
 
@@ -557,25 +588,28 @@ def n1(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     >>> n1(zmod6).length
     2
     """
+    _check_cap(g.order, cap)
     full = (1 << g.order) - 1
     cands: dict[int, int] = {}
-    for s in all_subgroups(g, cap):
-        if _normal_in(g, s.mask, full):
-            k = _complement(g, full, s.mask, normal=False)
+    for order in _lattice(g):
+        for s in _normal_subgroups(g, full, order):
+            k = _complement(g, full, s, normal=False)
             if k is not None:
-                cands[s.mask] = k
+                cands[s] = k
     return _longest_chain(full, cands)
 
 
 def n2(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> SeriesResult:
     """Longest strictly decreasing chain of retracts of G; the stored
     complement witnesses are the normal complements."""
+    _check_cap(g.order, cap)
     full = (1 << g.order) - 1
     cands: dict[int, int] = {}
-    for s in all_subgroups(g, cap):
-        k = _complement(g, full, s.mask, normal=True)
-        if k is not None:
-            cands[s.mask] = k
+    for masks in _lattice(g).values():
+        for s in masks:
+            k = _complement(g, full, s, normal=True)
+            if k is not None:
+                cands[s] = k
     return _longest_chain(full, cands)
 
 
@@ -584,7 +618,10 @@ def _n3_chain(g: FiniteGroup, cap: int) -> tuple[int, tuple[int, ...]]:
     off the shared lattice (the subgroups of H are the subgroups of G inside
     H), larger first and then by mask, with the Omega bound of
     ``_longest_chain``: a subgroup whose bound cannot beat the best so far
-    is not tested for a normal complement."""
+    is not tested for a normal complement.  A subgroup R of H is a retract
+    when `_complement` finds one among the normal subgroups of H of order
+    |H|/|R|, which are decided once per H and order for the whole
+    recursion, and kept with the group."""
     _check_cap(g.order, cap)
     by_order = _lattice(g)
     omega = {k: _omega(k) for k in by_order}

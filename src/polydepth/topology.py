@@ -702,7 +702,16 @@ def _split(parts: tuple[SpaceExpr, ...]) -> tuple[list, list]:
     """The parts of a wedge in one pass, each distinct object once, by
     identity (a read shares one `Sphere` per dimension): (others, rest), the
     parts that are not simply connected as (part, pi1, copies) and the
-    simply connected ones as (part, copies)."""
+    simply connected ones as (part, copies).  A wedge of spheres is grouped
+    by dimension instead, in C-level passes as `_add` folds it: one sphere
+    per dimension, in order of first appearance, the circles the others."""
+    if _SPHERE_ONLY.issuperset(map(type, parts)):
+        dims = list(map(_sphere_n, parts))
+        spheres = dict(zip(dims, parts))
+        copies = Counter(dims)
+        circles = copies.pop(1, 0)
+        rest = [(spheres[n], c) for n, c in copies.items()]
+        return ([(spheres[1], _FREE_1, circles)] if circles else []), rest
     objects = dict(zip(map(id, parts), parts))
     split = [(objects[i], pi1_of(objects[i]), c) for i, c in Counter(map(id, parts)).items()]
     rest = [(part, copies) for part, d, copies in split if isinstance(d, Trivial)]

@@ -7,16 +7,18 @@ built cell pair by cell pair, wedge complexes cell by cell around one base
 point, the cover of a wedge with the presentation complex of <a | a^n> lifted
 cell by cell, Betti numbers of sphere expressions are dense lists added and
 multiplied as polynomials, a space expression is read one node at a time
-with its refusals written out, profiles and bound reports are rendered degree
-by degree with their own text, and as JSON dicts built one
+with its refusals written out, the parts of a wedge of spheres are told
+apart by identity one part at a time, profiles and bound reports are
+rendered degree by degree with their own text, and as JSON dicts built one
 degree at a time, and degrees are written one str() at a time, factorisation divides by every
 integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), complexes of known homology start from diagonal boundary
 maps before the same disguise, subspaces of F_p^k are counted by Gaussian
 binomials, longest chains try every set below each term, and the
-group-series oracles enumerate raw power sets and check the series
-definitions directly, associativity
+group-series oracles enumerate raw power sets (closures of small
+generating sets above order 8) and check the series definitions directly,
+associativity
 is checked on every triple, the elements Light's test checks come from a
 closure rebuilt after each one, a member set is closed when every product
 of two members is a member, a table's refusal is found one value at a
@@ -473,6 +475,24 @@ def space_from_json_naive(obj, depth: int = 0):
     return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
 
+def split_by_identity_naive(parts) -> tuple[list, list]:
+    """The parts of a wedge of spheres, each distinct object once, by
+    identity, in order of first appearance and with its number of copies:
+    (circles, the rest) as lists of (part, copies)."""
+    firsts: list = []
+    copies: list[int] = []
+    for part in parts:
+        for i, seen in enumerate(firsts):
+            if seen is part:
+                copies[i] += 1
+                break
+        else:
+            firsts.append(part)
+            copies.append(1)
+    pairs = list(zip(firsts, copies))
+    return [p for p in pairs if p[0].n == 1], [p for p in pairs if p[0].n != 1]
+
+
 def render_profile_naive(profile) -> str:
     """A homology profile as text, one degree at a time over 0..dim through
     the profile's group(k)/fg(k) accessors: "Z^r ⊕ Z/q1 ⊕ ..." ("Z" for
@@ -822,6 +842,12 @@ def generated_subgroups_naive(table: list[list[int]]) -> list[frozenset[int]]:
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
+def subgroups_naive(table: list[list[int]]) -> list[frozenset[int]]:
+    """All subgroups: the raw power set up to order 8, the closures of
+    small generating sets above it."""
+    return powerset_subgroups(table) if len(table) <= 8 else generated_subgroups_naive(table)
+
+
 def _normal_in_naive(table, k: frozenset[int], a: Iterable[int]) -> bool:
     """K is normal in A: x y x^-1 lies in K for every x in A and every y in
     K, each product read off the raw table."""
@@ -872,7 +898,7 @@ def n1_naive(table: list[list[int]]) -> int:
 
 
 def retracts_naive(table: list[list[int]]) -> list[frozenset[int]]:
-    subs = powerset_subgroups(table)
+    subs = subgroups_naive(table)
     return [
         h
         for h in subs
@@ -904,15 +930,19 @@ def restrict_table(table: list[list[int]], members: frozenset[int]) -> list[list
 
 def n3_naive(table: list[list[int]]) -> int:
     """Recursive definition: 1 + max over proper retracts, retracts computed
-    inside the subgroup via a restricted table."""
-    if len(table) == 1:
-        return 0
-    full = frozenset(range(len(table)))
-    best = 0
-    for h in retracts_naive(table):
-        if h != full:
-            best = max(best, n3_naive(restrict_table(table, h)))
-    return 1 + best
+    inside the subgroup via a restricted table.  Each restricted table is
+    searched once per call, kept by its rows."""
+    memo: dict[tuple[tuple[int, ...], ...], int] = {}
+
+    def rec(table: list[list[int]]) -> int:
+        key = tuple(map(tuple, table))
+        if key not in memo:
+            full = frozenset(range(len(table)))
+            below = [rec(restrict_table(table, h)) for h in retracts_naive(table) if h != full]
+            memo[key] = 0 if len(table) == 1 else 1 + max(below, default=0)
+        return memo[key]
+
+    return rec(table)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,20 @@ is checked against an exhaustive longest-chain search on random candidate
 families, and every length against the bound itself.  The complements that
 n1, n2 and ``is_retract`` find, and ``is_normal``, which conjugates by
 generators only, are checked against naive complement and normality tests
-on raw tables, also on groups too large for the power-set oracles; so is
-normality inside every subgroup, which n3's retract filter asks.  Two
+on raw tables, also on groups too large for the power-set oracles and on
+products of two catalog groups; so is normality inside every subgroup,
+which n3's retract filter asks.  Each step of n3's witness chain is
+checked to be a retract inside the term before it, by a naive complement
+and normality test on that term's own table, and its length against the
+recursive definition.  A ``verify_prop32`` decides each subgroup's
+normality in G once and builds one lattice, and a group built by
+restriction or product starts with none of another group's decisions.  Two
 full ``Prop32Report``s on relabelled tables are pinned to values recorded
 before the lattice was shared, and six of order 64 to values recorded
 before the searches stopped early.
 """
 
+import collections
 import json
 import pathlib
 import random
@@ -40,12 +47,15 @@ from polydepth.catalog import (
     dihedral,
     direct_product,
 )
+from polydepth import finitegroup
 from polydepth.finitegroup import (
     FiniteGroup,
     Subgroup,
+    _complement,
     _cyclic_generators,
     _lattice,
     _longest_chain,
+    _n3_chain,
     _normal_in,
     _span,
     all_subgroups,
@@ -62,9 +72,12 @@ from oracles import (
     _is_complement_naive,
     _is_normal_naive,
     _normal_in_naive,
+    closed_naive,
     factor_naive,
     generated_subgroups_naive,
     longest_chain_naive,
+    n3_naive,
+    restrict_table,
     subspace_count_naive,
 )
 
@@ -273,9 +286,9 @@ def test_is_retract_matches_naive_normal_complement(name):
         assert is_retract(g, sub, cap) == expected, sub
 
 
-@pytest.mark.parametrize("name", list(LARGE) + catalog_names())
-def test_series_complements_are_least_naive_complements(name):
-    g, cap = _group_and_cap(name)
+def _check_series_complements(g: FiniteGroup, cap: int) -> None:
+    """Each complement of an n1 and an n2 witness term is the least mask
+    of a naive complement of it, normal in G for n2."""
     table, subs, normal = _naive_view(g, cap)
     for series, need_normal in ((n1(g, cap), False), (n2(g, cap), True)):
         for term, comp in zip(series.witness, series.complements):
@@ -286,6 +299,115 @@ def test_series_complements_are_least_naive_complements(name):
                 if (m in normal or not need_normal) and _is_complement_naive(table, h, k)
             )
             assert comp.mask == least, (term, need_normal)
+
+
+@pytest.mark.parametrize("name", list(LARGE) + catalog_names())
+def test_series_complements_are_least_naive_complements(name):
+    _check_series_complements(*_group_and_cap(name))
+
+
+# pairs of nontrivial catalog groups whose product is within the cap of 32
+PRODUCT_PAIRS = [
+    (a, b)
+    for i, a in enumerate(catalog_names())
+    for b in catalog_names()[i:]
+    if 2 <= catalog_group(a).order <= catalog_group(b).order
+    and catalog_group(a).order * catalog_group(b).order <= 32
+]
+
+
+@pytest.mark.parametrize("a, b", PRODUCT_PAIRS, ids=[f"{a}x{b}" for a, b in PRODUCT_PAIRS])
+def test_product_series_complements_are_least_naive_complements(a, b):
+    _check_series_complements(direct_product(catalog_group(a), catalog_group(b)), 32)
+
+
+def _is_retract_naive(table, term: int, r: int, candidates: list[int]) -> bool:
+    """Whether R is a retract of the subgroup `term`, both given as masks:
+    some candidate K inside it, closed under the raw table, is a complement
+    of R in that term and normal in it, both decided on the term's own
+    restricted table."""
+    members = Subgroup(term).members()
+    index = {a: i for i, a in enumerate(members)}
+    inner = restrict_table(table, frozenset(members))
+    local = lambda mask: frozenset(index[a] for a in Subgroup(mask).members())  # noqa: E731
+    h = local(r)
+    return any(
+        closed_naive(table, k)
+        and _is_complement_naive(inner, h, local(k))
+        and _normal_in_naive(inner, local(k), range(len(inner)))
+        for k in candidates
+        if k & term == k
+    )
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_n3_chain_is_a_chain_of_naive_retracts(name):
+    # each term of n3's witness chain is a retract of the one before it,
+    # inside that term, and the chain is as long as the recursive
+    # definition run on restricted tables
+    g = catalog_group(name)
+    expected = n3_naive([list(r) for r in g.table])
+    for h in (g, relabelled(g, 31), relabelled(g, 32)):
+        table = [list(r) for r in h.table]
+        length, chain = _n3_chain(h, 32)
+        masks = [s.mask for s in all_subgroups(h)]
+        assert chain[0] == (1 << h.order) - 1 and chain[-1] == 1
+        assert length == len(chain) - 1 == expected
+        for term, r in zip(chain, chain[1:]):
+            assert r != term and r & term == r
+            assert _is_retract_naive(table, term, r, masks), (term, r)
+
+
+def test_verify_prop32_decides_each_normality_once(monkeypatch):
+    # n1 decides which subgroups are normal in G once, and n2, n3 and the
+    # complement search read those decisions instead of asking again
+    g, cap = large_group("D4xZ2xZ2")
+    full = (1 << g.order) - 1
+    asked = collections.Counter()
+    builds = [0]
+
+    def counting_normal_in(group, k, ambient):
+        asked[k, ambient] += 1
+        return _normal_in(group, k, ambient)
+
+    def counting_cyclic_generators(group):
+        builds[0] += 1
+        return _cyclic_generators(group)
+
+    monkeypatch.setattr(finitegroup, "_normal_in", counting_normal_in)
+    monkeypatch.setattr(finitegroup, "_cyclic_generators", counting_cyclic_generators)
+    report = verify_prop32(g, cap)
+    assert report.equal and report.value == 4
+    assert builds[0] == 1
+    assert max(asked.values()) == 1
+    assert sum(n for (k, a), n in asked.items() if a == full) == len(all_subgroups(g, cap)) == 158
+    # the decisions stay with the group: asking again decides nothing anew
+    asked.clear()
+    verify_prop32(g, cap)
+    assert is_retract(g, report.n2.witness[1], cap)
+    assert not asked and builds[0] == 1
+
+
+def test_trusted_groups_start_with_empty_caches():
+    # a restriction to the whole group and a product with Z1 have G's very
+    # table, but none of G's lattice or normality decisions
+    g, cap = large_group("D4xZ2xZ2")
+    report = _report_to_json(verify_prop32(g, cap))
+    assert g._masks_by_order is not None and g._normal_by_ambient
+    full = Subgroup((1 << g.order) - 1)
+    same = [restrict_to_subgroup(g, full), direct_product(g, cyclic(1))]
+    retract = Subgroup(report["n2"]["witness"][1])
+    for h in same + [restrict_to_subgroup(g, retract), direct_product(g, cyclic(2))]:
+        assert h._masks_by_order is None
+        assert h._normal_by_ambient == {} and h._generators == {}
+    for h in same:
+        assert h.table == g.table and h._normal_by_ambient is not g._normal_by_ambient
+        assert _report_to_json(verify_prop32(h, cap)) == report
+        assert h._normal_by_ambient == g._normal_by_ambient
+    # a complement asked of one group is decided in its own cache only
+    h = FiniteGroup._trusted(g.table)
+    assert _complement(h, full.mask, retract.mask, normal=True) is not None
+    assert len(h._normal_by_ambient) == 1
 
 
 ALL_GROUPS = catalog_names() + list(LARGE) + list(ORDER_64)

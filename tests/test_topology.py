@@ -27,6 +27,7 @@ from oracles import (
     rank_fraction,
     render_profile_naive,
     space_from_json_naive,
+    split_by_identity_naive,
     surface_grid_naive,
     tensor_complex_naive,
     torsion_complex,
@@ -881,6 +882,44 @@ class TestWedgeWalks:
             "Cor-free-2dim", 200, 200
         )
         assert calls[0] <= 2 * len(dims)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_wedge_of_spheres_splits_as_by_identity(self, seed):
+        # parts shared one Sphere per dimension, as the reader shares them:
+        # grouping by dimension gives the identity pass's parts and copies
+        rng = random.Random(6920 + seed)
+        for _ in range(50):
+            dims = [rng.choice([1, 1, *range(2, 14)]) for _ in range(rng.randint(1, 80))]
+            shared = {n: Sphere(n) for n in dims}
+            parts = tuple(map(shared.__getitem__, dims))
+            others, rest = topology._split(parts)
+            circles, naive_rest = split_by_identity_naive(parts)
+            assert [(p, c) for p, _, c in others] == circles
+            assert all(p is q for (p, _, _), (q, _) in zip(others, circles))
+            assert all(d == Free(1) for _, d, _ in others)
+            assert rest == naive_rest
+            assert all(p is q for (p, _), (q, _) in zip(rest, naive_rest))
+            # spheres built one per part are grouped by dimension all the same
+            assert topology._split(tuple(map(Sphere, dims))) == (others, rest)
+
+    def test_best_bound_on_a_wedge_of_spheres_makes_no_identity_pass(self, monkeypatch):
+        # the benchmark's wedge of 200 spheres of dimension 2-30
+        rng = random.Random(2652)
+        dims = [rng.randint(2, 30) for _ in range(200)]
+        space = space_from_json({"wedge": [{"sphere": n} for n in dims]})
+        ids = [0]
+
+        def counting_id(obj):
+            ids[0] += 1
+            return id(obj)
+
+        monkeypatch.setattr(topology, "id", counting_id, raising=False)
+        report = best_bound(space)
+        assert (report.bound, report.exact_depth) == (200, 200)
+        assert ids[0] == 0
+        # a wedge with a part other than a sphere is split by identity
+        best_bound(wedge(space, product(Sphere(2), Sphere(2))))
+        assert ids[0] > 0
 
     def test_homology_command_walks_the_dimension_once(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(2651)
