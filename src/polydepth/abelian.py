@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import CompositionNotZero, DimensionMismatch, Record, _check_token, _set
+from .errors import CompositionNotZero, Record, _check_token, _set
 
 if TYPE_CHECKING:
     from .intlinalg import IntMatrix
@@ -113,28 +113,25 @@ def from_cyclic_factors(free_rank: int, factors: Iterable[int] = ()) -> FgAbelia
 
 
 def from_boundary_maps(d_k: IntMatrix, d_k_plus_1: IntMatrix) -> FgAbelianGroup:
-    """Homology at the middle chain group: ker(d_k) / im(d_k_plus_1).
+    """Homology at the middle chain group: ker(d_k) / im(d_k_plus_1), read
+    as H_1 of the complex of the two maps by `topology.homology_of_complex`,
+    the one homology path.
 
     The middle group has rank cols(d_k) = rows(d_k_plus_1); zero maps are
-    expressed as matrices with zero rows or columns.  Maps whose shapes do
-    not fit raise `DimensionMismatch`; maps that do not compose to zero, as
-    `intlinalg._composes_to_zero` decides without forming the product,
-    raise `CompositionNotZero`.
+    expressed as matrices with zero rows or columns.  `topology.ChainComplex`
+    checks the maps: shapes that do not fit raise `DimensionMismatch`, and
+    maps that do not compose to zero, as `intlinalg._composes_to_zero`
+    decides without forming the product, raise `CompositionNotZero`.
 
     >>> from polydepth.intlinalg import IntMatrix
     >>> from_boundary_maps(IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]]))
     FgAbelianGroup(free_rank=0, torsion=(2,))
     """
     # imported on first use: reading a group loads no linear algebra
-    from . import intlinalg
+    from .topology import ChainComplex, homology_of_complex
 
-    if d_k.cols != d_k_plus_1.rows:
-        raise DimensionMismatch(
-            f"cols(d_k) = {d_k.cols} but rows(d_k_plus_1) = {d_k_plus_1.rows}"
-        )
-    if not intlinalg._composes_to_zero(d_k, d_k_plus_1):
-        raise CompositionNotZero("d_k composed with d_k_plus_1 is not zero")
-    return _homology_group(d_k.cols, intlinalg.rank(d_k), intlinalg.invariant_factors(d_k_plus_1))
+    cells = (d_k.rows, d_k.cols, d_k_plus_1.cols)
+    return homology_of_complex(ChainComplex(2, (d_k, d_k_plus_1), cells)).group(1)
 
 
 def _homology_group(

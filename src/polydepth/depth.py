@@ -29,8 +29,7 @@ constant.  Everything else gets an upper bound and no exactness claim.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
@@ -177,19 +176,29 @@ class NoBoundApplicable(Record):
 def bound_general(space: SpaceExpr) -> DepthBoundReport:
     """Cover-based bound: sl(pi1) plus the splitting lengths of the cover's
     homology in degrees 2..dim."""
-    return _general(space, dim_of(space), partial(pi1_of, space))
+    return _general(space, dim_of(space), _pi1_or_refusal(space))
 
 
 def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
     homology of a 2-complex is ker d_2, free, so rank captures the whole
     group, and it is read as c_2 - rank d_2, with d_1 never reduced."""
-    return _two_dim(space, dim_of(space), partial(pi1_of, space))
+    return _two_dim(space, dim_of(space), _pi1_or_refusal(space))
 
 
-def _general(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> DepthBoundReport:
-    descriptor = pi1()
-    sl_pi1 = sl_of(descriptor)
+def _pi1_or_refusal(space: SpaceExpr) -> Pi1Descriptor | PolydepthError:
+    """pi1 of `space`, or the domain error that refused it: read once per
+    bound call, for every family it runs."""
+    try:
+        return pi1_of(space)
+    except PolydepthError as err:
+        return err
+
+
+def _general(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) -> DepthBoundReport:
+    if isinstance(pi1, PolydepthError):
+        raise pi1
+    sl_pi1 = sl_of(pi1)
     cover = universal_cover_homology(space)
     not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
     if not_fg:
@@ -197,7 +206,7 @@ def _general(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> De
     # only the degrees where the cover has homology carry a term
     terms = {k: sl_abelian(g) for k, g in cover.groups.items() if 2 <= k <= dim}
     return DepthBoundReport(
-        applied_rule=_GENERAL_RULE[type(descriptor)],
+        applied_rule=_GENERAL_RULE[type(pi1)],
         bound=sl_pi1 + sum(terms.values()),
         sl_pi1=sl_pi1,
         dim=dim,
@@ -206,14 +215,15 @@ def _general(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> De
     )
 
 
-def _two_dim(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> DepthBoundReport:
+def _two_dim(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) -> DepthBoundReport:
     if dim != 2:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
-    descriptor = pi1()
-    sl_pi1 = sl_of(descriptor)
+    if isinstance(pi1, PolydepthError):
+        raise pi1
+    sl_pi1 = sl_of(pi1)
     rank = _top_free_rank(space)
     return DepthBoundReport(
-        applied_rule=_TWO_DIM_RULE[type(descriptor)],
+        applied_rule=_TWO_DIM_RULE[type(pi1)],
         bound=sl_pi1 + rank,
         sl_pi1=sl_pi1,
         dim=2,
@@ -223,7 +233,8 @@ def _two_dim(space: SpaceExpr, dim: int, pi1: Callable[[], Pi1Descriptor]) -> De
 
 
 # family name -> (its bound on (space, dim, pi1), the rule it selects per pi1
-# class); pi1() reads pi1 where the family needs it, so a failed read is its failure
+# class); pi1 is read before the family runs, and a refused read fails a
+# family only where it needs pi1, after its own earlier checks
 _FAMILIES = {
     "Thm4.1": (_general, _GENERAL_RULE),
     "Thm4.8": (_two_dim, _TWO_DIM_RULE),
@@ -256,7 +267,7 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
             break
     else:
         raise ValueError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    report = _attempt(space, family, dim_of(space), partial(pi1_of, space))
+    report = _attempt(space, family, dim_of(space), _pi1_or_refusal(space))
     if isinstance(report, DepthBoundReport) and rule not in (family, report.applied_rule):
         reason = (
             f"requested rule {rule}, but the fundamental group "
@@ -277,31 +288,12 @@ def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
     return None
 
 
-def _read_once(read: Callable[[], Pi1Descriptor]) -> Callable[[], Pi1Descriptor]:
-    """`read`, run on the first call only: each call returns its result or
-    raises the domain error it raised.  (``functools.cache`` keeps no
-    raised error, so a refused read would run again.)"""
-    outcome: list = []
-
-    def once() -> Pi1Descriptor:
-        if not outcome:
-            try:
-                outcome.append(read())
-            except PolydepthError as err:
-                outcome.append(err)
-        if isinstance(outcome[0], PolydepthError):
-            raise outcome[0]
-        return outcome[0]
-
-    return once
-
-
 def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
-    the result lists every failed hypothesis.  Both families share one read
-    of pi1, kept for this call with its result or its refusal."""
-    dim, pi1 = dim_of(space), _read_once(partial(pi1_of, space))
+    the result lists every failed hypothesis.  pi1 is read once, before
+    either family runs, and both take its descriptor or its refusal."""
+    dim, pi1 = dim_of(space), _pi1_or_refusal(space)
     results = [_attempt(space, family, dim, pi1) for family in _FAMILIES]
     attempts = [r for r in results if isinstance(r, DepthBoundReport)]
     if not attempts:

@@ -58,8 +58,10 @@ rules, the cover itself never built:
   copies of the rest (at most ``MAX_DIMENSION`` parts and summands).  For
   infinite n (a tree for several circles, X~ the point) it is no finite
   complex, and its fold is H(X~) with a not-f.g. verdict in each degree of
-  the rest's reduced homology (``_wedge_cover`` makes every such verdict),
-  which a product refuses.
+  the rest's reduced homology (``_wedge_cover`` makes every such verdict).
+  A wedge folds the same at the top level and as a product factor; a
+  product refuses a factor whose fold carries a verdict, so a rest with no
+  reduced homology and no disconnected part, such as a point, passes.
   n is known for a finite or torsion abelian group, infinite for a free
   group, free abelian rank or Hirsch length >= 1; Hirsch length 0 refuses.
 
@@ -560,7 +562,14 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
     if isinstance(space, Product):
         # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
         # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
-        folds, betti = [_fold(f, cover) for f in space.factors], 1
+        folds, betti = [], 1
+        for f in space.factors:
+            folds.append(_fold(f, cover))
+            if None in folds[-1][0].values():
+                raise UnsupportedConstruction(
+                    "wedge with infinite fundamental group and simply connected "
+                    "parts inside a product: its cover is not a finite complex"
+                )
         for f_ranks, _, _ in folds:
             betti *= sum(f_ranks.values())
             if betti > MAX_BETTI:
@@ -604,7 +613,7 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
     if not isinstance(space, (Sphere, Wedge)):
         raise TypeError(f"not a SpaceExpr: {space!r}")
     if cover and isinstance(space, Wedge):
-        return _wedge_cover(space, in_product=True)
+        return _wedge_cover(space)
     if cover and space.n == 1:
         # the circle is covered by the line, which is contractible
         return {0: 1}, {}, 0
@@ -718,11 +727,12 @@ def _split(parts: tuple[SpaceExpr, ...]) -> tuple[list, list]:
     return [s for s in split if not isinstance(s[1], Trivial)], rest
 
 
-def _wedge_cover(space: Wedge, in_product: bool = False) -> tuple[dict, dict, int]:
-    """The `_fold` of the cover by the wedge rule of the module docstring.
-    When it is no finite complex, that is the fold of X~ with a rank of None
-    (not f.g.) in each degree where the rest has homology, and refused
-    `in_product`, where no rule takes it."""
+def _wedge_cover(space: Wedge) -> tuple[dict, dict, int]:
+    """The `_fold` of the cover by the wedge rule of the module docstring,
+    at the top level and as a product factor alike.  When it is no finite
+    complex, that is the fold of X~ with a rank of None (not f.g.) in each
+    degree where the rest has reduced homology or a part past its first
+    component.  A rest with neither adds no verdict."""
     others, rest = _split(space.parts)
     if not others:
         return _fold(space)
@@ -737,11 +747,6 @@ def _wedge_cover(space: Wedge, in_product: bool = False) -> tuple[dict, dict, in
     if not (isinstance(d, Finite) or (isinstance(d, FgAbelian) and not d.group.free_rank)):
         ranks, torsion, dim = _fold(part, cover=True)
         if rest:
-            if in_product:
-                raise UnsupportedConstruction(
-                    "wedge with infinite fundamental group and simply connected "
-                    "parts inside a product: its cover is not a finite complex"
-                )
             # infinitely many copies of the rest
             rest_ranks, rest_torsion, folds = {}, {}, {}
             dim = max(dim, *(_add(p, rest_ranks, rest_torsion, 1, folds) for p, _ in rest))
@@ -764,9 +769,10 @@ def _wedge_cover(space: Wedge, in_product: bool = False) -> tuple[dict, dict, in
 
 
 def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
-    """Homology of the universal cover: the fold of the cover by the
-    structural rules, or H(X~) with not-f.g. verdicts for a wedge whose
-    cover is not a finite complex (see the module docstring).
+    """Homology of the universal cover: the profile of ``_fold(space,
+    True)``, the one cover rule for every caller.  A wedge whose cover is
+    not a finite complex gives H(X~) with its not-f.g. verdicts, which a
+    product refuses in a factor (see the module docstring).
 
     >>> rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"],
     ...                fg_abelian(FgAbelianGroup(torsion=(2,))),
@@ -778,7 +784,7 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     H3 = 0
     H4 = Z
     """
-    return _profile(*(_wedge_cover(space) if isinstance(space, Wedge) else _fold(space, True)))
+    return _profile(*_fold(space, True))
 
 
 def pi1_of(space: SpaceExpr) -> Pi1Descriptor:

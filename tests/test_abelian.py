@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import factor_naive, tor_torsion_pairwise
+from polydepth import intlinalg, topology
 from polydepth.abelian import (
     MAX_CYCLIC_ORDER,
     TRIVIAL_GROUP,
@@ -19,6 +20,8 @@ from polydepth.abelian import (
 )
 from polydepth.errors import CompositionNotZero, DimensionMismatch
 from polydepth.intlinalg import IntMatrix
+from polydepth.topology import ChainComplex, homology_of_complex
+from test_topology import _count_calls
 
 
 def zero_map(rows, cols):
@@ -202,21 +205,40 @@ def _random_unimodular(rng: random.Random, n: int) -> IntMatrix:
     return IntMatrix.from_rows(m)
 
 
-def test_basis_independence_of_homology():
-    # changing bases of all three chain groups must not change the group:
-    # d_k -> A d_k B, d_{k+1} -> B^-1 d_{k+1} C realized by building B's
-    # inverse action directly on random complexes
+def _unimodular_transform_pairs():
+    """60 seeded random pairs (d_k, d_k1), each with its transform
+    (A d_k B, B^-1 d_k1 C), the inverse of B built directly."""
     rng = random.Random(7)
     for _ in range(60):
         rows, mid, cols = (rng.randrange(0, 4) for _ in range(3))
         d_k1 = IntMatrix(mid, cols, tuple(rng.randint(-4, 4) for _ in range(mid * cols)))
         d_k = zero_map(rows, mid)  # zero upper map keeps composition zero
-        base = from_boundary_maps(d_k, d_k1)
         a = _random_unimodular(rng, rows)
         b = _random_unimodular(rng, mid)
         c = _random_unimodular(rng, cols)
-        transformed = from_boundary_maps(a @ d_k @ b, _inverse_unimodular(b) @ d_k1 @ c)
-        assert transformed == base
+        yield (d_k, d_k1), (a @ d_k @ b, _inverse_unimodular(b) @ d_k1 @ c)
+
+
+def test_basis_independence_of_homology():
+    # changing bases of all three chain groups must not change the group:
+    # d_k -> A d_k B, d_{k+1} -> B^-1 d_{k+1} C on random complexes
+    for base, transformed in _unimodular_transform_pairs():
+        assert from_boundary_maps(*transformed) == from_boundary_maps(*base)
+
+
+def test_from_boundary_maps_is_the_one_homology_path(monkeypatch):
+    # H_1 of the complex of the two maps, read by homology_of_complex: no
+    # rank or Smith diagonal of its own
+    pairs = [pair for both in _unimodular_transform_pairs() for pair in both]
+    calls = [
+        _count_calls(monkeypatch, "rank", intlinalg, topology),
+        _count_calls(monkeypatch, "invariant_factors", intlinalg),
+    ]
+    groups = [from_boundary_maps(d_k, d_k1) for d_k, d_k1 in pairs]
+    assert calls == [[0], [0]]
+    for (d_k, d_k1), group in zip(pairs, groups):
+        cells = (d_k.rows, d_k.cols, d_k1.cols)
+        assert group == homology_of_complex(ChainComplex(2, (d_k, d_k1), cells)).group(1)
 
 
 def _inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -242,8 +242,9 @@ TORUS = {"explicit": {
     "cover": complex_to_json(EXAMPLE_COMPLEXES["point"]),
 }}
 S1, S2 = {"sphere": 1}, {"sphere": 2}
-# a point: simply connected, with no reduced homology
+# a point: simply connected, with no reduced homology; two points are disconnected
 POINT = {"explicit": {"complex": {"cells": [1]}, "pi1": {"trivial": True}}}
+TWO_POINTS = {"explicit": {"complex": {"cells": [2]}, "pi1": {"trivial": True}}}
 WEDGE_RULE = [
     ("s1-v-s1", {"wedge": [S1, S1]}, "H0 = Z\n", (
         "rule=Cor-free bound=2\nsl_pi1=2\nassumes: H_i(cover) f.g.\n"
@@ -264,6 +265,11 @@ WEDGE_RULE = [
          "rule=Cor-finite bound=8\nsl_pi1=1\ndegree 2: 4\ndegree 3: 0\ndegree 4: 3\n"
          "assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\n"
      )),
+    # the cover text S^1 x S^2 prints (pinned in spaces_text.json): the point adds nothing
+    ("s1-v-point-x-s2", {"product": [{"wedge": [S1, POINT]}, S2]}, "H0 = Z\nH1 = 0\nH2 = Z\n", (
+        "rule=Cor-abelian bound=2\nsl_pi1=1\ndegree 2: 1\ndegree 3: 0\n"
+        "assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\n"
+    )),
 ]
 
 
@@ -271,7 +277,9 @@ class TestWedgeRule:
     """New answers of the one wedge rule, derived by hand: S^1 v S^1 has
     pi1 F2 and a contractible cover; RP^2 v S^2 has pi1 Z2 and the cover
     S^2 v S^2 v S^2; T^2 v S^2 has pi1 Z^2 and infinitely many S^2 in its
-    cover; (RP^2 v S^2) x S^2 is covered by (S^2 v S^2 v S^2) x S^2."""
+    cover; (RP^2 v S^2) x S^2 is covered by (S^2 v S^2 v S^2) x S^2; the
+    rest of S^1 v point has no reduced homology and one component, so
+    (S^1 v point) x S^2 has the cover homology of S^1 x S^2."""
 
     @pytest.mark.parametrize(
         "space, cover, report", [case[1:] for case in WEDGE_RULE], ids=[c[0] for c in WEDGE_RULE]
@@ -322,10 +330,10 @@ class TestWedgeRule:
         [
             ([{"wedge": [S1, S1, S2]}, "rp2"], "parts inside a product: its cover is not a finite"),
             (["rp2", {"wedge": [S1, S1, S2]}], "needs a user-supplied cover complex"),
-            # the rest of S^1 v point has no reduced homology, and is refused all the same
-            ([{"wedge": [S1, POINT]}, S2], "parts inside a product: its cover is not a finite"),
+            # infinitely many copies of two points: an H_0 that is not f.g.
+            ([{"wedge": [S1, TWO_POINTS]}, S2], "parts inside a product: its cover is not a finite"),
         ],
-        ids=["wedge-first", "uncovered-first", "contractible-rest"],
+        ids=["wedge-first", "uncovered-first", "disconnected-rest"],
     )
     def test_first_refused_factor_names_the_reason(self, tmp_path, capsys, factors, reason):
         # the factors are folded in order: the first refusal is the one printed

@@ -571,6 +571,21 @@ class TestWedgeRule:
         got = universal_cover_homology(space)
         assert (got, got.dim) == (profile(dim, groups), dim)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_contractible_rest_leaves_a_product_factor_as_it_was(self, seed):
+        # X v point has X's cover homology: no reduced homology, one component,
+        # so no not-f.g. verdict, in a product as on its own
+        rng = random.Random(3400 + seed)
+        point = Explicit(EXAMPLE_COMPLEXES["point"], Trivial())
+        infinite = [Sphere(1), wedge(Sphere(1), Sphere(1)), TORUS_COVERED]
+        for _ in range(20):
+            x = rng.choice(infinite)
+            y = rng.choice([Sphere(rng.randint(1, 6)), RP2_COVERED])
+            pair = (lambda f: (f, y)) if rng.random() < 0.5 else (lambda f: (y, f))
+            got = universal_cover_homology(product(*pair(wedge(x, *[point] * rng.randint(1, 3)))))
+            want = universal_cover_homology(product(*pair(x)))
+            assert (got, got.dim) == (want, want.dim)
+
     def test_a_trivial_group_of_order_one_keeps_one_copy(self):
         point = EXAMPLE_COMPLEXES["point"]
         one = Explicit(point, Finite(catalog_group("Z1")), cover=point)
@@ -958,19 +973,33 @@ class TestWedgeWalks:
         # Smith form once on the cover of RP^2, once on T^2
         assert calls[0] == 2
 
-    def test_a_refused_pi1_is_read_once(self, monkeypatch):
+    @pytest.mark.parametrize("s3", [False, True], ids=["rp2-v-rp2", "rp2-v-rp2-v-s3"])
+    def test_a_refused_pi1_is_read_once(self, monkeypatch, s3):
         # Z2 * Z2 has no descriptor: one read is pi1_of on the wedge and on
-        # each of its two parts, read as two objects, and the second family
-        # sees the same refusal
+        # each of its parts, the two RP^2 read as two objects.  Each family
+        # that gets as far as pi1 records the same refusal; with S^3 beside
+        # them the 2-dim rule fails on the dimension first
         rp2 = space_to_json(RP2_COVERED)
-        space = space_from_json({"wedge": [rp2, rp2]})
-        calls = _count_calls(monkeypatch, "pi1_of", topology, depth)
-        report = best_bound(space)
-        reason = (
+        space = space_from_json({"wedge": [rp2, rp2, *[{"sphere": 3}] * s3]})
+        read, original = [], topology.pi1_of
+
+        def recording(x):
+            read.append(x)
+            return original(x)
+
+        for module in (topology, depth):
+            monkeypatch.setattr(module, "pi1_of", recording)
+        refused = (
             "UnsupportedConstruction: free product of the wedge parts' groups has no descriptor"
         )
-        assert report.failures == (("Thm4.1", reason), ("Thm4.8", reason))
-        assert calls[0] == 3
+        two_dim = "DimensionNotTwo: rule needs a 2-dimensional space, got dim 3" if s3 else refused
+        failures = (("Thm4.1", refused), ("Thm4.8", two_dim))
+        assert best_bound(space).failures == failures
+        assert len(read) == 1 + len(space.parts) and [x is space for x in read].count(True) == 1
+        for failure in failures:
+            read.clear()
+            assert forced_bound(space, failure[0]).failures == (failure,)
+            assert [x is space for x in read].count(True) == 1
 
 
 def _nested(levels: int) -> dict:
