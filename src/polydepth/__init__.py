@@ -141,8 +141,7 @@ _EXPORTS = {
         "render_report",
         "GENERAL_ASSUMPTIONS",
         "TWO_DIM_ASSUMPTIONS",
-        "WEDGE_PROVENANCE",
-        "CIRCLE_CROSS_SPHERE_PROVENANCE",
+        "RETRACT_CHAIN_PROVENANCE",
     ),
     # errors
     "errors": (

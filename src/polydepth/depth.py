@@ -21,10 +21,15 @@ are stable identifiers of the public interface; downstream tooling matches
 on them.  This module is the only place that maps a fundamental-group
 class to its rule.
 
-Exact depth values are attached only when known: wedges of spheres carry the
-closed-form depth (sum of the sphere counts, with capacity the product of
-counts plus one), and the circle-cross-sphere family carries a recorded
-constant.  Everything else gets an upper bound and no exactness claim.
+``best_bound`` also counts a lower bound, the length of a chain of
+retracts that collapses one leaf of the expression at a time
+(`_retract_chain_length`, proved there).  Where it meets the chosen bound
+the depth is exact, and the report carries it with
+``RETRACT_CHAIN_PROVENANCE``; everything else gets an upper bound and no
+exactness claim.  An exact depth holds under the bound's own assumptions:
+a declared pi1 or cover is trusted, so a false one can make both numbers
+false.  A lower bound above the upper bound proves the declaration false,
+and the space is refused as malformed input (ValueError).
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .pi1 import (
     Trivial,
 )
 from .topology import (
-    Product,
+    _SPHERE_ONLY,
+    Explicit,
     SpaceExpr,
     Sphere,
     Wedge,
@@ -61,6 +67,8 @@ from .topology import (
     _plain,
     _top_free_rank,
     dim_of,
+    euler_characteristic,
+    homology_of_complex,
     pi1_of,
     universal_cover_homology,
 )
@@ -83,9 +91,12 @@ _TWO_DIM_RULE = {
     ElementaryAmenable: "Cor-amenable-2dim",
 }
 
-WEDGE_PROVENANCE = "closed form: depth of a wedge of spheres is the sum of the sphere counts"
-CIRCLE_CROSS_SPHERE_PROVENANCE = (
-    "recorded exact value: the depth of S^1 x S^n (n >= 2) is 2"
+# the homology of a point: an explicit complex with it has H~ = 0
+_POINT_GROUPS = {0: FgAbelianGroup(free_rank=1)}
+
+RETRACT_CHAIN_PROVENANCE = (
+    "retract chain: collapsing one leaf with nonzero reduced homology at a "
+    "time meets the bound"
 )
 
 
@@ -176,28 +187,43 @@ class NoBoundApplicable(Record):
 def bound_general(space: SpaceExpr) -> DepthBoundReport:
     """Cover-based bound: sl(pi1) plus the splitting lengths of the cover's
     homology in degrees 2..dim."""
-    return _general(space, dim_of(space), _pi1_or_refusal(space))
+    return _general(space, dim_of(space), None)
 
 
 def bound_2dim(space: SpaceExpr) -> DepthBoundReport:
     """Two-dimensional bound: sl(pi1) plus the rank of ordinary H_2; the top
     homology of a 2-complex is ker d_2, free, so rank captures the whole
     group, and it is read as c_2 - rank d_2, with d_1 never reduced."""
-    return _two_dim(space, dim_of(space), _pi1_or_refusal(space))
+    return _two_dim(space, dim_of(space), None)
 
 
 def _pi1_or_refusal(space: SpaceExpr) -> Pi1Descriptor | PolydepthError:
     """pi1 of `space`, or the domain error that refused it: read once per
-    bound call, for every family it runs."""
+    `best_bound`, for both families."""
     try:
         return pi1_of(space)
     except PolydepthError as err:
         return err
 
 
-def _general(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) -> DepthBoundReport:
+def _descriptor(
+    space: SpaceExpr, pi1: Pi1Descriptor | PolydepthError | None
+) -> Pi1Descriptor:
+    """The descriptor a family runs on, once its own earlier checks have
+    passed.  `pi1` is the descriptor or refusal that `best_bound` read for
+    both families, or None when one family runs alone: then it is read
+    here, and not at all when the family fails first.  A refusal raises."""
+    if pi1 is None:
+        return pi1_of(space)
     if isinstance(pi1, PolydepthError):
         raise pi1
+    return pi1
+
+
+def _general(
+    space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError | None
+) -> DepthBoundReport:
+    pi1 = _descriptor(space, pi1)
     sl_pi1 = sl_of(pi1)
     cover = universal_cover_homology(space)
     not_fg = [k for k, g in cover.groups.items() if g is None and 2 <= k <= dim]
@@ -215,11 +241,12 @@ def _general(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) ->
     )
 
 
-def _two_dim(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) -> DepthBoundReport:
+def _two_dim(
+    space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError | None
+) -> DepthBoundReport:
     if dim != 2:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
-    if isinstance(pi1, PolydepthError):
-        raise pi1
+    pi1 = _descriptor(space, pi1)
     sl_pi1 = sl_of(pi1)
     rank = _top_free_rank(space)
     return DepthBoundReport(
@@ -233,8 +260,8 @@ def _two_dim(space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError) ->
 
 
 # family name -> (its bound on (space, dim, pi1), the rule it selects per pi1
-# class); pi1 is read before the family runs, and a refused read fails a
-# family only where it needs pi1, after its own earlier checks
+# class); a refused pi1 read fails a family only where it needs pi1, after
+# its own earlier checks
 _FAMILIES = {
     "Thm4.1": (_general, _GENERAL_RULE),
     "Thm4.8": (_two_dim, _TWO_DIM_RULE),
@@ -243,7 +270,7 @@ RULES = frozenset(_FAMILIES).union(*(rules.values() for _, rules in _FAMILIES.va
 
 
 def _attempt(
-    space: SpaceExpr, family: str, dim: int, pi1
+    space: SpaceExpr, family: str, dim: int, pi1: Pi1Descriptor | PolydepthError | None
 ) -> "DepthBoundReport | NoBoundApplicable":
     """Run one bound family; a domain error becomes its one recorded failure."""
     runner, _ = _FAMILIES[family]
@@ -267,7 +294,7 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
             break
     else:
         raise ValueError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    report = _attempt(space, family, dim_of(space), _pi1_or_refusal(space))
+    report = _attempt(space, family, dim_of(space), None)
     if isinstance(report, DepthBoundReport) and rule not in (family, report.applied_rule):
         reason = (
             f"requested rule {rule}, but the fundamental group "
@@ -277,22 +304,60 @@ def forced_bound(space: SpaceExpr, rule: str) -> "DepthBoundReport | NoBoundAppl
     return report
 
 
-def _known_exact_depth(space: SpaceExpr) -> "tuple[int, str] | None":
-    parts = space.parts if isinstance(space, Wedge) else (space,)
-    if {Sphere}.issuperset(map(type, parts)):
-        return len(parts), WEDGE_PROVENANCE
-    if isinstance(space, Product) and all(isinstance(f, Sphere) for f in space.factors):
-        dims = sorted(f.n for f in space.factors)
-        if len(dims) == 2 and dims[0] == 1 < dims[1]:
-            return 2, CIRCLE_CROSS_SPHERE_PROVENANCE
-    return None
+def _retract_chain_length(space: SpaceExpr) -> int:
+    """lb(space), a lower bound on depth: the number of leaves, spheres and
+    explicit complexes with nonzero reduced homology H~, counted with
+    multiplicity; a wedge or a product adds its parts'.
+
+    Proof that depth(P) >= lb(P).  Depth (K. Borsuk, Theory of Shape, 1975)
+    is the length of the longest chain of homotopy types, each dominated by
+    the one before and not dominating it.  Replace one leaf L by a point.
+    In a wedge, L v Y -> Y collapses L; in a product, L x Y -> Y projects;
+    the inclusion at the base point is a section of each, and a retraction
+    of a part extends over every enclosing wedge and product.  So each step
+    is dominated by the one before, and its homology is a direct summand:
+    H(before) = H(after) + K.  K is not 0: a wedge adds reduced homology,
+    so K holds H~(L); in a product K holds H~(L) (x) H_0(rest), H_0 of a
+    nonempty space is free and not 0, and Kunneth is natural (Hatcher,
+    Algebraic Topology, 3.B).  The step cannot be reversed: if the space
+    after dominated the one before, each homology would be a summand of the
+    other, and finitely generated abelian groups that are summands of each
+    other are isomorphic (compare free ranks and the number of Z/p^k
+    summands), against K != 0.  Collapsing the lb leaves one at a time
+    gives a chain of lb strict steps.
+
+    A wedge or product of spheres alone is counted in one C-level type
+    scan.  An explicit complex is settled by its Euler characteristic: the
+    point's homology has chi = 1, so chi != 1 means H~ != 0, and only a
+    complex with chi = 1 is reduced.
+
+    >>> from polydepth import product, wedge
+    >>> _retract_chain_length(product(Sphere(1), wedge(Sphere(2), Sphere(3))))
+    3
+    """
+    if isinstance(space, Sphere):
+        return 1
+    if isinstance(space, Explicit):
+        complex_ = space.complex
+        if euler_characteristic(complex_) != 1:
+            return 1
+        return int(homology_of_complex(complex_).groups != _POINT_GROUPS)
+    parts = space.parts if isinstance(space, Wedge) else space.factors
+    if _SPHERE_ONLY.issuperset(map(type, parts)):
+        return len(parts)
+    return sum(map(_retract_chain_length, parts))
 
 
 def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
     """Try both families and keep the smaller bound (the general rule on
     ties).  Domain errors become recorded failures; if both families fail,
     the result lists every failed hypothesis.  pi1 is read once, before
-    either family runs, and both take its descriptor or its refusal."""
+    either family runs, and both take its descriptor or its refusal.
+
+    The depth is exact where the retract-chain lower bound
+    (`_retract_chain_length`) meets the chosen bound.  A lower bound above
+    it refuses the space (ValueError): lb reads homology alone, so the
+    declared pi1 or cover is false."""
     dim, pi1 = dim_of(space), _pi1_or_refusal(space)
     results = [_attempt(space, family, dim, pi1) for family in _FAMILIES]
     attempts = [r for r in results if isinstance(r, DepthBoundReport)]
@@ -306,13 +371,16 @@ def best_bound(space: SpaceExpr) -> "DepthBoundReport | NoBoundApplicable":
             f"both rules apply: general bound {general.bound}, "
             f"2-dim bound {two_dim.bound}",
         )
-    # replace() re-runs the report's checks, so an exact depth above the
-    # bound fails loudly
-    exact_depth, provenance = _known_exact_depth(space) or (None, None)
+    lb = _retract_chain_length(space)
+    if lb > chosen.bound:
+        raise ValueError(
+            "the declared fundamental group or cover contradicts the complex: "
+            f"its homology gives depth >= {lb}, above the bound {chosen.bound}"
+        )
+    if lb < chosen.bound:
+        return chosen.replace(assumptions_used=assumptions)
     return chosen.replace(
-        assumptions_used=assumptions,
-        exact_depth=exact_depth,
-        provenance=provenance,
+        assumptions_used=assumptions, exact_depth=lb, provenance=RETRACT_CHAIN_PROVENANCE
     )
 
 

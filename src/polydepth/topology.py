@@ -43,11 +43,15 @@ because the fold, pi1 and the cover recurse once per level.
 The cover's homology is the fold of the universal cover by structural
 rules, the cover itself never built:
 
-* the circle is covered by the line, so its cover is the point;
+* the circle is covered by the line, so its cover has the point's
+  homology;
 * a higher sphere, and an explicit complex with trivial declared group,
   is its own cover;
 * an explicit complex with nontrivial group is covered by its user-supplied
-  cover complex, which has trivial group;
+  cover complex, which has trivial group and homology in no degree above
+  the complex's dimension (else ValueError, naming the degree);
+* a cover has the dimension of the space it covers, so its profile names
+  the same degrees as the space's own;
 * a product is covered by the product of its factors' covers;
 * a wedge follows one rule (Hatcher, Algebraic Topology, 1.2-1.3, 2.2).
   Its simply connected parts are the rest, split off in one pass that pi1
@@ -556,9 +560,15 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
                     "user-supplied cover complex"
                 )
             complex_ = space.cover
-        groups = homology_of_complex(complex_).groups
+        groups, dim = homology_of_complex(complex_).groups, space.complex.dim
+        above = [k for k in groups if k > dim]
+        if above:
+            raise ValueError(
+                f"cover complex has homology in degree {above[0]}, above the "
+                f"dimension {dim} of the complex it covers"
+            )
         ranks = {k: g.free_rank for k, g in groups.items() if g.free_rank}
-        return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}, complex_.dim
+        return ranks, {k: [*g.torsion] for k, g in groups.items() if g.torsion}, dim
     if isinstance(space, Product):
         # Kunneth: H_n(X x Y) sums H_i(X) (x) H_j(Y) over i + j = n and
         # Tor(H_i(X), H_j(Y)) over i + j = n - 1, visiting only stored degrees
@@ -616,7 +626,7 @@ def _fold(space: SpaceExpr, cover: bool = False) -> tuple[dict, dict, int]:
         return _wedge_cover(space)
     if cover and space.n == 1:
         # the circle is covered by the line, which is contractible
-        return {0: 1}, {}, 0
+        return {0: 1}, {}, 1
     ranks, torsion = {0: 1}, {}
     return ranks, torsion, _add(space, ranks, torsion, 1, {})
 

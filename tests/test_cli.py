@@ -160,7 +160,7 @@ class TestHomologyCommand:
     def test_universal_cover_flag(self, tmp_path, capsys):
         path = _space_file(tmp_path, product(Sphere(1), Sphere(2)))
         assert run(["homology", path, "--universal-cover"]) == 0
-        assert capsys.readouterr().out == "H0 = Z\nH1 = 0\nH2 = Z\n"
+        assert capsys.readouterr().out == "H0 = Z\nH1 = 0\nH2 = Z\nH3 = 0\n"
 
     def test_json_profile(self, tmp_path, capsys):
         path = _space_file(tmp_path, product(Sphere(1), Sphere(1)))
@@ -245,16 +245,20 @@ S1, S2 = {"sphere": 1}, {"sphere": 2}
 # a point: simply connected, with no reduced homology; two points are disconnected
 POINT = {"explicit": {"complex": {"cells": [1]}, "pi1": {"trivial": True}}}
 TWO_POINTS = {"explicit": {"complex": {"cells": [2]}, "pi1": {"trivial": True}}}
+# the line every bound ends with whose retract chain meets it
+RETRACT_CHAIN = (
+    "(retract chain: collapsing one leaf with nonzero reduced homology at a time "
+    "meets the bound)\n"
+)
 WEDGE_RULE = [
-    ("s1-v-s1", {"wedge": [S1, S1]}, "H0 = Z\n", (
+    ("s1-v-s1", {"wedge": [S1, S1]}, "H0 = Z\nH1 = 0\n", (
         "rule=Cor-free bound=2\nsl_pi1=2\nassumes: H_i(cover) f.g.\n"
-        "assumes: sl(π₁) finite\nexact_depth=2 (closed form: depth of a wedge of "
-        "spheres is the sum of the sphere counts)\n"
+        f"assumes: sl(π₁) finite\nexact_depth=2 {RETRACT_CHAIN}"
     )),
     ("rp2-v-s2", {"wedge": [RP2, S2]}, "H0 = Z\nH1 = 0\nH2 = Z^3\n", (
         "rule=Thm4.8 bound=2\nsl_pi1=1\ndegree 2: 1\nassumes: dim(P) = 2\n"
         "assumes: sl(π₁) finite\nassumes: both rules apply: general bound 4, "
-        "2-dim bound 2\n"
+        f"2-dim bound 2\nexact_depth=2 {RETRACT_CHAIN}"
     )),
     ("t2-v-s2", {"wedge": [TORUS, S2]}, "H0 = Z\nH1 = 0\nH2 = not finitely generated\n", (
         "rule=Cor-abelian-2dim bound=4\nsl_pi1=2\ndegree 2: 2\nassumes: dim(P) = 2\n"
@@ -266,10 +270,11 @@ WEDGE_RULE = [
          "assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\n"
      )),
     # the cover text S^1 x S^2 prints (pinned in spaces_text.json): the point adds nothing
-    ("s1-v-point-x-s2", {"product": [{"wedge": [S1, POINT]}, S2]}, "H0 = Z\nH1 = 0\nH2 = Z\n", (
-        "rule=Cor-abelian bound=2\nsl_pi1=1\ndegree 2: 1\ndegree 3: 0\n"
-        "assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\n"
-    )),
+    ("s1-v-point-x-s2", {"product": [{"wedge": [S1, POINT]}, S2]},
+     "H0 = Z\nH1 = 0\nH2 = Z\nH3 = 0\n", (
+         "rule=Cor-abelian bound=2\nsl_pi1=1\ndegree 2: 1\ndegree 3: 0\n"
+         f"assumes: H_i(cover) f.g.\nassumes: sl(π₁) finite\nexact_depth=2 {RETRACT_CHAIN}"
+     )),
 ]
 
 
@@ -361,6 +366,55 @@ class TestWedgeRule:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: UnsupportedConstruction: ") and reason in err
+
+
+# the circle complex labelled simply connected: its retract chain has one
+# step, above the bound 0 that the false label gives
+FALSE_CIRCLE = {"explicit": {
+    "complex": complex_to_json(EXAMPLE_COMPLEXES["circle"]), "pi1": {"trivial": True},
+}}
+REFUTED = (
+    "input error: the declared fundamental group or cover contradicts the complex: "
+    "its homology gives depth >= 1, above the bound 0\n"
+)
+
+
+class TestRefutedDeclarations:
+    """A declared pi1 or cover that homology alone refutes is malformed input:
+    a retract chain longer than the bound, or a cover with homology above
+    the dimension of the space it covers."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_retract_chain_above_the_bound_is_refused(self, tmp_path, capsys, fmt):
+        path = _write_json(tmp_path, "space.json", FALSE_CIRCLE)
+        assert run(["bound", path, "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", REFUTED)
+
+    def test_a_forced_rule_attaches_no_exactness_and_refuses_nothing(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "space.json", FALSE_CIRCLE)
+        assert run(["bound", path, "--rule", "Thm4.1"]) == 0
+        assert capsys.readouterr().out.startswith("rule=Cor-simply bound=0\n")
+
+    def test_a_cover_with_homology_above_the_dimension_is_refused(self, tmp_path, capsys):
+        # RP^2 with S^3 as its cover: no cover of a 2-complex has an H_3
+        s3 = complex_to_json(EXAMPLE_COMPLEXES["sphere3"])
+        space = {"explicit": {**RP2["explicit"], "cover": s3}}
+        path = _write_json(tmp_path, "space.json", space)
+        for argv in (["homology", path, "--universal-cover"], ["bound", path]):
+            assert run(argv) == 1
+            assert capsys.readouterr() == ("", (
+                "input error: cover complex has homology in degree 3, above the "
+                "dimension 2 of the complex it covers\n"
+            ))
+
+    def test_a_cover_profile_names_the_degrees_of_the_space(self, tmp_path, capsys):
+        # the point as the cover of the torus, the line as that of the circle
+        for space, dim in ((TORUS, 2), (S1, 1), ({"wedge": [S1, {"sphere": 1}]}, 1)):
+            path = _write_json(tmp_path, "space.json", space)
+            assert run(["homology", path, "--universal-cover"]) == 0
+            assert capsys.readouterr().out == "H0 = Z\n" + "".join(
+                f"H{k} = 0\n" for k in range(1, dim + 1)
+            )
 
 
 class TestSlCommand:

@@ -1,24 +1,35 @@
 """Depth bound tests: sl dispatch, both bound families, best-bound
-selection, forced rules, the wedge depth formula, and report serialization."""
+selection, forced rules, the retract-chain lower bound, the wedge depth
+formula, and report serialization."""
 
+import collections
+import functools
 import json
+import math
 import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import render_report_naive, report_to_json_naive
+from oracles import (
+    render_report_naive,
+    report_to_json_naive,
+    tensor_complex_naive,
+    wedge_complex_naive,
+)
+from polydepth import depth
 from polydepth.abelian import from_cyclic_factors, sl_abelian
 from polydepth.catalog import catalog_abelian_factors, catalog_group, catalog_names, cyclic
 from polydepth.depth import (
     GENERAL_ASSUMPTIONS,
     RULES,
+    RETRACT_CHAIN_PROVENANCE,
     TWO_DIM_ASSUMPTIONS,
-    WEDGE_PROVENANCE,
     DepthBoundReport,
     NoBoundApplicable,
     WedgeDepthResult,
+    _retract_chain_length,
     best_bound,
     bound_2dim,
     bound_general,
@@ -52,10 +63,15 @@ from polydepth.topology import (
     ChainComplex,
     Explicit,
     Sphere,
+    complex_from_json,
+    complex_to_json,
+    homology_of_complex,
     product,
     space_from_json,
+    space_to_json,
     wedge,
 )
+from test_topology import _count_calls, _sphere_complex
 
 S1, S2, S3, S5 = Sphere(1), Sphere(2), Sphere(3), Sphere(5)
 
@@ -252,11 +268,13 @@ class TestBestBound:
         assert all("CdNotFinite" in reason for _, reason in outcome.failures)
 
     def test_exact_depth_attachment(self):
+        # exact where the retract chain (one step per sphere) meets the
+        # bound: S^2 x S^3 has a chain of 2 and a bound of 3
         assert best_bound(wedge(S2, S2, S3)).exact_depth == 3
         assert best_bound(product(S1, S3)).exact_depth == 2
-        assert best_bound(product(S1, S3)).provenance is not None
+        assert best_bound(product(S1, S3)).provenance == RETRACT_CHAIN_PROVENANCE
         assert best_bound(product(S2, S3)).exact_depth is None
-        assert best_bound(product(S1, S1)).exact_depth is None
+        assert best_bound(product(S1, S1)).exact_depth == 2
 
     def test_exact_depth_never_exceeds_bound(self):
         for space in [S2, S5, wedge(S1, S2), wedge(S2, S2, S3),
@@ -296,7 +314,7 @@ class TestBestBound:
         # pi1 = F2 and the tree covering the wedge is contractible
         report = best_bound(wedge(S1, S1))
         assert (report.applied_rule, report.bound, report.terms) == ("Cor-free", 2, {})
-        assert (report.exact_depth, report.provenance) == (2, WEDGE_PROVENANCE)
+        assert (report.exact_depth, report.provenance) == (2, RETRACT_CHAIN_PROVENANCE)
 
 
 SPACE_FILES = sorted((pathlib.Path(__file__).parent.parent / "spaces").glob("*.json"))
@@ -427,6 +445,155 @@ class TestWedgeExactDepth:
         for count in counts.values():
             capacity *= count + 1
         assert result.capacity == capacity
+
+
+# leaves of the retract-chain oracle: a sphere by its dimension, an example
+# complex by its name with its true pi1 and, where pi1 is not trivial, its
+# true cover
+CHAIN_LEAVES = {
+    "projective-plane": (Finite(catalog_group("Z2")), "sphere2"),
+    "torus": (FgAbelian(from_cyclic_factors(2, [])), "point"),
+    "klein-bottle": (ElementaryAmenable(hirsch=2, cd_finite=True), "point"),
+    "circle": (Free(1), "point"),
+    "sphere2": (Trivial(), None),
+    "point": (Trivial(), None),
+    "interval": (Trivial(), None),
+}
+POINT_COMPLEX = complex_to_json(EXAMPLE_COMPLEXES["point"])
+
+
+def _chain_tree(rng, depth):
+    """A random expression as a tree: ("sphere", n), ("explicit", name), or
+    ("wedge" | "product", [children]); a product's cellular complex is kept
+    small for the oracle's dense tensor product."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return ("sphere", rng.randint(1, 3))
+        return ("explicit", rng.choice(sorted(CHAIN_LEAVES)))
+    if rng.random() < 0.5:
+        return ("wedge", [_chain_tree(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+    while True:
+        factors = [_chain_tree(rng, depth - 1) for _ in range(2)]
+        if math.prod(sum(_tree_complex(f)["cells"]) for f in factors) <= 200:
+            return ("product", factors)
+
+
+def _tree_space(tree):
+    kind, value = tree
+    if kind == "sphere":
+        return Sphere(value)
+    if kind == "explicit":
+        pi1, cover = CHAIN_LEAVES[value]
+        return Explicit(
+            EXAMPLE_COMPLEXES[value], pi1, cover and EXAMPLE_COMPLEXES[cover]
+        )
+    return (wedge if kind == "wedge" else product)(*map(_tree_space, value))
+
+
+def _tree_complex(tree):
+    """The cellular chain complex of a tree, in chain complex JSON form, from
+    the oracles' wedge and tensor constructions; "point" is the point."""
+    kind, value = tree
+    if kind == "point":
+        return POINT_COMPLEX
+    if kind == "sphere":
+        return _sphere_complex(value)
+    if kind == "explicit":
+        return complex_to_json(EXAMPLE_COMPLEXES[value])
+    if kind == "wedge":
+        return wedge_complex_naive(*map(_tree_complex, value))
+    return functools.reduce(tensor_complex_naive, map(_tree_complex, value))
+
+
+def _smith_homology(complex_json):
+    return homology_of_complex(complex_from_json(complex_json))
+
+
+POINT_HOMOLOGY = _smith_homology(POINT_COMPLEX)
+
+
+def _collapsible_leaves(tree, path=()):
+    """The paths of the leaves whose Smith-form homology is not the point's."""
+    kind, value = tree
+    if kind in ("wedge", "product"):
+        return [p for i, child in enumerate(value) for p in _collapsible_leaves(child, path + (i,))]
+    if kind != "point" and _smith_homology(_tree_complex(tree)) != POINT_HOMOLOGY:
+        return [path]
+    return []
+
+
+def _collapse(tree, path):
+    """`tree` with the leaf at `path` replaced by a point."""
+    if not path:
+        return ("point", None)
+    kind, children = tree
+    return (kind, [_collapse(c, path[1:]) if i == path[0] else c for i, c in enumerate(children)])
+
+
+def _summands(group):
+    """The indecomposable summands of a f.g. abelian group, Z as 0 and
+    Z/p^k as p^k, with multiplicity."""
+    return collections.Counter({0: group.free_rank}) + collections.Counter(group.torsion)
+
+
+def _is_proper_summand(small, big):
+    """Whether `small` is a direct summand of `big` in every degree, and not
+    all of it: by Krull-Schmidt, the summands of a f.g. abelian group are the
+    sub-multisets of its indecomposable summands."""
+    degrees = range(max(small.dim, big.dim) + 1)
+    parts = [(_summands(small.group(k)), _summands(big.group(k))) for k in degrees]
+    return all(s <= b for s, b in parts) and any(s != b for s, b in parts)
+
+
+class TestRetractChain:
+    """The lower bound of `_retract_chain_length` against a chain built by
+    the oracles: collapse one leaf with nonzero reduced homology at a time,
+    each step's cellular complex made by `wedge_complex_naive` and
+    `tensor_complex_naive` and its homology read by Smith form."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_step_keeps_a_proper_summand_and_the_chain_has_lb_steps(self, seed):
+        rng = random.Random(f"retract-chain-{seed}")
+        for _ in range(10):
+            tree = _chain_tree(rng, 3)
+            lb = _retract_chain_length(_tree_space(tree))
+            before = _smith_homology(_tree_complex(tree))
+            steps = 0
+            while leaves := _collapsible_leaves(tree):
+                tree = _collapse(tree, rng.choice(leaves))
+                after = _smith_homology(_tree_complex(tree))
+                assert _is_proper_summand(after, before), tree
+                before, steps = after, steps + 1
+            assert steps == lb
+            assert before == POINT_HOMOLOGY
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lb_is_at_most_every_bound_that_applies(self, seed):
+        rng = random.Random(f"retract-chain-{seed}")
+        for _ in range(10):
+            space = _tree_space(_chain_tree(rng, 3))
+            lb = _retract_chain_length(space)
+            bounds = [forced_bound(space, family) for family in ("Thm4.1", "Thm4.8")]
+            applied = [r.bound for r in bounds if isinstance(r, DepthBoundReport)]
+            assert all(lb <= bound for bound in applied), space_to_json(space)
+            report = best_bound(space)
+            if applied:
+                exact = lb if lb == min(applied) else None
+                assert (report.exact_depth, report.bound) == (exact, min(applied))
+                assert report.provenance == (None if exact is None else RETRACT_CHAIN_PROVENANCE)
+            else:
+                assert isinstance(report, NoBoundApplicable)
+
+    def test_the_euler_characteristic_settles_all_but_chi_1(self, monkeypatch):
+        # the torus and the Klein bottle (chi 0) are not reduced; RP^2 and
+        # the interval (chi 1) are, and only RP^2 counts
+        calls = _count_calls(monkeypatch, "homology_of_complex", depth)
+        leaves = {name: Explicit(EXAMPLE_COMPLEXES[name], Trivial()) for name in
+                  ("torus", "klein-bottle", "projective-plane", "interval")}
+        assert _retract_chain_length(wedge(leaves["torus"], leaves["klein-bottle"])) == 2
+        assert calls[0] == 0
+        assert _retract_chain_length(product(leaves["projective-plane"], leaves["interval"])) == 1
+        assert calls[0] == 2
 
 
 class TestReports:

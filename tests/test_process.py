@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from oracles import disguised_surface
+from test_cli import FALSE_CIRCLE, REFUTED
 from test_finitegroup import NONASSOC_LOOP
 from test_reduction import PINNED_D1, PINNED_D2
 from test_topology import _nested
@@ -239,6 +240,16 @@ def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 20
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_refuted_declaration_is_refused_in_optimized_mode(tmp_path, fmt):
+    # the circle complex labelled simply connected: the retract chain (1)
+    # exceeds the bound (0), a check that no assert makes
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(FALSE_CIRCLE))
+    proc = _python("-O", "-m", "polydepth.cli", "bound", str(path), "--format", fmt)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", REFUTED)
 
 
 def test_star_import_exports_every_public_name_once():

@@ -38,10 +38,11 @@ from polydepth import depth, intlinalg, topology
 from polydepth.catalog import catalog_group
 from polydepth.cli import run
 from polydepth.suites import _random_zero_composition_complex
-from polydepth.depth import best_bound, forced_bound
+from polydepth.depth import best_bound, bound_2dim, forced_bound
 from polydepth.errors import (
     CompositionNotZero,
     DimensionMismatch,
+    DimensionNotTwo,
     NotFinitelyGenerated,
     UnsupportedConstruction,
     _sphere_dims,
@@ -553,8 +554,9 @@ class TestWedgeRule:
     @pytest.mark.parametrize(
         "space, dim, groups",
         [
-            # the tree that covers several circles is contractible
-            (wedge(Sphere(1), Sphere(1)), 0, {0: Z}),
+            # the tree that covers several circles is contractible; a cover
+            # has the dimension of the space it covers
+            (wedge(Sphere(1), Sphere(1)), 1, {0: Z}),
             # S^2 v S^2 v S^2: the cover S^2 of RP^2 with an S^2 at each of 2 lifts
             (wedge(RP2_COVERED, Sphere(2)), 2, {0: Z, 2: FgAbelianGroup(free_rank=3)}),
             (wedge(TORUS_COVERED, Sphere(2)), 2, {0: Z, 2: None}),
@@ -978,7 +980,8 @@ class TestWedgeWalks:
         # Z2 * Z2 has no descriptor: one read is pi1_of on the wedge and on
         # each of its parts, the two RP^2 read as two objects.  Each family
         # that gets as far as pi1 records the same refusal; with S^3 beside
-        # them the 2-dim rule fails on the dimension first
+        # them the 2-dim rule fails on the dimension first, and run alone it
+        # reads no pi1
         rp2 = space_to_json(RP2_COVERED)
         space = space_from_json({"wedge": [rp2, rp2, *[{"sphere": 3}] * s3]})
         read, original = [], topology.pi1_of
@@ -999,7 +1002,23 @@ class TestWedgeWalks:
         for failure in failures:
             read.clear()
             assert forced_bound(space, failure[0]).failures == (failure,)
-            assert [x is space for x in read].count(True) == 1
+            reads = 0 if failure[1].startswith("DimensionNotTwo") else 1
+            assert [x is space for x in read].count(True) == reads
+
+    def test_the_2dim_family_refuses_the_dimension_before_reading_pi1(self, monkeypatch):
+        # pi1 of RP^2 x RP^2 x RP^2 would build the 8-element product table
+        rp2 = space_to_json(RP2_COVERED)
+        space = space_from_json({"product": [rp2] * 3})
+        calls = _count_calls(monkeypatch, "pi1_of", topology, depth)
+        assert forced_bound(space, "Thm4.8").failures == (
+            ("Thm4.8", "DimensionNotTwo: rule needs a 2-dimensional space, got dim 6"),
+        )
+        assert calls[0] == 0
+        with pytest.raises(DimensionNotTwo):
+            bound_2dim(space)
+        assert calls[0] == 0
+        assert forced_bound(space, "Thm4.1").bound == 3 + 7
+        assert calls[0] == 1 + 3
 
 
 def _nested(levels: int) -> dict:
@@ -1275,7 +1294,7 @@ class TestWedgeCoverAgainstLiftedComplex:
     def test_a_circle_with_a_disconnected_part_has_infinitely_many_components(self):
         two_points = Explicit(complex_from_json(TWO_POINTS), Trivial())
         got = universal_cover_homology(wedge(Sphere(1), two_points))
-        assert (got.groups, got.dim) == ({0: None}, 0)
+        assert (got.groups, got.dim) == ({0: None}, 1)
 
 
 def _euler(profile_):
