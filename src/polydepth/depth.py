@@ -34,7 +34,7 @@ and the space is refused as malformed input (ValueError).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Union
 
 from .abelian import FgAbelianGroup, sl_abelian
 from .errors import (
@@ -206,13 +206,15 @@ def _pi1_or_refusal(space: SpaceExpr) -> Pi1Descriptor | PolydepthError:
         return err
 
 
-def _descriptor(
-    space: SpaceExpr, pi1: Pi1Descriptor | PolydepthError | None
-) -> Pi1Descriptor:
+# what a family is given for pi1: the descriptor or refusal that
+# `best_bound` read for both families, or None when one family runs alone
+_Pi1Read = Union[Pi1Descriptor, PolydepthError, None]
+
+
+def _descriptor(space: SpaceExpr, pi1: _Pi1Read) -> Pi1Descriptor:
     """The descriptor a family runs on, once its own earlier checks have
-    passed.  `pi1` is the descriptor or refusal that `best_bound` read for
-    both families, or None when one family runs alone: then it is read
-    here, and not at all when the family fails first.  A refusal raises."""
+    passed: read here when `pi1` is None, so not at all when the family
+    fails first.  A refusal raises."""
     if pi1 is None:
         return pi1_of(space)
     if isinstance(pi1, PolydepthError):
@@ -220,9 +222,7 @@ def _descriptor(
     return pi1
 
 
-def _general(
-    space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError | None
-) -> DepthBoundReport:
+def _general(space: SpaceExpr, dim: int, pi1: _Pi1Read) -> DepthBoundReport:
     pi1 = _descriptor(space, pi1)
     sl_pi1 = sl_of(pi1)
     cover = universal_cover_homology(space)
@@ -241,9 +241,7 @@ def _general(
     )
 
 
-def _two_dim(
-    space: SpaceExpr, dim: int, pi1: Pi1Descriptor | PolydepthError | None
-) -> DepthBoundReport:
+def _two_dim(space: SpaceExpr, dim: int, pi1: _Pi1Read) -> DepthBoundReport:
     if dim != 2:
         raise DimensionNotTwo(f"rule needs a 2-dimensional space, got dim {dim}")
     pi1 = _descriptor(space, pi1)
@@ -270,7 +268,7 @@ RULES = frozenset(_FAMILIES).union(*(rules.values() for _, rules in _FAMILIES.va
 
 
 def _attempt(
-    space: SpaceExpr, family: str, dim: int, pi1: Pi1Descriptor | PolydepthError | None
+    space: SpaceExpr, family: str, dim: int, pi1: _Pi1Read
 ) -> "DepthBoundReport | NoBoundApplicable":
     """Run one bound family; a domain error becomes its one recorded failure."""
     runner, _ = _FAMILIES[family]
