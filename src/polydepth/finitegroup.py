@@ -31,13 +31,17 @@ searches read that one lattice, which is indexed by order.  The ``n3``
 recursion reads the subgroups of each retract off the shared lattice,
 since the subgroups of H are exactly the subgroups of G inside H.
 
-The chain searches of ``n1``/``n2`` and the ``n3`` recursion stop early on
-a bound: a strictly decreasing chain of subgroups from H down to 1 has at
-most Omega(|H|) steps, where Omega counts prime factors with multiplicity
-(each index is at least a prime, by Lagrange).  A candidate whose bound
-cannot strictly beat the best chain so far is skipped, and a scan stops
-once its best chain meets the bound.  The scan order and the strict
-comparison are those of a full scan, so the witnesses are the same.
+The chain searches of ``n1``/``n2`` and the ``n3`` recursion read only the
+orders that can hold a term and stop early on a bound, both by Lagrange.
+Below a subgroup H they scan the subgroups of each proper divisor of |H|,
+larger orders first: no subgroup of another order lies in H.  A strictly
+decreasing chain of subgroups from H down to 1 has at most Omega(|H|)
+steps, where Omega counts prime factors with multiplicity (each index is
+at least a prime).  An order whose bound cannot strictly beat the best
+chain so far is skipped, and a scan stops once its best chain meets the
+bound.  ``n1``/``n2`` keep their candidates in buckets by order for this.
+The scan order and the strict comparison are those of a full scan, so the
+witnesses are the same.
 
 One function, ``_complement``, decides whether H has a complement (or a
 normal complement) in a subgroup A: it looks only among the subgroups of
@@ -543,14 +547,28 @@ def _omega(n: int) -> int:
 def _longest_chain(full: int, cands: dict[int, int]) -> SeriesResult:
     """Longest strictly decreasing chain (by inclusion) from `full` to the
     trivial mask through keys of `cands`, with the complement witness that
-    `cands` holds for each term.  Both endpoints are always candidates.
-    The scan skips a candidate whose Omega bound cannot beat the best chain
-    so far and stops once the best reaches the bound of `mask`; the first
-    longest chain in scan order wins, as in a full scan."""
-    omega = {k: _omega(k) for k in {m.bit_count() for m in cands}}
-    ordered = [
-        (c, omega[c.bit_count()]) for c in sorted(cands, key=lambda m: (-m.bit_count(), m))
-    ]
+    `cands` holds for each term.  Both endpoints are always candidates, and
+    every candidate is a subgroup.
+
+    The candidates are kept in buckets by order, each bucket by mask.  Below
+    a subgroup `mask` the scan reads only the buckets of the proper divisors
+    of |mask|, larger orders first: by Lagrange no subgroup of another order
+    lies in `mask`.  It skips a bucket whose Omega bound cannot beat the
+    best chain so far, leaves it once the best is beyond that bound, and
+    stops once the best reaches the bound of |mask|.  That is the order
+    (larger subgroups first, then by mask) and the strict comparison of a
+    full scan, so the first longest chain in that order wins, as there."""
+    buckets: dict[int, list[int]] = {}
+    for m in sorted(cands):
+        buckets.setdefault(m.bit_count(), []).append(m)
+    # order -> (its Omega bound, [(Omega bound, masks) of each proper
+    # divisor's bucket, larger orders first])
+    orders = sorted(buckets, reverse=True)
+    omega = {k: _omega(k) for k in orders}
+    below = {
+        k: (omega[k], [(omega[d], buckets[d]) for d in orders if d < k and not k % d])
+        for k in orders
+    }
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def down(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -559,17 +577,22 @@ def _longest_chain(full: int, cands: dict[int, int]) -> SeriesResult:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        most = omega[mask.bit_count()]
+        most, divisors = below[mask.bit_count()]
         best_len = -1
         best_chain: tuple[int, ...] = ()
-        for c, bound in ordered:
-            if bound >= best_len and c != mask and c & mask == c:
-                length, chain = down(c)
-                if length + 1 > best_len:
-                    best_len = length + 1
-                    best_chain = (mask,) + chain
-                    if best_len == most:
-                        break
+        for bound, masks in divisors:
+            if bound < best_len:
+                continue
+            for c in masks:
+                if c & mask == c:
+                    length, chain = down(c)
+                    if length + 1 > best_len:
+                        best_len = length + 1
+                        best_chain = (mask,) + chain
+                        if best_len > bound:  # no later mask of this order beats it
+                            break
+            if best_len == most:
+                break
         memo[mask] = (best_len, best_chain)
         return memo[mask]
 

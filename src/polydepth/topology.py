@@ -864,12 +864,14 @@ def complex_to_json(complex_: ChainComplex) -> dict:
 def complex_from_json(obj) -> ChainComplex:
     """Read ``{"cells": [...], "boundary": [...]}``: cell counts are JSON
     integers and each boundary map is a list of rows.  Anything malformed,
-    maps that do not fit the cell counts or do not compose to zero included,
-    raises ValueError."""
+    a complex with no 0-cell and maps that do not fit the cell counts or do
+    not compose to zero included, raises ValueError."""
     _fields(obj, "chain complex", ("cells",), ("boundary",), lists=("cells", "boundary"))
     cells = [_check_int(c, "cell counts") for c in obj["cells"]]
     if not cells:
         raise ValueError("cells list must be nonempty")
+    if cells[0] == 0:  # a CW complex of a nonempty space has a vertex
+        raise ValueError("a complex needs a 0-cell: cells[0] is 0")
     raw = obj.get("boundary", [])
     if len(raw) != len(cells) - 1:
         raise ValueError(

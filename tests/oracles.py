@@ -800,6 +800,34 @@ def longest_chain_naive(
     return down(top)
 
 
+def longest_chain_scan_naive(
+    full: int, cands: dict[int, int]
+) -> tuple[int, list[int], list[int]]:
+    """Length, witness masks and complement masks of the longest strictly
+    decreasing chain (by inclusion) from `full` down to the mask 1 through
+    the keys of `cands`, each term's complement read from `cands`.  Below
+    each term every candidate is tried, more members first and then by
+    mask, and the first strictly longer chain wins; no bound, no buckets."""
+    ordered = sorted(cands, key=lambda m: (-bin(m).count("1"), m))
+    memo: dict[int, tuple[int, list[int]]] = {}
+
+    def down(mask: int) -> tuple[int, list[int]]:
+        if mask == 1:
+            return 0, [1]
+        if mask not in memo:
+            best: tuple[int, list[int]] = (-1, [])
+            for c in ordered:
+                if c != mask and c & mask == c:
+                    length, chain = down(c)
+                    if length + 1 > best[0]:
+                        best = (length + 1, [mask] + chain)
+            memo[mask] = best
+        return memo[mask]
+
+    length, chain = down(full)
+    return length, chain, [cands[m] for m in chain]
+
+
 def table_inverse(table: list[list[int]], a: int) -> int:
     return next(b for b in range(len(table)) if table[a][b] == 0)
 

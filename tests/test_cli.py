@@ -678,6 +678,21 @@ class TestExitCodes:
             assert run([command, path]) == 1
             assert capsys.readouterr() == ("", "input error: cell counts must be >= 0\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "command, complex_",
+        [("homology", {"cells": [0]}), ("bound", {"cells": [0, 1], "boundary": [[]]})],
+        ids=["empty-homology", "edge-without-vertex-bound"],
+    )
+    def test_a_complex_with_no_0_cell_is_malformed_input(
+        self, tmp_path, capsys, command, complex_, fmt
+    ):
+        # a complex with no vertex is no CW complex of a nonempty space
+        space = {"explicit": {"complex": complex_, "pi1": {"trivial": True}}}
+        path = _write_json(tmp_path, "space.json", space)
+        assert run([command, "--format", fmt, path]) == 1
+        assert capsys.readouterr() == ("", "input error: a complex needs a 0-cell: cells[0] is 0\n")
+
     @pytest.mark.parametrize(
         "argv, as_bool, as_int",
         [

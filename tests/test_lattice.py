@@ -76,6 +76,7 @@ from oracles import (
     factor_naive,
     generated_subgroups_naive,
     longest_chain_naive,
+    longest_chain_scan_naive,
     n3_naive,
     restrict_table,
     subspace_count_naive,
@@ -210,22 +211,57 @@ def test_lengths_within_omega_bound(name):
     assert max(report.n1.length, report.n2.length, report.n3) <= omega
 
 
-@pytest.mark.parametrize("name", list(LARGE) + ["D4xD4"])
+# Q8xZ2^3 and Z2^6 have the most subgroups of the pinned order-64 groups
+CHAIN_GROUPS = list(LARGE) + ["D4xD4", "Q8xZ2^3", "Z2^6"]
+
+
+def _series_masks(series) -> tuple[int, list[int], list[int]]:
+    return (
+        series.length,
+        [s.mask for s in series.witness],
+        [s.mask for s in series.complements],
+    )
+
+
+@pytest.mark.parametrize("name", CHAIN_GROUPS)
 def test_longest_chain_matches_naive_on_random_candidate_sets(name):
-    # the Omega bound prunes the chain search; on random families of
-    # subgroups its length must still be the longest chain through them
+    # the order buckets and the Omega bound prune the chain search; on
+    # random families of subgroups, each term given a random complement,
+    # the length, the witness and the complements must be those of a full
+    # scan with no pruning
     g, cap = _group_and_cap(name)
     full = (1 << g.order) - 1
     masks = [s.mask for s in all_subgroups(g, cap)]
     rng = random.Random(name)
-    for _ in range(20):
+    for _ in range(20 if g.order < 64 else 4):
         chosen = [m for m in masks if m in (1, full) or rng.random() < 0.3]
-        series = _longest_chain(full, dict.fromkeys(chosen, 1))
+        cands = {m: rng.choice(masks) for m in chosen}
+        series = _longest_chain(full, cands)
         sets = [frozenset(Subgroup(m).members()) for m in chosen]
         assert series.length == longest_chain_naive(sets, sets[-1], sets[0])
+        assert _series_masks(series) == longest_chain_scan_naive(full, cands)
         terms = [s.mask for s in series.witness]
         assert terms[0] == full and terms[-1] == 1 and set(terms) <= set(chosen)
         assert all(b != a and b & a == b for a, b in zip(terms, terms[1:]))
+
+
+@pytest.mark.parametrize("name", CHAIN_GROUPS)
+def test_n1_n2_chains_match_naive_scan(name, monkeypatch):
+    # every chain search that n1 and n2 make, on their own candidates,
+    # gives the witness and the complements of a full scan
+    searched = []
+    fast = finitegroup._longest_chain
+
+    def checked(full, cands):
+        series = fast(full, cands)
+        assert _series_masks(series) == longest_chain_scan_naive(full, cands)
+        searched.append(full)
+        return series
+
+    monkeypatch.setattr(finitegroup, "_longest_chain", checked)
+    g, cap = _group_and_cap(name)
+    report = verify_prop32(g, cap)
+    assert report.equal and len(searched) == 2
 
 
 def _naive_view(g: FiniteGroup, cap: int):
