@@ -3,9 +3,9 @@
 The pipeline: describe a space (sphere wedges/products or an explicit
 chain complex with a fundamental-group descriptor), compute integer-exact
 homology through Smith normal form, compute the splitting length of the
-fundamental group (exhaustive subgroup search for finite groups, closed
-forms otherwise), and combine them into a depth bound with the rule and
-assumptions recorded.
+fundamental group (exhaustive subgroup search for finite groups whose
+table does not commute, closed forms otherwise), and combine them into a
+depth bound with the rule and assumptions recorded.
 
 >>> from polydepth import Sphere, best_bound, wedge
 >>> best_bound(wedge(Sphere(1), Sphere(2))).bound

@@ -103,8 +103,12 @@ RETRACT_CHAIN_PROVENANCE = (
 def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Splitting length by descriptor class.
 
-    ``cap`` only matters for ``Finite`` descriptors, where it limits the
-    order of groups the subgroup search will accept.
+    ``cap`` only matters for ``Finite`` descriptors: a group of larger order
+    raises ``OrderExceedsCap``, whether its table commutes or not.  A
+    commuting table is read as its primary decomposition
+    (``finitegroup.primary_decomposition``), whose summand count is sl, as
+    for any finite abelian group; no subgroup is enumerated.  Any other
+    table runs the ``n1`` search.
 
     >>> sl_of(Trivial())
     0
@@ -112,13 +116,21 @@ def sl_of(descriptor: Pi1Descriptor, cap: int = DEFAULT_SEARCH_CAP) -> int:
     2
     >>> sl_of(ElementaryAmenable(hirsch=3, cd_finite=True))
     3
+    >>> from polydepth.catalog import catalog_group
+    >>> sl_of(Finite(catalog_group("Z2xZ6")))
+    3
     """
     if isinstance(descriptor, Trivial):
         return 0
     if isinstance(descriptor, Finite):
         from . import finitegroup
 
-        return finitegroup.n1(descriptor.group, cap=cap).length
+        group = descriptor.group
+        finitegroup._check_cap(group.order, cap)
+        primary = finitegroup.primary_decomposition(group)
+        if primary is not None:
+            return sl_abelian(primary)
+        return finitegroup.n1(group, cap=cap).length
     if isinstance(descriptor, FgAbelian):
         return sl_abelian(descriptor.group)
     if isinstance(descriptor, Free):

@@ -68,16 +68,25 @@ subgroup outside the lattice takes that as its generating set, and
 ``subgroup_from_members`` accepts a member set that is its own span, the
 one subgroup check (``_is_subgroup``) that ``is_normal``, ``is_complement``
 and ``is_retract`` also ask before they answer.
+
+One function reads no lattice: ``primary_decomposition`` gives a table
+that commutes as a direct sum of prime-power cyclic groups, from the
+number of elements of each p-power order, so its splitting length is the
+summand count of ``abelian.sl_abelian``.  Only ``depth.sl_of`` asks it;
+the three searches, ``verify_prop32`` and the ``sl`` command's witness
+chain stay on the lattice.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import total_ordering
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Iterable
 
-from .abelian import _factor
+from .abelian import FgAbelianGroup, _factor
 from .errors import (
     _DIGITS_AND_SPACE,
     DEFAULT_SEARCH_CAP,
@@ -727,6 +736,53 @@ def verify_prop32(g: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> Prop32Report
         n3=v3,
         n3_chain=tuple(Subgroup(m) for m in chain),
     )
+
+
+def primary_decomposition(g: FiniteGroup) -> FgAbelianGroup | None:
+    """G as a direct sum of prime-power cyclic groups when its table
+    commutes, else None.  No subgroup is enumerated.  A finite abelian G
+    whose p-part is Z/p^l_1 + ... + Z/p^l_r has c_j = p^s_j elements x with
+    x^(p^j) = 1, where s_j = min(l_1, j) + ... + min(l_r, j), so
+    s_j - s_(j-1) counts the l_i that are at least j, and the l_i follow
+    (Rotman, *An Introduction to the Theory of Groups*, ch. 6).  The counts
+    come from element orders, one `_cyclic_mask` per element.
+
+    A table that commutes but is no group, which only ``_trusted`` admits,
+    can give counts of no such form: ValueError, also under ``python -O``,
+    unless every c_j is a power of p and the summands multiply to |G|.
+
+    >>> zmod12 = FiniteGroup([[(a + b) % 12 for b in range(12)] for a in range(12)])
+    >>> primary_decomposition(zmod12)
+    FgAbelianGroup(free_rank=0, torsion=(3, 4))
+    """
+    table = g.table
+    if table != tuple(zip(*table)):
+        return None
+    by_order = Counter(_cyclic_mask(g, x).bit_count() for x in range(g.order))
+    torsion: list[int] = []
+    for p, e in _factor(g.order):
+        # s[j] = log_p c_j for j = 0 .. e; only the identity has order 1
+        count, s = 1, [0]
+        for j in range(1, e + 1):
+            count += by_order[p**j]
+            power, log = count, 0
+            while power % p == 0:
+                power //= p
+                log += 1
+            if power != 1:
+                raise ValueError(
+                    f"not an abelian group: {count} elements have order dividing {p**j}"
+                )
+            s.append(log)
+        # at_least[j - 1] counts the l_i >= j
+        at_least = [b - a for a, b in zip(s, s[1:])] + [0]
+        for j in range(1, e + 1):
+            torsion += [p**j] * (at_least[j - 1] - at_least[j])
+    if prod(torsion) != g.order:
+        raise ValueError(
+            f"not an abelian group: summands {sorted(torsion)} do not multiply to {g.order}"
+        )
+    return FgAbelianGroup(0, tuple(sorted(torsion)))
 
 
 def describe_subgroup(g: FiniteGroup, sub: Subgroup) -> str:

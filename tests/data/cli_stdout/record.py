@@ -45,6 +45,11 @@ Files
     ``LOW_DIMENSION_COMMANDS``, exit, stdout and stderr: spaces of dimension
     1, whose bound report has no degree >= 2 and prints an empty
     ``per_degree``.
+``finite_products.json``
+    space name -> its space and, per command of ``FINITE_PRODUCT_COMMANDS``,
+    exit, stdout and stderr: ``rp2-power-6`` is the product of six copies of
+    ROOT's ``spaces/rp2_with_cover.json``, whose pi1 is the order-64 table of
+    Z2^6.
 """
 
 import contextlib
@@ -95,6 +100,7 @@ LOW_DIMENSIONS = {
     },
 }
 LOW_DIMENSION_COMMANDS = ["bound", "bound --format json"]
+FINITE_PRODUCT_COMMANDS = ["bound", "bound --format json"]
 
 
 def _capture(run, argv: list[str]) -> dict:
@@ -210,9 +216,12 @@ def record(root: pathlib.Path) -> None:
         scratch.unlink(missing_ok=True)
     _write("scrambled.json", scrambled)
 
+    rp2 = json.loads((root / "spaces" / "rp2_with_cover.json").read_text(encoding="utf-8"))
+    finite_products = {"rp2-power-6": {"product": [rp2] * 6}}
     for file, named, commands in [
         ("high_degrees.json", HIGH_DEGREES, HIGH_DEGREE_COMMANDS),
         ("low_dimensions.json", LOW_DIMENSIONS, LOW_DIMENSION_COMMANDS),
+        ("finite_products.json", finite_products, FINITE_PRODUCT_COMMANDS),
     ]:
         _write(file, _space_pins(run, scratch, named, commands), indent=1)
 

@@ -15,9 +15,11 @@ integer in turn, surface complexes are glued from a square grid by their
 identification maps (and disguised by seeded cell shuffles and basis
 changes), complexes of known homology start from diagonal boundary
 maps before the same disguise, subspaces of F_p^k are counted by Gaussian
-binomials, longest chains try every set below each term, and the
-group-series oracles enumerate raw power sets (closures of small
-generating sets above order 8) and check the series definitions directly,
+binomials, an abelian table's summands are read off the invariant
+factors of its relation matrix (the one oracle that calls the package, its
+Smith form, which has oracles of its own here), longest chains try every
+set below each term, and the group-series oracles enumerate raw power
+sets (closures of small generating sets above order 8) and check the series definitions directly,
 associativity
 is checked on every triple, the elements Light's test checks come from a
 closure rebuilt after each one, a member set is closed when every product
@@ -620,6 +622,30 @@ def subspace_count_naive(p: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # finite groups on raw Cayley tables (list of lists, identity = 0)
+
+
+def abelian_summands_naive(table: list[list[int]]) -> tuple[int, ...]:
+    """Prime-power orders of the cyclic summands of a commuting table's
+    group, ascending.  G is the cokernel of its relation matrix: one column
+    per element and one row e_x + e_y - e_xy per pair x <= y.  The matrix
+    has full rank, so G is the sum of Z/d over its nonunit invariant
+    factors d, each split into prime powers by `factor_naive`."""
+    from polydepth.intlinalg import IntMatrix, invariant_factors
+
+    n = len(table)
+    rows = []
+    for x in range(n):
+        for y in range(x, n):
+            row = [0] * n
+            row[x] += 1
+            row[y] += 1
+            row[table[x][y]] -= 1
+            rows.append(row)
+    factors = invariant_factors(IntMatrix.from_rows(rows, cols=n))
+    assert len(factors) == n, "the relation matrix of a group has full rank"
+    return tuple(
+        sorted(p**e for d in factors if d > 1 for p, e in factor_naive(d))
+    )
 
 
 def fails_associativity(table: list[list[int]], a: int, b: int, c: int) -> bool:

@@ -41,6 +41,11 @@ and on an explicit circle complex, spaces of dimension 1 whose report has an
 empty ``per_degree``; it was recorded before the zero-composition test of a
 chain complex packed its columns into integers.
 
+``finite_products.json`` holds the same for ``bound`` in text and JSON on
+the product of six copies of ``spaces/rp2_with_cover.json``, whose pi1 is
+the order-64 table of Z2^6; it was recorded before ``sl`` of a commuting
+table was read from its primary decomposition instead of the ``n1`` search.
+
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
 copy of the commit before the change.
@@ -72,6 +77,9 @@ SCRAMBLED = json.loads((EXPECTED / "scrambled.json").read_text(encoding="utf-8")
 HIGH_DEGREES = json.loads((EXPECTED / "high_degrees.json").read_text(encoding="utf-8"))
 LOW_DIMENSIONS = json.loads(
     (EXPECTED / "low_dimensions.json").read_text(encoding="utf-8")
+)
+FINITE_PRODUCTS = json.loads(
+    (EXPECTED / "finite_products.json").read_text(encoding="utf-8")
 )
 EXPRESSION_COMMANDS = [
     "homology",
@@ -237,6 +245,15 @@ def test_expected_low_dimension_pins_cover_both_formats():
         assert '"per_degree": {}' in entry["commands"]["bound --format json"]["stdout"]
 
 
+def test_expected_finite_product_pins_cover_both_formats():
+    assert sorted(FINITE_PRODUCTS) == ["rp2-power-6"]
+    rp2 = json.loads((SPACES_DIR / "rp2_with_cover.json").read_text(encoding="utf-8"))
+    entry = FINITE_PRODUCTS["rp2-power-6"]
+    assert entry["space"] == {"product": [rp2] * 6}
+    assert sorted(entry["commands"]) == ["bound", "bound --format json"]
+    assert entry["commands"]["bound"]["stdout"].startswith("rule=Cor-finite bound=69\n")
+
+
 def _same_space_pins(entry, tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(entry["space"]), encoding="utf-8")
@@ -253,3 +270,8 @@ def test_high_degree_output_unchanged(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(LOW_DIMENSIONS))
 def test_low_dimension_output_unchanged(name, tmp_path, capsys):
     _same_space_pins(LOW_DIMENSIONS[name], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_PRODUCTS))
+def test_finite_product_output_unchanged(name, tmp_path, capsys):
+    _same_space_pins(FINITE_PRODUCTS[name], tmp_path, capsys)

@@ -48,7 +48,8 @@ from polydepth.errors import (
     NotFinitelyGenerated,
     OrderExceedsCap,
 )
-from polydepth.finitegroup import n1
+from polydepth import finitegroup
+from polydepth.finitegroup import FiniteGroup, direct_product, n1
 from polydepth.intlinalg import IntMatrix
 from polydepth.pi1 import (
     ElementaryAmenable,
@@ -103,6 +104,37 @@ class TestSlOf:
     def test_finite_respects_cap(self):
         with pytest.raises(OrderExceedsCap):
             sl_of(Finite(cyclic(65)))
+
+    def test_a_commuting_table_is_held_to_the_cap_first(self, monkeypatch):
+        read = _count_calls(monkeypatch, "primary_decomposition", finitegroup)
+        with pytest.raises(OrderExceedsCap):
+            sl_of(Finite(catalog_group("Z2xZ2xZ2xZ2")), cap=8)
+        assert read == [0]
+
+    def test_commuting_products_match_the_search(self):
+        # sl of a finite abelian group is its primary summand count, n1 on
+        # its table; a product of two catalog groups commutes when both do
+        abelian = [
+            catalog_group(n) for n in catalog_names() if catalog_abelian_factors(n) is not None
+        ]
+        pairs = [(a, b) for a in abelian for b in abelian if a.order * b.order <= 64]
+        for a, b in pairs:
+            g = direct_product(a, b)
+            assert sl_of(Finite(g)) == n1(g).length, g
+        assert len(pairs) == 354
+        assert sl_of(Finite(FiniteGroup([[0]]))) == n1(FiniteGroup([[0]])).length == 0
+
+    def test_a_commuting_table_runs_no_search(self, monkeypatch):
+        searched = _count_calls(monkeypatch, "n1", finitegroup)
+        g = direct_product(*[cyclic(2)] * 4, cyclic(4))
+        assert sl_of(Finite(g)) == 5
+        assert searched == [0]
+        assert g._masks_by_order is None
+
+    def test_a_table_that_does_not_commute_runs_n1_once(self, monkeypatch):
+        searched = _count_calls(monkeypatch, "n1", finitegroup)
+        assert sl_of(Finite(direct_product(catalog_group("D4"), cyclic(2)))) == 3
+        assert searched == [1]
 
     def test_abelian_counts_primary_summands(self):
         assert sl_of(FgAbelian(from_cyclic_factors(2, [6]))) == 4
@@ -282,6 +314,19 @@ class TestBestBound:
             report = best_bound(space)
             if report.exact_depth is not None:
                 assert report.exact_depth <= report.bound
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_power_of_rp2_builds_no_lattice(self, monkeypatch, k):
+        # pi1 is Z2^k, whose table commutes: sl(pi1) = k is read off its
+        # summands, and no subgroup of the order-2^k table is enumerated
+        path = pathlib.Path(__file__).parent.parent / "spaces" / "rp2_with_cover.json"
+        rp2 = json.loads(path.read_text(encoding="utf-8"))
+        built = _count_calls(monkeypatch, "_lattice", finitegroup)
+        report = best_bound(space_from_json({"product": [rp2] * k}))
+        assert (report.applied_rule, report.bound) == (
+            ("Thm4.8", 1) if k == 1 else ("Cor-finite", k + 2**k - 1)
+        )
+        assert built == [0]
 
     @pytest.mark.parametrize("left_is_rp2,bound", [(False, 4), (True, 5)])
     def test_product_with_covered_rp2(self, left_is_rp2, bound):

@@ -14,7 +14,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydepth.catalog import catalog_group, catalog_names, cyclic, dihedral
+from polydepth.abelian import from_cyclic_factors
+from polydepth.catalog import (
+    catalog_abelian_factors,
+    catalog_group,
+    catalog_names,
+    cyclic,
+    dihedral,
+)
 from polydepth.errors import OrderExceedsCap
 from polydepth.finitegroup import (
     DEFAULT_SEARCH_CAP,
@@ -31,6 +38,7 @@ from polydepth.finitegroup import (
     n2,
     n3,
     parse_cayley_table,
+    primary_decomposition,
     render_series,
     restrict_to_subgroup,
     subgroup_from_members,
@@ -39,6 +47,7 @@ from polydepth.finitegroup import (
     _span,
 )
 from oracles import (
+    abelian_summands_naive,
     associative_naive,
     closed_naive,
     direct_product_naive,
@@ -343,6 +352,20 @@ def test_only_span_and_the_lattice_join_subgroups():
     assert callers == {"_span", "_lattice"}
 
 
+def test_only_sl_of_reads_the_primary_decomposition():
+    # the n1/n2/n3 searches and the `sl` command's witness stay on the
+    # lattice; only `depth.sl_of` answers from the decomposition
+    callers = {
+        (path.name, f.name)
+        for path in sorted(SRC.glob("*.py"))
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and _name(node.func) == "primary_decomposition"
+    }
+    assert callers == {("depth.py", "sl_of")}
+
+
 class TestBasicOps:
     def test_mul_inv_element_order(self):
         g = catalog_group("S3")
@@ -388,6 +411,64 @@ class TestTrustedTables:
                     assert (p.table, p.name) == direct_product_naive(a, b), (a, b)
                     checked += 1
         assert checked > 100
+
+
+ABELIAN = [name for name in catalog_names() if catalog_abelian_factors(name) is not None]
+
+# commuting tables with identity 0 that are Latin squares but no groups; the
+# first is unipotent (x * x = 0 for every x), so all six elements have order
+# dividing 2, no power of 2; the second gives the summands 2 and 2
+COMMUTING_NON_GROUPS = [
+    (
+        [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 0, 5, 1, 4],
+         [3, 4, 5, 0, 2, 1], [4, 5, 1, 2, 0, 3], [5, 2, 4, 1, 3, 0]],
+        "6 elements have order dividing 2",
+    ),
+    (
+        [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 0, 5, 1, 4],
+         [3, 4, 5, 0, 2, 1], [4, 5, 1, 2, 3, 0], [5, 2, 4, 1, 0, 3]],
+        r"summands \[2, 2\] do not multiply to 6",
+    ),
+]
+
+
+class TestPrimaryDecomposition:
+    """The summands of a commuting table read from its element orders,
+    against the invariant factors of its relation matrix and the catalog's
+    own factors, under relabellings too."""
+
+    @pytest.mark.parametrize("name", ABELIAN)
+    def test_abelian_catalog_groups(self, name):
+        g = catalog_group(name)
+        expected = from_cyclic_factors(0, list(catalog_abelian_factors(name)))
+        for table in [g] + [relabelled(g, seed) for seed in range(3)]:
+            got = primary_decomposition(table)
+            assert got == expected
+            assert got.torsion == abelian_summands_naive(table.table)
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if n not in ABELIAN])
+    def test_a_table_that_does_not_commute_gives_none(self, name):
+        g = catalog_group(name)
+        assert primary_decomposition(g) is None
+        assert primary_decomposition(relabelled(g, 0)) is None
+
+    @pytest.mark.parametrize(
+        "names",
+        [("Z2xZ2xZ2xZ2", "Z2xZ2"), ("Z4xZ4", "Z4"), ("Z8", "Z8"), ("Z2xZ8", "Z3"), ("Z2", "Z24")],
+    )
+    def test_products_up_to_the_cap(self, names):
+        g = relabelled(direct_product(*map(catalog_group, names)), 1)
+        factors = [q for n in names for q in catalog_abelian_factors(n)]
+        assert primary_decomposition(g) == from_cyclic_factors(0, factors)
+        assert primary_decomposition(g).torsion == abelian_summands_naive(g.table)
+
+    @pytest.mark.parametrize("table, message", COMMUTING_NON_GROUPS)
+    def test_a_commuting_table_that_is_no_group_raises(self, table, message):
+        with pytest.raises(ValueError, match="associativity"):
+            FiniteGroup(table)
+        trusted = FiniteGroup._trusted(tuple(map(tuple, table)))
+        with pytest.raises(ValueError, match=message):
+            primary_decomposition(trusted)
 
 
 class TestSubgroupEnumeration:

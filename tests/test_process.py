@@ -11,7 +11,7 @@ import pytest
 
 from oracles import disguised_surface
 from test_cli import FALSE_CIRCLE, REFUTED
-from test_finitegroup import NONASSOC_LOOP
+from test_finitegroup import COMMUTING_NON_GROUPS, NONASSOC_LOOP
 from test_reduction import PINNED_D1, PINNED_D2
 from test_topology import _nested
 
@@ -233,13 +233,20 @@ torus = Explicit(ChainComplex(
     2, (IntMatrix.from_rows(d1), IntMatrix.from_rows(d2)), (len(d1), len(d2), len(d2[0]))
 ), Trivial())
 print(_top_free_rank(torus) == homology(torus).group(2).free_rank == 1)
-""" % (NONASSOC_LOOP, PINNED_D1, PINNED_D2, disguised_surface("torus", 4))
+# a commuting unipotent Latin square that is no group: six elements of order
+# dividing 2, no power of 2, so its summands cannot be read
+from polydepth.finitegroup import primary_decomposition
+unipotent = FiniteGroup._trusted(tuple(map(tuple, %r)))
+print(raises(lambda: primary_decomposition(unipotent)))
+""" % (
+    NONASSOC_LOOP, PINNED_D1, PINNED_D2, disguised_surface("torus", 4), COMMUTING_NON_GROUPS[0][0]
+)
 
 
 def test_soundness_checks_survive_optimized_mode():
     proc = _python("-O", "-c", SOUNDNESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 20
+    assert proc.stdout.split() == ["True"] * 21
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
