@@ -35,9 +35,12 @@ the space reader, ``topology.space_from_json``.  Each command imports the
 modules it runs.  Run as a program (``python -m polydepth.cli``, or the
 installed ``polydepth``, which runs it the same way), it loads no
 polydepth module at start-up but ``errors``, so that a cold
-``sl --catalog`` never loads ``topology`` or ``depth``, and ``homology``
+``sl --catalog`` never loads ``topology`` or ``depth``, ``homology``
 on a space without a finite group never loads ``depth``, ``catalog`` or
-``finitegroup``.  Imported as ``polydepth.cli`` by a
+``finitegroup``, and ``homology`` or ``bound`` on a space with no explicit
+complex, such as a wedge or product of spheres, never loads ``intlinalg``
+(``topology`` imports it only where a complex is built, read or reduced).
+Imported as ``polydepth.cli`` by a
 program that calls ``run`` in-process, it loads every command module at
 import instead: a long-lived caller loads them once, while it sets up,
 and no call loads a module.  A command imports a module, not names

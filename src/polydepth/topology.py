@@ -71,6 +71,13 @@ rules, the cover itself never built:
 
 Anything else, such as an explicit complex with nontrivial group and no
 cover, raises UnsupportedConstruction; no rule, no answer.
+
+Only explicit complexes need integer linear algebra, so `intlinalg` is
+imported inside the functions that build, read, check or reduce one
+(``ChainComplex``, `complex_from_json`, `homology_of_complex` and the
+explicit branch of `_top_free_rank`), and ``EXAMPLE_COMPLEXES`` is built
+on first access (PEP 562 ``__getattr__``).  A cold ``homology`` or
+``bound`` on spheres, wedges and products never loads it.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import chain, groupby, repeat
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .abelian import (
     TRIVIAL_GROUP,
@@ -104,7 +111,6 @@ from .errors import (
     _set,
     _sphere_dims,
 )
-from .intlinalg import IntMatrix, _composes_to_zero, _eliminate, rank
 from .pi1 import (
     ElementaryAmenable,
     FgAbelian,
@@ -117,6 +123,9 @@ from .pi1 import (
     pi1_from_json,
     pi1_to_json,
 )
+
+if TYPE_CHECKING:
+    from .intlinalg import IntMatrix
 
 MAX_DIMENSION = 10**6
 """The largest dimension `space_from_json` accepts.  Profiles and bound
@@ -162,6 +171,8 @@ class ChainComplex(Record):
     __slots__ = ("dim", "boundary", "cells")
 
     def __init__(self, dim: int, boundary: tuple[IntMatrix, ...], cells: tuple[int, ...]):
+        from . import intlinalg
+
         if dim < 0:
             raise ValueError(f"dimension must be >= 0, got {dim}")
         if len(cells) != dim + 1:
@@ -181,7 +192,7 @@ class ChainComplex(Record):
                     f"{cells[k - 1]}x{cells[k]}"
                 )
         for k in range(1, dim):
-            if not _composes_to_zero(boundary[k - 1], boundary[k]):
+            if not intlinalg._composes_to_zero(boundary[k - 1], boundary[k]):
                 raise CompositionNotZero(
                     f"boundary maps {k} and {k + 1} do not compose to zero"
                 )
@@ -194,11 +205,13 @@ class ChainComplex(Record):
         the right shape."""
         if 1 <= k <= self.dim:
             return self.boundary[k - 1]
+        from . import intlinalg
+
         if k == 0:
-            return IntMatrix.zeros(0, self.cells[0])
+            return intlinalg.IntMatrix.zeros(0, self.cells[0])
         if k == self.dim + 1:
-            return IntMatrix.zeros(self.cells[self.dim], 0)
-        return IntMatrix.zeros(0, 0)
+            return intlinalg.IntMatrix.zeros(self.cells[self.dim], 0)
+        return intlinalg.IntMatrix.zeros(0, 0)
 
 
 def euler_characteristic(complex_: ChainComplex) -> int:
@@ -531,15 +544,18 @@ def homology_of_complex(complex_: ChainComplex) -> HomologyProfile:
     unit pivots, is a column of d_k that can go without changing d_k's
     Smith form (see `intlinalg._eliminate`), so d_k is reduced without it.
 
+    >>> from polydepth.topology import EXAMPLE_COMPLEXES
     >>> render_profile(homology_of_complex(EXAMPLE_COMPLEXES["projective-plane"]))
     'H0 = Z\\nH1 = Z/2\\nH2 = 0'
     """
+    from . import intlinalg
+
     # diagonals[k] is the nonzero Smith diagonal of d_k; d_0 and d_(dim+1)
     # are zero maps
     diagonals: list[tuple[int, ...]] = [()] * (complex_.dim + 2)
     drop: frozenset[int] = frozenset()
     for k in range(complex_.dim, 0, -1):
-        diagonals[k], drop = _eliminate(complex_.boundary[k - 1], drop)
+        diagonals[k], drop = intlinalg._eliminate(complex_.boundary[k - 1], drop)
     groups = {
         k: _homology_group(complex_.cells[k], len(diagonals[k]), diagonals[k + 1])
         for k in range(complex_.dim + 1)
@@ -693,14 +709,17 @@ def _top_free_rank(space: SpaceExpr) -> int:
     d_dim is reduced; the maps below it play no part.  Any other space
     reads it from its integer `_fold`, with no profile built.
 
+    >>> from polydepth.topology import EXAMPLE_COMPLEXES
     >>> _top_free_rank(Explicit(EXAMPLE_COMPLEXES["klein-bottle"], Trivial()))
     0
     >>> _top_free_rank(wedge(Sphere(1), Sphere(2), Sphere(2)))
     2
     """
     if isinstance(space, Explicit):
+        from . import intlinalg
+
         complex_ = space.complex
-        return complex_.cells[complex_.dim] - rank(complex_.boundary_map(complex_.dim))
+        return complex_.cells[complex_.dim] - intlinalg.rank(complex_.boundary_map(complex_.dim))
     ranks, _, dim = _fold(space)
     return ranks.get(dim, 0)
 
@@ -784,6 +803,7 @@ def universal_cover_homology(space: SpaceExpr) -> HomologyProfile:
     not a finite complex gives H(X~) with its not-f.g. verdicts, which a
     product refuses in a factor (see the module docstring).
 
+    >>> from polydepth.topology import EXAMPLE_COMPLEXES
     >>> rp2 = Explicit(EXAMPLE_COMPLEXES["projective-plane"],
     ...                fg_abelian(FgAbelianGroup(torsion=(2,))),
     ...                cover=EXAMPLE_COMPLEXES["sphere2"])
@@ -866,6 +886,8 @@ def complex_from_json(obj) -> ChainComplex:
     integers and each boundary map is a list of rows.  Anything malformed,
     a complex with no 0-cell and maps that do not fit the cell counts or do
     not compose to zero included, raises ValueError."""
+    from . import intlinalg
+
     _fields(obj, "chain complex", ("cells",), ("boundary",), lists=("cells", "boundary"))
     cells = [_check_int(c, "cell counts") for c in obj["cells"]]
     if not cells:
@@ -879,7 +901,7 @@ def complex_from_json(obj) -> ChainComplex:
             f"counts, got {len(raw)}"
         )
     boundary = [
-        IntMatrix.from_rows(rows, cols=cells[k + 1]) for k, rows in enumerate(raw)
+        intlinalg.IntMatrix.from_rows(rows, cols=cells[k + 1]) for k, rows in enumerate(raw)
     ]
     try:
         return ChainComplex(
@@ -960,27 +982,41 @@ def _cc(cells: tuple[int, ...], *boundary) -> ChainComplex:
     return ChainComplex(dim=len(cells) - 1, boundary=tuple(boundary), cells=cells)
 
 
-EXAMPLE_COMPLEXES: dict[str, ChainComplex] = {
-    "point": _cc((1,)),
-    "interval": _cc((2, 1), IntMatrix.from_rows([[-1], [1]])),
-    "circle": _cc((1, 1), IntMatrix.from_rows([[0]])),
-    "sphere2": _cc((1, 0, 1), IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1)),
-    "sphere3": _cc(
-        (1, 0, 0, 1),
-        IntMatrix.zeros(1, 0),
-        IntMatrix.zeros(0, 0),
-        IntMatrix.zeros(0, 1),
-    ),
-    "torus": _cc(
-        (1, 2, 1), IntMatrix.zeros(1, 2), IntMatrix.from_rows([[0], [0]])
-    ),
-    "projective-plane": _cc(
-        (1, 1, 1), IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
-    ),
-    "klein-bottle": _cc(
-        (1, 2, 1), IntMatrix.zeros(1, 2), IntMatrix.from_rows([[2], [0]])
-    ),
-    "genus2-surface": _cc(
-        (1, 4, 1), IntMatrix.zeros(1, 4), IntMatrix.from_rows([[0]] * 4)
-    ),
-}
+def _example_complexes() -> dict[str, ChainComplex]:
+    from .intlinalg import IntMatrix
+
+    return {
+        "point": _cc((1,)),
+        "interval": _cc((2, 1), IntMatrix.from_rows([[-1], [1]])),
+        "circle": _cc((1, 1), IntMatrix.from_rows([[0]])),
+        "sphere2": _cc((1, 0, 1), IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1)),
+        "sphere3": _cc(
+            (1, 0, 0, 1),
+            IntMatrix.zeros(1, 0),
+            IntMatrix.zeros(0, 0),
+            IntMatrix.zeros(0, 1),
+        ),
+        "torus": _cc(
+            (1, 2, 1), IntMatrix.zeros(1, 2), IntMatrix.from_rows([[0], [0]])
+        ),
+        "projective-plane": _cc(
+            (1, 1, 1), IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
+        ),
+        "klein-bottle": _cc(
+            (1, 2, 1), IntMatrix.zeros(1, 2), IntMatrix.from_rows([[2], [0]])
+        ),
+        "genus2-surface": _cc(
+            (1, 4, 1), IntMatrix.zeros(1, 4), IntMatrix.from_rows([[0]] * 4)
+        ),
+    }
+
+
+def __getattr__(name: str):
+    """``EXAMPLE_COMPLEXES``, the named complexes of the docs and the
+    ``euler`` suite, is built on first access (PEP 562), so that a space
+    with no explicit complex never loads `intlinalg`; it is then a module
+    global like any other."""
+    if name != "EXAMPLE_COMPLEXES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    examples = globals()["EXAMPLE_COMPLEXES"] = _example_complexes()
+    return examples

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import factor_naive, tor_torsion_pairwise
-from polydepth import intlinalg, topology
+from polydepth import intlinalg
 from polydepth.abelian import (
     MAX_CYCLIC_ORDER,
     TRIVIAL_GROUP,
@@ -231,7 +231,7 @@ def test_from_boundary_maps_is_the_one_homology_path(monkeypatch):
     # rank or Smith diagonal of its own
     pairs = [pair for both in _unimodular_transform_pairs() for pair in both]
     calls = [
-        _count_calls(monkeypatch, "rank", intlinalg, topology),
+        _count_calls(monkeypatch, "rank", intlinalg),
         _count_calls(monkeypatch, "invariant_factors", intlinalg),
     ]
     groups = [from_boundary_maps(d_k, d_k1) for d_k, d_k1 in pairs]

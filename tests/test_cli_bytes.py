@@ -49,6 +49,11 @@ table was read from its primary decomposition instead of the ``n1`` search.
 Every file here is written by ``data/cli_stdout/record.py ROOT``, which runs
 the checkout at ROOT in-process; record new pins the same way, from a clean
 copy of the commit before the change.
+
+Importing ``polydepth.cli`` loads every module, so these in-process runs
+would not notice a lazy import that is missing.  The ``spaces.json`` pins
+are also run through a fresh ``python -m polydepth.cli`` each, which loads
+only what the command imports.
 """
 
 import json
@@ -60,6 +65,7 @@ from polydepth.catalog import catalog_names
 from polydepth.cli import run
 from oracles import disguised_surface_space
 from polydepth.depth import RULES
+from test_process import _python
 
 EXPECTED = pathlib.Path(__file__).parent / "data" / "cli_stdout"
 SL_CATALOG = json.loads((EXPECTED / "sl_catalog.json").read_text(encoding="utf-8"))
@@ -146,6 +152,19 @@ def test_space_stdout_unchanged(name, command, capsys):
     expected = SPACES[name][command]
     assert run(argv) == expected["exit"]
     _same(capsys.readouterr().out, expected["stdout"])
+
+
+@pytest.mark.parametrize("command", SPACE_COMMANDS)
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_space_stdout_unchanged_cold(name, command):
+    # importing polydepth.cli loads every module, so the in-process run
+    # above cannot miss a lazy import; a fresh interpreter loads only what
+    # the command imports
+    argv = command.split() + [str(SPACES_DIR / name), "--format", "json"]
+    proc = _python("-m", "polydepth.cli", *argv)
+    expected = SPACES[name][command]
+    assert proc.returncode == expected["exit"], proc.stderr
+    _same(proc.stdout, expected["stdout"])
 
 
 def test_expected_expressions_cover_every_command():

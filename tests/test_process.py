@@ -61,23 +61,66 @@ def test_import_loads_no_submodule():
     assert _loaded_submodules("-c", "import polydepth") == set()
 
 
+def test_topology_examples_run_in_a_fresh_interpreter():
+    # the in-process doctest run may find EXAMPLE_COMPLEXES already built by
+    # an earlier module; here topology's examples build it themselves
+    proc = _python(
+        "-c",
+        "import doctest, polydepth.topology as t; r = doctest.testmod(t); "
+        "print(r.failed, r.attempted)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    failed, attempted = map(int, proc.stdout.split())
+    assert failed == 0 and attempted > 0, proc.stdout
+
+
 # S3 as a Cayley-table text file, for `sl --table`
 S3_TABLE = SRC.parent / "tests" / "data" / "s3_table.txt"
 
+# (argv, modules it must load besides errors, modules it must not load);
+# torus.json is S1 x S1 and s1_wedge_s2.json a wedge, sphere expressions
+# that fold by integer sums and products with no linear algebra, while
+# klein_bottle_amenable.json is an explicit complex
 COLD_COMMANDS = pytest.mark.parametrize(
-    "argv, unused",
+    "argv, used, unused",
     [
-        (["sl", "--catalog", "Z6"], {"intlinalg", "topology", "depth"}),
-        (["sl", "--table", str(S3_TABLE)], {"intlinalg", "topology", "depth"}),
-        (["catalog"], {"intlinalg", "topology", "depth", "pi1"}),
-        (["homology", str(SPACES / "torus.json")], {"depth", "catalog", "finitegroup"}),
-        (["bound", str(SPACES / "torus.json")], {"catalog", "finitegroup"}),
+        (
+            ["sl", "--catalog", "Z6"],
+            {"finitegroup", "catalog"},
+            {"intlinalg", "topology", "depth"},
+        ),
+        (["sl", "--table", str(S3_TABLE)], {"finitegroup"}, {"intlinalg", "topology", "depth"}),
+        (["catalog"], {"catalog"}, {"intlinalg", "topology", "depth", "pi1"}),
+        (
+            ["homology", str(SPACES / "torus.json")],
+            {"topology"},
+            {"intlinalg", "depth", "catalog", "finitegroup"},
+        ),
+        (
+            ["bound", str(SPACES / "torus.json")],
+            {"topology", "depth"},
+            {"intlinalg", "catalog", "finitegroup"},
+        ),
         (
             ["homology", "--universal-cover", str(SPACES / "s1_wedge_s2.json")],
-            {"depth", "catalog", "finitegroup"},
+            {"topology"},
+            {"intlinalg", "depth", "catalog", "finitegroup"},
+        ),
+        (
+            ["bound", str(SPACES / "klein_bottle_amenable.json")],
+            {"intlinalg", "topology", "depth"},
+            {"catalog", "finitegroup"},
         ),
     ],
-    ids=["sl-catalog", "sl-table", "catalog", "homology", "bound", "homology-cover"],
+    ids=[
+        "sl-catalog",
+        "sl-table",
+        "catalog",
+        "homology",
+        "bound",
+        "homology-cover",
+        "bound-explicit",
+    ],
 )
 
 # what the installed `polydepth` script runs
@@ -85,9 +128,9 @@ SCRIPT = "from polydepth._script import main; main()"
 
 
 @COLD_COMMANDS
-def test_cold_command_loads_only_what_it_runs(argv, unused):
+def test_cold_command_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded_submodules("-m", "polydepth.cli", *argv)
-    assert "errors" in loaded
+    assert {"errors", *used} <= loaded
     assert not loaded & unused
 
 
@@ -97,14 +140,14 @@ DATACLASS_CHAIN = {"dataclasses", "inspect", "ast", "dis"}
 
 @COLD_COMMANDS
 @pytest.mark.parametrize("how", [["-m", "polydepth.cli"], ["-c", SCRIPT]], ids=["module", "script"])
-def test_cold_command_loads_no_dataclass_chain(argv, unused, how):
+def test_cold_command_loads_no_dataclass_chain(argv, used, unused, how):
     assert not _loaded_modules(*how, *argv) & DATACLASS_CHAIN
 
 
 @COLD_COMMANDS
-def test_installed_command_loads_only_what_it_runs(argv, unused):
+def test_installed_command_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded_submodules("-c", SCRIPT, *argv)
-    assert "errors" in loaded
+    assert {"errors", *used} <= loaded
     assert not loaded & unused
     script, module = _python("-c", SCRIPT, *argv), _python("-m", "polydepth.cli", *argv)
     assert (script.returncode, script.stdout) == (module.returncode, module.stdout)
