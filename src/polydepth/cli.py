@@ -39,10 +39,9 @@ polydepth module at start-up but ``errors``, so that a cold
 on a space without a finite group never loads ``depth``, ``catalog`` or
 ``finitegroup``, and ``homology`` or ``bound`` on a space with no explicit
 complex, such as a wedge or product of spheres, never loads ``intlinalg``
-(``topology`` imports it only where a complex is built, read or reduced).
-Imported as ``polydepth.cli`` by a
-program that calls ``run`` in-process, it loads every command module at
-import instead: a long-lived caller loads them once, while it sets up,
+(``topology`` imports it only where a complex is built, read, checked or
+reduced).  Imported as ``polydepth.cli`` by a program that calls ``run``
+in-process, it loads every command module at import instead: a long-lived caller loads them once, while it sets up,
 and no call loads a module.  A command imports a module, not names
 (``from . import depth``, then ``depth.best_bound``): on Python 3.11
 ``from .depth import best_bound`` in a function costs twice as much a

@@ -73,11 +73,13 @@ Anything else, such as an explicit complex with nontrivial group and no
 cover, raises UnsupportedConstruction; no rule, no answer.
 
 Only explicit complexes need integer linear algebra, so `intlinalg` is
-imported inside the functions that build, read, check or reduce one
-(``ChainComplex``, `complex_from_json`, `homology_of_complex` and the
-explicit branch of `_top_free_rank`), and ``EXAMPLE_COMPLEXES`` is built
-on first access (PEP 562 ``__getattr__``).  A cold ``homology`` or
-``bound`` on spheres, wedges and products never loads it.
+imported, as a module (``from . import intlinalg``, so that every call
+reads ``intlinalg.<name>``), inside the functions that build, read, check
+or reduce one (``ChainComplex``, `complex_from_json`,
+`homology_of_complex` and the explicit branch of `_top_free_rank`), and
+``EXAMPLE_COMPLEXES`` is built on first access (PEP 562 ``__getattr__``).
+A cold ``homology`` or ``bound`` on spheres, wedges and products never
+loads it.
 """
 
 from __future__ import annotations
