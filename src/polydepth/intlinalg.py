@@ -14,14 +14,21 @@ entries, so a boundary matrix costs what its nonzero entries cost.  Only
 matrix to all its cells.
 
 One sparse elimination, `_eliminate`, finds the Smith diagonals that
-homology and `rank` read.  It works on copies of the sparse rows and keeps no
-transforms, so its cost follows the fill-in rather than the matrix size.
-Each pivot comes from the live column with the fewest nonzero entries, the
-count kept current as fill-in and cancellation change it (Markowitz's rule
-for low fill-in, restricted to the column count); within that column the
-least |entry| wins, ties going to the shortest row.  A unit pivot costs one
-pass over each row it clears.  `invariant_factors` and `rank` read it for
-one map.  `topology.homology_of_complex` runs it top-down over a complex:
+homology and `rank` read, and keeps no transforms.  An exact test picks its
+method.  A map whose rows each hold at most two nonzero entries, each +-1,
+or else whose columns do, is the incidence matrix of a signed graph: d_2 of
+a closed triangulated surface is one by rows, d_1 of any Delta-complex one
+by columns.  One pass of signed union-find over its lines reads the Smith
+form off the graph's components in near-linear time (Zaslavsky, *Signed
+graphs*, Discrete Appl. Math. 4, 1982).  Every other map is eliminated on
+copies of its sparse rows, so its cost follows the fill-in rather than the
+matrix size.  Each pivot comes from the live column with the fewest nonzero
+entries, the count kept current as fill-in and cancellation change it
+(Markowitz's rule for low fill-in, restricted to the column count); within
+that column the least |entry| wins, ties going to the shortest row.  A unit
+pivot costs one pass over each row it clears.  The test stops at the first
+line longer than two or entry other than +-1, so a dense map pays little
+for it.  `invariant_factors` and `rank` read `_eliminate` for one map.  `topology.homology_of_complex` runs it top-down over a complex:
 each row of d_(k+1) that a leading unit pivot clears is a column of d_k
 left out before d_k is reduced (reduction pairs; the proof is at
 `_eliminate`).
@@ -371,9 +378,12 @@ def _eliminate(
     """The nonzero Smith diagonal of `m` without the columns in `drop`, and
     the rows of `m` that the elimination matched.
 
-    Each step takes its pivot in the live column with the fewest nonzero
-    entries, at the entry of least absolute value there (ties to the
-    shortest row), and clears that column by row operations.  The pivot row
+    If every kept row holds at most two nonzero entries, each +-1, or else
+    every kept column does, `_signed_graph` reduces the map (see below).
+    Every other map goes to the Markowitz loop.  Each of its steps takes
+    its pivot in the live column with the fewest nonzero entries, at the
+    entry of least absolute value there (ties to the shortest row), and
+    clears that column by row operations.  The pivot row
     is then the only row with an entry in that column, so the column
     operations that clear the row touch that row alone and cost one pass
     over it.  A nonzero remainder in the column or the row becomes the next
@@ -406,23 +416,53 @@ def _eliminate(
 
     Dropped columns are left out before elimination, so the matches of
     d_(k+1) may be dropped from d_k, and d_k's matches from d_(k-1) in turn.
-    """
-    # imported on first use: importing polydepth does not load heapq
-    from heapq import heapify, heappop, heappush
 
+    The union-find pass is the same elimination in another order.  Read by
+    rows, its nodes are the columns, and a node folded into another stands
+    for +-1 times it.  A row, its entries re-keyed to their roots, that
+    joins roots a and b with entries x and y is the unit pivot y at b: the
+    row operations that clear column b take this row as their only source
+    and move each later entry z of column b to -x y z in column a, which is
+    the re-keying.  A row left with one entry on an open root is the unit
+    pivot there; its row operations clear the root's column, so the root
+    is closed and later entries on it are dropped.  A row left with +-2 on
+    one root (its component holds a cycle of odd sign: it is unbalanced)
+    waits until every row is read; each open unbalanced root then gives
+    one last step with pivot 2.  So every unit step has its pivot row as
+    the only source, every 2 comes after every unit step, and by the
+    argument above the pivot rows of the unit steps are the matched rows.
+    Read by columns, the nodes are the rows and the same steps run on the
+    transpose: a unit step's row operations have as their only source the
+    row node it retires, the root folded away or closed, which is the row
+    it matches.
+    """
     # rows[i] holds the nonzero entries of row i; column j has a nonzero
-    # entry exactly in the rows of in_col[j].  dict(row) copies a row about
-    # 15 times faster than filtering it entry by entry, and the top map of a
-    # complex and every `invariant_factors` call have nothing to drop.
+    # entry exactly in the rows of in_col[j].  The rows of `m` itself are
+    # read until the Markowitz loop needs copies to change: dict(row)
+    # copies a row about 15 times faster than filtering it entry by entry,
+    # and the top map of a complex and every `invariant_factors` call have
+    # nothing to drop.
     if drop:
         kept = ({j: x for j, x in row.items() if j not in drop} for row in m._rows)
         rows = {i: row for i, row in enumerate(kept) if row}
     else:
-        rows = {i: dict(row) for i, row in enumerate(m._rows) if row}
+        rows = {i: row for i, row in enumerate(m._rows) if row}
+    # each test stops at its first line longer than two or entry other than +-1
+    if all(len(row) <= 2 for row in rows.values()) and _units(rows):
+        return _signed_graph(((i, row.items()) for i, row in rows.items()), True)
     in_col: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             in_col.setdefault(j, set()).add(i)
+    if all(len(col) <= 2 for col in in_col.values()) and _units(rows):
+        lines = ((j, [(i, rows[i][j]) for i in in_col[j]]) for j in sorted(in_col))
+        return _signed_graph(lines, False)
+    if not drop:
+        rows = {i: dict(row) for i, row in rows.items()}
+
+    # imported on first use: importing polydepth does not load heapq
+    from heapq import heapify, heappop, heappush
+
     # (count, j) items: every live column j has one holding its current
     # count len(in_col[j]), pushed whenever a pivot row that changed the
     # column is left; outdated items are dropped when popped
@@ -501,6 +541,58 @@ def _eliminate(
                 matched.append(pi)
             break
     return _divisibility_chain(pivots), frozenset(matched)
+
+
+def _units(rows: dict[int, dict[int, int]]) -> bool:
+    # whether every entry is +-1, read up to the first that is not
+    return all(map(_UNITS.__contains__, chain.from_iterable(map(dict.values, rows.values()))))
+
+
+_UNITS = frozenset((1, -1))
+
+
+def _signed_graph(lines, by_rows: bool) -> tuple[tuple[int, ...], frozenset[int]]:
+    """`_eliminate` of a map whose lines, its rows or else its columns, each
+    hold at most two nonzero entries, each +-1, given as (index, (node,
+    entry) pairs) in index order: one pass of signed union-find over the
+    nodes, its columns or its rows.  A unit step matches its row when
+    `by_rows`, else the node it retires."""
+    # a node v in up, (p, s), stands for s times node p; a root has no
+    # entry there, and holds `size` nodes (1 when it has no entry)
+    up: dict[int, tuple[int, int]] = {}
+    size: dict[int, int] = {}
+    closed: set[int] = set()
+    odd: set[int] = set()
+    matched: list[int] = []
+    for i, line in lines:
+        ends = []
+        for v, x in line:
+            while v in up:
+                v, s = up[v]
+                x *= s
+            if v not in closed:
+                ends.append((v, x))
+        if len(ends) == 2:
+            (a, x), (b, y) = ends
+            if a == b:
+                if x + y:
+                    odd.add(a)
+                continue
+            if size.get(a, 1) < size.get(b, 1):
+                a, b = b, a
+            # x a + y b = 0 with y = +-1: b stands for -x y times a
+            up[b] = (a, -x * y)
+            size[a] = size.get(a, 1) + size.get(b, 1)
+            if b in odd:
+                odd.add(a)
+        elif ends:
+            b = ends[0][0]
+            closed.add(b)
+        else:
+            continue
+        matched.append(i if by_rows else b)
+    twos = [2 for r in odd if r not in up and r not in closed]
+    return _divisibility_chain([1] * len(matched) + twos), frozenset(matched)
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 Nothing in here calls back into the package's algorithms: determinants go
 through Fraction-based Gaussian elimination, the 2x2 Smith form is computed
-from gcd/determinant identities, products are triple loops, product complexes are
+from gcd/determinant identities, the Smith form of a signed graph's
+incidence matrix from its components found by breadth-first search, products are triple loops, product complexes are
 built cell pair by cell pair, wedge complexes cell by cell around one base
 point, the cover of a wedge with the presentation complex of <a | a^n> lifted
 cell by cell, Betti numbers of sphere expressions are dense lists added and
@@ -34,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -111,6 +113,50 @@ def rank_fraction(rows: list[list[int]]) -> int:
         if r == n:
             break
     return r
+
+
+def signed_graph_smith_naive(lines: list[list[int]], width: int) -> list[int]:
+    """Nonzero Smith diagonal of a matrix of `width` columns whose rows each
+    hold at most two nonzero entries, each +-1: the incidence matrix of a
+    signed graph on the columns.
+
+    Breadth-first search labels the components and signs each vertex it
+    reaches so that the row it came by sums to zero; that signing is the
+    only one, up to a global sign, that can zero every row.  A component
+    of n vertices gives n units if some row meets it in one entry, else
+    n - 1 units and, if the signing leaves some row nonzero (the component
+    is unbalanced), one 2.  No union-find, no Smith form."""
+    support = [[j for j, x in enumerate(row) if x] for row in lines]
+    if any(len(s) > 2 or any(abs(row[j]) != 1 for j in s) for row, s in zip(lines, support)):
+        raise ValueError("not the incidence matrix of a signed graph")
+    near: list[list[int]] = [[] for _ in range(width)]
+    for r, s in enumerate(support):
+        for j in s:
+            near[j].append(r)
+    label = [-1] * width
+    sign = [0] * width
+    units = twos = 0
+    for start in range(width):
+        if label[start] >= 0:
+            continue
+        label[start], sign[start] = start, 1
+        queue, size = deque([start]), 1
+        while queue:
+            v = queue.popleft()
+            for r in near[v]:
+                for w in support[r]:
+                    if label[w] < 0:
+                        label[w], sign[w] = start, -lines[r][v] * lines[r][w] * sign[v]
+                        queue.append(w)
+                        size += 1
+        here = [r for r, s in enumerate(support) if s and label[s[0]] == start]
+        if any(len(support[r]) == 1 for r in here):
+            units += size
+        else:
+            units += size - 1
+            if any(sum(lines[r][j] * sign[j] for j in support[r]) for r in here):
+                twos += 1
+    return [1] * units + [2] * twos
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +305,29 @@ def disguised_surface_space(kind: str, n: int) -> dict:
     complex_ = {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
     cover = {"cells": [1], "boundary": []}
     return {"explicit": {"complex": complex_, "pi1": pi1, "cover": cover}}
+
+
+def graph_like_complex(seed) -> list:
+    """Boundary maps [d1, d2] of a seeded random 2-complex whose maps are
+    incidence matrices of signed graphs: a torus or Klein bottle glued
+    from an n x n grid (`surface_grid_naive`, n from 3 to 5) with none, a
+    tenth or a third of its triangles left out and up to n random edges added, loops
+    and parallel edges among them, its cells shuffled and some orientations
+    flipped (`_shuffled_cells`).  Every row of d2 then holds at most two
+    entries +-1 and every column of d1 a +1 and a -1, or nothing for a loop;
+    a new edge bounds no triangle, so d1 d2 stays zero."""
+    rng = random.Random(f"graph-like-{seed}")
+    n = rng.randint(3, 5)
+    d1, d2 = surface_grid_naive(rng.choice(("torus", "klein")), n)
+    share = rng.choice((0.0, 0.1, 0.3))
+    keep = [t for t in range(len(d2[0])) if rng.random() >= share]
+    d2 = [[row[t] for t in keep] for row in d2]
+    for _ in range(rng.randint(0, n)):
+        start, end = rng.randrange(len(d1)), rng.randrange(len(d1))
+        for v, row in enumerate(d1):
+            row.append((v == end) - (v == start))
+        d2.append([0] * len(keep))
+    return _shuffled_cells([d1, d2], rng)
 
 
 def torsion_complex(dim: int, seed) -> tuple[list, list[tuple[int, list[int]]]]:

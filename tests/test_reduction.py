@@ -10,22 +10,30 @@ itself is checked map by map, and a complex found by a seeded search pins
 the rule that matching stops at the first step with a pivot other than +-1.
 """
 
+import heapq
+import random
+
 import pytest
 
 from oracles import (
+    _shuffled_cells,
     disguised_surface,
     factor_naive,
+    graph_like_complex,
     surface_grid_naive,
     tensor_complex_naive,
     torsion_complex,
 )
+from polydepth.depth import best_bound
 from polydepth.intlinalg import IntMatrix, _eliminate, smith_normal_form
 from polydepth.topology import (
     EXAMPLE_COMPLEXES,
     ChainComplex,
+    complex_from_json,
     complex_to_json,
     homology_of_complex,
     render_profile,
+    space_from_json,
 )
 
 
@@ -96,6 +104,67 @@ def test_disguised_surfaces_match_per_map_smith_forms(kind, n):
         d1, d2 = complex_.boundary
         assert len(_eliminate(d2, frozenset())[1]) == 2 * n * n - 1
         _check_every_drop_keeps_the_smith_form(complex_)
+
+
+@pytest.mark.parametrize("kind", ["torus", "klein"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_shuffled_surfaces_keep_every_smith_form(kind, n):
+    # shuffled cells and flipped orientations leave both maps graph-like,
+    # so d_2 is read by rows and d_1 by columns (`_signed_graph`)
+    maps = _shuffled_cells(list(surface_grid_naive(kind, n)), random.Random(f"{kind}-{n}"))
+    complex_ = _complex(maps, [len(maps[0]), len(maps[1]), len(maps[1][0])])
+    assert _summary(complex_) == _summary_by_snf(complex_)
+    assert len(_eliminate(complex_.boundary[1], frozenset())[1]) == 2 * n * n - 1
+    _check_every_drop_keeps_the_smith_form(complex_)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_graph_like_complexes_keep_every_smith_form(seed):
+    maps = graph_like_complex(seed)
+    complex_ = _complex(maps, [len(maps[0]), len(maps[1]), len(maps[1][0])])
+    assert _summary(complex_) == _summary_by_snf(complex_)
+    _check_every_drop_keeps_the_smith_form(complex_)
+
+
+def _markowitz_steps(monkeypatch) -> list:
+    # one entry per run of the Markowitz loop, which heapifies its columns once
+    runs = []
+    heapify = heapq.heapify
+
+    def counting(heap):
+        runs.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting)
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["torus", "klein"])
+def test_graph_like_maps_enter_no_markowitz_step(monkeypatch, kind):
+    runs = _markowitz_steps(monkeypatch)
+    d1, d2 = (IntMatrix.from_rows(m) for m in surface_grid_naive(kind, 6))
+    _, drop = _eliminate(d2, frozenset())
+    _eliminate(d1, drop)
+    assert runs == []
+    # the same surface behind 4 n^2 basis changes is dense
+    d1, d2 = (IntMatrix.from_rows(m) for m in disguised_surface(kind, 6))
+    _, drop = _eliminate(d2, frozenset())
+    _eliminate(d1, drop)
+    assert len(runs) >= 1
+
+
+def test_a_shuffled_klein_bottle_keeps_its_bound():
+    d1, d2 = _shuffled_cells(list(surface_grid_naive("klein", 5)), random.Random("klein-5"))
+    complex_ = {"cells": [len(d1), len(d2), len(d2[0])], "boundary": [d1, d2]}
+    pi1 = {"elementary_amenable": {"hirsch": 2, "cd_finite": True}}
+    cover = {"cells": [1], "boundary": []}
+    space = space_from_json({"explicit": {"complex": complex_, "pi1": pi1, "cover": cover}})
+    report = best_bound(space)
+    assert (report.applied_rule, report.bound) == ("Cor-amenable", 2)
+    assert report.assumptions_used[-1] == "both rules apply: general bound 2, 2-dim bound 2"
+    assert render_profile(homology_of_complex(complex_from_json(complex_))) == (
+        "H0 = Z\nH1 = Z ⊕ Z/2\nH2 = 0"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_COMPLEXES))

@@ -8,18 +8,26 @@ disguised by shuffles and unimodular changes of basis, must come out as
 Z, Z^2, Z and Z, Z + Z/2, 0.
 """
 
+import heapq
 import math
 import random
 import time
 
 import pytest
 
-from oracles import disguised_surface, matmul_naive, rank_fraction, surface_grid_naive
+from oracles import (
+    disguised_surface,
+    matmul_naive,
+    rank_fraction,
+    signed_graph_smith_naive,
+    surface_grid_naive,
+)
 from polydepth.abelian import from_cyclic_factors
 from polydepth.errors import CompositionNotZero
 from polydepth.intlinalg import (
     IntMatrix,
     _composes_to_zero,
+    _eliminate,
     invariant_factors,
     rank,
     smith_normal_form,
@@ -263,6 +271,83 @@ def test_invariant_factors_of_disguised_diagonals():
         assert got == smith_normal_form(IntMatrix.from_rows(m)).diagonal
         assert len(got) == sum(1 for x in d if x)
         assert math.prod(got) == math.prod(x for x in d if x)
+
+
+# ---------------------------------------------------------------------------
+# signed graphs
+
+
+def _random_signed_graph(rng) -> list[list[int]]:
+    """Rows of the incidence matrix of a seeded random signed graph on its
+    columns: two-entry rows, parallel copies of earlier rows with a random
+    sign on each entry, one-entry rows and empty rows.  The first three rows
+    meet column 0, so the transpose has a row longer than two."""
+    nodes = rng.randint(4, 12)
+    rows = []
+    for end in rng.sample(range(1, nodes), 3):
+        rows.append([0] * nodes)
+        rows[-1][0], rows[-1][end] = rng.choice((1, -1)), rng.choice((1, -1))
+    for _ in range(rng.randint(0, 2 * nodes)):
+        kind = rng.random()
+        if kind < 0.2:
+            row = [rng.choice((1, -1)) * x for x in rng.choice(rows)]
+        else:
+            row = [0] * nodes
+            ends = rng.sample(range(nodes), 2 if kind < 0.8 else 1 if kind < 0.9 else 0)
+            for j in ends:
+                row[j] = rng.choice((1, -1))
+        rows.append(row)
+    return rows
+
+
+def _no_markowitz_step(monkeypatch) -> None:
+    def refuse(heap):
+        raise AssertionError("a signed graph entered the Markowitz loop")
+
+    monkeypatch.setattr(heapq, "heapify", refuse)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_signed_graphs_match_the_component_oracle(monkeypatch, seed):
+    # the rows, then the columns of the transpose, are the lines of the
+    # union-find pass; each orientation leaves out a random set of columns
+    rng = random.Random(f"signed-{seed}")
+    rows = _random_signed_graph(rng)
+    width = len(rows[0])
+    m = IntMatrix.from_rows(rows)
+    drop = frozenset(j for j in range(1, width) if rng.random() < 0.2)
+    kept = [[x for j, x in enumerate(row) if j not in drop] for row in rows]
+    # the transpose keeps the first three rows, so column 0 stays long
+    drop_t = frozenset(i for i in range(3, len(rows)) if rng.random() < 0.2)
+    kept_t = [row for i, row in enumerate(rows) if i not in drop_t]
+    cases = [
+        (m, drop, IntMatrix.from_rows(kept, cols=width - len(drop)), kept, width - len(drop)),
+        (m.transpose(), drop_t, IntMatrix.from_rows(kept_t).transpose(), kept_t, width),
+    ]
+    _no_markowitz_step(monkeypatch)
+    for whole, left_out, reduced, lines, nodes in cases:
+        expected = tuple(signed_graph_smith_naive(lines, nodes))
+        diagonal, matched = _eliminate(whole, left_out)
+        assert diagonal == expected
+        assert len(matched) == expected.count(1)
+        assert invariant_factors(reduced) == expected
+        assert smith_normal_form(reduced).diagonal == expected
+
+
+def test_the_component_oracle_on_known_graphs():
+    # a triangle of edges e_a - e_b is balanced (Z), an odd cycle of sums
+    # e_a + e_b is not (Z/2), a parallel pair of opposite signs is not, and
+    # a half-edge kills its component (0)
+    triangle = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    odd = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert signed_graph_smith_naive(triangle, 3) == [1, 1]
+    assert signed_graph_smith_naive(odd, 3) == [1, 1, 2]
+    assert signed_graph_smith_naive([[1, -1], [1, 1]], 2) == [1, 2]
+    assert signed_graph_smith_naive([[1, -1, 0], [0, 0, -1]], 3) == [1, 1]
+    assert signed_graph_smith_naive([[0, 1, 0]], 3) == [1]
+    for rows in (triangle, odd):
+        m = IntMatrix.from_rows(rows)
+        assert smith_normal_form(m).diagonal == tuple(signed_graph_smith_naive(rows, 3))
 
 
 # ---------------------------------------------------------------------------
