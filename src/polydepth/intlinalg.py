@@ -28,10 +28,10 @@ entries, the count kept current as fill-in and cancellation change it
 that column the least |entry| wins, ties going to the shortest row.  A unit
 pivot costs one pass over each row it clears.  The test stops at the first
 line longer than two or entry other than +-1, so a dense map pays little
-for it.  `invariant_factors` and `rank` read `_eliminate` for one map.  `topology.homology_of_complex` runs it top-down over a complex:
-each row of d_(k+1) that a leading unit pivot clears is a column of d_k
-left out before d_k is reduced (reduction pairs; the proof is at
-`_eliminate`).
+for it.  `invariant_factors` and `rank` read `_eliminate` for one map.
+`topology.homology_of_complex` runs it top-down over a complex: each row of
+d_(k+1) that a leading unit pivot clears is a column of d_k left out before
+d_k is reduced (reduction pairs; the proof is at `_eliminate`).
 
 `smith_normal_form` runs dense elimination and also returns the unimodular
 transforms U and V with S = U @ M @ V, for callers that need a basis, such
@@ -543,12 +543,12 @@ def _eliminate(
     return _divisibility_chain(pivots), frozenset(matched)
 
 
+_UNITS = frozenset((1, -1))
+
+
 def _units(rows: dict[int, dict[int, int]]) -> bool:
     # whether every entry is +-1, read up to the first that is not
     return all(map(_UNITS.__contains__, chain.from_iterable(map(dict.values, rows.values()))))
-
-
-_UNITS = frozenset((1, -1))
 
 
 def _signed_graph(lines, by_rows: bool) -> tuple[tuple[int, ...], frozenset[int]]:
@@ -557,8 +557,8 @@ def _signed_graph(lines, by_rows: bool) -> tuple[tuple[int, ...], frozenset[int]
     entry) pairs) in index order: one pass of signed union-find over the
     nodes, its columns or its rows.  A unit step matches its row when
     `by_rows`, else the node it retires."""
-    # a node v in up, (p, s), stands for s times node p; a root has no
-    # entry there, and holds `size` nodes (1 when it has no entry)
+    # a node v with up[v] = (p, s) stands for s times node p; a root is not
+    # in `up`, and size[root] counts its nodes (1 when it is not in `size`)
     up: dict[int, tuple[int, int]] = {}
     size: dict[int, int] = {}
     closed: set[int] = set()
@@ -580,7 +580,8 @@ def _signed_graph(lines, by_rows: bool) -> tuple[tuple[int, ...], frozenset[int]
                 continue
             if size.get(a, 1) < size.get(b, 1):
                 a, b = b, a
-            # x a + y b = 0 with y = +-1: b stands for -x y times a
+            # x a + y b = 0 with x, y = +-1: either root stands for -x y
+            # times the other, so the smaller folds into the larger
             up[b] = (a, -x * y)
             size[a] = size.get(a, 1) + size.get(b, 1)
             if b in odd:

@@ -8,6 +8,9 @@ construction (`oracles.torsion_complex`), and homology read from the dense
 `EXAMPLE_COMPLEXES` entry and cell-by-cell product complexes.  The lemma
 itself is checked map by map, and a complex found by a seeded search pins
 the rule that matching stops at the first step with a pivot other than +-1.
+Shuffled surfaces and random graph-like 2-complexes (`oracles`) hold maps
+that the signed union-find pass reduces: the lemma is checked on them too,
+and a count of the Markowitz loop's heaps pins that they never enter it.
 """
 
 import heapq

@@ -1,8 +1,11 @@
 """The sparse homology path against independent references.
 
 `invariant_factors` must give the same tuple as the dense
-`smith_normal_form`; `IntMatrix.__matmul__` and the zero-composition test
-`_composes_to_zero` must agree with a triple loop; and homology of
+`smith_normal_form`, and on random signed graphs, in both orientations,
+`_eliminate`, `invariant_factors` and `smith_normal_form` must give the one
+read off the graph's components (`oracles.signed_graph_smith_naive`);
+`IntMatrix.__matmul__` and the zero-composition test `_composes_to_zero`
+must agree with a triple loop; and homology of
 triangulated tori and Klein bottles, glued by the oracle's own generator and
 disguised by shuffles and unimodular changes of basis, must come out as
 Z, Z^2, Z and Z, Z + Z/2, 0.
